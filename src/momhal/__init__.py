@@ -10,6 +10,7 @@ Submodules:
   fusion   - stream reweighting, pooling, golden-section search
   halluc   - stream units, objective, training, inference
   synthgen - deterministic synthetic datasets
+  keyvalue - the shared key = value document parser
   verify   - runnable property suites
   cli      - command-line interface
 """

@@ -15,24 +15,23 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
-from .fusion import golden_section_max, ridge_accuracy
+from .fusion import golden_section_max
 from .halluc import (
     TrainConfig,
+    beta_objective,
     evaluate,
     load_checkpoint,
     metrics_to_csv,
     save_checkpoint,
     train,
-    _pooled_rows,
-    _stream_outputs,
+    video_arrays,
 )
+from .keyvalue import parse_key_values
 from .moments import descriptor_to_bytes
 from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig
 from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor
-from .synthgen import SynthConfig, generate_dataset, load_dataset
+from .synthgen import SynthConfig, generate_dataset, load_dataset, read_dataset_config
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -50,24 +49,27 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _read_config_doc(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
 def _write_config_doc(path, values: dict) -> None:
     with open(path, "w", encoding="utf-8") as fp:
         for key in values:
             fp.write(f"{key} = {values[key]}\n")
+
+
+def _output_paths(out: Path, keys) -> dict[tuple[str, str], Path]:
+    """``out/{video}__{id}.mmd`` for each (video, id) key.  Refuses an id
+    that holds a path separator or starts with '.', and two keys that would
+    write the same file."""
+    owners: dict[Path, tuple[str, str]] = {}
+    for key in keys:
+        for part in key:
+            if "/" in part or "\\" in part or part.startswith("."):
+                raise ValueError(f"id {part!r} cannot name an output file: "
+                                 "it holds a path separator or starts with '.'")
+        path = out / f"{key[0]}__{key[1]}.mmd"
+        if path in owners:
+            raise ValueError(f"ids {owners[path]} and {key} both map to {path.name}")
+        owners[path] = key
+    return {key: path for path, key in owners.items()}
 
 
 def cmd_encode_odf(args) -> int:
@@ -86,6 +88,7 @@ def cmd_encode_odf(args) -> int:
         }
     cfg = OdfConfig(use_rbf_embedding=not args.no_rbf, n_prime=args.n_prime)
     out = Path(args.out)
+    paths = _output_paths(out, groups)
     out.mkdir(parents=True, exist_ok=True)
 
     def job(key):
@@ -98,8 +101,7 @@ def cmd_encode_odf(args) -> int:
         results = list(pool.map(job, keys))
     print(f"{'video':<12} {'detector':<10} {'boxes':>6} {'tau':>5} {'dim':>6} {'flat':>7}")
     for video, detector, tau, count, desc in results:
-        path = out / f"{video}__{detector}.mmd"
-        path.write_bytes(descriptor_to_bytes(desc))
+        paths[video, detector].write_bytes(descriptor_to_bytes(desc))
         print(f"{video:<12} {detector:<10} {count:>6} {tau:>5} {desc.dim:>6} {desc.flat().size:>7}")
     print(f"wrote {len(results)} descriptors to {out}")
     return EXIT_OK
@@ -112,6 +114,7 @@ def cmd_encode_sdf(args) -> int:
         return EXIT_EMPTY
     cfg = SdfConfig()
     out = Path(args.out)
+    paths = _output_paths(out, groups)
     out.mkdir(parents=True, exist_ok=True)
 
     def job(item):
@@ -125,8 +128,7 @@ def cmd_encode_sdf(args) -> int:
         results = list(pool.map(job, keys))
     print(f"{'video':<12} {'source':<8} {'frames':>6} {'dim':>6} {'flat':>7}")
     for video, source, count, desc in results:
-        path = out / f"{video}__{source}.mmd"
-        path.write_bytes(descriptor_to_bytes(desc))
+        paths[video, source].write_bytes(descriptor_to_bytes(desc))
         print(f"{video:<12} {source:<8} {count:>6} {desc.dim:>6} {desc.flat().size:>7}")
     print(f"wrote {len(results)} descriptors to {out}")
     return EXIT_OK
@@ -158,7 +160,8 @@ _TRAIN_KEYS = {
 def _build_train_config(args) -> tuple[TrainConfig, str, str]:
     values: dict[str, str] = {}
     if args.config:
-        values.update(_read_config_doc(args.config))
+        text = Path(args.config).read_text(encoding="utf-8")
+        parse_key_values(text, args.config, values.__setitem__)
     for key in ("data_dir", "out_dir"):
         flag = getattr(args, key.replace("_dir", ""), None)
         if flag:
@@ -174,8 +177,6 @@ def _build_train_config(args) -> tuple[TrainConfig, str, str]:
     out_dir = values.get("out_dir", "run")
 
     if "backbone_dim" not in values:
-        from .synthgen import read_dataset_config
-
         values["backbone_dim"] = str(read_dataset_config(values["data_dir"]).backbone_dim)
 
     kwargs = {}
@@ -230,10 +231,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
-    videos, _ = load_dataset(
-        args.data, model.config.sketch_dim, model.config.pn,
-        model.config.ordered_streams(),
-    )
+    videos, _ = load_dataset(args.data, model.config.sketch_dim, model.config.pn, ())
     acc = evaluate(model, videos)
     print(f"accuracy {acc:.4f} over {len(videos)} videos")
     return EXIT_OK
@@ -241,23 +239,9 @@ def cmd_eval(args) -> int:
 
 def cmd_search_beta(args) -> int:
     model = load_checkpoint(args.model)
-    videos, n_classes = load_dataset(
-        args.data, model.config.sketch_dim, model.config.pn,
-        model.config.ordered_streams(),
-    )
-    labels = np.array([int(v.label) for v in videos])
-    rng = np.random.default_rng(model.config.seed)
-    perm = rng.permutation(len(videos))
-    n_val = max(1, int(round(0.25 * len(videos))))
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    outs = _stream_outputs(model, videos)
-
-    def f(beta: float) -> float:
-        tot = _pooled_rows(model, outs, beta=beta)
-        return ridge_accuracy(tot[train_idx], labels[train_idx],
-                              tot[val_idx], labels[val_idx], model.n_classes)
-
-    result = golden_section_max(f, 0.0, 50.0, args.iters)
+    videos, _ = load_dataset(args.data, model.config.sketch_dim, model.config.pn, ())
+    score = beta_objective(model, video_arrays(videos, model.config))
+    result = golden_section_max(score, *model.config.beta_bracket, args.iters)
     for i, width in enumerate(result.widths):
         print(f"iter {i}: bracket width {width:.6f}")
     print(f"beta* = {result.beta_star:.6f}, val accuracy {result.f_star:.4f}, "

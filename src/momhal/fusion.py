@@ -23,12 +23,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .keyvalue import parse_key_values
+
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 GROUP_DET = "D"
 GROUP_SAL = "S"
 GROUP_TOP = "TOP"
 HAF_ID = "haf"
+SLOT_GROUPS = {"det": GROUP_DET, "sal": GROUP_SAL}   # top-level slot -> pooled group
 
 WARMUP_EPOCHS = 10
 BETA_BRACKET = (0.0, 50.0)
@@ -168,22 +171,16 @@ def pooled_total(streams: dict[str, np.ndarray], spec: FusionSpec) -> np.ndarray
 def effective_coefficients(spec: FusionSpec) -> dict[str, float]:
     """Scalar coefficient of each leaf stream in the top-level pooled vector,
     flattening the three pooling levels."""
-    top_members = spec.groups[GROUP_TOP]
     top_w = spec.group_weights(GROUP_TOP)
     outer = 1.0 / (len(spec.weighted_members(GROUP_TOP)) + 1)
-    inner_div = 1.0 if spec.ratio_weights else None
     coeffs: dict[str, float] = {}
-    for sid in top_members:
+    for sid in spec.groups[GROUP_TOP]:
+        group = SLOT_GROUPS.get(sid)
         if sid == spec.haf_id:
             coeffs[sid] = spec.haf_weight * outer
-        elif sid == "det" and spec.groups.get(GROUP_DET):
-            gw = spec.group_weights(GROUP_DET)
-            div = inner_div or len(gw)
-            for leaf, w in gw.items():
-                coeffs[leaf] = top_w[sid] * outer * w / div
-        elif sid == "sal" and spec.groups.get(GROUP_SAL):
-            gw = spec.group_weights(GROUP_SAL)
-            div = inner_div or len(gw)
+        elif group and spec.groups.get(group):
+            gw = spec.group_weights(group)
+            div = 1.0 if spec.ratio_weights else len(gw)
             for leaf, w in gw.items():
                 coeffs[leaf] = top_w[sid] * outer * w / div
         else:
@@ -325,23 +322,15 @@ def spec_from_text(text: str, origin: str = "<string>") -> FusionSpec:
     groups: dict[str, list[str]] = {}
     beta: dict[str, float] = {}
     raw: dict[str, float] = {}
-    rho, haf_weight, haf_id, ratio_weights = 0.1, 1.0, HAF_ID, False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{origin}: line {lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key == "rho":
-            rho = float(value)
-        elif key == "haf_weight":
-            haf_weight = float(value)
+    scalars: dict = {}
+
+    def setting(key: str, value: str) -> None:
+        if key in ("rho", "haf_weight"):
+            scalars[key] = float(value)
         elif key == "haf_id":
-            haf_id = value
+            scalars[key] = value
         elif key == "ratio_weights":
-            ratio_weights = value.lower() in ("1", "true", "yes")
+            scalars[key] = value.lower() in ("1", "true", "yes")
         elif key.startswith("group."):
             groups[key[6:]] = [s for s in value.split(",") if s]
         elif key.startswith("beta."):
@@ -349,9 +338,10 @@ def spec_from_text(text: str, origin: str = "<string>") -> FusionSpec:
         elif key.startswith("weight."):
             raw[key[7:]] = float(value)
         else:
-            raise ValueError(f"{origin}: line {lineno}: unknown key {key!r}")
-    return FusionSpec(groups=groups, raw_weights=raw, beta=beta, rho=rho,
-                      haf_weight=haf_weight, haf_id=haf_id, ratio_weights=ratio_weights)
+            raise ValueError(f"unknown key {key!r}")
+
+    parse_key_values(text, origin, setting)
+    return FusionSpec(groups=groups, raw_weights=raw, beta=beta, **scalars)
 
 
 def write_fusion_spec(spec: FusionSpec, path) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .fusion import (
     GROUP_SAL,
     GROUP_TOP,
     HAF_ID,
+    SLOT_GROUPS,
     WARMUP_EPOCHS,
     Bracket,
     FusionSpec,
@@ -140,24 +142,46 @@ class Model:
     tot_scale: float = 1.0
 
 
-def stream_forward(unit: StreamUnit, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-video forward pass: mean-pool time, affine, SigmE, sketch.
-    Returns (pre-sketch activation, sketched output)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != unit.weight.shape[1]:
-        raise ValueError(f"expected ({unit.weight.shape[1]}, t) features, got {x.shape}")
-    z = x.mean(axis=1)
-    a = unit.weight @ z + unit.bias
-    pre = sigme(a, unit.pn)
-    out = project_rows(unit.sketch, pre.reshape(1, -1))[0]
-    return pre, out
+@dataclass
+class VideoArrays:
+    """Videos converted once for the array-level paths: time-pooled
+    backbone features, stacked ground-truth targets and labels."""
+
+    z: np.ndarray         # (N, b)
+    targets: np.ndarray   # (N, U, d'), one slot per requested stream
+    labels: np.ndarray    # (N,) class ids, or (N, classes) multi-hot
+
+    def take(self, idx: np.ndarray) -> VideoArrays:
+        return VideoArrays(self.z[idx], self.targets[idx], self.labels[idx])
+
+
+def _time_pool(features: list[np.ndarray], backbone_dim: int) -> np.ndarray:
+    """Time-pooled (N, b) features of N videos' (b, t) backbone features."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim != 3 or feats.shape[1] != backbone_dim:
+        raise ValueError(f"expected ({backbone_dim}, t) features, got {feats.shape[1:]}")
+    return feats.mean(axis=2)
 
 
 def _pool_features(videos: list[SyntheticVideo], backbone_dim: int) -> np.ndarray:
-    feats = np.stack([np.asarray(v.backbone_features, dtype=np.float64) for v in videos])
-    if feats.shape[1] != backbone_dim:
-        raise ValueError(f"backbone dim {feats.shape[1]} != configured {backbone_dim}")
-    return feats.mean(axis=2)  # (B, b)
+    return _time_pool([v.backbone_features for v in videos], backbone_dim)
+
+
+def video_arrays(
+    videos: list[SyntheticVideo], cfg: TrainConfig, streams: tuple[str, ...] = ()
+) -> VideoArrays:
+    """Convert videos to arrays.  Only the targets of ``streams`` are read,
+    so inference (no streams) never touches the ground truth."""
+    if not videos:
+        raise ValueError("no videos")
+    try:
+        targets = np.array([[v.ground_truth[s] for s in streams] for v in videos],
+                           dtype=np.float64)
+    except KeyError as exc:
+        raise ValueError(f"video lacks ground truth for enabled stream {exc.args[0]!r}") from None
+    labels = np.array([np.asarray(v.label, dtype=np.float64) if cfg.multi_label else int(v.label)
+                       for v in videos])
+    return VideoArrays(_pool_features(videos, cfg.backbone_dim), targets, labels)
 
 
 def _unit_forward_rows(unit: StreamUnit, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,14 +191,41 @@ def _unit_forward_rows(unit: StreamUnit, z: np.ndarray) -> tuple[np.ndarray, np.
     return a, pre, out
 
 
-def _label_matrix(videos: list[SyntheticVideo], n_classes: int, multi_label: bool) -> np.ndarray:
-    y = np.zeros((len(videos), n_classes))
-    for i, v in enumerate(videos):
-        if multi_label:
-            y[i] = np.asarray(v.label, dtype=np.float64)
-        else:
-            y[i, int(v.label)] = 1.0
-    return y
+def stream_forward(unit: StreamUnit, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Single-video forward pass: mean-pool time, affine, SigmE, sketch.
+    Returns (pre-sketch activation, sketched output)."""
+    _, pre, out = _unit_forward_rows(unit, _time_pool([x], unit.weight.shape[1]))
+    return pre[0], out[0]
+
+
+def _all_units(model: Model) -> list[tuple[str, StreamUnit]]:
+    return [*model.units.items(), (HAF_ID, model.haf_unit)]
+
+
+def _pool(outs: dict[str, np.ndarray], coeffs: dict[str, float], tot_scale: float) -> np.ndarray:
+    """tot_scale * sum_i c_i out_i, summed in coefficient order."""
+    return tot_scale * sum(c * outs[name] for name, c in coeffs.items())
+
+
+@dataclass
+class _Pass:
+    """One forward pass over a batch of time-pooled features."""
+
+    acts: dict[str, np.ndarray]   # affine pre-activation per unit (pass-through included)
+    outs: dict[str, np.ndarray]   # sketched output per unit
+    coeffs: dict[str, float]      # pooling coefficient per leaf stream
+    pooled: np.ndarray            # tot_scale * sum_i c_i out_i, the head's input
+    scores: np.ndarray
+
+
+def _forward(model: Model, z: np.ndarray) -> _Pass:
+    acts, outs = {}, {}
+    for name, unit in _all_units(model):
+        acts[name], _, outs[name] = _unit_forward_rows(unit, z)
+    coeffs = effective_coefficients(model.spec)
+    pooled = _pool(outs, coeffs, model.tot_scale)
+    scores = pooled @ model.prednet.weight.T + model.prednet.bias
+    return _Pass(acts, outs, coeffs, pooled, scores)
 
 
 def _class_loss_and_grad(
@@ -196,6 +247,24 @@ def _class_loss_and_grad(
     return loss, (prob - y) / b
 
 
+def _losses(
+    model: Model, data: VideoArrays
+) -> tuple[_Pass, float, dict[str, float], float, np.ndarray]:
+    """The forward pass over ``data``, then the total loss, per-stream MSE,
+    classification loss and d(class loss)/d(scores) computed from it."""
+    cfg = model.config
+    fwd = _forward(model, data.z)
+    y = data.labels if cfg.multi_label else np.eye(model.n_classes)[data.labels]
+    class_loss, d_scores = _class_loss_and_grad(fwd.scores, y, cfg.multi_label)
+    per_stream_mse = {
+        name: float(((fwd.outs[name] - data.targets[:, k]) ** 2).sum(axis=1).mean())
+        for k, name in enumerate(model.units)
+    }
+    n_units = len(model.units)
+    mse_term = (cfg.alpha / n_units) * sum(per_stream_mse.values()) if n_units else 0.0
+    return fwd, mse_term + class_loss, per_stream_mse, class_loss, d_scores
+
+
 def objective(
     batch: list[SyntheticVideo],
     units: dict[str, StreamUnit],
@@ -211,37 +280,8 @@ def objective(
     loss) with total = (alpha / |streams|) * sum of per-stream MSE plus the
     classification loss, exactly.
     """
-    if not batch:
-        raise ValueError("empty batch")
-    z = _pool_features(batch, cfg.backbone_dim)
-    outs: dict[str, np.ndarray] = {}
-    per_stream_mse: dict[str, float] = {}
-    for name, unit in units.items():
-        _, _, out = _unit_forward_rows(unit, z)
-        outs[name] = out
-        targets = _targets_matrix(batch, name)
-        per_stream_mse[name] = float(((out - targets) ** 2).sum(axis=1).mean())
-    _, _, outs[HAF_ID] = _unit_forward_rows(haf_unit, z)
-
-    coeffs = effective_coefficients(spec)
-    tot = np.zeros((len(batch), haf_unit.sketch.output_dim))
-    for name, c in coeffs.items():
-        tot += c * outs[name]
-    scores = (tot_scale * tot) @ prednet.weight.T + prednet.bias
-    y = _label_matrix(batch, prednet.weight.shape[0], cfg.multi_label)
-    class_loss, _ = _class_loss_and_grad(scores, y, cfg.multi_label)
-
-    mse_term = (cfg.alpha / len(units)) * sum(per_stream_mse.values()) if units else 0.0
-    return mse_term + class_loss, per_stream_mse, class_loss
-
-
-def _targets_matrix(batch: list[SyntheticVideo], name: str) -> np.ndarray:
-    rows = []
-    for v in batch:
-        if name not in v.ground_truth:
-            raise ValueError(f"video lacks ground truth for enabled stream {name!r}")
-        rows.append(np.asarray(v.ground_truth[name], dtype=np.float64))
-    return np.stack(rows)
+    model = Model(cfg, units, haf_unit, prednet, spec, prednet.weight.shape[0], tot_scale)
+    return _losses(model, video_arrays(batch, cfg, tuple(units)))[1:4]
 
 
 @dataclass
@@ -251,65 +291,36 @@ class _Grads:
     prednet: tuple[np.ndarray, np.ndarray]
 
 
-def _batch_grads(
-    batch: list[SyntheticVideo], model: Model
-) -> tuple[float, _Grads]:
-    """Loss and hand-derived parameter gradients for one batch."""
+def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
+    """Loss and hand-derived parameter gradients, back through the cached
+    forward pass."""
     cfg = model.config
-    b = len(batch)
-    z = _pool_features(batch, cfg.backbone_dim)
-
-    acts: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    for name, unit in model.units.items():
-        acts[name] = _unit_forward_rows(unit, z)
-    haf_a, haf_pre, haf_out = _unit_forward_rows(model.haf_unit, z)
-
-    coeffs = effective_coefficients(model.spec)
-    d_out_dim = model.haf_unit.sketch.output_dim
-    tot = np.zeros((b, d_out_dim))
-    for name, c in coeffs.items():
-        tot += c * (haf_out if name == HAF_ID else acts[name][2])
-
-    tot *= model.tot_scale
-    scores = tot @ model.prednet.weight.T + model.prednet.bias
-    y = _label_matrix(batch, model.n_classes, cfg.multi_label)
-    class_loss, d_scores = _class_loss_and_grad(scores, y, cfg.multi_label)
-
-    d_wp = d_scores.T @ tot
+    fwd, loss, _, _, d_scores = _losses(model, data)
     d_tot = model.tot_scale * (d_scores @ model.prednet.weight)
-    d_bp = d_scores.sum(axis=0)
-
-    n_units = len(model.units)
-    mse_total = 0.0
-    unit_grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, unit in model.units.items():
-        a, _, out = acts[name]
-        targets = _targets_matrix(batch, name)
-        resid = out - targets
-        mse_total += float((resid**2).sum(axis=1).mean())
-        d_out = coeffs[name] * d_tot + (cfg.alpha / n_units) * (2.0 / b) * resid
+    n_units, b = len(model.units), data.z.shape[0]
+    grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    for k, (name, unit) in enumerate(_all_units(model)):
+        d_out = fwd.coeffs[name] * d_tot
+        if name != HAF_ID:
+            resid = fwd.outs[name] - data.targets[:, k]
+            d_out = d_out + (cfg.alpha / n_units) * (2.0 / b) * resid
         d_pre = project_transpose_rows(unit.sketch, d_out)
-        d_a = sigme_grad(a, d_pre, unit.pn)
-        unit_grads[name] = (d_a.T @ z, d_a.sum(axis=0))
+        d_a = sigme_grad(fwd.acts[name], d_pre, unit.pn)
+        grads[name] = (d_a.T @ data.z, d_a.sum(axis=0))
+    haf = grads.pop(HAF_ID)
+    return loss, _Grads(grads, haf, (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
 
-    d_out_haf = coeffs[HAF_ID] * d_tot
-    d_pre_haf = project_transpose_rows(model.haf_unit.sketch, d_out_haf)
-    d_a_haf = sigme_grad(haf_a, d_pre_haf, model.haf_unit.pn)
-    haf_grads = (d_a_haf.T @ z, d_a_haf.sum(axis=0))
 
-    loss = (cfg.alpha / n_units) * mse_total + class_loss if n_units else class_loss
-    return loss, _Grads(unit_grads, haf_grads, (d_wp, d_bp))
+def _batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grads]:
+    """Loss and hand-derived parameter gradients for one batch of videos."""
+    return _loss_and_grads(model, video_arrays(batch, model.config, tuple(model.units)))
 
 
 def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
-    for name, (dw, db) in grads.units.items():
-        unit = model.units[name]
-        unit.weight -= lr * dw
-        unit.bias -= lr * db
-    model.haf_unit.weight -= lr * grads.haf[0]
-    model.haf_unit.bias -= lr * grads.haf[1]
-    model.prednet.weight -= lr * grads.prednet[0]
-    model.prednet.bias -= lr * grads.prednet[1]
+    layers = [(model.units[name], g) for name, g in grads.units.items()]
+    for layer, (dw, db) in layers + [(model.haf_unit, grads.haf), (model.prednet, grads.prednet)]:
+        layer.weight -= lr * dw
+        layer.bias -= lr * db
 
 
 def _new_unit(name: str, cfg: TrainConfig, rng: np.random.Generator) -> StreamUnit:
@@ -358,112 +369,89 @@ def _default_spec(cfg: TrainConfig) -> FusionSpec:
     )
 
 
-def _stream_outputs(model: Model, videos: list[SyntheticVideo]) -> dict[str, np.ndarray]:
-    z = _pool_features(videos, model.config.backbone_dim)
-    outs = {name: _unit_forward_rows(unit, z)[2] for name, unit in model.units.items()}
-    outs[HAF_ID] = _unit_forward_rows(model.haf_unit, z)[2]
-    return outs
-
-
-def _pooled_rows(model: Model, outs: dict[str, np.ndarray], beta: float | None = None) -> np.ndarray:
-    spec = model.spec
-    if beta is not None:
-        spec = replace(spec, beta={g: beta for g in spec.beta},
-                       groups=dict(spec.groups), raw_weights=dict(spec.raw_weights))
-    coeffs = effective_coefficients(spec)
-    tot = None
-    for name, c in coeffs.items():
-        term = c * outs[name]
-        tot = term if tot is None else tot + term
-    return tot
-
-
 def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Test-time pass on raw backbone features only: hallucinate every
     stream, pool, and score.  No ground-truth descriptors are consumed."""
-    x = np.asarray(video_features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != model.config.backbone_dim:
-        raise ValueError(f"expected ({model.config.backbone_dim}, t) features, got {x.shape}")
-    z = x.mean(axis=1).reshape(1, -1)
-    outs = {name: _unit_forward_rows(unit, z)[2] for name, unit in model.units.items()}
-    outs[HAF_ID] = _unit_forward_rows(model.haf_unit, z)[2]
-    tot = model.tot_scale * _pooled_rows(model, outs)
-    scores = (tot @ model.prednet.weight.T + model.prednet.bias)[0]
-    return scores, {name: out[0] for name, out in outs.items() if name != HAF_ID}
+    fwd = _forward(model, _time_pool([video_features], model.config.backbone_dim))
+    return fwd.scores[0], {name: fwd.outs[name][0] for name in model.units}
 
 
 def predict_scores(model: Model, videos: list[SyntheticVideo]) -> np.ndarray:
     """Batched inference scores; reads only features, never ground truth."""
-    outs = _stream_outputs(model, videos)
-    tot = model.tot_scale * _pooled_rows(model, outs)
-    return tot @ model.prednet.weight.T + model.prednet.bias
+    return _forward(model, _pool_features(videos, model.config.backbone_dim)).scores
+
+
+def _accuracy(model: Model, data: VideoArrays) -> float:
+    scores = _forward(model, data.z).scores
+    if model.config.multi_label:
+        return float(((scores > 0.0) == (data.labels > 0.5)).mean())
+    return float((scores.argmax(axis=1) == data.labels).mean())
 
 
 def evaluate(model: Model, videos: list[SyntheticVideo]) -> float:
     """Classification accuracy under the inference path (no ground truth)."""
     if not videos:
         return 0.0
-    scores = predict_scores(model, videos)
-    if model.config.multi_label:
-        y = _label_matrix(videos, model.n_classes, True)
-        return float(((scores > 0.0) == (y > 0.5)).mean())
-    labels = np.array([int(v.label) for v in videos])
-    return float((scores.argmax(axis=1) == labels).mean())
+    return _accuracy(model, video_arrays(videos, model.config))
 
 
-def _infer_class_count(dataset: list[SyntheticVideo], multi_label: bool) -> int:
-    if multi_label:
-        return int(np.asarray(dataset[0].label).shape[0])
-    return int(max(int(v.label) for v in dataset)) + 1
+def _split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The trainer's (validation, training) index split: a permutation
+    drawn from (seed, 0x5E), with the first val_fraction as validation."""
+    perm = np.random.default_rng((cfg.seed, 0x5E)).permutation(n)
+    n_val = int(round(cfg.val_fraction * n)) if n > 1 else 0
+    return perm[:n_val], perm[n_val:]
+
+
+def beta_objective(model: Model, data: VideoArrays) -> Callable[[float], float]:
+    """The pooling-exponent score used by ``train`` and ``search-beta``.
+
+    One forward pass over ``data``; then a candidate beta (applied to every
+    group) scores the ridge validation accuracy of the pooled vector
+    tot_scale * sum_i c_i(beta) out_i on the trainer's split, with the
+    model's ``ridge_l2``.  Multi-label models, and splits without
+    validation videos, score every beta as 0.
+    """
+    cfg = model.config
+    val_idx, train_idx = _split(len(data.labels), cfg)
+    if cfg.multi_label or not len(val_idx):
+        return lambda _beta: 0.0
+    outs, labels = _forward(model, data.z).outs, data.labels
+
+    def score(beta: float) -> float:
+        spec = replace(model.spec, beta=dict.fromkeys(model.spec.beta, beta))
+        tot = _pool(outs, effective_coefficients(spec), model.tot_scale)
+        return ridge_accuracy(
+            tot[train_idx], labels[train_idx], tot[val_idx], labels[val_idx],
+            model.n_classes, cfg.ridge_l2,
+        )
+
+    return score
 
 
 def _initial_weights(
     model: Model,
-    dataset: list[SyntheticVideo],
+    data: VideoArrays,
     train_idx: np.ndarray,
     val_idx: np.ndarray,
 ) -> None:
     """Set raw stream weights from the validation accuracy of a linear
     classifier trained on each stream's ground-truth descriptors."""
-    cfg = model.config
     if model.config.multi_label or len(train_idx) == 0 or len(val_idx) == 0:
         return  # keep the uniform defaults
-    y = np.array([int(dataset[i].label) for i in range(len(dataset))])
-    accs: dict[str, float] = {}
-    per_stream: dict[str, np.ndarray] = {}
-    for name in model.units:
-        gt = np.stack([np.asarray(dataset[i].ground_truth[name]) for i in range(len(dataset))])
-        per_stream[name] = gt
-        accs[name] = ridge_accuracy(
-            gt[train_idx], y[train_idx], gt[val_idx], y[val_idx], model.n_classes, cfg.ridge_l2
-        )
-    for gid, slot in ((GROUP_DET, "det"), (GROUP_SAL, "sal")):
+    y = data.labels
+
+    def accuracy(x: np.ndarray) -> float:
+        return ridge_accuracy(x[train_idx], y[train_idx], x[val_idx], y[val_idx],
+                              model.n_classes, model.config.ridge_l2)
+
+    gt = {name: data.targets[:, k] for k, name in enumerate(model.units)}
+    accs = {name: accuracy(x) for name, x in gt.items()}
+    for slot, gid in SLOT_GROUPS.items():
         members = model.spec.groups.get(gid, [])
-        if not members:
-            continue
-        pooled_gt = np.mean([per_stream[m] for m in members], axis=0)
-        accs[slot] = ridge_accuracy(
-            pooled_gt[train_idx], y[train_idx], pooled_gt[val_idx], y[val_idx],
-            model.n_classes, cfg.ridge_l2,
-        )
+        if members:
+            accs[slot] = accuracy(np.mean([gt[m] for m in members], axis=0))
     model.spec.raw_weights.update(accs)
-
-
-def _beta_score(
-    model: Model,
-    outs: dict[str, np.ndarray],
-    labels: np.ndarray,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
-):
-    def f(beta: float) -> float:
-        tot = model.tot_scale * _pooled_rows(model, outs, beta=beta)
-        return ridge_accuracy(
-            tot[train_idx], labels[train_idx], tot[val_idx], labels[val_idx],
-            model.n_classes, model.config.ridge_l2,
-        )
-
-    return f
 
 
 def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[dict]]:
@@ -474,62 +462,43 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     per-stream MSE, classification loss, validation accuracy, and the
     exponent bracket.
     """
-    if not dataset:
-        raise ValueError("empty dataset")
-    n_classes = _infer_class_count(dataset, cfg.multi_label)
+    data = video_arrays(dataset, cfg, cfg.ordered_streams())
+    n_classes = data.labels.shape[1] if cfg.multi_label else int(data.labels.max()) + 1
     model = init_model(cfg, n_classes)
 
-    n = len(dataset)
-    split_rng = np.random.default_rng((cfg.seed, 0x5E))
-    perm = split_rng.permutation(n)
-    n_val = int(round(cfg.val_fraction * n)) if n > 1 else 0
-    val_idx, train_idx = perm[:n_val], perm[n_val:]
-    train_videos = [dataset[i] for i in train_idx]
-    val_videos = [dataset[i] for i in val_idx]
-
-    _initial_weights(model, dataset, train_idx, val_idx)
-    labels = (
-        np.array([int(v.label) for v in dataset]) if not cfg.multi_label else np.zeros(n)
-    )
+    val_idx, train_idx = _split(len(dataset), cfg)
+    if not len(train_idx):
+        raise ValueError(f"val_fraction {cfg.val_fraction} leaves no training videos")
+    train_data, val_data = data.take(train_idx), data.take(val_idx)
+    _initial_weights(model, data, train_idx, val_idx)
 
     metrics: list[dict] = []
-    bracket: Bracket | None = None
+    lo, hi = cfg.beta_bracket
+    bracket = Bracket(lo, hi - lo)
     for epoch in range(1, cfg.epochs + 1):
         policy = beta_schedule(epoch, cfg.warmup_epochs, cfg.beta_bracket)
         if policy.mode == "fixed":
             model.spec.set_beta(policy.beta)
             beta_lo = beta_hi = policy.beta
         else:
-            if bracket is None:
-                lo, hi = cfg.beta_bracket
-                bracket = Bracket(lo, hi - lo)
-            if len(val_idx) and not cfg.multi_label:
-                outs = _stream_outputs(model, dataset)
-                bracket = golden_step(
-                    _beta_score(model, outs, labels, train_idx, val_idx), bracket
-                )
-            else:
-                bracket = golden_step(lambda _b: 0.0, bracket)
+            bracket = golden_step(beta_objective(model, data), bracket)
             model.spec.set_beta(bracket.mid)
             beta_lo, beta_hi = bracket.lo, bracket.hi
 
-        order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_videos))
+        order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_idx))
         for start in range(0, len(order), cfg.batch_size):
-            batch = [train_videos[i] for i in order[start : start + cfg.batch_size]]
-            loss, grads = _batch_grads(batch, model)
+            batch = train_data.take(order[start : start + cfg.batch_size])
+            loss, grads = _loss_and_grads(model, batch)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch offset {start}"
                 )
             _apply_grads(model, grads, cfg.learning_rate)
 
-        loss, per_mse, class_loss = objective(
-            train_videos, model.units, model.haf_unit, model.prednet, model.spec, cfg,
-            tot_scale=model.tot_scale,
-        )
+        _, loss, per_mse, class_loss, _ = _losses(model, train_data)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss after epoch {epoch}")
-        val_acc = evaluate(model, val_videos)
+        val_acc = _accuracy(model, val_data) if len(val_idx) else 0.0
         row = {"epoch": epoch, "loss": loss, "class_loss": class_loss}
         row.update({f"mse_{name}": per_mse[name] for name in model.units})
         row.update({"val_acc": val_acc, "beta_lo": beta_lo, "beta_hi": beta_hi})
@@ -552,10 +521,24 @@ def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
     buf.write(arr.astype("<f4").tobytes())
 
 
-def _read_array(buf: io.BytesIO, shape: tuple[int, ...]) -> np.ndarray:
-    count = int(np.prod(shape))
-    data = np.frombuffer(buf.read(4 * count), "<f4", count)
-    return data.astype(np.float64).reshape(shape)
+class _CheckpointReader:
+    """Reads a HAL1 checkpoint front to back; reading past the end is an error."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise ValueError(f"HAL1: expected at least {end} bytes, got {len(self.data)}")
+        chunk, self.pos = self.data[self.pos : end], end
+        return chunk
+
+    def array(self, dtype: str, count: int = 1) -> np.ndarray:
+        return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype, count)
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        return self.array("<f4", int(np.prod(shape))).astype(np.float64).reshape(shape)
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -572,7 +555,7 @@ def save_checkpoint(model: Model, path) -> None:
         buf.write(np.float64(v).tobytes())
     buf.write(np.uint8(1 if cfg.multi_label else 0).tobytes())
 
-    all_units = list(model.units.items()) + [(HAF_ID, model.haf_unit)]
+    all_units = _all_units(model)
     buf.write(np.uint32(len(all_units)).tobytes())
     for name, unit in all_units:
         raw = name.encode()
@@ -595,28 +578,27 @@ def save_checkpoint(model: Model, path) -> None:
 
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as fp:
-        buf = io.BytesIO(fp.read())
-    if buf.read(4) != CHECKPOINT_MAGIC:
+        r = _CheckpointReader(fp.read())
+    if r.data[:4] != CHECKPOINT_MAGIC:
         raise ValueError("bad checkpoint magic")
-    version = int(np.frombuffer(buf.read(4), "<u4")[0])
+    r.take(4)
+    version = int(r.array("<u4")[0])
     if version != 1:
         raise ValueError(f"unsupported checkpoint version {version}")
-    seed = int(np.frombuffer(buf.read(8), "<u8")[0])
-    b, m, d_prime, n_classes = (int(v) for v in np.frombuffer(buf.read(16), "<u4"))
-    eta, eps, alpha, tot_scale = (float(v) for v in np.frombuffer(buf.read(32), "<f8"))
-    multi_label = bool(np.frombuffer(buf.read(1), "u1")[0])
+    seed = int(r.array("<u8")[0])
+    b, m, d_prime, n_classes = (int(v) for v in r.array("<u4", 4))
+    eta, eps, alpha, tot_scale = (float(v) for v in r.array("<f8", 4))
+    multi_label = bool(r.array("u1")[0])
 
-    n_units = int(np.frombuffer(buf.read(4), "<u4")[0])
+    n_units = int(r.array("<u4")[0])
     pn_cfg = PnConfig(eta=eta, epsilon=eps)
     units: dict[str, StreamUnit] = {}
     haf_unit = None
     for _ in range(n_units):
-        name_len = int(np.frombuffer(buf.read(2), "<u2")[0])
-        name = buf.read(name_len).decode()
-        w = _read_array(buf, (m, b))
-        bias = _read_array(buf, (m,))
-        sk_len = int(np.frombuffer(buf.read(4), "<u4")[0])
-        sk = sketch_from_bytes(buf.read(sk_len))
+        name = r.take(int(r.array("<u2")[0])).decode()
+        w = r.floats((m, b))
+        bias = r.floats((m,))
+        sk = sketch_from_bytes(r.take(int(r.array("<u4")[0])))
         unit = StreamUnit(name, w, bias, pn_cfg, sk)
         if name == HAF_ID:
             haf_unit = unit
@@ -624,10 +606,11 @@ def load_checkpoint(path) -> Model:
             units[name] = unit
     if haf_unit is None:
         raise ValueError("checkpoint lacks the pass-through unit")
-    wp = _read_array(buf, (n_classes, d_prime))
-    bp = _read_array(buf, (n_classes,))
-    spec_len = int(np.frombuffer(buf.read(4), "<u4")[0])
-    spec = spec_from_text(buf.read(spec_len).decode(), origin=str(path))
+    wp = r.floats((n_classes, d_prime))
+    bp = r.floats((n_classes,))
+    spec = spec_from_text(r.take(int(r.array("<u4")[0])).decode(), origin=str(path))
+    if r.pos != len(r.data):
+        raise ValueError(f"HAL1: expected {r.pos} bytes, got {len(r.data)}")
 
     cfg = TrainConfig(
         alpha=alpha,

@@ -217,8 +217,11 @@ def descriptor_to_bytes(desc: MultiMomentDescriptor) -> bytes:
 def descriptor_from_bytes(data: bytes) -> MultiMomentDescriptor:
     if data[:4] != MAGIC:
         raise ValueError("bad descriptor magic")
-    d = int(np.frombuffer(data, "<u4", 1, 4)[0])
-    n_prime = int(np.frombuffer(data, "<u4", 1, 8)[0])
+    if len(data) < 12:
+        raise ValueError(f"MMD1: expected at least 12 bytes, got {len(data)}")
+    d, n_prime = (int(v) for v in np.frombuffer(data, "<u4", 2, 4))
+    if len(data) != 12 + 4 * d * (4 + n_prime):
+        raise ValueError(f"MMD1: expected {12 + 4 * d * (4 + n_prime)} bytes, got {len(data)}")
     body = np.frombuffer(data, "<f4", d * (4 + n_prime), 12).astype(np.float64)
     blocks = body.reshape(4 + n_prime, d)
     return MultiMomentDescriptor(

@@ -166,8 +166,11 @@ def sketch_to_bytes(sk: CountSketch) -> bytes:
 def sketch_from_bytes(data: bytes) -> CountSketch:
     if data[:4] != MAGIC:
         raise ValueError("bad sketch magic")
-    d = int(np.frombuffer(data, "<u4", 1, 4)[0])
-    d_prime = int(np.frombuffer(data, "<u4", 1, 8)[0])
+    if len(data) < 20:
+        raise ValueError(f"CSK1: expected at least 20 bytes, got {len(data)}")
+    d, d_prime = (int(v) for v in np.frombuffer(data, "<u4", 2, 4))
+    if len(data) != 20 + 5 * d:
+        raise ValueError(f"CSK1: expected {20 + 5 * d} bytes, got {len(data)}")
     seed = int(np.frombuffer(data, "<u8", 1, 12)[0])
     off = 20
     h = np.frombuffer(data, "<u4", d, off).astype(np.uint32)

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .halluc import AUX_STREAMS, DET_STREAMS, SAL_STREAMS, SyntheticVideo
+from .keyvalue import parse_key_values
 from .odf import OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig, sigme
 from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
@@ -233,14 +234,13 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
 
 
 def read_dataset_config(data_dir) -> SynthConfig:
+    path = Path(data_dir) / "dataset.cfg"
     meta: dict[str, float] = {}
-    with open(Path(data_dir) / "dataset.cfg", "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = float(value.strip())
+
+    def setting(key: str, value: str) -> None:
+        meta[key] = float(value)
+
+    parse_key_values(path.read_text(encoding="utf-8"), str(path), setting)
     ints = ("n_videos", "n_classes", "seed", "backbone_dim", "tau",
             "sal_width", "sal_height", "aux_dim")
     kwargs = {k: (int(v) if k in ints else v) for k, v in meta.items()}

@@ -1,13 +1,18 @@
 import hashlib
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from momhal.cli import main
+from momhal.fusion import HAF_ID, effective_coefficients, ridge_accuracy
+from momhal.halluc import load_checkpoint, stream_forward
 from momhal.moments import descriptor_from_bytes
 from momhal.sdf import write_pgm
+from momhal.synthgen import load_dataset
 
 
 def run(capsys, *argv):
@@ -139,6 +144,41 @@ class TestEncodeSdf:
         assert code == 2
 
 
+class TestOutputNames:
+    def test_video_id_with_path_separator_is_refused(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(detection_line(video="../x") + "\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "encode-odf", "--input", str(dets), "--out", str(out),
+                           "--threads", "1")
+        assert code == 1
+        assert "'../x'" in err
+        assert not out.exists()
+        assert not list(tmp_path.glob("*.mmd"))
+
+    def test_colliding_detection_ids_are_refused(self, tmp_path, capsys):
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text(detection_line(video="a__b", detector="c") + "\n"
+                        + detection_line(video="a", detector="b__c") + "\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "encode-odf", "--input", str(dets), "--out", str(out),
+                           "--threads", "1")
+        assert code == 1
+        assert "'a__b'" in err and "'b__c'" in err
+        assert not out.exists()
+
+    def test_colliding_saliency_ids_are_refused(self, tmp_path, capsys):
+        write_pgm(tmp_path / "f.pgm", np.full((8, 8), 0.5))
+        man = tmp_path / "m.txt"
+        man.write_text("a__b c f.pgm\na b__c f.pgm\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "encode-sdf", "--manifest", str(man), "--out", str(out),
+                           "--threads", "1")
+        assert code == 1
+        assert "'a__b'" in err and "'b__c'" in err
+        assert not out.exists()
+
+
 def tree_digest(root):
     h = hashlib.sha256()
     for path in sorted(Path(root).rglob("*")):
@@ -196,6 +236,34 @@ class TestSynthTrainEval:
                               "--iters", "5")
         assert code == 0
         assert "beta*" in stdout
+
+    def test_search_beta_scores_like_the_trainer(self, tmp_path, capsys):
+        data, run_dir = tmp_path / "data", tmp_path / "run"
+        run(capsys, "synth", "--out", str(data), "--videos", "24", "--classes", "3",
+            "--seed", "1", "--backbone-dim", "8", "--tau", "3")
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(run_dir),
+                           "--epochs", "12", "--seed", "2")
+        assert code == 0, err
+        code, stdout, _ = run(capsys, "search-beta", "--model", str(run_dir / "checkpoint.hal"),
+                              "--data", str(data), "--iters", "8")
+        assert code == 0
+        m = re.search(r"beta\* = ([0-9.]+), val accuracy ([0-9.]+)", stdout)
+
+        # the trainer's split and its pooled, tot_scale-weighted head input
+        model = load_checkpoint(run_dir / "checkpoint.hal")
+        videos, _ = load_dataset(data, model.config.sketch_dim, None, ())
+        n = len(videos)
+        perm = np.random.default_rng((2, 0x5E)).permutation(n)
+        val, tr = perm[: round(0.25 * n)], perm[round(0.25 * n):]
+        spec = replace(model.spec, beta=dict.fromkeys(model.spec.beta, float(m.group(1))))
+        units = {**model.units, HAF_ID: model.haf_unit}
+        pooled = model.tot_scale * sum(
+            c * np.stack([stream_forward(units[name], v.backbone_features)[1] for v in videos])
+            for name, c in effective_coefficients(spec).items()
+        )
+        y = np.array([v.label for v in videos])
+        want = ridge_accuracy(pooled[tr], y[tr], pooled[val], y[val], model.n_classes, 1e-3)
+        assert m.group(2) == f"{want:.4f}"
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         data = tmp_path / "data"

@@ -267,6 +267,11 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], small_cfg())
 
+    def test_split_without_training_videos(self):
+        data, _ = self.make_dataset(n=8)
+        with pytest.raises(ValueError, match="no training videos"):
+            train(data, small_cfg(val_fraction=1.0))
+
 
 class TestInference:
     def setup_model(self):
@@ -338,6 +343,18 @@ class TestCheckpoint:
         path = tmp_path / "bad.hal"
         path.write_bytes(b"NOPE" + bytes(64))
         with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_exact_length(self, tmp_path):
+        path = tmp_path / "model.hal"
+        save_checkpoint(init_model(small_cfg(), 3), path)
+        blob = path.read_bytes()
+        n = len(blob)
+        path.write_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match=f"HAL1: expected {n} bytes, got {n + 1}"):
+            load_checkpoint(path)
+        path.write_bytes(blob[:-1])
+        with pytest.raises(ValueError, match=f"HAL1: expected at least {n} bytes, got {n - 1}"):
             load_checkpoint(path)
 
 

@@ -199,3 +199,11 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             descriptor_from_bytes(b"ZZZZ" + bytes(16))
+
+    def test_exact_length(self):
+        blob = descriptor_to_bytes(multi_moment(FeatureBag(2, [np.eye(2)]), 1))
+        n = len(blob)
+        with pytest.raises(ValueError, match=f"MMD1: expected {n} bytes, got {n + 1}"):
+            descriptor_from_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match=f"MMD1: expected {n} bytes, got {n - 1}"):
+            descriptor_from_bytes(blob[:-1])

@@ -182,3 +182,11 @@ class TestSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             sketch_from_bytes(b"XXXX" + bytes(20))
+
+    def test_exact_length(self):
+        blob = sketch_to_bytes(sketch_new(5, 4, 2))
+        n = len(blob)
+        with pytest.raises(ValueError, match=f"CSK1: expected {n} bytes, got {n + 1}"):
+            sketch_from_bytes(blob + b"\0")
+        with pytest.raises(ValueError, match=f"CSK1: expected {n} bytes, got {n - 1}"):
+            sketch_from_bytes(blob[:-1])

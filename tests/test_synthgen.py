@@ -53,6 +53,11 @@ class TestGeneration:
         meta = read_dataset_config(tmp_path / "d")
         assert meta == SMALL
 
+    def test_config_line_without_equals_names_file_and_line(self, tmp_path):
+        (tmp_path / "dataset.cfg").write_text("n_videos = 4\n# tau\ntau 3\n")
+        with pytest.raises(ValueError, match=r"dataset\.cfg: line 3: expected 'key = value'"):
+            read_dataset_config(tmp_path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(n_videos=0)
