@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 runtime error, 2 empty or invalid input.
 Every command taking --seed is reproducible byte-for-byte in
-single-threaded mode; --threads (or the MOMHAL_THREADS environment
-variable) only parallelizes per-video encoding jobs, whose outputs are
-written in a deterministic order either way.
+single-threaded mode; --threads (default: the CPU count) only
+parallelizes per-video encoding jobs, whose outputs are written in a
+deterministic order either way.  A config document or --tau-source file
+with an unknown key, a malformed line or a bad value is refused with
+``file: line N: ...`` and exit code 1.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .halluc import (
     train,
     video_arrays,
 )
-from .keyvalue import parse_key_values
+from .keyvalue import format_key_values, parse_bool, parse_key_values
 from .moments import descriptor_to_bytes
 from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig
@@ -37,22 +39,6 @@ from .verify import run_suite
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_EMPTY = 2
-
-
-def _default_threads() -> int:
-    env = os.environ.get("MOMHAL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _write_config_doc(path, values: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        for key in values:
-            fp.write(f"{key} = {values[key]}\n")
 
 
 def _output_paths(out: Path, keys) -> dict[tuple[str, str], Path]:
@@ -72,17 +58,32 @@ def _output_paths(out: Path, keys) -> dict[tuple[str, str], Path]:
     return {key: path for path, key in owners.items()}
 
 
+def _read_taus(path) -> dict[str, int]:
+    """``video tau`` lines (blank lines and ``#`` comments skipped)."""
+    taus = {}
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        try:
+            if len(fields) != 2:
+                raise ValueError("expected 'video tau'")
+            video, tau = fields[0], int(fields[1])
+            if tau < 1:
+                raise ValueError(f"tau must be >= 1, got {tau}")
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        taus[video] = tau
+    return taus
+
+
 def cmd_encode_odf(args) -> int:
     groups = read_detections(args.input, strict=not args.lenient)
     if not groups:
         print("no records", file=sys.stderr)
         return EXIT_EMPTY
     if args.tau_source != "records":
-        taus = {}
-        for line in Path(args.tau_source).read_text(encoding="utf-8").splitlines():
-            if line.strip() and not line.startswith("#"):
-                video, tau = line.split()
-                taus[video] = int(tau)
+        taus = _read_taus(args.tau_source)
         groups = {
             key: (taus.get(key[0], tau), recs) for key, (tau, recs) in groups.items()
         }
@@ -152,16 +153,25 @@ _TRAIN_KEYS = {
     "backbone_dim": int, "pre_sketch_dim": int, "sketch_dim": int,
     "batch_size": int, "val_fraction": float, "rho": float,
     "warmup_epochs": int, "ridge_l2": float, "init_scale": float,
-    "multi_label": lambda s: s.lower() in ("1", "true", "yes"),
-    "tie_sketches": lambda s: s.lower() in ("1", "true", "yes"),
+    "multi_label": parse_bool, "tie_sketches": parse_bool,
+}
+_CONFIG_KEYS = {
+    **_TRAIN_KEYS, "data_dir": str, "out_dir": str,
+    "streams": lambda s: tuple(name for name in s.split(",") if name),
+    "pn_eta": float, "pn_epsilon": float,
 }
 
 
 def _build_train_config(args) -> tuple[TrainConfig, str, str]:
-    values: dict[str, str] = {}
+    values: dict = {}
+
+    def setting(key: str, value: str) -> None:
+        if key not in _CONFIG_KEYS:
+            raise ValueError(f"unknown key {key!r}")
+        values[key] = _CONFIG_KEYS[key](value)
+
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-        parse_key_values(text, args.config, values.__setitem__)
+        parse_key_values(Path(args.config).read_text(encoding="utf-8"), args.config, setting)
     for key in ("data_dir", "out_dir"):
         flag = getattr(args, key.replace("_dir", ""), None)
         if flag:
@@ -169,44 +179,30 @@ def _build_train_config(args) -> tuple[TrainConfig, str, str]:
     for key in ("epochs", "seed", "learning_rate"):
         flag = getattr(args, key, None)
         if flag is not None:
-            values[key] = str(flag)
+            values[key] = flag
     if args.streams:
-        values["streams"] = args.streams
+        values["streams"] = _CONFIG_KEYS["streams"](args.streams)
     if "data_dir" not in values:
         raise ValueError("data_dir required (config key data_dir or --data)")
-    out_dir = values.get("out_dir", "run")
-
     if "backbone_dim" not in values:
-        values["backbone_dim"] = str(read_dataset_config(values["data_dir"]).backbone_dim)
+        values["backbone_dim"] = read_dataset_config(values["data_dir"]).backbone_dim
 
-    kwargs = {}
-    for key, conv in _TRAIN_KEYS.items():
-        if key in values:
-            kwargs[key] = conv(values[key])
-    if "streams" in values:
-        streams = tuple(s for s in values["streams"].split(",") if s)
-        kwargs["streams"] = streams
-    pn_kwargs = {}
-    if "pn_eta" in values:
-        pn_kwargs["eta"] = float(values["pn_eta"])
-    if "pn_epsilon" in values:
-        pn_kwargs["epsilon"] = float(values["pn_epsilon"])
+    kwargs = {key: values[key] for key in (*_TRAIN_KEYS, "streams") if key in values}
+    pn_kwargs = {key[3:]: values[key] for key in ("pn_eta", "pn_epsilon") if key in values}
     if pn_kwargs:
         kwargs["pn"] = PnConfig(**pn_kwargs)
-    return TrainConfig(**kwargs), values["data_dir"], out_dir
+    return TrainConfig(**kwargs), values["data_dir"], values.get("out_dir", "run")
 
 
-def _resolved_config_values(cfg: TrainConfig, data_dir: str, out_dir: str) -> dict:
-    values = {
-        "data_dir": data_dir,
-        "out_dir": out_dir,
-        "streams": ",".join(cfg.ordered_streams()),
-    }
-    for key in _TRAIN_KEYS:
-        values[key] = getattr(cfg, key)
-    values["pn_eta"] = cfg.pn.eta
-    values["pn_epsilon"] = cfg.pn.epsilon
-    return values
+def _resolved_config_values(cfg: TrainConfig, data_dir: str, out_dir: str) -> list[tuple]:
+    return [
+        ("data_dir", data_dir),
+        ("out_dir", out_dir),
+        ("streams", ",".join(cfg.ordered_streams())),
+        *((key, getattr(cfg, key)) for key in _TRAIN_KEYS),
+        ("pn_eta", cfg.pn.eta),
+        ("pn_epsilon", cfg.pn.epsilon),
+    ]
 
 
 def cmd_train(args) -> int:
@@ -222,7 +218,9 @@ def cmd_train(args) -> int:
     (out / "metrics.csv").write_text(
         metrics_to_csv(metrics, cfg.ordered_streams()), encoding="utf-8"
     )
-    _write_config_doc(out / "config.cfg", _resolved_config_values(cfg, data_dir, out_dir))
+    (out / "config.cfg").write_text(
+        format_key_values(_resolved_config_values(cfg, data_dir, out_dir)), encoding="utf-8"
+    )
     final = metrics[-1]["val_acc"] if metrics else float("nan")
     print(f"trained {cfg.epochs} epochs; final val accuracy {final:.4f}")
     print(f"checkpoint: {out / 'checkpoint.hal'}")
@@ -267,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--tau-source", default="records",
                    help="'records' or a file of 'video tau' lines")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_encode_odf)
 
     p = sub.add_parser("encode-sdf", help="saliency manifest -> per-(video,source) descriptors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-dagger", type=int, default=3)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_encode_sdf)
 
     p = sub.add_parser("synth", help="write a deterministic synthetic dataset")

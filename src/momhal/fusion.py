@@ -23,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .keyvalue import parse_key_values
+from .keyvalue import format_key_values, parse_bool, parse_key_values
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -32,9 +32,6 @@ GROUP_SAL = "S"
 GROUP_TOP = "TOP"
 HAF_ID = "haf"
 SLOT_GROUPS = {"det": GROUP_DET, "sal": GROUP_SAL}   # top-level slot -> pooled group
-
-WARMUP_EPOCHS = 10
-BETA_BRACKET = (0.0, 50.0)
 
 
 def eq9_ratios(w_prime: np.ndarray, beta: float, rho: float) -> np.ndarray:
@@ -249,28 +246,6 @@ def golden_section_max(
     return GoldenResult(beta_star, float(f(beta_star)), (bracket.lo, bracket.hi), widths)
 
 
-@dataclass(frozen=True)
-class SearchPolicy:
-    """Per-epoch exponent policy: a fixed value during warmup, then one
-    golden-section step per epoch on a carried bracket."""
-
-    mode: str                                    # "fixed" | "search"
-    beta: float = 0.0
-    initial_bracket: tuple[float, float] = BETA_BRACKET
-
-
-def beta_schedule(
-    epoch: int,
-    warmup_epochs: int = WARMUP_EPOCHS,
-    bracket: tuple[float, float] = BETA_BRACKET,
-) -> SearchPolicy:
-    if epoch < 1:
-        raise ValueError(f"epoch must be >= 1, got {epoch}")
-    if epoch <= warmup_epochs:
-        return SearchPolicy(mode="fixed", beta=0.0, initial_bracket=bracket)
-    return SearchPolicy(mode="search", beta=0.0, initial_bracket=bracket)
-
-
 def ridge_fit(x: np.ndarray, y: np.ndarray, n_classes: int, l2: float = 1e-3) -> np.ndarray:
     """One-vs-all least-squares classifier on [x, 1]; returns (dim+1, classes)."""
     x = np.asarray(x, dtype=np.float64)
@@ -303,19 +278,16 @@ def ridge_accuracy(
 
 def spec_to_text(spec: FusionSpec) -> str:
     """Render as a human-readable key-value document."""
-    lines = [
-        f"rho = {spec.rho!r}",
-        f"haf_weight = {spec.haf_weight!r}",
-        f"haf_id = {spec.haf_id}",
-        f"ratio_weights = {'true' if spec.ratio_weights else 'false'}",
+    pairs = [
+        ("rho", spec.rho),
+        ("haf_weight", spec.haf_weight),
+        ("haf_id", spec.haf_id),
+        ("ratio_weights", "true" if spec.ratio_weights else "false"),
     ]
-    for g in sorted(spec.groups):
-        lines.append(f"group.{g} = {','.join(spec.groups[g])}")
-    for g in sorted(spec.beta):
-        lines.append(f"beta.{g} = {spec.beta[g]!r}")
-    for sid in sorted(spec.raw_weights):
-        lines.append(f"weight.{sid} = {spec.raw_weights[sid]!r}")
-    return "\n".join(lines) + "\n"
+    pairs += [(f"group.{g}", ",".join(spec.groups[g])) for g in sorted(spec.groups)]
+    pairs += [(f"beta.{g}", spec.beta[g]) for g in sorted(spec.beta)]
+    pairs += [(f"weight.{sid}", spec.raw_weights[sid]) for sid in sorted(spec.raw_weights)]
+    return format_key_values(pairs)
 
 
 def spec_from_text(text: str, origin: str = "<string>") -> FusionSpec:
@@ -330,7 +302,7 @@ def spec_from_text(text: str, origin: str = "<string>") -> FusionSpec:
         elif key == "haf_id":
             scalars[key] = value
         elif key == "ratio_weights":
-            scalars[key] = value.lower() in ("1", "true", "yes")
+            scalars[key] = parse_bool(value)
         elif key.startswith("group."):
             groups[key[6:]] = [s for s in value.split(",") if s]
         elif key.startswith("beta."):

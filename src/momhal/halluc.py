@@ -21,16 +21,13 @@ from typing import Callable
 import numpy as np
 
 from .fusion import (
-    BETA_BRACKET,
     GROUP_DET,
     GROUP_SAL,
     GROUP_TOP,
     HAF_ID,
     SLOT_GROUPS,
-    WARMUP_EPOCHS,
     Bracket,
     FusionSpec,
-    beta_schedule,
     effective_coefficients,
     golden_step,
     ridge_accuracy,
@@ -78,16 +75,26 @@ class TrainConfig:
     pn: PnConfig = field(default_factory=PnConfig)
     multi_label: bool = False
     tie_sketches: bool = False
-    warmup_epochs: int = WARMUP_EPOCHS
-    beta_bracket: tuple[float, float] = BETA_BRACKET
+    warmup_epochs: int = 10          # epochs at beta = 0 before the golden-section search
+    beta_bracket: tuple[float, float] = (0.0, 50.0)
     ridge_l2: float = 1e-3
     init_scale: float = 0.2
 
     def __post_init__(self):
         if self.alpha < 0:
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("backbone_dim", "pre_sketch_dim", "sketch_dim", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.val_fraction < 0:
+            raise ValueError(f"val_fraction must be >= 0, got {self.val_fraction}")
+        if not self.val_fraction < 1:
+            raise ValueError(f"val_fraction {self.val_fraction} leaves no training videos")
+        for name in ("epochs", "warmup_epochs"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         unknown = [s for s in self.streams if s not in STREAM_ORDER]
         if unknown:
             raise ValueError(f"unknown streams {unknown}; valid: {STREAM_ORDER}")
@@ -311,7 +318,7 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     return loss, _Grads(grads, haf, (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
 
 
-def _batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grads]:
+def batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grads]:
     """Loss and hand-derived parameter gradients for one batch of videos."""
     return _loss_and_grads(model, video_arrays(batch, model.config, tuple(model.units)))
 
@@ -476,10 +483,9 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     lo, hi = cfg.beta_bracket
     bracket = Bracket(lo, hi - lo)
     for epoch in range(1, cfg.epochs + 1):
-        policy = beta_schedule(epoch, cfg.warmup_epochs, cfg.beta_bracket)
-        if policy.mode == "fixed":
-            model.spec.set_beta(policy.beta)
-            beta_lo = beta_hi = policy.beta
+        if epoch <= cfg.warmup_epochs:
+            model.spec.set_beta(0.0)
+            beta_lo = beta_hi = 0.0
         else:
             bracket = golden_step(beta_objective(model, data), bracket)
             model.spec.set_beta(bracket.mid)

@@ -3,7 +3,9 @@ metadata (``dataset.cfg``) and fusion specs."""
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def parse_key_values(text: str, origin: str, apply: Callable[[str, str], None]) -> None:
@@ -21,3 +23,16 @@ def parse_key_values(text: str, origin: str, apply: Callable[[str, str], None]) 
             apply(key.strip(), value.strip())
         except ValueError as exc:
             raise ValueError(f"{origin}: line {lineno}: {exc}") from None
+
+
+def parse_bool(value: str) -> bool:
+    """``1/true/yes`` or ``0/false/no``, in any case; anything else is an error."""
+    try:
+        return _BOOLS[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean (true/false), got {value!r}") from None
+
+
+def format_key_values(pairs: Iterable[tuple[str, object]]) -> str:
+    """One ``key = value`` line per pair, in order."""
+    return "".join(f"{key} = {value}\n" for key, value in pairs)

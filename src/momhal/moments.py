@@ -139,19 +139,13 @@ def _left_singular(upsilon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, lam2
 
 
-def multi_moment(
-    bag: FeatureBag,
-    n_prime: int,
-    eps: float = 1e-12,
-    weighted_cumulants: bool = False,
-) -> MultiMomentDescriptor:
+def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMomentDescriptor:
     """Compute the multi-moment descriptor of a bag.
 
     Skewness and kurtosis are the element-wise cumulant ratios
-    kappa3 / kappa2^1.5 and kappa4 / kappa2^2, computed by default over the
-    plain (unweighted) centered vectors; ``weighted_cumulants`` switches to
-    the same 1/(J*K_j) frame weighting used for the singular subspace.
-    Degenerate quantities (zero mean, deficient rank, zero variance)
+    kappa3 / kappa2^1.5 and kappa4 / kappa2^2 over the plain (unweighted)
+    centered vectors, not the 1/(J*K_j) frame weighting of the singular
+    subspace.  Degenerate quantities (zero mean, deficient rank, zero variance)
     come out as exact zeros via the eps guard.
     """
     if n_prime < 1:
@@ -178,17 +172,9 @@ def multi_moment(
             eigvecs[i] = _fix_sign(u[:, i])
 
     centered = data - mu
-    if weighted_cumulants:
-        w = np.concatenate(
-            [np.full(f.shape[0], 1.0 / (bag.n_frames * f.shape[0])) for f in bag.frames if f.shape[0]]
-        )
-        k2 = w @ centered**2
-        k3 = w @ centered**3
-        k4 = w @ centered**4
-    else:
-        k2 = (centered**2).mean(axis=0)
-        k3 = (centered**3).mean(axis=0)
-        k4 = (centered**4).mean(axis=0)
+    k2 = (centered**2).mean(axis=0)
+    k3 = (centered**3).mean(axis=0)
+    k4 = (centered**4).mean(axis=0)
     guard = np.maximum(k2, eps)
     skewness = k3 / guard**1.5
     kurtosis = k4 / guard**2

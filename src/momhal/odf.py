@@ -97,13 +97,11 @@ class OdfConfig:
         default_factory=lambda: FeatureMapConfig(7, 0.5, INTERVAL_UNIT)
     )
     n_prime: int = 3
-    class_space_size: int = CLASS_SPACE_SIZE
-    imagenet_size: int = IMAGENET_SIZE
 
     @property
     def dim(self) -> int:
         per_scalar = self.scalar_map.pivot_count if self.use_rbf_embedding else 1
-        return self.class_space_size + self.imagenet_size + 6 * per_scalar
+        return CLASS_SPACE_SIZE + IMAGENET_SIZE + 6 * per_scalar
 
 
 def encode_box(rec: DetectionRecord, tau: int, cfg: OdfConfig) -> np.ndarray:
@@ -115,7 +113,7 @@ def encode_box(rec: DetectionRecord, tau: int, cfg: OdfConfig) -> np.ndarray:
         raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
     rec.validate()
 
-    one_hot = np.zeros(cfg.class_space_size)
+    one_hot = np.zeros(CLASS_SPACE_SIZE)
     one_hot[rec.class_label - 1] = 1.0
     frame_pos = (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0
     scalars = (rec.confidence, *rec.box, frame_pos)

@@ -12,26 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SIGME = "sigme"
-MAXEXP = "maxexp"
-
 
 @dataclass(frozen=True)
 class PnConfig:
     eta: float = 20.0          # SigmE slope eta'
     epsilon: float = 1e-12     # norm guard eps'
-    variant: str = SIGME
-    maxexp_eta: float = 2.0    # MaxExp exponent, > 1
 
     def __post_init__(self):
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.variant not in (SIGME, MAXEXP):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.variant == MAXEXP and not self.maxexp_eta > 1:
-            raise ValueError(f"maxexp_eta must be > 1, got {self.maxexp_eta}")
 
 
 def sigme(psi: np.ndarray, cfg: PnConfig) -> np.ndarray:
@@ -67,11 +58,13 @@ def sigme_grad(psi: np.ndarray, upstream: np.ndarray, cfg: PnConfig) -> np.ndarr
     return direct - norm_term
 
 
-def maxexp(psi: np.ndarray, cfg: PnConfig) -> np.ndarray:
-    """MaxExp pooling g = 1 - (1 - psi)^eta for psi in [0, 1]."""
+def maxexp(psi: np.ndarray, eta: float) -> np.ndarray:
+    """MaxExp pooling g = 1 - (1 - psi)^eta for psi in [0, 1] and eta > 1."""
+    if not eta > 1:
+        raise ValueError(f"maxexp eta must be > 1, got {eta}")
     psi = np.asarray(psi, dtype=np.float64)
     if not np.all(np.isfinite(psi)):
         raise ValueError("maxexp input must be finite")
     if psi.size and (psi.min() < 0.0 or psi.max() > 1.0):
         raise ValueError("maxexp input must lie in [0, 1]")
-    return 1.0 - (1.0 - psi) ** cfg.maxexp_eta
+    return 1.0 - (1.0 - psi) ** eta

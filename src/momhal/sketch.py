@@ -25,9 +25,11 @@ _MIX2 = 0x94D049BB133111EB
 MAGIC = b"CSK1"
 
 
-def splitmix64(seed: int, count: int) -> np.ndarray:
-    """First ``count`` outputs of the splitmix64 stream seeded by ``seed``."""
-    ks = np.uint64(seed & _MASK64) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+def splitmix64(seeds: int | np.ndarray, count: int) -> np.ndarray:
+    """First ``count`` outputs of the splitmix64 stream of each seed: shape
+    ``(count,)`` for an int seed, ``seeds.shape + (count,)`` for an array."""
+    base = np.asarray(seeds & _MASK64 if isinstance(seeds, int) else seeds, dtype=np.uint64)
+    ks = np.add.outer(base, np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
     z = (ks ^ (ks >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
@@ -126,11 +128,7 @@ def unbiasedness_check(d: int, d_prime: int, trials: int, seed: int) -> Unbiased
     exact = float(psi @ psi2)
 
     # One splitmix substream per trial, identical to sketch_new(d, d', seed_k).
-    trial_seeds = splitmix64(seed, trials)
-    ks = trial_seeds[:, None] + np.arange(1, 2 * d + 1, dtype=np.uint64)[None, :] * np.uint64(_GAMMA)
-    z = (ks ^ (ks >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z = z ^ (z >> np.uint64(31))
+    z = splitmix64(splitmix64(seed, trials), 2 * d)
     h0 = (z[:, :d] % np.uint64(d_prime)).astype(np.int64)
     s = (z[:, d:] >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
 

@@ -19,13 +19,13 @@ saliency/ PGM frames listed by manifest.txt.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .halluc import AUX_STREAMS, DET_STREAMS, SAL_STREAMS, SyntheticVideo
-from .keyvalue import parse_key_values
+from .keyvalue import format_key_values, parse_key_values
 from .odf import OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig, sigme
 from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
@@ -224,26 +224,22 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
     with open(out / "manifest.txt", "w", encoding="utf-8") as fp:
         fp.write("\n".join(manifest_lines) + "\n")
 
-    with open(out / "dataset.cfg", "w", encoding="utf-8") as fp:
-        for key in (
-            "n_videos", "n_classes", "seed", "backbone_dim", "tau",
-            "sal_width", "sal_height", "aux_dim",
-            "class_scale", "latent_scale", "noise_scale",
-        ):
-            fp.write(f"{key} = {getattr(cfg, key)!r}\n")
+    (out / "dataset.cfg").write_text(
+        format_key_values((f.name, getattr(cfg, f.name)) for f in fields(cfg)), encoding="utf-8"
+    )
 
 
 def read_dataset_config(data_dir) -> SynthConfig:
     path = Path(data_dir) / "dataset.cfg"
-    meta: dict[str, float] = {}
+    kinds = {f.name: type(f.default) for f in fields(SynthConfig)}   # int or float
+    kwargs: dict[str, int | float] = {}
 
     def setting(key: str, value: str) -> None:
-        meta[key] = float(value)
+        if key not in kinds:
+            raise ValueError(f"unknown key {key!r}")
+        kwargs[key] = kinds[key](value)
 
     parse_key_values(path.read_text(encoding="utf-8"), str(path), setting)
-    ints = ("n_videos", "n_classes", "seed", "backbone_dim", "tau",
-            "sal_width", "sal_height", "aux_dim")
-    kwargs = {k: (int(v) if k in ints else v) for k, v in meta.items()}
     return SynthConfig(**kwargs)
 
 
@@ -252,7 +248,6 @@ def load_dataset(
     sketch_dim: int,
     pn: PnConfig | None = None,
     streams: tuple[str, ...] | None = None,
-    n_prime: int = 3,
 ) -> tuple[list[SyntheticVideo], int]:
     """Load a dataset directory into training samples.
 
@@ -290,7 +285,8 @@ def load_dataset(
         else {}
     )
 
-    odf_cfg = OdfConfig(n_prime=n_prime)
+    odf_cfg = OdfConfig()
+    n_prime = odf_cfg.n_prime   # the SDF descriptors use the same count
     sdf_cfg = SdfConfig()
     sketches = {}
     for name in wanted:

@@ -108,7 +108,7 @@ def suite_gradients(seed: int = 11) -> bool:
         )
         for _ in range(4)
     ]
-    _, grads = halluc._batch_grads(batch, model)
+    _, grads = halluc.batch_grads(batch, model)
 
     def loss() -> float:
         val, _, _ = halluc.objective(batch, model.units, model.haf_unit,

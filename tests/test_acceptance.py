@@ -13,7 +13,7 @@ from momhal.fusion import INV_PHI, eq9_ratios, golden_section_max
 from momhal.halluc import (
     SyntheticVideo,
     TrainConfig,
-    _batch_grads,
+    batch_grads,
     evaluate,
     infer,
     init_model,
@@ -158,7 +158,7 @@ class TestCriterion5Gradients:
                                int(rng.integers(0, 3)))
                 for _ in range(3)
             ]
-            _, grads = _batch_grads(batch, model)
+            _, grads = batch_grads(batch, model)
 
             def loss():
                 val, _, _ = objective(batch, model.units, model.haf_unit,

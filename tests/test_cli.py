@@ -91,6 +91,19 @@ class TestEncodeOdf:
         assert code == 0
         assert " 9 " in stdout.replace("\t", " ")
 
+    @pytest.mark.parametrize("text, message", [
+        ("v1 9\nv1\n", "line 2: expected 'video tau'"),
+        ("# video tau\nv1 0\n", "line 2: tau must be >= 1"),
+    ], ids=["malformed_line", "tau_below_one"])
+    def test_bad_tau_file_names_file_and_line(self, tmp_path, detections_file, capsys,
+                                              text, message):
+        taus = tmp_path / "taus.txt"
+        taus.write_text(text)
+        code, _, err = run(capsys, "encode-odf", "--input", str(detections_file),
+                           "--out", str(tmp_path / "out"), "--tau-source", str(taus))
+        assert code == 1
+        assert f"{taus}: {message}" in err
+
 
 class TestEncodeSdf:
     @pytest.fixture
@@ -306,16 +319,36 @@ class TestSynthTrainEval:
             (tmp_path / "r2" / "metrics.csv").read_bytes()
 
 
-class TestThreadsEnv:
-    def test_momhal_threads_fallback(self, monkeypatch):
-        from momhal.cli import _default_threads
+class TestConfigDocuments:
+    @pytest.fixture
+    def data(self, tmp_path, capsys):
+        run(capsys, "synth", "--out", str(tmp_path / "data"), "--videos", "8",
+            "--classes", "2", "--seed", "1", "--backbone-dim", "8", "--tau", "3")
+        return tmp_path / "data"
 
-        monkeypatch.setenv("MOMHAL_THREADS", "3")
-        assert _default_threads() == 3
-        monkeypatch.setenv("MOMHAL_THREADS", "junk")
-        assert _default_threads() >= 1
-        monkeypatch.delenv("MOMHAL_THREADS")
-        assert _default_threads() >= 1
+    @pytest.mark.parametrize("line", ["learning_rat = 9", "multi_label = ture"],
+                             ids=["unknown_key", "bad_bool"])
+    def test_train_config_is_refused(self, tmp_path, data, capsys, line):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data_dir = {data}\nepochs = 1\n{line}\n")
+        code, _, err = run(capsys, "train", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert f"{cfgfile}: line 3: " in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("old, new", [("seed = 1", "sed = 1"),
+                                          ("n_videos = 8", "n_videos = 16.7")],
+                             ids=["unknown_key", "fractional_int"])
+    def test_dataset_config_is_refused(self, tmp_path, data, capsys, old, new):
+        path = data / "dataset.cfg"
+        lines = path.read_text().splitlines()
+        lineno = lines.index(old) + 1
+        path.write_text("\n".join(new if s == old else s for s in lines) + "\n")
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                           "--epochs", "1")
+        assert code == 1
+        assert f"{path}: line {lineno}: " in err
 
 
 class TestVerify:

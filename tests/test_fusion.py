@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momhal.fusion import (
-    BETA_BRACKET,
     GROUP_DET,
     GROUP_SAL,
     GROUP_TOP,
     INV_PHI,
     Bracket,
     FusionSpec,
-    beta_schedule,
     effective_coefficients,
     eq9_ratios,
     eq9_weights,
@@ -27,6 +25,7 @@ from momhal.fusion import (
     spec_to_text,
     write_fusion_spec,
 )
+from momhal.halluc import TrainConfig
 
 
 def make_spec(ratio_weights=False, beta=0.0):
@@ -234,25 +233,12 @@ class TestGoldenSection:
 
 
 class TestBetaSchedule:
-    def test_warmup_is_fixed_zero(self):
-        for epoch in (1, 5, 10):
-            policy = beta_schedule(epoch)
-            assert policy.mode == "fixed" and policy.beta == 0.0
-
-    def test_search_starts_at_epoch_11(self):
-        policy = beta_schedule(11)
-        assert policy.mode == "search"
-        assert policy.initial_bracket == BETA_BRACKET == (0.0, 50.0)
-
     def test_bracket_width_schedule(self):
+        assert TrainConfig().beta_bracket == (0.0, 50.0)
         bracket = Bracket(0.0, 50.0)
         for k in range(1, 20):
             bracket = golden_step(lambda b: 0.0, bracket)
             assert bracket.width == pytest.approx(50.0 * INV_PHI**k, rel=1e-12)
-
-    def test_epoch_validation(self):
-        with pytest.raises(ValueError):
-            beta_schedule(0)
 
 
 class TestRidge:

@@ -9,7 +9,7 @@ from momhal.halluc import (
     SyntheticVideo,
     TrainConfig,
     TrainingDivergedError,
-    _batch_grads,
+    batch_grads,
     evaluate,
     infer,
     init_model,
@@ -139,7 +139,7 @@ def finite_difference_check(cfg, seed, n_classes=3):
     rng = np.random.default_rng(seed)
     model = init_model(cfg, n_classes)
     batch = make_batch(rng, cfg, n=4, n_classes=n_classes)
-    _, grads = _batch_grads(batch, model)
+    _, grads = batch_grads(batch, model)
 
     def loss():
         val, _, _ = objective(batch, model.units, model.haf_unit, model.prednet,
@@ -187,7 +187,7 @@ class TestGradients:
                            (rng.uniform(size=3) > 0.5).astype(float))
             for _ in range(3)
         ]
-        _, grads = _batch_grads(batch, model)
+        _, grads = batch_grads(batch, model)
 
         def loss():
             val, _, _ = objective(batch, model.units, model.haf_unit, model.prednet,
@@ -271,6 +271,17 @@ class TestTrain:
         data, _ = self.make_dataset(n=8)
         with pytest.raises(ValueError, match="no training videos"):
             train(data, small_cfg(val_fraction=1.0))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("val_fraction", -0.1), ("val_fraction", 1.5),
+        ("learning_rate", 0.0), ("backbone_dim", 0), ("pre_sketch_dim", 0),
+        ("sketch_dim", 0), ("warmup_epochs", -1),
+    ])
+    def test_out_of_range_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestInference:

@@ -8,10 +8,19 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "momhal"
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def private_imports(path: Path) -> list[str]:
-    """`from <momhal module> import _name` statements in one source file."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    """`from <momhal module> import _name` statements and `<momhal module>._name`
+    attribute uses in one source file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname for alias in node.names
+                           if alias.asname and alias.name.startswith("momhal."))
         if not isinstance(node, ast.ImportFrom):
             continue
         if node.level == 0 and not (node.module or "").startswith("momhal"):
@@ -19,6 +28,12 @@ def private_imports(path: Path) -> list[str]:
         for alias in node.names:
             if alias.name.startswith("_"):
                 found.append(f"{path.name}:{node.lineno}: {node.module or '.'}.{alias.name}")
+            elif node.module in (None, "momhal") and (SRC / f"{alias.name}.py").is_file():
+                modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and is_private(node.attr)):
+            found.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     return found
 
 

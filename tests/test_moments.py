@@ -151,21 +151,6 @@ class TestMultiMoment:
             bag = random_bag(rng, d=9)
             assert multi_moment(bag, n_prime).flat().shape == (9 * (4 + n_prime),)
 
-    def test_weighted_cumulants_flag(self):
-        rng = np.random.default_rng(9)
-        frames = [rng.normal(size=(2, 3)), rng.normal(size=(7, 3))]
-        bag = FeatureBag(3, frames)
-        plain = multi_moment(bag, 1)
-        weighted = multi_moment(bag, 1, weighted_cumulants=True)
-        assert not np.allclose(plain.skewness, weighted.skewness)
-        # equal frame sizes make the weighting uniform again
-        even = FeatureBag(3, [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))])
-        np.testing.assert_allclose(
-            multi_moment(even, 1).kurtosis,
-            multi_moment(even, 1, weighted_cumulants=True).kurtosis,
-            atol=1e-10,
-        )
-
     def test_errors(self):
         with pytest.raises(EmptyBagError):
             multi_moment(FeatureBag(2, [np.zeros((0, 2))]), 1)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momhal.pn import MAXEXP, PnConfig, maxexp, sigme, sigme_grad
+from momhal.pn import PnConfig, maxexp, sigme, sigme_grad
 
 CFG = PnConfig()
 
@@ -82,40 +82,37 @@ class TestSigmeGrad:
 
 class TestMaxExp:
     def test_endpoints(self):
-        cfg = PnConfig(variant=MAXEXP, maxexp_eta=3.0)
-        np.testing.assert_array_equal(maxexp(np.array([0.0, 1.0]), cfg), [0.0, 1.0])
+        np.testing.assert_array_equal(maxexp(np.array([0.0, 1.0]), 3.0), [0.0, 1.0])
 
     def test_identity_limit(self):
         psi = np.linspace(0, 1, 11)
-        out = maxexp(psi, PnConfig(variant=MAXEXP, maxexp_eta=1.0 + 1e-9))
+        out = maxexp(psi, 1.0 + 1e-9)
         np.testing.assert_allclose(out, psi, atol=1e-7)
 
     def test_half_at_eta_two(self):
-        assert maxexp(np.array([0.5]), PnConfig(variant=MAXEXP, maxexp_eta=2.0))[0] == 0.75
+        assert maxexp(np.array([0.5]), 2.0)[0] == 0.75
 
     @given(arrays(np.float64, st.integers(1, 12), elements=st.floats(0, 1)),
            st.floats(1.0 + 1e-6, 10.0))
     @settings(max_examples=60, deadline=None)
     def test_dominates_input(self, psi, eta):
-        out = maxexp(psi, PnConfig(variant=MAXEXP, maxexp_eta=eta))
+        out = maxexp(psi, eta)
         assert np.all(out >= psi - 1e-12)
         assert np.all((out >= 0) & (out <= 1))
 
     def test_monotone(self):
-        cfg = PnConfig(variant=MAXEXP, maxexp_eta=2.5)
-        out = maxexp(np.linspace(0, 1, 50), cfg)
+        out = maxexp(np.linspace(0, 1, 50), 2.5)
         assert np.all(np.diff(out) >= 0)
 
     def test_range_error(self):
-        cfg = PnConfig(variant=MAXEXP, maxexp_eta=2.0)
         with pytest.raises(ValueError):
-            maxexp(np.array([-0.1]), cfg)
+            maxexp(np.array([-0.1]), 2.0)
         with pytest.raises(ValueError):
-            maxexp(np.array([1.1]), cfg)
+            maxexp(np.array([1.1]), 2.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PnConfig(variant=MAXEXP, maxexp_eta=1.0)
+            maxexp(np.array([0.5]), 1.0)
         with pytest.raises(ValueError):
             PnConfig(eta=-1.0)
         with pytest.raises(ValueError):
