@@ -172,9 +172,10 @@ def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMome
             eigvecs[i] = _fix_sign(u[:, i])
 
     centered = data - mu
-    k2 = (centered**2).mean(axis=0)
-    k3 = (centered**3).mean(axis=0)
-    k4 = (centered**4).mean(axis=0)
+    sq = centered * centered
+    k2 = sq.mean(axis=0)
+    k3 = (sq * centered).mean(axis=0)
+    k4 = (sq * sq).mean(axis=0)
     guard = np.maximum(k2, eps)
     skewness = k3 / guard**1.5
     kurtosis = k4 / guard**2

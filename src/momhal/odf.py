@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernel import INTERVAL_UNIT, FeatureMapConfig, feature_map
+from .kernel import INTERVAL_UNIT, FeatureMapConfig, feature_map_batch
 from .moments import FeatureBag, MultiMomentDescriptor, multi_moment
 
 COCO_CLASSES = 91
@@ -116,12 +116,10 @@ def encode_box(rec: DetectionRecord, tau: int, cfg: OdfConfig) -> np.ndarray:
     one_hot = np.zeros(CLASS_SPACE_SIZE)
     one_hot[rec.class_label - 1] = 1.0
     frame_pos = (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0
-    scalars = (rec.confidence, *rec.box, frame_pos)
-    if cfg.use_rbf_embedding:
-        embedded = [feature_map(v, cfg.scalar_map) for v in scalars]
-    else:
-        embedded = [np.array([v]) for v in scalars]
-    return np.concatenate([one_hot, rec.imagenet_scores, *embedded])
+    scalars = np.array([rec.confidence, *rec.box, frame_pos])
+    if cfg.use_rbf_embedding:   # validate() above keeps every scalar in [0, 1]
+        scalars = feature_map_batch(scalars, cfg.scalar_map).reshape(-1)
+    return np.concatenate([one_hot, rec.imagenet_scores, scalars])
 
 
 class EmptyDetectorError(ValueError):

@@ -13,6 +13,7 @@ laid out angular-major: index = a*25 + x*5 + y.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -112,13 +113,15 @@ def encode_gradient_field(
     ang = feature_map_batch(orientation, cfg.angular_map)          # (H, W, A)
     phi_x = feature_map_batch(np.arange(w) / (w - 1), cfg.spatial_map)  # (W, X)
     phi_y = feature_map_batch(np.arange(h) / (h - 1), cfg.spatial_map)  # (H, Y)
-    tensor = np.einsum("hw,hwa,wx,hy->axy", amplitude, ang, phi_x, phi_y)
-    return tensor.reshape(-1)
+    weighted = (amplitude[..., None] * ang).transpose(0, 2, 1) @ phi_x  # (H, A, X)
+    return np.tensordot(weighted, phi_y, axes=(0, 0)).reshape(-1)      # (A, X, Y)
 
 
+@functools.lru_cache(maxsize=64)
 def _pool_weights(n_pixels: int, n_bins: int) -> np.ndarray:
     """(n_bins, n_pixels) area weights; each row averages one uniform bin,
-    splitting pixels fractionally at bin borders."""
+    splitting pixels fractionally at bin borders.  Cached per size and
+    read-only, since every frame of that size shares the one matrix."""
     width = n_pixels / n_bins
     weights = np.zeros((n_bins, n_pixels))
     for b in range(n_bins):
@@ -127,6 +130,7 @@ def _pool_weights(n_pixels: int, n_bins: int) -> np.ndarray:
             overlap = min(p + 1.0, hi) - max(float(p), lo)
             if overlap > 0:
                 weights[b, p] = overlap / width
+    weights.flags.writeable = False
     return weights
 
 

@@ -93,9 +93,11 @@ def project_rows(sk: CountSketch, psis: np.ndarray) -> np.ndarray:
     psis = np.asarray(psis, dtype=np.float64)
     if psis.ndim != 2 or psis.shape[1] != sk.input_dim:
         raise ValueError(f"expected (batch, {sk.input_dim}) matrix, got shape {psis.shape}")
-    out = np.zeros((psis.shape[0], sk.output_dim))
-    np.add.at(out, (slice(None), sk.h.astype(np.int64) - 1), psis * sk.s)
-    return out
+    rows, d_prime = psis.shape[0], sk.output_dim
+    # bincount adds each bucket's terms in input order, as np.add.at does
+    flat = (np.arange(rows)[:, None] * d_prime + (sk.h.astype(np.int64) - 1)).ravel()
+    out = np.bincount(flat, weights=(psis * sk.s).ravel(), minlength=rows * d_prime)
+    return out.reshape(rows, d_prime)
 
 
 def project_transpose_rows(sk: CountSketch, vs: np.ndarray) -> np.ndarray:

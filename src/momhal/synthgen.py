@@ -240,6 +240,9 @@ def read_dataset_config(data_dir) -> SynthConfig:
         kwargs[key] = kinds[key](value)
 
     parse_key_values(path.read_text(encoding="utf-8"), str(path), setting)
+    missing = [key for key in kinds if key not in kwargs]
+    if missing:
+        raise ValueError(f"{path}: missing key {missing[0]!r}")
     return SynthConfig(**kwargs)
 
 

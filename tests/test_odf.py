@@ -48,6 +48,21 @@ class TestEncodeBox:
             start = CLASS_SPACE_SIZE + IMAGENET_SIZE + 7 * block
             np.testing.assert_allclose(out[start : start + 7], phi0)
 
+    @pytest.mark.parametrize("frame, tau, conf, box", [
+        (1, 1, 0.0, (0.0, 0.0, 1.0, 1.0)),
+        (3, 3, 1.0, (0.1, 0.2, 0.3, 0.4)),
+        (2, 5, 0.37, (0.0, 0.5, 1.0, 1.0)),
+    ])
+    def test_embeddings_equal_per_scalar_maps(self, frame, tau, conf, box):
+        from momhal.kernel import feature_map
+
+        cfg = OdfConfig()
+        out = encode_box(make_record(frame=frame, conf=conf, box=box), tau=tau, cfg=cfg)
+        frame_pos = (frame - 1) / (tau - 1) if tau > 1 else 0.0
+        want = [feature_map(v, cfg.scalar_map) for v in (conf, *box, frame_pos)]
+        np.testing.assert_array_equal(out[CLASS_SPACE_SIZE + IMAGENET_SIZE :],
+                                      np.concatenate(want))
+
     def test_raw_scalars_verbatim(self):
         cfg = OdfConfig(use_rbf_embedding=False)
         rec = make_record(frame=3, conf=0.7, box=(0.1, 0.2, 0.6, 0.9))

@@ -4,6 +4,7 @@ import pytest
 from momhal.sdf import (
     SaliencyFrame,
     SdfConfig,
+    _pool_weights,
     encode_frame,
     encode_gradient_field,
     gist,
@@ -80,13 +81,14 @@ class TestEncodeFrame:
         assert np.linalg.norm(out[:300]) == pytest.approx(1.0)
         assert np.abs(out[300:]).sum() == pytest.approx(1.0)
 
-    def test_pixel_loop_oracle(self):
+    @pytest.mark.parametrize("h, w", [(2, 2), (3, 7), (20, 26), (24, 32), (36, 48), (48, 64)])
+    def test_pixel_loop_oracle(self, h, w):
         rng = np.random.default_rng(9)
-        frame = random_frame(rng, 24, 32)
+        frame = random_frame(rng, h, w)
         amp, ori = gradients(frame)
         got = encode_gradient_field(amp, ori, CFG)
         want = pixel_loop_gradient_encoding(amp, ori)
-        np.testing.assert_allclose(got, want, atol=1e-8)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_angular_rotation_permutes_block(self):
         rng = np.random.default_rng(2)
@@ -121,6 +123,12 @@ class TestGist:
         # bin 8 straddles the edge at pixel 10: covers [10.0, 11.25) -> dark
         np.testing.assert_allclose(pooled[8], 0.0)
         np.testing.assert_allclose(pooled[7], 1.0)  # [8.75, 10.0) -> bright
+
+    def test_pool_weights_are_shared_and_read_only(self):
+        weights = _pool_weights(24, 16)
+        assert _pool_weights(24, 16) is weights
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
 
     def test_row_major_layout(self):
         vals = np.zeros((16, 16))

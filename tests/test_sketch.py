@@ -110,6 +110,15 @@ class TestProject:
         vs = np.random.default_rng(4).normal(size=(5, 4))
         np.testing.assert_allclose(project_transpose_rows(sk, vs), vs @ sk.dense(), atol=1e-12)
 
+    def test_rows_add_like_add_at(self):
+        # 300 coordinates into 4 buckets: every bucket sums ~75 terms, so a
+        # different summation order would show in the last bits
+        sk = sketch_new(300, 4, 21)
+        rows = np.random.default_rng(5).normal(size=(6, 300))
+        want = np.zeros((6, 4))
+        np.add.at(want, (slice(None), sk.h.astype(np.int64) - 1), rows * sk.s)
+        np.testing.assert_array_equal(project_rows(sk, rows), want)
+
     def test_length_mismatch(self):
         sk = sketch_new(4, 2, 0)
         with pytest.raises(ValueError):

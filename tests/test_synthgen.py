@@ -58,6 +58,15 @@ class TestGeneration:
         with pytest.raises(ValueError, match=r"dataset\.cfg: line 3: expected 'key = value'"):
             read_dataset_config(tmp_path)
 
+    @pytest.mark.parametrize("key", ["seed", "tau"])
+    def test_config_missing_key_is_refused(self, tmp_path, key):
+        generate_dataset(tmp_path, SMALL)
+        path = tmp_path / "dataset.cfg"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(s for s in lines if not s.startswith(f"{key} =")))
+        with pytest.raises(ValueError, match=rf"dataset\.cfg: missing key '{key}'"):
+            read_dataset_config(tmp_path)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SynthConfig(n_videos=0)
