@@ -1,9 +1,11 @@
 """Stream reweighting, hierarchical pooling, and golden-section tuning.
 
-Streams are weighted by w_i = (1/|T|) * max(w'_i^beta, rho) / sum_j
+Streams are weighted by the ratios r_i = max(w'_i^beta, rho) / sum_j
 max(w'_j^beta, rho) where w' are raw per-stream scores normalized so the
-group maximum is 1.  beta = 0 equalizes the normalized ratios at 1/|T|;
-large beta approaches winner-takes-all with losers held at the floor rho.
+group maximum is 1, so each group pools to a convex weighted mean.
+beta = 0 equalizes the ratios at 1/|T|; large beta approaches
+winner-takes-all with losers held at the floor rho.  The paper's
+w_i = r_i / |T| form is kept as ``eq9_weights``.
 
 Pooling runs on three levels: detector streams pool into "det", saliency
 streams into "sal", and the top level combines the auxiliary streams,
@@ -61,13 +63,8 @@ def eq9_weights(w_prime: np.ndarray, beta: float, rho: float) -> np.ndarray:
 @dataclass
 class FusionSpec:
     """Groups, raw stream scores, per-group exponent, floor, and the fixed
-    pass-through weight.
-
-    ``ratio_weights`` switches the exponent weights from w_i = r_i / |T| to
-    the bare ratios r_i, turning each group into a convex weighted mean.
-    The default keeps the w_i form; the trainer enables ratios so that a
-    single dominant stream can actually dominate the pooled vector instead
-    of being crushed by the nested 1/|group| factors.
+    pass-through weight.  Exponent-scaled members are weighted by the bare
+    ratios r_i (see notes/decisions.md, "Pooling with bare ratios").
     """
 
     groups: dict[str, list[str]]
@@ -76,7 +73,6 @@ class FusionSpec:
     rho: float = 0.1
     haf_weight: float = 1.0
     haf_id: str = HAF_ID
-    ratio_weights: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
@@ -106,10 +102,7 @@ class FusionSpec:
         members = self.weighted_members(group)
         if not members:
             return {}
-        if self.ratio_weights:
-            w = eq9_ratios(self.normalized_weights(group), self.beta[group], self.rho)
-        else:
-            w = eq9_weights(self.normalized_weights(group), self.beta[group], self.rho)
+        w = eq9_ratios(self.normalized_weights(group), self.beta[group], self.rho)
         return dict(zip(members, w.tolist()))
 
     def set_beta(self, value: float) -> None:
@@ -120,9 +113,9 @@ class FusionSpec:
 def pooled(streams: dict[str, np.ndarray], spec: FusionSpec, group: str) -> np.ndarray:
     """Weighted mean of a group's stream vectors.
 
-    Non-top groups return (1/|T|) sum w_i psi_i with w_i from the exponent
-    weights (which already carry their own 1/|T|).  The top group adds the
-    pass-through term with its fixed weight and divides by |members| + 1.
+    Non-top groups return the convex mean sum r_i psi_i.  The top group
+    adds the pass-through term with its fixed weight and divides by
+    |members| + 1.
     """
     if group not in spec.groups:
         raise ValueError(f"unknown group {group!r}")
@@ -150,8 +143,7 @@ def pooled(streams: dict[str, np.ndarray], spec: FusionSpec, group: str) -> np.n
         return acc / (n + 1)
     if n == 0:
         raise ValueError(f"group {group!r} has no members")
-    # ratio weights already sum to 1: the group is a convex weighted mean
-    return acc if spec.ratio_weights else acc / n
+    return acc
 
 
 def pooled_total(streams: dict[str, np.ndarray], spec: FusionSpec) -> np.ndarray:
@@ -176,10 +168,8 @@ def effective_coefficients(spec: FusionSpec) -> dict[str, float]:
         if sid == spec.haf_id:
             coeffs[sid] = spec.haf_weight * outer
         elif group and spec.groups.get(group):
-            gw = spec.group_weights(group)
-            div = 1.0 if spec.ratio_weights else len(gw)
-            for leaf, w in gw.items():
-                coeffs[leaf] = top_w[sid] * outer * w / div
+            for leaf, w in spec.group_weights(group).items():
+                coeffs[leaf] = top_w[sid] * outer * w
         else:
             coeffs[sid] = top_w[sid] * outer
     return coeffs
@@ -282,7 +272,7 @@ def spec_to_text(spec: FusionSpec) -> str:
         ("rho", spec.rho),
         ("haf_weight", spec.haf_weight),
         ("haf_id", spec.haf_id),
-        ("ratio_weights", "true" if spec.ratio_weights else "false"),
+        ("ratio_weights", "true"),  # the only pooling form; kept so HAL1 bytes stay put
     ]
     pairs += [(f"group.{g}", ",".join(spec.groups[g])) for g in sorted(spec.groups)]
     pairs += [(f"beta.{g}", spec.beta[g]) for g in sorted(spec.beta)]
@@ -302,7 +292,8 @@ def spec_from_text(text: str, origin: str = "<string>") -> FusionSpec:
         elif key == "haf_id":
             scalars[key] = value
         elif key == "ratio_weights":
-            scalars[key] = parse_bool(value)
+            if not parse_bool(value):
+                raise ValueError("ratio_weights = false (the r_i/|T| pooling form) is not supported")
         elif key.startswith("group."):
             groups[key[6:]] = [s for s in value.split(",") if s]
         elif key.startswith("beta."):

@@ -372,7 +372,6 @@ def _default_spec(cfg: TrainConfig) -> FusionSpec:
         beta={GROUP_DET: 0.0, GROUP_SAL: 0.0, GROUP_TOP: 0.0},
         rho=cfg.rho,
         haf_weight=1.0 / (n_top + 1),
-        ratio_weights=True,
     )
 
 
@@ -470,6 +469,9 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     exponent bracket.
     """
     data = video_arrays(dataset, cfg, cfg.ordered_streams())
+    if cfg.multi_label and data.labels.ndim != 2:
+        raise ValueError("multi_label = true needs multi-hot label vectors, "
+                         "but the labels are class ids")
     n_classes = data.labels.shape[1] if cfg.multi_label else int(data.labels.max()) + 1
     model = init_model(cfg, n_classes)
 

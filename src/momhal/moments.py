@@ -100,43 +100,43 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
 
 
 def rank_tolerance(lam2: np.ndarray, d: int, n: int, eps: float = 1e-12) -> float:
-    """Singular-value cutoff below which a direction counts as rank noise.
+    """Singular-value cutoff below which a direction counts as rank noise,
+    given the squared singular values ``lam2`` (descending, nonnegative).
 
     Eigenvalues of the squared problem carry a noise floor of about
     machine-eps times the top eigenvalue; after the square root that is
     ~1e-8 times the top singular value, so an absolute guard alone cannot
     separate true rank from noise.
     """
-    if lam2.size == 0:
-        return eps
-    s_max = float(np.sqrt(max(lam2[0], 0.0)))
+    s_max = float(np.sqrt(lam2[0]))
     return max(eps, s_max * np.sqrt(max(d, n) * np.finfo(np.float64).eps))
 
 
-def _left_singular(upsilon: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Left singular vectors (columns) and squared singular values of the
-    d x N matrix, descending.  Uses the N x N Gram matrix when N < d.
-    Vectors below the rank tolerance are returned as zeros."""
+def _leading_subspace(
+    upsilon: np.ndarray, n_prime: int, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The n_prime leading left singular vectors of the d x N matrix (N >= 1)
+    as sign-fixed rows, and all of its squared singular values, descending.
+
+    One eigendecomposition of the smaller Gram matrix: upsilon^T upsilon
+    when N < d, whose eigenvectors v map back to left vectors as
+    upsilon v / s (only the kept ones are formed), else upsilon upsilon^T,
+    whose eigenvectors are the left vectors themselves.
+    Rows past the rank or at or below ``rank_tolerance`` are zero.
+    """
     d, n = upsilon.shape
-    if n == 0:
-        return np.zeros((d, 0)), np.zeros(0)
+    w, v = np.linalg.eigh(upsilon.T @ upsilon if n < d else upsilon @ upsilon.T)
+    order = np.argsort(w)[::-1]
+    lam2 = np.clip(w[order], 0.0, None)
+    sv = np.sqrt(lam2[:n_prime])
+    kept = int(np.count_nonzero(sv > rank_tolerance(lam2, d, n, eps)))
+    lead = v[:, order[:kept]]
     if n < d:
-        gram = upsilon.T @ upsilon
-        w, v = np.linalg.eigh(gram)
-        order = np.argsort(w)[::-1]
-        lam2 = np.clip(w[order], 0.0, None)
-        v = v[:, order]
-        sv = np.sqrt(lam2)
-        u = np.zeros((d, n))
-        ok = sv > rank_tolerance(lam2, d, n)
-        if ok.any():
-            u[:, ok] = (upsilon @ v[:, ok]) / sv[ok]
-        return u, lam2
-    u, sv, _ = np.linalg.svd(upsilon, full_matrices=False)
-    lam2 = sv * sv
-    u = u.copy()
-    u[:, sv <= rank_tolerance(lam2, d, n)] = 0.0
-    return u, lam2
+        lead = (upsilon @ lead) / sv[:kept]
+    vecs = np.zeros((n_prime, d))
+    for i in range(kept):
+        vecs[i] = _fix_sign(lead[:, i])
+    return vecs, lam2
 
 
 def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMomentDescriptor:
@@ -145,8 +145,10 @@ def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMome
     Skewness and kurtosis are the element-wise cumulant ratios
     kappa3 / kappa2^1.5 and kappa4 / kappa2^2 over the plain (unweighted)
     centered vectors, not the 1/(J*K_j) frame weighting of the singular
-    subspace.  Degenerate quantities (zero mean, deficient rank, zero variance)
-    come out as exact zeros via the eps guard.
+    subspace.  The subspace and spectrum come from a single eigendecomposition
+    (``_leading_subspace``), cut once at ``rank_tolerance(..., eps)``.
+    Degenerate quantities (zero mean, deficient rank, zero variance) come out
+    as exact zeros via the eps guard.
     """
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
@@ -162,14 +164,7 @@ def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMome
     mu_norm = float(np.linalg.norm(mu))
     mean_dir = mu / mu_norm if mu_norm >= eps else np.zeros(d)
 
-    upsilon = assemble_upsilon(bag, mu)
-    u, lam2 = _left_singular(upsilon)
-
-    eigvecs = np.zeros((n_prime, d))
-    tol = rank_tolerance(lam2, d, upsilon.shape[1], eps)
-    for i in range(min(n_prime, lam2.shape[0])):
-        if np.sqrt(lam2[i]) > tol:
-            eigvecs[i] = _fix_sign(u[:, i])
+    eigvecs, lam2 = _leading_subspace(assemble_upsilon(bag, mu), n_prime, eps)
 
     centered = data - mu
     sq = centered * centered
@@ -181,8 +176,7 @@ def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMome
     kurtosis = k4 / guard**2
 
     spectrum = np.zeros(d)
-    take = min(d, lam2.shape[0])
-    spectrum[:take] = lam2[:take]
+    spectrum[: lam2.size] = lam2
     spectrum /= max(float(spectrum.sum()), eps)
 
     return MultiMomentDescriptor(mean_dir, eigvecs, skewness, kurtosis, spectrum, n_prime)

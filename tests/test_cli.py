@@ -337,6 +337,15 @@ class TestConfigDocuments:
         assert f"{cfgfile}: line 3: " in err
         assert not (tmp_path / "run").exists()
 
+    def test_multi_label_on_class_ids_is_refused(self, tmp_path, data, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data_dir = {data}\nepochs = 1\nmulti_label = true\n")
+        code, _, err = run(capsys, "train", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error: multi_label")
+        assert "class ids" in err
+
     @pytest.mark.parametrize("old, new", [("seed = 1", "sed = 1"),
                                           ("n_videos = 8", "n_videos = 16.7")],
                              ids=["unknown_key", "fractional_int"])
@@ -356,6 +365,11 @@ class TestVerify:
         code, stdout, _ = run(capsys, "verify", "--suite", "kernel")
         assert code == 0
         assert "[PASS]" in stdout
+
+    def test_moments_suite_passes(self, capsys):
+        code, stdout, _ = run(capsys, "verify", "--suite", "moments")
+        assert code == 0
+        assert "[PASS] moments vs dense reference" in stdout
 
     def test_unknown_suite_errors(self, capsys):
         code, _, err = run(capsys, "verify", "--suite", "bogus")

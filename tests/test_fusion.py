@@ -28,7 +28,7 @@ from momhal.fusion import (
 from momhal.halluc import TrainConfig
 
 
-def make_spec(ratio_weights=False, beta=0.0):
+def make_spec(beta=0.0):
     groups = {
         GROUP_DET: ["det1", "det2", "det3", "det4"],
         GROUP_SAL: ["sal1", "sal2"],
@@ -38,7 +38,7 @@ def make_spec(ratio_weights=False, beta=0.0):
                             "det4", "sal1", "sal2", "det", "sal")}
     return FusionSpec(groups=groups, raw_weights=raw,
                       beta={GROUP_DET: beta, GROUP_SAL: beta, GROUP_TOP: beta},
-                      rho=0.1, haf_weight=1.0 / 7, ratio_weights=ratio_weights)
+                      rho=0.1, haf_weight=1.0 / 7)
 
 
 class TestEq9:
@@ -86,14 +86,14 @@ class TestPooled:
         v = np.array([1.0, 2.0, 3.0])
         streams = {sid: v for sid in spec.groups[GROUP_DET]}
         got = pooled(streams, spec, GROUP_DET)
-        # group of 4 with w_i = 1/16 each, then the printed outer 1/4
-        np.testing.assert_allclose(got, v * (4 * (1 / 16)) / 4)
+        # group of 4 with ratios r_i = 1/4 each: a convex mean of equal vectors
+        np.testing.assert_allclose(got, v)
 
     def test_singleton_group(self):
         spec = make_spec()
         spec.groups[GROUP_SAL] = ["sal1"]
         got = pooled({"sal1": np.ones(2)}, spec, GROUP_SAL)
-        np.testing.assert_allclose(got, np.ones(2))  # w = 1/1, outer /1
+        np.testing.assert_allclose(got, np.ones(2))  # r = 1
 
     def test_formula_oracle_four_streams(self):
         rng = np.random.default_rng(0)
@@ -102,11 +102,11 @@ class TestPooled:
         streams = {f"det{i}": rng.normal(size=6) for i in range(1, 5)}
         got = pooled(streams, spec, GROUP_DET)
 
-        # independent re-implementation of the weighted mean
+        # independent re-implementation of the convex weighted mean
         w_raw = np.array([1.0, 0.8, 0.5, 0.2])
         vals = np.maximum((w_raw / w_raw.max()) ** 2.0, 0.1)
-        w = vals / vals.sum() / 4
-        want = sum(w[i] * streams[f"det{i+1}"] for i in range(4)) / 4
+        r = vals / vals.sum()
+        want = sum(r[i] * streams[f"det{i+1}"] for i in range(4))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_top_includes_fixed_haf_weight(self):
@@ -159,22 +159,23 @@ class TestPooled:
         flat = pooled(streams, flat_spec, GROUP_TOP)
         assert not np.allclose(three_level, flat)
 
-        # regression pin for the seeded instance
+        # regression pin for the seeded instance (computed apart from the
+        # library as ratio-weighted means of the det and sal groups, then
+        # (ratios @ top members + haf / 7) / 7)
         np.testing.assert_allclose(
-            three_level[:2], [0.013527288268171594, -0.024030447523117452], atol=1e-12)
+            three_level[:2], [-0.08199112365309666, -0.039625956288333986], atol=1e-12)
 
     def test_effective_coefficients_match_pooled(self):
-        for ratio in (False, True):
-            spec = make_spec(ratio_weights=ratio, beta=1.7)
-            spec.raw_weights.update({"det2": 0.4, "sal2": 0.6, "bow": 0.2})
-            leafs = ["fv1", "fv2", "bow", "off", "det1", "det2", "det3", "det4",
-                     "sal1", "sal2", "haf"]
-            coeffs = effective_coefficients(spec)
-            for leaf in leafs:
-                streams = {sid: np.zeros(3) for sid in leafs}
-                streams[leaf] = np.ones(3)
-                want = pooled_total(streams, spec)[0]
-                assert coeffs.get(leaf, 0.0) == pytest.approx(want, abs=1e-15)
+        spec = make_spec(beta=1.7)
+        spec.raw_weights.update({"det2": 0.4, "sal2": 0.6, "bow": 0.2})
+        leafs = ["fv1", "fv2", "bow", "off", "det1", "det2", "det3", "det4",
+                 "sal1", "sal2", "haf"]
+        coeffs = effective_coefficients(spec)
+        for leaf in leafs:
+            streams = {sid: np.zeros(3) for sid in leafs}
+            streams[leaf] = np.ones(3)
+            want = pooled_total(streams, spec)[0]
+            assert coeffs.get(leaf, 0.0) == pytest.approx(want, abs=1e-15)
 
 
 class TestGoldenSection:
@@ -255,7 +256,7 @@ class TestRidge:
 
 class TestSpecSerialization:
     def test_roundtrip(self, tmp_path):
-        spec = make_spec(ratio_weights=True, beta=4.5)
+        spec = make_spec(beta=4.5)
         spec.raw_weights["det3"] = 0.35
         path = tmp_path / "fusion.cfg"
         write_fusion_spec(spec, path)
@@ -265,7 +266,12 @@ class TestSpecSerialization:
         assert back.beta == spec.beta
         assert back.rho == spec.rho
         assert back.haf_weight == spec.haf_weight
-        assert back.ratio_weights is True
+        assert "ratio_weights = true\n" in path.read_text()
+
+    def test_group_size_form_is_refused(self):
+        text = spec_to_text(make_spec()).replace("ratio_weights = true", "ratio_weights = false")
+        with pytest.raises(ValueError, match=r"fusion\.cfg: line 4: ratio_weights = false"):
+            spec_from_text(text, origin="fusion.cfg")
 
     def test_text_roundtrip(self):
         spec = make_spec()

@@ -87,12 +87,18 @@ class TestMultiMoment:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(30):
-            bag = random_bag(rng)
-            n_prime = int(rng.integers(1, 5))
+        cases = [(random_bag(rng), int(rng.integers(1, 5))) for _ in range(30)]
+        # 30 >= d rows in a 2-dimensional affine subspace of R^12: rank 2 < n' = 4
+        basis, offset = rng.normal(size=(2, 12)), rng.normal(size=12)
+        flat = FeatureBag(12, [offset + rng.normal(size=(k, 2)) @ basis for k in (9, 11, 10)])
+        cases.append((flat, 4))
+        for bag, n_prime in cases:
             got = multi_moment(bag, n_prime).flat()
             want = dense_multi_moment(bag.frames, n_prime)
             np.testing.assert_allclose(got, want, atol=1e-8)
+        eigvecs = multi_moment(flat, 4).eigvecs
+        np.testing.assert_allclose(np.linalg.norm(eigvecs[:2], axis=1), 1.0)
+        assert not eigvecs[2:].any()
 
     def test_permutation_within_frame(self):
         rng = np.random.default_rng(3)
