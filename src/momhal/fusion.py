@@ -20,7 +20,7 @@ can advance one elimination per epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -73,6 +73,7 @@ class FusionSpec:
     rho: float = 0.1
     haf_weight: float = 1.0
     haf_id: str = HAF_ID
+    _coefficients: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.rho <= 1.0:
@@ -108,6 +109,16 @@ class FusionSpec:
     def set_beta(self, value: float) -> None:
         for g in self.beta:
             self.beta[g] = value
+
+    def coefficients(self) -> dict[str, float]:
+        """``effective_coefficients(self)``, recomputed only when a field the
+        coefficients read has changed since the last call."""
+        state = (tuple(self.beta.items()), tuple(self.raw_weights.items()),
+                 tuple((g, tuple(m)) for g, m in self.groups.items()),
+                 self.rho, self.haf_weight, self.haf_id)
+        if not self._coefficients or self._coefficients[0] != state:
+            self._coefficients = (state, effective_coefficients(self))
+        return dict(self._coefficients[1])
 
 
 def pooled(streams: dict[str, np.ndarray], spec: FusionSpec, group: str) -> np.ndarray:

@@ -35,7 +35,7 @@ from .fusion import (
     spec_to_text,
 )
 from .odf import DETECTOR_SLOTS
-from .pn import PnConfig, sigme, sigme_grad
+from .pn import PnConfig, sigme, sigme_vjp
 from .sdf import SALIENCY_SLOTS
 from .sketch import (
     CountSketch,
@@ -219,6 +219,7 @@ class _Pass:
     """One forward pass over a batch of time-pooled features."""
 
     acts: dict[str, np.ndarray]   # affine pre-activation per unit (pass-through included)
+    pres: dict[str, np.ndarray]   # SigmE output per unit, kept for the backward pass
     outs: dict[str, np.ndarray]   # sketched output per unit
     coeffs: dict[str, float]      # pooling coefficient per leaf stream
     pooled: np.ndarray            # tot_scale * sum_i c_i out_i, the head's input
@@ -226,13 +227,13 @@ class _Pass:
 
 
 def _forward(model: Model, z: np.ndarray) -> _Pass:
-    acts, outs = {}, {}
+    acts, pres, outs = {}, {}, {}
     for name, unit in _all_units(model):
-        acts[name], _, outs[name] = _unit_forward_rows(unit, z)
-    coeffs = effective_coefficients(model.spec)
+        acts[name], pres[name], outs[name] = _unit_forward_rows(unit, z)
+    coeffs = model.spec.coefficients()
     pooled = _pool(outs, coeffs, model.tot_scale)
     scores = pooled @ model.prednet.weight.T + model.prednet.bias
-    return _Pass(acts, outs, coeffs, pooled, scores)
+    return _Pass(acts, pres, outs, coeffs, pooled, scores)
 
 
 def _class_loss_and_grad(
@@ -255,21 +256,19 @@ def _class_loss_and_grad(
 
 
 def _losses(
-    model: Model, data: VideoArrays
-) -> tuple[_Pass, float, dict[str, float], float, np.ndarray]:
-    """The forward pass over ``data``, then the total loss, per-stream MSE,
-    classification loss and d(class loss)/d(scores) computed from it."""
+    model: Model, outs: dict[str, np.ndarray], scores: np.ndarray, data: VideoArrays
+) -> tuple[float, dict[str, float], float, np.ndarray, dict[str, np.ndarray]]:
+    """Total loss, per-stream MSE, classification loss, d(class loss)/d(scores)
+    and the per-stream residuals outs - targets, from a forward pass's
+    sketched outputs and scores on the rows of ``data``."""
     cfg = model.config
-    fwd = _forward(model, data.z)
     y = data.labels if cfg.multi_label else np.eye(model.n_classes)[data.labels]
-    class_loss, d_scores = _class_loss_and_grad(fwd.scores, y, cfg.multi_label)
-    per_stream_mse = {
-        name: float(((fwd.outs[name] - data.targets[:, k]) ** 2).sum(axis=1).mean())
-        for k, name in enumerate(model.units)
-    }
+    class_loss, d_scores = _class_loss_and_grad(scores, y, cfg.multi_label)
+    resids = {name: outs[name] - data.targets[:, k] for k, name in enumerate(model.units)}
+    per_stream_mse = {name: float((r ** 2).sum(axis=1).mean()) for name, r in resids.items()}
     n_units = len(model.units)
     mse_term = (cfg.alpha / n_units) * sum(per_stream_mse.values()) if n_units else 0.0
-    return fwd, mse_term + class_loss, per_stream_mse, class_loss, d_scores
+    return mse_term + class_loss, per_stream_mse, class_loss, d_scores, resids
 
 
 def objective(
@@ -288,7 +287,9 @@ def objective(
     classification loss, exactly.
     """
     model = Model(cfg, units, haf_unit, prednet, spec, prednet.weight.shape[0], tot_scale)
-    return _losses(model, video_arrays(batch, cfg, tuple(units)))[1:4]
+    data = video_arrays(batch, cfg, tuple(units))
+    fwd = _forward(model, data.z)
+    return _losses(model, fwd.outs, fwd.scores, data)[:3]
 
 
 @dataclass
@@ -302,17 +303,17 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     """Loss and hand-derived parameter gradients, back through the cached
     forward pass."""
     cfg = model.config
-    fwd, loss, _, _, d_scores = _losses(model, data)
+    fwd = _forward(model, data.z)
+    loss, _, _, d_scores, resids = _losses(model, fwd.outs, fwd.scores, data)
     d_tot = model.tot_scale * (d_scores @ model.prednet.weight)
     n_units, b = len(model.units), data.z.shape[0]
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for k, (name, unit) in enumerate(_all_units(model)):
+    for name, unit in _all_units(model):
         d_out = fwd.coeffs[name] * d_tot
         if name != HAF_ID:
-            resid = fwd.outs[name] - data.targets[:, k]
-            d_out = d_out + (cfg.alpha / n_units) * (2.0 / b) * resid
+            d_out = d_out + (cfg.alpha / n_units) * (2.0 / b) * resids[name]
         d_pre = project_transpose_rows(unit.sketch, d_out)
-        d_a = sigme_grad(fwd.acts[name], d_pre, unit.pn)
+        d_a = sigme_vjp(fwd.acts[name], fwd.pres[name], d_pre, unit.pn)
         grads[name] = (d_a.T @ data.z, d_a.sum(axis=0))
     haf = grads.pop(HAF_ID)
     return loss, _Grads(grads, haf, (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
@@ -387,18 +388,18 @@ def predict_scores(model: Model, videos: list[SyntheticVideo]) -> np.ndarray:
     return _forward(model, _pool_features(videos, model.config.backbone_dim)).scores
 
 
-def _accuracy(model: Model, data: VideoArrays) -> float:
-    scores = _forward(model, data.z).scores
+def _accuracy(model: Model, scores: np.ndarray, labels: np.ndarray) -> float:
     if model.config.multi_label:
-        return float(((scores > 0.0) == (data.labels > 0.5)).mean())
-    return float((scores.argmax(axis=1) == data.labels).mean())
+        return float(((scores > 0.0) == (labels > 0.5)).mean())
+    return float((scores.argmax(axis=1) == labels).mean())
 
 
 def evaluate(model: Model, videos: list[SyntheticVideo]) -> float:
     """Classification accuracy under the inference path (no ground truth)."""
     if not videos:
         return 0.0
-    return _accuracy(model, video_arrays(videos, model.config))
+    data = video_arrays(videos, model.config)
+    return _accuracy(model, _forward(model, data.z).scores, data.labels)
 
 
 def _split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -418,11 +419,17 @@ def beta_objective(model: Model, data: VideoArrays) -> Callable[[float], float]:
     model's ``ridge_l2``.  Multi-label models, and splits without
     validation videos, score every beta as 0.
     """
+    return _beta_score(model, _forward(model, data.z).outs, data.labels)
+
+
+def _beta_score(
+    model: Model, outs: dict[str, np.ndarray], labels: np.ndarray
+) -> Callable[[float], float]:
+    """``beta_objective`` from every unit's sketched outputs over all videos."""
     cfg = model.config
-    val_idx, train_idx = _split(len(data.labels), cfg)
+    val_idx, train_idx = _split(len(labels), cfg)
     if cfg.multi_label or not len(val_idx):
         return lambda _beta: 0.0
-    outs, labels = _forward(model, data.z).outs, data.labels
 
     def score(beta: float) -> float:
         spec = replace(model.spec, beta=dict.fromkeys(model.spec.beta, beta))
@@ -478,18 +485,21 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     val_idx, train_idx = _split(len(dataset), cfg)
     if not len(train_idx):
         raise ValueError(f"val_fraction {cfg.val_fraction} leaves no training videos")
-    train_data, val_data = data.take(train_idx), data.take(val_idx)
+    train_data = data.take(train_idx)
     _initial_weights(model, data, train_idx, val_idx)
 
     metrics: list[dict] = []
     lo, hi = cfg.beta_bracket
     bracket = Bracket(lo, hi - lo)
+    outs = None   # every unit's sketched outputs over all videos at the current weights
     for epoch in range(1, cfg.epochs + 1):
         if epoch <= cfg.warmup_epochs:
             model.spec.set_beta(0.0)
             beta_lo = beta_hi = 0.0
         else:
-            bracket = golden_step(beta_objective(model, data), bracket)
+            if outs is None:
+                outs = _forward(model, data.z).outs
+            bracket = golden_step(_beta_score(model, outs, data.labels), bracket)
             model.spec.set_beta(bracket.mid)
             beta_lo, beta_hi = bracket.lo, bracket.hi
 
@@ -503,15 +513,32 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
                 )
             _apply_grads(model, grads, cfg.learning_rate)
 
-        _, loss, per_mse, class_loss, _ = _losses(model, train_data)
+        outs, loss, per_mse, class_loss, val_acc = _epoch_end(
+            model, data, train_data, train_idx, val_idx)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss after epoch {epoch}")
-        val_acc = _accuracy(model, val_data) if len(val_idx) else 0.0
         row = {"epoch": epoch, "loss": loss, "class_loss": class_loss}
         row.update({f"mse_{name}": per_mse[name] for name in model.units})
         row.update({"val_acc": val_acc, "beta_lo": beta_lo, "beta_hi": beta_hi})
         metrics.append(row)
     return model, metrics
+
+
+def _epoch_end(
+    model: Model, data: VideoArrays, train_data: VideoArrays, train_idx: np.ndarray,
+    val_idx: np.ndarray,
+) -> tuple[dict[str, np.ndarray], float, dict[str, float], float, float]:
+    """One forward pass over all videos: its sketched outputs (for the next
+    beta search), the loss terms of the training rows and the validation
+    accuracy.  The slices equal separate passes over the splits only while
+    BLAS gives a row the same bits at any row count (notes/decisions.md,
+    "One forward pass at the end of each epoch")."""
+    fwd = _forward(model, data.z)
+    train_outs = {name: fwd.outs[name][train_idx] for name in model.units}
+    loss, per_mse, class_loss, _, _ = _losses(model, train_outs, fwd.scores[train_idx], train_data)
+    val_acc = (_accuracy(model, fwd.scores[val_idx], data.labels[val_idx])
+               if len(val_idx) else 0.0)
+    return fwd.outs, loss, per_mse, class_loss, val_acc
 
 
 def metrics_to_csv(metrics: list[dict], stream_names: tuple[str, ...]) -> str:

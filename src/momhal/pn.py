@@ -42,12 +42,16 @@ def sigme_grad(psi: np.ndarray, upstream: np.ndarray, cfg: PnConfig) -> np.ndarr
     """Vector-Jacobian product of :func:`sigme`, including the dependence
     of the normalizing ||psi||_2 on psi. Batched along leading axes."""
     psi = np.asarray(psi, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if psi.shape != upstream.shape:
-        raise ValueError(f"shape mismatch: {psi.shape} vs {upstream.shape}")
+    return sigme_vjp(psi, sigme(psi, cfg), np.asarray(upstream, dtype=np.float64), cfg)
+
+
+def sigme_vjp(psi: np.ndarray, g: np.ndarray, upstream: np.ndarray, cfg: PnConfig) -> np.ndarray:
+    """:func:`sigme_grad` given the forward output g = sigme(psi, cfg), so a
+    backward pass that kept g skips the tanh: d tanh = 1 - g^2."""
+    if psi.shape != upstream.shape or g.shape != psi.shape:
+        raise ValueError(f"shape mismatch: psi {psi.shape}, g {g.shape}, upstream {upstream.shape}")
     norm = np.linalg.norm(psi, axis=-1, keepdims=True)
     n = norm + cfg.epsilon
-    g = np.tanh(cfg.eta * psi / (2.0 * n))
     sech2 = 1.0 - g * g
     half_eta = 0.5 * cfg.eta
     direct = half_eta * sech2 * upstream / n

@@ -177,6 +177,25 @@ class TestPooled:
             want = pooled_total(streams, spec)[0]
             assert coeffs.get(leaf, 0.0) == pytest.approx(want, abs=1e-15)
 
+    def test_cached_coefficients_follow_every_change(self):
+        spec = make_spec(beta=1.7)
+        assert spec.coefficients() == effective_coefficients(spec)
+        changes = [
+            lambda: spec.raw_weights.update({"det2": 0.4, "sal2": 0.6, "bow": 0.2}),
+            lambda: spec.set_beta(4.2),
+            lambda: spec.beta.update({GROUP_SAL: 0.3}),
+            lambda: spec.groups[GROUP_DET].remove("det4"),
+            lambda: setattr(spec, "rho", 0.3),
+        ]
+        for change in changes:
+            before = spec.coefficients()
+            change()
+            after = spec.coefficients()
+            assert after == effective_coefficients(spec)
+            assert after != before
+        spec.coefficients()["fv1"] = -1.0   # a caller's copy, not the cache
+        assert spec.coefficients() == effective_coefficients(spec)
+
 
 class TestGoldenSection:
     def test_quadratic_maximum(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from momhal.fusion import HAF_ID
+from momhal.fusion import HAF_ID, effective_coefficients
 from momhal.halluc import (
     Model,
     PredNet,
@@ -267,6 +267,31 @@ class TestTrain:
         with pytest.raises(ValueError):
             train([], small_cfg())
 
+    @pytest.mark.parametrize("dims", [(5, 7, 4), (64, 128, 128)])
+    def test_metrics_equal_separate_passes(self, dims):
+        # The end-of-epoch pass runs over all videos and is sliced into the
+        # training and validation rows; that is only sound when each row's
+        # bits do not depend on how many rows the pass holds.
+        b, m, d_prime = dims
+        cfg = small_cfg(backbone_dim=b, pre_sketch_dim=m, sketch_dim=d_prime,
+                        streams=("fv1", "bow", "det1", "det2", "sal1"),
+                        epochs=3, warmup_epochs=1)
+        data = make_batch(np.random.default_rng(21), cfg, n=48, n_classes=4)
+        model, metrics = train(data, cfg)
+        perm = np.random.default_rng((cfg.seed, 0x5E)).permutation(len(data))
+        n_val = int(round(cfg.val_fraction * len(data)))
+        val = [data[i] for i in perm[:n_val]]
+        training = [data[i] for i in perm[n_val:]]
+        loss, per_mse, class_loss = objective(training, model.units, model.haf_unit,
+                                              model.prednet, model.spec, cfg,
+                                              tot_scale=model.tot_scale)
+        last = metrics[-1]
+        assert last["loss"] == loss
+        assert last["class_loss"] == class_loss
+        for name in cfg.streams:
+            assert last[f"mse_{name}"] == per_mse[name]
+        assert last["val_acc"] == evaluate(model, val)
+
     def test_split_without_training_videos(self):
         data, _ = self.make_dataset(n=8)
         with pytest.raises(ValueError, match="no training videos"):
@@ -321,6 +346,33 @@ class TestInference:
         acc = evaluate(model, poisoned)
         assert 0.0 <= acc <= 1.0
         infer(model, poisoned[0].backbone_features)
+
+    def test_scores_follow_spec_changes(self):
+        model, data = self.setup_model()
+        videos = data[:5]
+
+        def fresh_scores():
+            # pooled from each unit's own outputs with coefficients computed now
+            coeffs = effective_coefficients(model.spec)
+            units = {**model.units, HAF_ID: model.haf_unit}
+            pooled = model.tot_scale * sum(
+                c * np.stack([stream_forward(units[name], v.backbone_features)[1]
+                              for v in videos])
+                for name, c in coeffs.items())
+            return pooled @ model.prednet.weight.T + model.prednet.bias
+
+        before = predict_scores(model, videos)
+        changes = [lambda: model.spec.set_beta(6.0),
+                   lambda: model.spec.raw_weights.update({"fv1": 0.05, "det": 0.3})]
+        for change in changes:
+            change()
+            want = fresh_scores()
+            np.testing.assert_allclose(predict_scores(model, videos), want, rtol=0, atol=1e-12)
+            for i, video in enumerate(videos):
+                np.testing.assert_allclose(infer(model, video.backbone_features)[0], want[i],
+                                           rtol=0, atol=1e-12)
+            assert np.abs(want - before).max() > 1e-6   # the change moved the scores
+            before = want
 
     def test_infer_shape_validation(self):
         model, _ = self.setup_model()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momhal.pn import PnConfig, maxexp, sigme, sigme_grad
+from momhal.pn import PnConfig, maxexp, sigme, sigme_grad, sigme_vjp
 
 CFG = PnConfig()
 
@@ -44,6 +44,21 @@ class TestSigme:
             sigme(np.array([1.0, np.inf]), CFG)
 
 
+def recomputed_sigme_grad(psi, upstream, cfg):
+    """The VJP with the SigmE forward recomputed inside it; the form that
+    takes the saved output must match it bit for bit."""
+    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+    n = norm + cfg.epsilon
+    g = np.tanh(cfg.eta * psi / (2.0 * n))
+    sech2 = 1.0 - g * g
+    half_eta = 0.5 * cfg.eta
+    direct = half_eta * sech2 * upstream / n
+    inner = (upstream * sech2 * psi).sum(axis=-1, keepdims=True)
+    safe_norm = np.where(norm > 0.0, norm, 1.0)
+    norm_term = np.where(norm > 0.0, half_eta * inner * psi / (n * n * safe_norm), 0.0)
+    return direct - norm_term
+
+
 class TestSigmeGrad:
     def test_origin_diagonal(self):
         cfg = PnConfig(eta=20.0, epsilon=1e-12)
@@ -78,6 +93,29 @@ class TestSigmeGrad:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sigme_grad(np.zeros(3), np.zeros(4), CFG)
+
+    @pytest.mark.parametrize("rows, m, eta", [(1, 4, 20.0), (32, 128, 20.0), (7, 33, 5.0)])
+    def test_saved_output_backward_is_bit_identical(self, rows, m, eta):
+        cfg = PnConfig(eta=eta)
+        rng = np.random.default_rng(rows * m)
+        for _ in range(5):
+            psi = rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0)
+            psi[0] = 0.0            # the norm > 0 guard
+            if rows > 1:
+                psi[1] = 1e-200     # nonzero, but its squared norm underflows to 0
+            upstream = rng.normal(size=(rows, m))
+            got = sigme_vjp(psi, sigme(psi, cfg), upstream, cfg)
+            want = recomputed_sigme_grad(psi, upstream, cfg)
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(sigme_grad(psi, upstream, cfg), want)
+            assert np.all(np.isfinite(got))
+
+    def test_saved_output_shape_mismatch(self):
+        psi = np.ones((2, 3))
+        with pytest.raises(ValueError):
+            sigme_vjp(psi, sigme(psi, CFG), np.ones((2, 4)), CFG)
+        with pytest.raises(ValueError):
+            sigme_vjp(psi, np.ones((3, 3)), np.ones((2, 3)), CFG)
 
 
 class TestMaxExp:
