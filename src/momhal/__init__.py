@@ -9,7 +9,8 @@ Submodules:
   sdf      - saliency detection features
   fusion   - stream reweighting, pooling, golden-section search
   halluc   - stream units, objective, training, inference
-  synthgen - deterministic synthetic datasets
+  synthgen - deterministic synthetic datasets and the target cache
+  atomic   - atomic file writes
   keyvalue - the shared key = value document parser
   verify   - runnable property suites
   cli      - command-line interface

@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from .atomic import write_atomic
 from .fusion import golden_section_max
 from .halluc import (
     TrainConfig,
@@ -102,7 +103,7 @@ def cmd_encode_odf(args) -> int:
         results = list(pool.map(job, keys))
     print(f"{'video':<12} {'detector':<10} {'boxes':>6} {'tau':>5} {'dim':>6} {'flat':>7}")
     for video, detector, tau, count, desc in results:
-        paths[video, detector].write_bytes(descriptor_to_bytes(desc))
+        write_atomic(paths[video, detector], descriptor_to_bytes(desc))
         print(f"{video:<12} {detector:<10} {count:>6} {tau:>5} {desc.dim:>6} {desc.flat().size:>7}")
     print(f"wrote {len(results)} descriptors to {out}")
     return EXIT_OK
@@ -129,7 +130,7 @@ def cmd_encode_sdf(args) -> int:
         results = list(pool.map(job, keys))
     print(f"{'video':<12} {'source':<8} {'frames':>6} {'dim':>6} {'flat':>7}")
     for video, source, count, desc in results:
-        paths[video, source].write_bytes(descriptor_to_bytes(desc))
+        write_atomic(paths[video, source], descriptor_to_bytes(desc))
         print(f"{video:<12} {source:<8} {count:>6} {desc.dim:>6} {desc.flat().size:>7}")
     print(f"wrote {len(results)} descriptors to {out}")
     return EXIT_OK
@@ -215,12 +216,9 @@ def cmd_train(args) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.hal")
-    (out / "metrics.csv").write_text(
-        metrics_to_csv(metrics, cfg.ordered_streams()), encoding="utf-8"
-    )
-    (out / "config.cfg").write_text(
-        format_key_values(_resolved_config_values(cfg, data_dir, out_dir)), encoding="utf-8"
-    )
+    write_atomic(out / "metrics.csv", metrics_to_csv(metrics, cfg.ordered_streams()).encode())
+    write_atomic(out / "config.cfg",
+                 format_key_values(_resolved_config_values(cfg, data_dir, out_dir)).encode())
     final = metrics[-1]["val_acc"] if metrics else float("nan")
     print(f"trained {cfg.epochs} epochs; final val accuracy {final:.4f}")
     print(f"checkpoint: {out / 'checkpoint.hal'}")

@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from .atomic import write_atomic
 from .fusion import (
     GROUP_DET,
     GROUP_SAL,
@@ -155,11 +156,11 @@ class VideoArrays:
     backbone features, stacked ground-truth targets and labels."""
 
     z: np.ndarray         # (N, b)
-    targets: np.ndarray   # (N, U, d'), one slot per requested stream
+    targets: np.ndarray   # (U, N, d'), one contiguous (N, d') slab per requested stream
     labels: np.ndarray    # (N,) class ids, or (N, classes) multi-hot
 
     def take(self, idx: np.ndarray) -> VideoArrays:
-        return VideoArrays(self.z[idx], self.targets[idx], self.labels[idx])
+        return VideoArrays(self.z[idx], self.targets[:, idx], self.labels[idx])
 
 
 def _time_pool(features: list[np.ndarray], backbone_dim: int) -> np.ndarray:
@@ -182,10 +183,12 @@ def video_arrays(
     if not videos:
         raise ValueError("no videos")
     try:
-        targets = np.array([[v.ground_truth[s] for s in streams] for v in videos],
+        targets = np.array([[v.ground_truth[s] for v in videos] for s in streams],
                            dtype=np.float64)
     except KeyError as exc:
         raise ValueError(f"video lacks ground truth for enabled stream {exc.args[0]!r}") from None
+    if not streams:
+        targets = targets.reshape(0, len(videos), 0)
     labels = np.array([np.asarray(v.label, dtype=np.float64) if cfg.multi_label else int(v.label)
                        for v in videos])
     return VideoArrays(_pool_features(videos, cfg.backbone_dim), targets, labels)
@@ -256,16 +259,19 @@ def _class_loss_and_grad(
 
 
 def _losses(
-    model: Model, outs: dict[str, np.ndarray], scores: np.ndarray, data: VideoArrays
+    model: Model, outs: dict[str, np.ndarray], scores: np.ndarray, data: VideoArrays,
+    rows: slice | np.ndarray = slice(None),
 ) -> tuple[float, dict[str, float], float, np.ndarray, dict[str, np.ndarray]]:
     """Total loss, per-stream MSE, classification loss, d(class loss)/d(scores)
     and the per-stream residuals outs - targets, from a forward pass's
-    sketched outputs and scores on the rows of ``data``."""
+    sketched outputs and scores on the rows of ``data``.  The residuals
+    cover every row; the loss terms and d_scores cover ``rows`` only."""
     cfg = model.config
-    y = data.labels if cfg.multi_label else np.eye(model.n_classes)[data.labels]
-    class_loss, d_scores = _class_loss_and_grad(scores, y, cfg.multi_label)
-    resids = {name: outs[name] - data.targets[:, k] for k, name in enumerate(model.units)}
-    per_stream_mse = {name: float((r ** 2).sum(axis=1).mean()) for name, r in resids.items()}
+    labels = data.labels[rows]
+    y = labels if cfg.multi_label else np.eye(model.n_classes)[labels]
+    class_loss, d_scores = _class_loss_and_grad(scores[rows], y, cfg.multi_label)
+    resids = {name: outs[name] - data.targets[k] for k, name in enumerate(model.units)}
+    per_stream_mse = {name: float((r ** 2).sum(axis=1)[rows].mean()) for name, r in resids.items()}
     n_units = len(model.units)
     mse_term = (cfg.alpha / n_units) * sum(per_stream_mse.values()) if n_units else 0.0
     return mse_term + class_loss, per_stream_mse, class_loss, d_scores, resids
@@ -458,7 +464,7 @@ def _initial_weights(
         return ridge_accuracy(x[train_idx], y[train_idx], x[val_idx], y[val_idx],
                               model.n_classes, model.config.ridge_l2)
 
-    gt = {name: data.targets[:, k] for k, name in enumerate(model.units)}
+    gt = {name: data.targets[k] for k, name in enumerate(model.units)}
     accs = {name: accuracy(x) for name, x in gt.items()}
     for slot, gid in SLOT_GROUPS.items():
         members = model.spec.groups.get(gid, [])
@@ -513,8 +519,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
                 )
             _apply_grads(model, grads, cfg.learning_rate)
 
-        outs, loss, per_mse, class_loss, val_acc = _epoch_end(
-            model, data, train_data, train_idx, val_idx)
+        outs, loss, per_mse, class_loss, val_acc = _epoch_end(model, data, train_idx, val_idx)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss after epoch {epoch}")
         row = {"epoch": epoch, "loss": loss, "class_loss": class_loss}
@@ -525,8 +530,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
 
 
 def _epoch_end(
-    model: Model, data: VideoArrays, train_data: VideoArrays, train_idx: np.ndarray,
-    val_idx: np.ndarray,
+    model: Model, data: VideoArrays, train_idx: np.ndarray, val_idx: np.ndarray,
 ) -> tuple[dict[str, np.ndarray], float, dict[str, float], float, float]:
     """One forward pass over all videos: its sketched outputs (for the next
     beta search), the loss terms of the training rows and the validation
@@ -534,8 +538,7 @@ def _epoch_end(
     BLAS gives a row the same bits at any row count (notes/decisions.md,
     "One forward pass at the end of each epoch")."""
     fwd = _forward(model, data.z)
-    train_outs = {name: fwd.outs[name][train_idx] for name in model.units}
-    loss, per_mse, class_loss, _, _ = _losses(model, train_outs, fwd.scores[train_idx], train_data)
+    loss, per_mse, class_loss, _, _ = _losses(model, fwd.outs, fwd.scores, data, train_idx)
     val_acc = (_accuracy(model, fwd.scores[val_idx], data.labels[val_idx])
                if len(val_idx) else 0.0)
     return fwd.outs, loss, per_mse, class_loss, val_acc
@@ -607,8 +610,7 @@ def save_checkpoint(model: Model, path) -> None:
     raw = spec_to_text(model.spec).encode()
     buf.write(np.uint32(len(raw)).tobytes())
     buf.write(raw)
-    with open(path, "wb") as fp:
-        fp.write(buf.getvalue())
+    write_atomic(path, buf.getvalue())
 
 
 def load_checkpoint(path) -> Model:

@@ -14,16 +14,32 @@ On disk a dataset directory holds: dataset.cfg (key-value metadata),
 labels.csv, features.npy of shape (videos, backbone_dim, tau),
 aux_<stream>.npy raw auxiliary targets, detections.jsonl, and
 saliency/ PGM frames listed by manifest.txt.
+
+The target cache.  ``load_dataset`` keeps each stream's sketched targets,
+an (n_videos, sketch_dim) f64 matrix, as cache/<stream>-<32 hex>.npy in the
+dataset directory and runs the encoders only for streams it does not find
+there.  The key is a blake2b digest of the bytes of every input the
+stream's targets read (dataset.cfg, plus aux_<stream>.npy, or
+detections.jsonl, or manifest.txt and every PGM it lists), the stream
+name, sketch_dim, the PnConfig, the encoder configs, and the source of the
+modules that compute a target, so no change to an input or to the encoder
+arithmetic can return stale targets.  Entries are written atomically; an
+unreadable entry, or one of the wrong shape or dtype, is rebuilt.
+Deleting cache/ is always safe, and a directory that cannot be written
+still loads, uncached.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_atomic
 from .halluc import AUX_STREAMS, DET_STREAMS, SAL_STREAMS, SyntheticVideo
 from .keyvalue import format_key_values, parse_key_values
 from .odf import OdfConfig, odf_descriptor, read_detections
@@ -32,6 +48,10 @@ from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor, wr
 from .sketch import derive_stream_seed, project, sketch_new
 
 LATENT_DIM = 8
+CACHE_DIR = "cache"   # the target cache, inside the dataset directory
+# The modules a target's arithmetic runs through; their source is part of
+# every cache key, so a change to any of them can never return stale targets.
+_TARGET_MODULES = ("kernel", "moments", "odf", "pn", "sdf", "sketch", "synthgen")
 
 
 @dataclass(frozen=True)
@@ -258,64 +278,169 @@ def load_dataset(
     encoders run over the stored records and frames, raw auxiliary vectors
     are taken as-is, and everything is SigmE-normalized then sketched to
     ``sketch_dim`` with per-modality sketches seeded from the dataset seed.
+    Each stream's targets are kept in the target cache (module docstring)
+    and rebuilt only when its key is not there.  ``streams=()`` reads no
+    target input at all.
     """
     data_dir = Path(data_dir)
     meta = read_dataset_config(data_dir)
     pn = pn or PnConfig()
     wanted = streams if streams is not None else AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
-    feats = np.load(data_dir / "features.npy")
-    labels: dict[str, int] = {}
-    with open(data_dir / "labels.csv", "r", encoding="utf-8") as fp:
-        next(fp)
-        for line in fp:
-            video, _, label = line.strip().partition(",")
-            labels[video] = int(label)
+    feats = _load_rows(data_dir / "features.npy", meta.n_videos)
+    labels = _read_labels(data_dir / "labels.csv", meta.n_videos)
+    targets = _stream_targets(data_dir, meta, wanted, sketch_dim, pn)
+    videos = [
+        SyntheticVideo(feats[i], {name: targets[name][i] for name in wanted}, labels[i])
+        for i in range(meta.n_videos)
+    ]
+    return videos, meta.n_classes
 
-    aux_raw = {
-        name: np.load(data_dir / f"aux_{name}.npy")
-        for name in AUX_STREAMS
-        if name in wanted
-    }
-    det_groups = (
-        read_detections(data_dir / "detections.jsonl")
-        if any(s in wanted for s in DET_STREAMS)
-        else {}
-    )
+
+def _load_rows(path: Path, n_videos: int) -> np.ndarray:
+    """An ``.npy`` array with one row per video."""
+    arr = np.load(path)
+    rows = arr.shape[0] if arr.ndim else 0
+    if rows != n_videos:
+        raise ValueError(f"{path}: {rows} rows, but dataset.cfg has n_videos = {n_videos}")
+    return arr
+
+
+def _read_labels(path: Path, n_videos: int) -> list[int]:
+    """The class id of each video, in video order, from ``video,label`` lines."""
+    labels: dict[str, int] = {}
+    with open(path, "r", encoding="utf-8") as fp:
+        fp.readline()   # header
+        for lineno, line in enumerate(fp, start=2):
+            if not line.strip():
+                continue
+            video, sep, label = line.strip().partition(",")
+            try:
+                if not sep:
+                    raise ValueError("expected 'video,label'")
+                labels[video] = int(label)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    videos = [_video_id(i) for i in range(n_videos)]
+    missing = [video for video in videos if video not in labels]
+    if missing:
+        raise ValueError(f"{path}: no label for video {missing[0]!r}")
+    return [labels[video] for video in videos]
+
+
+def _source_digest() -> bytes:
+    """Digest of the source of every module a target's arithmetic runs in."""
+    h = hashlib.blake2b(digest_size=16)
+    for module in _TARGET_MODULES:
+        h.update(Path(__file__).with_name(f"{module}.py").read_bytes())
+    return h.digest()
+
+
+def _cache_names(
+    data_dir: Path, wanted: tuple[str, ...], sketch_dim: int, pn_cfg: PnConfig,
+    frame_paths: list[Path],
+) -> dict[str, str]:
+    """``<stream>-<32 hex>.npy`` per stream, keyed by everything its targets
+    depend on; each input file is read and hashed once."""
+    digests: dict[Path, bytes] = {}
+
+    def digest(path: Path) -> bytes:
+        if path not in digests:
+            digests[path] = hashlib.blake2b(path.read_bytes(), digest_size=16).digest()
+        return digests[path]
+
+    odf_cfg = OdfConfig()
+    common = [_source_digest(), digest(data_dir / "dataset.cfg")]
+    names = {}
+    for name in wanted:
+        if name in AUX_STREAMS:
+            inputs = [data_dir / f"aux_{name}.npy"]
+        elif name in DET_STREAMS:
+            inputs = [data_dir / "detections.jsonl"]
+        else:
+            inputs = [data_dir / "manifest.txt", *frame_paths]
+        settings = (name, sketch_dim, pn_cfg, odf_cfg, SdfConfig(), odf_cfg.n_prime)
+        h = hashlib.blake2b(repr(settings).encode() + b"\0", digest_size=16)
+        for part in common + [digest(path) for path in inputs]:
+            h.update(part)
+        names[name] = f"{name}-{h.hexdigest()}.npy"
+    return names
+
+
+def _read_entry(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
+    """A cached target matrix, or None if it is absent or unreadable or has
+    the wrong shape or dtype."""
+    try:
+        arr = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    return arr if arr.shape == shape and arr.dtype == np.float64 else None
+
+
+def _stream_targets(
+    data_dir: Path, meta: SynthConfig, wanted: tuple[str, ...], sketch_dim: int,
+    pn_cfg: PnConfig,
+) -> dict[str, np.ndarray]:
+    """The (n_videos, sketch_dim) target matrix of each wanted stream, from
+    the cache where it holds one; the others are encoded and cached."""
+    if not wanted:
+        return {}
     sal_groups = (
         read_saliency_manifest(data_dir / "manifest.txt")
         if any(s in wanted for s in SAL_STREAMS)
         else {}
     )
+    frame_paths = [path for paths in sal_groups.values() for path in paths]
+    cache = data_dir / CACHE_DIR
+    names = _cache_names(data_dir, wanted, sketch_dim, pn_cfg, frame_paths)
+    targets = {name: _read_entry(cache / names[name], (meta.n_videos, sketch_dim))
+               for name in wanted}
+    missing = [name for name, arr in targets.items() if arr is None]
+    if not missing:
+        return targets
+    targets.update(_encode_targets(data_dir, meta, missing, sketch_dim, pn_cfg, sal_groups))
+    try:
+        cache.mkdir(exist_ok=True)
+        for name in missing:
+            buf = io.BytesIO()
+            np.save(buf, targets[name])
+            write_atomic(cache / names[name], buf.getvalue())
+    except OSError:
+        pass   # an unwritable data directory still loads; nothing is cached
+    return targets
 
+
+def _encode_targets(
+    data_dir: Path, meta: SynthConfig, streams: list[str], sketch_dim: int,
+    pn_cfg: PnConfig, sal_groups: dict[tuple[str, str], list[Path]],
+) -> dict[str, np.ndarray]:
+    """Run the encoders: the sketched, SigmE-normalized targets of
+    ``streams``, one row per video."""
     odf_cfg = OdfConfig()
     n_prime = odf_cfg.n_prime   # the SDF descriptors use the same count
     sdf_cfg = SdfConfig()
-    sketches = {}
-    for name in wanted:
+    det_path, manifest = data_dir / "detections.jsonl", data_dir / "manifest.txt"
+    det_groups = read_detections(det_path) if any(s in streams for s in DET_STREAMS) else {}
+
+    def descriptor(video: str, name: str) -> np.ndarray:
+        det = name in DET_STREAMS
+        groups, path = (det_groups, det_path) if det else (sal_groups, manifest)
+        if (video, name) not in groups:
+            raise ValueError(f"{path}: no entries for video {video!r} and "
+                             f"{'detector' if det else 'source'} {name!r}")
+        if det:
+            tau, recs = groups[video, name]
+            return odf_descriptor(recs, tau, odf_cfg).flat()
+        return sdf_descriptor([read_pgm(p) for p in groups[video, name]], sdf_cfg, n_prime).flat()
+
+    targets = {}
+    for name in streams:
         if name in AUX_STREAMS:
             raw_dim = meta.aux_dim
-        elif name in DET_STREAMS:
-            raw_dim = odf_cfg.dim * (4 + n_prime)
+            psis = _load_rows(data_dir / f"aux_{name}.npy", meta.n_videos)
         else:
-            raw_dim = sdf_cfg.dim * (4 + n_prime)
-        sketches[name] = sketch_new(
-            raw_dim, sketch_dim, derive_stream_seed(meta.seed, name, "gt")
-        )
-
-    videos: list[SyntheticVideo] = []
-    for i in range(meta.n_videos):
-        video = _video_id(i)
-        gt: dict[str, np.ndarray] = {}
-        for name in wanted:
-            if name in AUX_STREAMS:
-                psi = aux_raw[name][i]
-            elif name in DET_STREAMS:
-                tau, recs = det_groups[(video, name)]
-                psi = odf_descriptor(recs, tau, odf_cfg).flat()
-            else:
-                frames = [read_pgm(p) for p in sal_groups[(video, name)]]
-                psi = sdf_descriptor(frames, sdf_cfg, n_prime).flat()
-            gt[name] = project(sketches[name], sigme(psi, pn))
-        videos.append(SyntheticVideo(feats[i], gt, labels[video]))
-    return videos, meta.n_classes
+            raw_dim = (odf_cfg.dim if name in DET_STREAMS else sdf_cfg.dim) * (4 + n_prime)
+            psis = (descriptor(_video_id(i), name) for i in range(meta.n_videos))
+        sk = sketch_new(raw_dim, sketch_dim, derive_stream_seed(meta.seed, name, "gt"))
+        targets[name] = np.array([project(sk, sigme(psi, pn_cfg)) for psi in psis])
+    return targets

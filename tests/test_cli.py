@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from momhal import synthgen
+from momhal.atomic import write_atomic
 from momhal.cli import main
 from momhal.fusion import HAF_ID, effective_coefficients, ridge_accuracy
 from momhal.halluc import load_checkpoint, stream_forward
@@ -359,6 +362,61 @@ class TestConfigDocuments:
         assert code == 1
         assert f"{path}: line {lineno}: " in err
 
+
+class TestTargetCache:
+    def test_second_train_runs_no_encoder(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "data"
+        run(capsys, "synth", "--out", str(data), "--videos", "8", "--classes", "2",
+            "--seed", "1", "--backbone-dim", "8", "--tau", "3")
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "r1"),
+                           "--epochs", "2", "--seed", "1")
+        assert code == 0, err
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an encoder ran on a cache hit")
+
+        monkeypatch.setattr(synthgen, "odf_descriptor", refuse)
+        monkeypatch.setattr(synthgen, "sdf_descriptor", refuse)
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "r2"),
+                           "--epochs", "2", "--seed", "1")
+        assert code == 0, err
+        for name in ("checkpoint.hal", "metrics.csv"):
+            assert (tmp_path / "r1" / name).read_bytes() == (tmp_path / "r2" / name).read_bytes()
+
+    def test_missing_detection_group_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        run(capsys, "synth", "--out", str(data), "--videos", "8", "--classes", "2",
+            "--seed", "1", "--backbone-dim", "8", "--tau", "3")
+        path = data / "detections.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(s for s in lines if not ('"v0000"' in s and '"det3"' in s)))
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                           "--epochs", "1")
+        assert code == 1
+        assert err == f"error: {path}: no entries for video 'v0000' and detector 'det3'\n"
+        assert not (tmp_path / "run").exists()
+
+
+class TestAtomicWrites:
+    def test_replaces_whole_file(self, tmp_path):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old contents")
+        write_atomic(target, b"new")
+        assert target.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_failed_rename_keeps_old_file(self, tmp_path, monkeypatch):
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"old contents")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic(target, b"new")
+        assert target.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 class TestVerify:
     def test_kernel_suite_passes(self, capsys):

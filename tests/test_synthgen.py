@@ -1,11 +1,16 @@
 import hashlib
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from momhal import synthgen
 from momhal.halluc import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
+from momhal.pn import PnConfig
 from momhal.synthgen import (
+    CACHE_DIR,
     SynthConfig,
     generate_dataset,
     load_dataset,
@@ -98,9 +103,11 @@ class TestLoading:
         assert set(videos[0].ground_truth) == {"fv1", "det1"}
 
     def test_deterministic_targets(self, tmp_path):
+        # two directories, so both loads run the encoders
         generate_dataset(tmp_path / "d", SMALL)
+        generate_dataset(tmp_path / "e", SMALL)
         a, _ = load_dataset(tmp_path / "d", sketch_dim=16)
-        b, _ = load_dataset(tmp_path / "d", sketch_dim=16)
+        b, _ = load_dataset(tmp_path / "e", sketch_dim=16)
         for va, vb in zip(a, b):
             for name in va.ground_truth:
                 np.testing.assert_array_equal(va.ground_truth[name],
@@ -123,3 +130,162 @@ class TestLoading:
         assert acc("det1") > 0.9
         assert acc("det2") < 0.6
         assert acc("fv1") < 0.6
+
+
+ALL_STREAMS = AUX_STREAMS + DET_STREAMS + SAL_STREAMS
+
+
+def targets(videos):
+    return {name: np.stack([v.ground_truth[name] for v in videos])
+            for name in videos[0].ground_truth}
+
+
+def cache_entries(root):
+    return {p.name for p in (root / CACHE_DIR).iterdir()}
+
+
+def no_encoders(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an encoder ran on a cache hit")
+
+    monkeypatch.setattr(synthgen, "odf_descriptor", refuse)
+    monkeypatch.setattr(synthgen, "sdf_descriptor", refuse)
+
+
+def bump_first_digit_after(path, marker: bytes):
+    data = bytearray(path.read_bytes())
+    pos = data.index(marker) + len(marker)
+    data[pos] = ord("0") + (data[pos] - ord("0") + 1) % 10
+    path.write_bytes(bytes(data))
+
+
+def flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 1
+    path.write_bytes(bytes(data))
+
+
+class TestTargetCache:
+    @pytest.fixture
+    def data(self, tmp_path):
+        generate_dataset(tmp_path / "d", SMALL)
+        return tmp_path / "d"
+
+    def test_hit_equals_miss_on_a_fresh_copy(self, data, tmp_path, monkeypatch):
+        load_dataset(data, sketch_dim=16)
+        assert {name.split("-")[0] for name in cache_entries(data)} == set(ALL_STREAMS)
+        shutil.copytree(data, tmp_path / "fresh", ignore=shutil.ignore_patterns(CACHE_DIR))
+        missed = targets(load_dataset(tmp_path / "fresh", sketch_dim=16)[0])
+        no_encoders(monkeypatch)
+        hit = targets(load_dataset(data, sketch_dim=16)[0])
+        assert set(hit) == set(missed) == set(ALL_STREAMS)
+        for name in ALL_STREAMS:
+            assert np.array_equal(hit[name], missed[name]), name
+
+    def test_entry_names(self, data):
+        load_dataset(data, sketch_dim=16, streams=("fv1", "det2"))
+        names = sorted(cache_entries(data))
+        assert [n.split("-")[0] for n in names] == ["det2", "fv1"]
+        for name in names:
+            digest = name.split("-")[1].removesuffix(".npy")
+            assert len(digest) == 32 and int(digest, 16) >= 0
+            assert np.load(data / CACHE_DIR / name).shape == (SMALL.n_videos, 16)
+
+    @pytest.mark.parametrize("mutate, missed", [
+        (lambda d: flip_last_byte(d / "saliency" / "v0003_sal1_f2.pgm"), set(SAL_STREAMS)),
+        (lambda d: bump_first_digit_after(d / "detections.jsonl", b'"conf": 0.'), set(DET_STREAMS)),
+        (lambda d: flip_last_byte(d / "aux_fv2.npy"), {"fv2"}),
+    ], ids=["pgm", "detections", "aux"])
+    def test_changed_input_misses_its_streams(self, data, mutate, missed):
+        load_dataset(data, sketch_dim=16)
+        before = cache_entries(data)
+        mutate(data)
+        load_dataset(data, sketch_dim=16)
+        assert {name.split("-")[0] for name in cache_entries(data) - before} == missed
+
+    @pytest.mark.parametrize("kwargs", [{"sketch_dim": 12}, {"pn": PnConfig(eta=3.0)}],
+                             ids=["sketch_dim", "pn_eta"])
+    def test_changed_setting_misses(self, data, kwargs, monkeypatch):
+        load_dataset(data, sketch_dim=16, streams=("fv1", "det1", "sal1"))
+        before = cache_entries(data)
+        videos, _ = load_dataset(data, **{"sketch_dim": 16, **kwargs},
+                                 streams=("fv1", "det1", "sal1"))
+        assert len(cache_entries(data) - before) == 3
+        assert videos[0].ground_truth["fv1"].shape == (kwargs.get("sketch_dim", 16),)
+
+    def test_changed_encoder_source_misses(self, data, monkeypatch):
+        load_dataset(data, sketch_dim=16, streams=("sal1",))
+        before = cache_entries(data)
+        monkeypatch.setattr(synthgen, "_source_digest", lambda: b"edited encoder source")
+        load_dataset(data, sketch_dim=16, streams=("sal1",))
+        assert len(cache_entries(data) - before) == 1
+
+    @pytest.mark.parametrize("damage", [
+        lambda p: p.write_bytes(p.read_bytes()[: p.stat().st_size // 2]),
+        lambda p: np.save(p, np.zeros((3, 3))),
+        lambda p: np.save(p, np.zeros((SMALL.n_videos, 16), dtype=np.float32)),
+    ], ids=["truncated", "wrong_shape", "wrong_dtype"])
+    def test_bad_entry_is_rebuilt(self, data, damage):
+        want = targets(load_dataset(data, sketch_dim=16, streams=("det1",))[0])["det1"]
+        (entry,) = (data / CACHE_DIR).iterdir()
+        good = entry.read_bytes()
+        damage(entry)
+        got = targets(load_dataset(data, sketch_dim=16, streams=("det1",))[0])["det1"]
+        assert np.array_equal(got, want)
+        assert entry.read_bytes() == good
+
+    def test_failing_write_still_loads(self, data, monkeypatch):
+        def fail(src, dst):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr(os, "replace", fail)
+        videos, _ = load_dataset(data, sketch_dim=16, streams=("fv1", "sal2"))
+        assert set(videos[0].ground_truth) == {"fv1", "sal2"}
+        assert not any((data / CACHE_DIR).iterdir())   # no entries, no temporary files
+
+    def test_no_streams_creates_no_cache(self, data):
+        videos, _ = load_dataset(data, sketch_dim=16, streams=())
+        assert videos[0].ground_truth == {}
+        assert not (data / CACHE_DIR).exists()
+
+
+class TestLoadErrors:
+    @pytest.fixture
+    def data(self, tmp_path):
+        generate_dataset(tmp_path / "d", SMALL)
+        return tmp_path / "d"
+
+    def drop_lines(self, path, *needles):
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(s for s in lines if not all(n in s for n in needles)))
+
+    def test_missing_detection_group(self, data):
+        self.drop_lines(data / "detections.jsonl", '"v0002"', '"det3"')
+        with pytest.raises(ValueError, match=r"detections\.jsonl: no entries for video "
+                                             r"'v0002' and detector 'det3'"):
+            load_dataset(data, sketch_dim=16, streams=("det3",))
+
+    def test_missing_saliency_group(self, data):
+        self.drop_lines(data / "manifest.txt", "v0001 sal2 ")
+        with pytest.raises(ValueError, match=r"manifest\.txt: no entries for video "
+                                             r"'v0001' and source 'sal2'"):
+            load_dataset(data, sketch_dim=16, streams=("sal2",))
+
+    def test_bad_label_line(self, data):
+        path = data / "labels.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = "v0001,one"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"labels\.csv: line 3: .*'one'"):
+            load_dataset(data, sketch_dim=16, streams=())
+
+    def test_video_missing_from_labels(self, data):
+        self.drop_lines(data / "labels.csv", "v0005,")
+        with pytest.raises(ValueError, match=r"labels\.csv: no label for video 'v0005'"):
+            load_dataset(data, sketch_dim=16, streams=())
+
+    @pytest.mark.parametrize("name, streams", [("features.npy", ()), ("aux_off.npy", ("off",))])
+    def test_row_count_mismatch(self, data, name, streams):
+        np.save(data / name, np.load(data / name)[:-1])
+        with pytest.raises(ValueError, match=rf"{name}: 11 rows, but dataset\.cfg has n_videos = 12"):
+            load_dataset(data, sketch_dim=16, streams=streams)
