@@ -15,6 +15,7 @@ differences in the test suite.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -40,9 +41,8 @@ from .pn import PnConfig, sigme, sigme_vjp
 from .sdf import SALIENCY_SLOTS
 from .sketch import (
     CountSketch,
+    SketchStack,
     derive_stream_seed,
-    project_rows,
-    project_transpose_rows,
     sketch_from_bytes,
     sketch_new,
     sketch_to_bytes,
@@ -54,6 +54,7 @@ SAL_STREAMS = SALIENCY_SLOTS
 STREAM_ORDER = AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
 CHECKPOINT_MAGIC = b"HAL1"
+_BLOCK_ROWS = 32   # rows per block of a forward pass that keeps no backward state
 
 
 class TrainingDivergedError(RuntimeError):
@@ -117,14 +118,79 @@ class SyntheticVideo:
 @dataclass
 class StreamUnit:
     stream_id: str
-    weight: np.ndarray   # (m, b)
+    weight: np.ndarray   # (m, b); a view into its model's parameter stack once a pass has run
     bias: np.ndarray     # (m,)
     pn: PnConfig
     sketch: CountSketch  # m -> d'
+    stack: _Stack | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sketch.input_dim != self.weight.shape[0]:
             raise ValueError("sketch input dim must equal the unit's output dim")
+
+
+class _Stack:
+    """The parameters of a model's units, pass-through unit last, as one
+    (U+1, m, b) weight and one (U+1, m) bias array, with the U+1 sketches
+    tabled once.  Building it copies each unit's weight and bias in and
+    rebinds them to views of the stack, so every unit reads what training
+    writes."""
+
+    def __init__(self, units: list[StreamUnit]):
+        self.pn = units[0].pn
+        if any(u.pn != self.pn for u in units):
+            raise ValueError("the units of a model must share one PnConfig")
+        self.weight = np.array([u.weight for u in units], dtype=np.float64)
+        self.bias = np.array([u.bias for u in units], dtype=np.float64)
+        self.sketches = SketchStack([u.sketch for u in units])
+        for k, u in enumerate(units):
+            u.weight, u.bias, u.stack = self.weight[k], self.bias[k], self
+        self._members = [(u, u.weight, u.bias, u.sketch, u.pn) for u in units]
+
+    def holds(self, units: list[StreamUnit]) -> bool:
+        """Whether ``units`` are exactly this stack's units, in order, with
+        the views, sketches and PnConfig it was built with, and the views
+        still look into this stack (a copied model's do not)."""
+        return len(units) == len(self._members) and all(
+            u is v and u.weight is w and u.bias is b and u.sketch is sk and u.pn is pn
+            and w.base is self.weight and b.base is self.bias
+            for u, (v, w, b, sk, pn) in zip(units, self._members))
+
+    def chain(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _chain(self.weight, self.bias, self.sketches, self.pn, z)
+
+    def outputs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Every unit's sketched outputs (U+1, n, d') of the rows of ``z``,
+        into ``out`` if given, a row block at a time."""
+        blocks = _row_blocks(z.shape[0])
+        if out is None:
+            if len(blocks) == 1:
+                return self.chain(z)[2]
+            out = np.empty((len(self.weight), z.shape[0], self.sketches.output_dim))
+        for lo, hi in blocks:
+            out[:, lo:hi] = self.chain(z[lo:hi])[2]
+        return out
+
+
+def _row_blocks(n: int) -> list[tuple[int, int]]:
+    """Row ranges of _BLOCK_ROWS to 2 * _BLOCK_ROWS - 1 rows that cover n rows,
+    so a long pass allocates no temporaries larger than a training batch's,
+    and no block is small enough for BLAS to switch kernels (notes/decisions.md,
+    "Stacked stream units")."""
+    starts = list(range(0, n - _BLOCK_ROWS + 1, _BLOCK_ROWS)) or [0]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _chain(
+    weight: np.ndarray, bias: np.ndarray, sketches: SketchStack, pn: PnConfig, z: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Affine map, SigmE and count sketch of every stacked unit on the rows
+    of ``z``: (S, n, m) pre-activations, (S, n, m) SigmE outputs and
+    (S, n, d') sketched outputs.  numpy's matmul runs one GEMM per unit."""
+    acts = np.matmul(z, weight.transpose(0, 2, 1))
+    acts += bias[:, None, :]
+    pres = sigme(acts, pn)
+    return acts, pres, sketches.project(pres)
 
 
 @dataclass
@@ -188,55 +254,74 @@ def video_arrays(
     except KeyError as exc:
         raise ValueError(f"video lacks ground truth for enabled stream {exc.args[0]!r}") from None
     if not streams:
-        targets = targets.reshape(0, len(videos), 0)
+        targets = targets.reshape(0, len(videos), cfg.sketch_dim)
     labels = np.array([np.asarray(v.label, dtype=np.float64) if cfg.multi_label else int(v.label)
                        for v in videos])
     return VideoArrays(_pool_features(videos, cfg.backbone_dim), targets, labels)
 
 
-def _unit_forward_rows(unit: StreamUnit, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a = z @ unit.weight.T + unit.bias
-    pre = sigme(a, unit.pn)
-    out = project_rows(unit.sketch, pre)
-    return a, pre, out
-
-
 def stream_forward(unit: StreamUnit, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Single-video forward pass: mean-pool time, affine, SigmE, sketch.
     Returns (pre-sketch activation, sketched output)."""
-    _, pre, out = _unit_forward_rows(unit, _time_pool([x], unit.weight.shape[1]))
-    return pre[0], out[0]
+    z = _time_pool([x], unit.weight.shape[1])
+    _, pre, out = _chain(unit.weight[None], unit.bias[None], SketchStack([unit.sketch]),
+                         unit.pn, z)
+    return pre[0, 0], out[0, 0]
 
 
 def _all_units(model: Model) -> list[tuple[str, StreamUnit]]:
     return [*model.units.items(), (HAF_ID, model.haf_unit)]
 
 
-def _pool(outs: dict[str, np.ndarray], coeffs: dict[str, float], tot_scale: float) -> np.ndarray:
-    """tot_scale * sum_i c_i out_i, summed in coefficient order."""
-    return tot_scale * sum(c * outs[name] for name, c in coeffs.items())
+def _stack(model: Model) -> _Stack:
+    """The model's parameter stack, rebuilt only when a unit, a weight or
+    bias array, a sketch or a PnConfig has been replaced since it was built."""
+    units = [unit for _, unit in _all_units(model)]
+    stack = units[0].stack
+    return stack if stack is not None and stack.holds(units) else _Stack(units)
+
+
+def _pool(model: Model, outs: np.ndarray, coeffs: dict[str, float]) -> np.ndarray:
+    """tot_scale * sum_i c_i out_i of the stacked (U+1, n, d') outputs,
+    summed from zero in coefficient order."""
+    index = {name: k for k, name in enumerate([*model.units, HAF_ID])}
+    pooled, term = np.zeros(outs.shape[1:]), np.empty(outs.shape[1:])
+    for name, c in coeffs.items():
+        pooled += np.multiply(c, outs[index[name]], out=term)
+    pooled *= model.tot_scale
+    return pooled
 
 
 @dataclass
 class _Pass:
-    """One forward pass over a batch of time-pooled features."""
+    """One forward pass over a batch of time-pooled features.  The unit
+    axis of the stacked arrays follows ``_all_units``: pass-through last."""
 
-    acts: dict[str, np.ndarray]   # affine pre-activation per unit (pass-through included)
-    pres: dict[str, np.ndarray]   # SigmE output per unit, kept for the backward pass
-    outs: dict[str, np.ndarray]   # sketched output per unit
+    stack: _Stack
+    acts: np.ndarray | None       # (U+1, n, m) affine pre-activations, kept for the backward pass
+    pres: np.ndarray | None       # (U+1, n, m) SigmE outputs, kept for the backward pass
+    outs: np.ndarray              # (U+1, n, d') sketched outputs
     coeffs: dict[str, float]      # pooling coefficient per leaf stream
     pooled: np.ndarray            # tot_scale * sum_i c_i out_i, the head's input
     scores: np.ndarray
 
 
-def _forward(model: Model, z: np.ndarray) -> _Pass:
-    acts, pres, outs = {}, {}, {}
-    for name, unit in _all_units(model):
-        acts[name], pres[name], outs[name] = _unit_forward_rows(unit, z)
+def _forward(
+    model: Model, z: np.ndarray, backward: bool = False, out: np.ndarray | None = None,
+) -> _Pass:
+    """The forward pass over the rows of ``z``.  ``backward`` keeps the
+    activations the gradients need; otherwise the pass runs in row blocks
+    and writes the sketched outputs into ``out`` if given."""
+    stack = _stack(model)
+    if backward:
+        acts, pres, outs = stack.chain(z)
+    else:
+        acts = pres = None
+        outs = stack.outputs(z, out)
     coeffs = model.spec.coefficients()
-    pooled = _pool(outs, coeffs, model.tot_scale)
+    pooled = _pool(model, outs, coeffs)
     scores = pooled @ model.prednet.weight.T + model.prednet.bias
-    return _Pass(acts, pres, outs, coeffs, pooled, scores)
+    return _Pass(stack, acts, pres, outs, coeffs, pooled, scores)
 
 
 def _class_loss_and_grad(
@@ -259,22 +344,32 @@ def _class_loss_and_grad(
 
 
 def _losses(
-    model: Model, outs: dict[str, np.ndarray], scores: np.ndarray, data: VideoArrays,
+    model: Model, sq_norms: np.ndarray, scores: np.ndarray, data: VideoArrays,
     rows: slice | np.ndarray = slice(None),
-) -> tuple[float, dict[str, float], float, np.ndarray, dict[str, np.ndarray]]:
-    """Total loss, per-stream MSE, classification loss, d(class loss)/d(scores)
-    and the per-stream residuals outs - targets, from a forward pass's
-    sketched outputs and scores on the rows of ``data``.  The residuals
-    cover every row; the loss terms and d_scores cover ``rows`` only."""
+) -> tuple[float, dict[str, float], float, np.ndarray]:
+    """Total loss, per-stream MSE, classification loss and d(class loss)/d(scores)
+    on ``rows``, from a forward pass's scores and the (U, n) squared norms of
+    its residuals outs - targets on all rows of ``data``."""
     cfg = model.config
     labels = data.labels[rows]
     y = labels if cfg.multi_label else np.eye(model.n_classes)[labels]
     class_loss, d_scores = _class_loss_and_grad(scores[rows], y, cfg.multi_label)
-    resids = {name: outs[name] - data.targets[k] for k, name in enumerate(model.units)}
-    per_stream_mse = {name: float((r ** 2).sum(axis=1)[rows].mean()) for name, r in resids.items()}
+    # one 1-D mean per stream: a 2-D mean along axis 1 sums in another order
+    per_stream_mse = {name: float(sq.mean()) for name, sq in zip(model.units, sq_norms[:, rows])}
     n_units = len(model.units)
     mse_term = (cfg.alpha / n_units) * sum(per_stream_mse.values()) if n_units else 0.0
-    return mse_term + class_loss, per_stream_mse, class_loss, d_scores, resids
+    return mse_term + class_loss, per_stream_mse, class_loss, d_scores
+
+
+def _squared_residuals(outs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-row squared norms (U, n) of the residuals outs[:U] - targets, a
+    row block at a time."""
+    n_units, n = targets.shape[:2]
+    sq_norms = np.empty((n_units, n))
+    for lo, hi in _row_blocks(n):
+        resid = outs[:n_units, lo:hi] - targets[:, lo:hi]
+        sq_norms[:, lo:hi] = np.square(resid, out=resid).sum(axis=2)
+    return sq_norms
 
 
 def objective(
@@ -295,34 +390,43 @@ def objective(
     model = Model(cfg, units, haf_unit, prednet, spec, prednet.weight.shape[0], tot_scale)
     data = video_arrays(batch, cfg, tuple(units))
     fwd = _forward(model, data.z)
-    return _losses(model, fwd.outs, fwd.scores, data)[:3]
+    return _losses(model, _squared_residuals(fwd.outs, data.targets), fwd.scores, data)[:3]
 
 
 @dataclass
 class _Grads:
-    units: dict[str, tuple[np.ndarray, np.ndarray]]
-    haf: tuple[np.ndarray, np.ndarray]
+    names: list[str]          # the stream units' names; the pass-through unit follows them
+    weight: np.ndarray        # (U+1, m, b)
+    bias: np.ndarray          # (U+1, m)
     prednet: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def units(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        return {name: (self.weight[k], self.bias[k]) for k, name in enumerate(self.names)}
+
+    @property
+    def haf(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.weight[-1], self.bias[-1]
 
 
 def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     """Loss and hand-derived parameter gradients, back through the cached
-    forward pass."""
+    forward pass, for all units at once."""
     cfg = model.config
-    fwd = _forward(model, data.z)
-    loss, _, _, d_scores, resids = _losses(model, fwd.outs, fwd.scores, data)
-    d_tot = model.tot_scale * (d_scores @ model.prednet.weight)
+    fwd = _forward(model, data.z, backward=True)
     n_units, b = len(model.units), data.z.shape[0]
-    grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for name, unit in _all_units(model):
-        d_out = fwd.coeffs[name] * d_tot
-        if name != HAF_ID:
-            d_out = d_out + (cfg.alpha / n_units) * (2.0 / b) * resids[name]
-        d_pre = project_transpose_rows(unit.sketch, d_out)
-        d_a = sigme_vjp(fwd.acts[name], fwd.pres[name], d_pre, unit.pn)
-        grads[name] = (d_a.T @ data.z, d_a.sum(axis=0))
-    haf = grads.pop(HAF_ID)
-    return loss, _Grads(grads, haf, (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
+    resids = fwd.outs[:n_units] - data.targets
+    loss, _, _, d_scores = _losses(model, (resids ** 2).sum(axis=2), fwd.scores, data)
+    d_tot = model.tot_scale * (d_scores @ model.prednet.weight)
+    coeffs = np.array([fwd.coeffs[name] for name in [*model.units, HAF_ID]])
+    d_out = coeffs[:, None, None] * d_tot
+    if n_units:
+        d_out[:n_units] += np.multiply((cfg.alpha / n_units) * (2.0 / b), resids, out=resids)
+    d_pre = fwd.stack.sketches.transpose(d_out)
+    d_a = sigme_vjp(fwd.acts, fwd.pres, d_pre, fwd.stack.pn)
+    weight = np.matmul(d_a.transpose(0, 2, 1), data.z)
+    return loss, _Grads(list(model.units), weight, d_a.sum(axis=1),
+                        (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
 
 
 def batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grads]:
@@ -331,10 +435,11 @@ def batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grad
 
 
 def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
-    layers = [(model.units[name], g) for name, g in grads.units.items()]
-    for layer, (dw, db) in layers + [(model.haf_unit, grads.haf), (model.prednet, grads.prednet)]:
-        layer.weight -= lr * dw
-        layer.bias -= lr * db
+    """One SGD step; scales the gradient arrays in place."""
+    for layer, dw, db in [(_stack(model), grads.weight, grads.bias),
+                          (model.prednet, *grads.prednet)]:
+        layer.weight -= np.multiply(lr, dw, out=dw)
+        layer.bias -= np.multiply(lr, db, out=db)
 
 
 def _new_unit(name: str, cfg: TrainConfig, rng: np.random.Generator) -> StreamUnit:
@@ -386,7 +491,7 @@ def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[st
     """Test-time pass on raw backbone features only: hallucinate every
     stream, pool, and score.  No ground-truth descriptors are consumed."""
     fwd = _forward(model, _time_pool([video_features], model.config.backbone_dim))
-    return fwd.scores[0], {name: fwd.outs[name][0] for name in model.units}
+    return fwd.scores[0], {name: out[0] for name, out in zip(model.units, fwd.outs)}
 
 
 def predict_scores(model: Model, videos: list[SyntheticVideo]) -> np.ndarray:
@@ -428,10 +533,9 @@ def beta_objective(model: Model, data: VideoArrays) -> Callable[[float], float]:
     return _beta_score(model, _forward(model, data.z).outs, data.labels)
 
 
-def _beta_score(
-    model: Model, outs: dict[str, np.ndarray], labels: np.ndarray
-) -> Callable[[float], float]:
-    """``beta_objective`` from every unit's sketched outputs over all videos."""
+def _beta_score(model: Model, outs: np.ndarray, labels: np.ndarray) -> Callable[[float], float]:
+    """``beta_objective`` from every unit's sketched outputs (U+1, N, d')
+    over all videos."""
     cfg = model.config
     val_idx, train_idx = _split(len(labels), cfg)
     if cfg.multi_label or not len(val_idx):
@@ -439,7 +543,7 @@ def _beta_score(
 
     def score(beta: float) -> float:
         spec = replace(model.spec, beta=dict.fromkeys(model.spec.beta, beta))
-        tot = _pool(outs, effective_coefficients(spec), model.tot_scale)
+        tot = _pool(model, outs, effective_coefficients(spec))
         return ridge_accuracy(
             tot[train_idx], labels[train_idx], tot[val_idx], labels[val_idx],
             model.n_classes, cfg.ridge_l2,
@@ -497,14 +601,16 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     metrics: list[dict] = []
     lo, hi = cfg.beta_bracket
     bracket = Bracket(lo, hi - lo)
-    outs = None   # every unit's sketched outputs over all videos at the current weights
+    # every unit's sketched outputs over all videos at the current weights,
+    # rewritten by each epoch's end
+    outs = np.empty((len(model.units) + 1, len(dataset), cfg.sketch_dim))
     for epoch in range(1, cfg.epochs + 1):
         if epoch <= cfg.warmup_epochs:
             model.spec.set_beta(0.0)
             beta_lo = beta_hi = 0.0
         else:
-            if outs is None:
-                outs = _forward(model, data.z).outs
+            if epoch == 1:   # no epoch has ended yet
+                _forward(model, data.z, out=outs)
             bracket = golden_step(_beta_score(model, outs, data.labels), bracket)
             model.spec.set_beta(bracket.mid)
             beta_lo, beta_hi = bracket.lo, bracket.hi
@@ -519,7 +625,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
                 )
             _apply_grads(model, grads, cfg.learning_rate)
 
-        outs, loss, per_mse, class_loss, val_acc = _epoch_end(model, data, train_idx, val_idx)
+        loss, per_mse, class_loss, val_acc = _epoch_end(model, data, train_idx, val_idx, outs)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss after epoch {epoch}")
         row = {"epoch": epoch, "loss": loss, "class_loss": class_loss}
@@ -531,17 +637,19 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
 
 def _epoch_end(
     model: Model, data: VideoArrays, train_idx: np.ndarray, val_idx: np.ndarray,
-) -> tuple[dict[str, np.ndarray], float, dict[str, float], float, float]:
-    """One forward pass over all videos: its sketched outputs (for the next
-    beta search), the loss terms of the training rows and the validation
-    accuracy.  The slices equal separate passes over the splits only while
-    BLAS gives a row the same bits at any row count (notes/decisions.md,
-    "One forward pass at the end of each epoch")."""
-    fwd = _forward(model, data.z)
-    loss, per_mse, class_loss, _, _ = _losses(model, fwd.outs, fwd.scores, data, train_idx)
+    outs: np.ndarray,
+) -> tuple[float, dict[str, float], float, float]:
+    """One forward pass over all videos: its sketched outputs go into
+    ``outs`` (for the next beta search); returns the loss terms of the
+    training rows and the validation accuracy.  The slices equal separate
+    passes over the splits only while BLAS gives a row the same bits at any
+    row count (notes/decisions.md, "One forward pass at the end of each epoch")."""
+    fwd = _forward(model, data.z, out=outs)
+    sq_norms = _squared_residuals(outs, data.targets)
+    loss, per_mse, class_loss, _ = _losses(model, sq_norms, fwd.scores, data, train_idx)
     val_acc = (_accuracy(model, fwd.scores[val_idx], data.labels[val_idx])
                if len(val_idx) else 0.0)
-    return fwd.outs, loss, per_mse, class_loss, val_acc
+    return loss, per_mse, class_loss, val_acc
 
 
 def metrics_to_csv(metrics: list[dict], stream_names: tuple[str, ...]) -> str:
@@ -576,7 +684,14 @@ class _CheckpointReader:
         return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype, count)
 
     def floats(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self.array("<f4", int(np.prod(shape))).astype(np.float64).reshape(shape)
+        return self.array("<f4", math.prod(shape)).astype(np.float64).reshape(shape)
+
+    def text(self, n: int) -> str:
+        start = self.pos
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"HAL1: byte {start + exc.start}: text is not UTF-8") from None
 
 
 def save_checkpoint(model: Model, path) -> None:
@@ -614,14 +729,25 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def load_checkpoint(path) -> Model:
+    """Read a HAL1 checkpoint.  Any defect in the file raises a ValueError
+    that starts with ``HAL1:`` and, past the header, names a byte offset."""
     with open(path, "rb") as fp:
         r = _CheckpointReader(fp.read())
+    try:
+        return _read_checkpoint(r, path)
+    except ValueError as exc:
+        if str(exc).startswith("HAL1:"):
+            raise
+        raise ValueError(f"HAL1: byte {r.pos}: {exc}") from None
+
+
+def _read_checkpoint(r: _CheckpointReader, path) -> Model:
     if r.data[:4] != CHECKPOINT_MAGIC:
-        raise ValueError("bad checkpoint magic")
+        raise ValueError("HAL1: bad magic")
     r.take(4)
     version = int(r.array("<u4")[0])
     if version != 1:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"HAL1: unsupported version {version}")
     seed = int(r.array("<u8")[0])
     b, m, d_prime, n_classes = (int(v) for v in r.array("<u4", 4))
     eta, eps, alpha, tot_scale = (float(v) for v in r.array("<f8", 4))
@@ -632,7 +758,7 @@ def load_checkpoint(path) -> Model:
     units: dict[str, StreamUnit] = {}
     haf_unit = None
     for _ in range(n_units):
-        name = r.take(int(r.array("<u2")[0])).decode()
+        name = r.text(int(r.array("<u2")[0]))
         w = r.floats((m, b))
         bias = r.floats((m,))
         sk = sketch_from_bytes(r.take(int(r.array("<u4")[0])))
@@ -642,10 +768,10 @@ def load_checkpoint(path) -> Model:
         else:
             units[name] = unit
     if haf_unit is None:
-        raise ValueError("checkpoint lacks the pass-through unit")
+        raise ValueError("HAL1: no pass-through unit")
     wp = r.floats((n_classes, d_prime))
     bp = r.floats((n_classes,))
-    spec = spec_from_text(r.take(int(r.array("<u4")[0])).decode(), origin=str(path))
+    spec = spec_from_text(r.text(int(r.array("<u4")[0])), origin=str(path))
     if r.pos != len(r.data):
         raise ValueError(f"HAL1: expected {r.pos} bytes, got {len(r.data)}")
 

@@ -32,10 +32,17 @@ def sigme(psi: np.ndarray, cfg: PnConfig) -> np.ndarray:
     exactly zero by odd symmetry; no special-casing needed.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    if not np.all(np.isfinite(psi)):
+    norm = _row_norm(psi)
+    # a non-finite entry makes its row norm non-finite, so only then scan psi
+    if not np.all(np.isfinite(norm)) and not np.all(np.isfinite(psi)):
         raise ValueError("sigme input must be finite")
-    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
     return np.tanh(cfg.eta * psi / (2.0 * (norm + cfg.epsilon)))
+
+
+def _row_norm(psi: np.ndarray) -> np.ndarray:
+    """||psi||_2 along the last axis, kept as a length-1 axis; the same bits
+    as np.linalg.norm, without its conj() copy of a real array."""
+    return np.sqrt(np.add.reduce(psi * psi, axis=-1, keepdims=True))
 
 
 def sigme_grad(psi: np.ndarray, upstream: np.ndarray, cfg: PnConfig) -> np.ndarray:
@@ -50,13 +57,15 @@ def sigme_vjp(psi: np.ndarray, g: np.ndarray, upstream: np.ndarray, cfg: PnConfi
     backward pass that kept g skips the tanh: d tanh = 1 - g^2."""
     if psi.shape != upstream.shape or g.shape != psi.shape:
         raise ValueError(f"shape mismatch: psi {psi.shape}, g {g.shape}, upstream {upstream.shape}")
-    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+    norm = _row_norm(psi)
     n = norm + cfg.epsilon
     sech2 = 1.0 - g * g
     half_eta = 0.5 * cfg.eta
     direct = half_eta * sech2 * upstream / n
     # Norm term: d(psi_i/n)/dpsi_j has -psi_i*psi_j/(n^2*norm); zero subgradient at psi = 0.
     inner = (upstream * sech2 * psi).sum(axis=-1, keepdims=True)
+    if np.all(norm > 0.0):   # skip the two full-size np.where passes below
+        return direct - half_eta * inner * psi / (n * n * norm)
     safe_norm = np.where(norm > 0.0, norm, 1.0)
     norm_term = np.where(norm > 0.0, half_eta * inner * psi / (n * n * safe_norm), 0.0)
     return direct - norm_term

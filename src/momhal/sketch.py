@@ -93,17 +93,57 @@ def project_rows(sk: CountSketch, psis: np.ndarray) -> np.ndarray:
     psis = np.asarray(psis, dtype=np.float64)
     if psis.ndim != 2 or psis.shape[1] != sk.input_dim:
         raise ValueError(f"expected (batch, {sk.input_dim}) matrix, got shape {psis.shape}")
-    rows, d_prime = psis.shape[0], sk.output_dim
-    # bincount adds each bucket's terms in input order, as np.add.at does
-    flat = (np.arange(rows)[:, None] * d_prime + (sk.h.astype(np.int64) - 1)).ravel()
-    out = np.bincount(flat, weights=(psis * sk.s).ravel(), minlength=rows * d_prime)
-    return out.reshape(rows, d_prime)
+    return SketchStack([sk]).project(psis[None])[0]
 
 
 def project_transpose_rows(sk: CountSketch, vs: np.ndarray) -> np.ndarray:
     """Row-wise P^T v: gather each bucket back to its source coordinate."""
     vs = np.asarray(vs, dtype=np.float64)
-    return vs[..., sk.h.astype(np.int64) - 1] * sk.s
+    if vs.ndim < 1 or vs.shape[-1] != sk.output_dim:
+        raise ValueError(f"expected rows of length {sk.output_dim}, got shape {vs.shape}")
+    flat = vs.reshape(1, -1, sk.output_dim)
+    return SketchStack([sk]).transpose(flat).reshape(vs.shape[:-1] + (sk.input_dim,))
+
+
+class SketchStack:
+    """S count sketches of one shape, applied together: slab k of a
+    (S, rows, .) array goes through sketch k.  The bucket and sign tables
+    are built once; the flat (sketch, row, coordinate) -> output index is
+    built once per row count."""
+
+    def __init__(self, sketches: list[CountSketch]):
+        self.input_dim, self.output_dim = sketches[0].input_dim, sketches[0].output_dim
+        if any((sk.input_dim, sk.output_dim) != (self.input_dim, self.output_dim)
+               for sk in sketches):
+            raise ValueError("stacked sketches must share one (d, d') shape")
+        self.buckets = np.stack([sk.h.astype(np.int64) - 1 for sk in sketches])   # (S, d)
+        self.signs = np.stack([sk.s.astype(np.float64) for sk in sketches])       # (S, d)
+        self._index: dict[int, np.ndarray] = {}
+
+    def _flat_index(self, rows: int) -> np.ndarray:
+        index = self._index.get(rows)
+        if index is None:
+            if len(self._index) >= 4:
+                self._index.clear()
+            slabs = np.arange(len(self.buckets) * rows).reshape(-1, rows, 1)
+            index = self._index[rows] = slabs * self.output_dim + self.buckets[:, None, :]
+        return index
+
+    def project(self, psis: np.ndarray) -> np.ndarray:
+        """(S, rows, d) -> (S, rows, d'): out[k, r, j] = sum over {i : h_ki = j}
+        of s_ki * psis[k, r, i]."""
+        n_sk, rows, _ = psis.shape
+        # bincount adds each bucket's terms in input order, as np.add.at does
+        out = np.bincount(self._flat_index(rows).ravel(),
+                          weights=(psis * self.signs[:, None, :]).ravel(),
+                          minlength=n_sk * rows * self.output_dim)
+        return out.reshape(n_sk, rows, self.output_dim)
+
+    def transpose(self, vs: np.ndarray) -> np.ndarray:
+        """(S, rows, d') -> (S, rows, d): P_k^T applied to every row of slab k."""
+        out = np.take(vs, self._flat_index(vs.shape[1]))
+        out *= self.signs[:, None, :]
+        return out
 
 
 class UnbiasednessReport(NamedTuple):
@@ -164,8 +204,9 @@ def sketch_to_bytes(sk: CountSketch) -> bytes:
 
 
 def sketch_from_bytes(data: bytes) -> CountSketch:
+    """Parse a CSK1 sketch; any defect raises a ValueError starting ``CSK1:``."""
     if data[:4] != MAGIC:
-        raise ValueError("bad sketch magic")
+        raise ValueError("CSK1: bad magic")
     if len(data) < 20:
         raise ValueError(f"CSK1: expected at least 20 bytes, got {len(data)}")
     d, d_prime = (int(v) for v in np.frombuffer(data, "<u4", 2, 4))
@@ -175,7 +216,10 @@ def sketch_from_bytes(data: bytes) -> CountSketch:
     off = 20
     h = np.frombuffer(data, "<u4", d, off).astype(np.uint32)
     s = np.frombuffer(data, "i1", d, off + 4 * d).astype(np.int8)
-    return CountSketch(d, d_prime, h, s, seed)
+    try:
+        return CountSketch(d, d_prime, h, s, seed)
+    except ValueError as exc:
+        raise ValueError(f"CSK1: {exc}") from None
 
 
 def write_sketch(sk: CountSketch, fp: BinaryIO) -> None:

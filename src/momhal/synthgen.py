@@ -24,7 +24,9 @@ detections.jsonl, or manifest.txt and every PGM it lists), the stream
 name, sketch_dim, the PnConfig, the encoder configs, and the source of the
 modules that compute a target, so no change to an input or to the encoder
 arithmetic can return stale targets.  Entries are written atomically; an
-unreadable entry, or one of the wrong shape or dtype, is rebuilt.
+unreadable entry, or one of the wrong shape or dtype, is rebuilt.  Writing
+a stream's entry deletes that stream's other entries, so cache/ holds at
+most one entry per stream.
 Deleting cache/ is always safe, and a directory that cannot be written
 still loads, uncached.
 """
@@ -405,6 +407,9 @@ def _stream_targets(
             buf = io.BytesIO()
             np.save(buf, targets[name])
             write_atomic(cache / names[name], buf.getvalue())
+            for old in cache.glob(f"{name}-*.npy"):   # one entry per stream
+                if old.name != names[name]:
+                    old.unlink(missing_ok=True)
     except OSError:
         pass   # an unwritable data directory still loads; nothing is cached
     return targets

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from fuzz import damaged
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momhal.fusion import HAF_ID, effective_coefficients
 from momhal.halluc import (
@@ -20,9 +23,11 @@ from momhal.halluc import (
     save_checkpoint,
     stream_forward,
     train,
+    video_arrays,
 )
+from momhal.halluc import _all_units, _apply_grads, _forward, _loss_and_grads
 from momhal.pn import PnConfig, sigme
-from momhal.sketch import CountSketch, sketch_new
+from momhal.sketch import CountSketch, project_rows, sketch_new
 
 
 def small_cfg(**kw):
@@ -98,13 +103,9 @@ class TestObjective:
         rng = np.random.default_rng(6)
         batch = make_batch(rng, cfg)
         # inject the model's own outputs as targets
-        from momhal.halluc import _pool_features, _unit_forward_rows
-
-        z = _pool_features(batch, cfg.backbone_dim)
         for name, unit in model.units.items():
-            outs = _unit_forward_rows(unit, z)[2]
-            for video, out in zip(batch, outs):
-                video.ground_truth[name] = out
+            for video in batch:
+                video.ground_truth[name] = stream_forward(unit, video.backbone_features)[1]
         _, per_mse, _ = objective(batch, model.units, model.haf_unit,
                                   model.prednet, model.spec, cfg,
                                   tot_scale=model.tot_scale)
@@ -379,6 +380,94 @@ class TestInference:
         with pytest.raises(ValueError):
             infer(model, np.zeros((3, 7)))
 
+    def test_infer_equals_one_video_batch(self):
+        # A one-row pass is a GEMV in BLAS, so infer matches a batch of one
+        # bit for bit and a longer batch only to rounding (test above).
+        model, data = self.setup_model()
+        for video in data:
+            scores, halls = infer(model, video.backbone_features)
+            assert np.array_equal(scores, predict_scores(model, [video])[0])
+            for name, unit in model.units.items():
+                assert np.array_equal(halls[name], stream_forward(unit, video.backbone_features)[1])
+
+    def test_hallucinations_survive_the_next_call(self):
+        model, data = self.setup_model()
+        scores, halls = infer(model, data[0].backbone_features)
+        kept = {name: h.copy() for name, h in halls.items()}
+        kept_scores = scores.copy()
+        infer(model, data[1].backbone_features)
+        predict_scores(model, data)
+        assert np.array_equal(scores, kept_scores)
+        for name in kept:
+            assert np.array_equal(halls[name], kept[name])
+
+
+def unit_chain_rows(unit, z):
+    """One unit's affine map, SigmE and sketch on the rows of z: the
+    one-unit-at-a-time reference the stacked pass must match bit for bit."""
+    pre = sigme(z @ unit.weight.T + unit.bias, unit.pn)
+    return pre, project_rows(unit.sketch, pre)
+
+
+class TestStackedUnits:
+    def model(self):
+        cfg = TrainConfig(seed=3, epochs=0)   # all 12 streams, 64 -> 128 -> 128
+        model = init_model(cfg, 4)
+        rng = np.random.default_rng(4)
+        for _, unit in _all_units(model):
+            unit.bias[:] = rng.normal(scale=0.1, size=unit.bias.shape)
+        model.spec.set_beta(2.5)
+        return model
+
+    @pytest.mark.parametrize("rows", [1, 32, 70, 256])
+    def test_forward_equals_unit_by_unit_chain(self, rows):
+        model = self.model()
+        z = np.random.default_rng(rows).normal(size=(rows, model.config.backbone_dim))
+        units = dict(_all_units(model))
+        if rows == 1:
+            want = {name: stream_forward(unit, z.T) for name, unit in units.items()}
+        else:
+            want = {name: unit_chain_rows(unit, z) for name, unit in units.items()}
+        coeffs = effective_coefficients(model.spec)
+        pooled = model.tot_scale * sum(c * want[name][1] for name, c in coeffs.items())
+        scores = pooled @ model.prednet.weight.T + model.prednet.bias
+        for backward in (False, True):
+            fwd = _forward(model, z, backward=backward)
+            for k, name in enumerate(units):
+                assert np.array_equal(fwd.outs[k], want[name][1].reshape(rows, -1)), name
+                if backward:
+                    assert np.array_equal(fwd.pres[k], want[name][0].reshape(rows, -1)), name
+            assert np.array_equal(fwd.pooled, pooled.reshape(rows, -1))
+            assert np.array_equal(fwd.scores, scores.reshape(rows, -1))
+
+    def test_units_are_views_of_what_training_writes(self, tmp_path):
+        cfg = small_cfg(epochs=2)
+        model, _ = train(make_batch(np.random.default_rng(12), cfg, n=16), cfg)
+
+        def assert_checkpoint_holds_unit_weights():
+            save_checkpoint(model, tmp_path / "model.hal")
+            back = load_checkpoint(tmp_path / "model.hal")
+            for (name, unit), (_, saved) in zip(_all_units(model), _all_units(back)):
+                assert np.array_equal(unit.weight.astype(np.float32), saved.weight), name
+                assert np.array_equal(unit.bias.astype(np.float32), saved.bias), name
+
+        assert_checkpoint_holds_unit_weights()
+        before = model.units["fv1"].weight.copy()
+        batch = video_arrays(make_batch(np.random.default_rng(13), cfg), cfg, tuple(model.units))
+        _apply_grads(model, _loss_and_grads(model, batch)[1], 0.5)
+        assert not np.array_equal(model.units["fv1"].weight, before)
+        assert_checkpoint_holds_unit_weights()
+
+    def test_replaced_weight_is_read(self):
+        model = self.model()
+        videos = make_batch(np.random.default_rng(14), model.config, n=3)
+        before = predict_scores(model, videos)
+        model.units["det1"].weight = 2.0 * model.units["det1"].weight
+        want = predict_scores(model, videos)
+        assert not np.array_equal(want, before)
+        model.units["det1"].weight = model.units["det1"].weight / 2.0
+        assert np.array_equal(predict_scores(model, videos), before)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -419,6 +508,37 @@ class TestCheckpoint:
         path.write_bytes(blob[:-1])
         with pytest.raises(ValueError, match=f"HAL1: expected at least {n} bytes, got {n - 1}"):
             load_checkpoint(path)
+
+
+class TestCheckpointFuzz:
+    @pytest.fixture(scope="class")
+    def tmp_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("hal")
+
+    @pytest.fixture(scope="class")
+    def blob(self, tmp_dir):
+        """A small valid HAL1 v1 file: two streams, 2 -> 3 -> 2 dims."""
+        cfg = small_cfg(streams=("fv1", "sal2"), backbone_dim=2, pre_sketch_dim=3, sketch_dim=2)
+        path = tmp_dir / "small.hal"
+        save_checkpoint(init_model(cfg, 2), path)
+        return path.read_bytes()
+
+    def test_corrupted_name_names_format_and_offset(self, tmp_dir, blob):
+        at = blob.index(b"fv1")
+        path = tmp_dir / "bad-name.hal"
+        path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
+        with pytest.raises(ValueError, match=f"HAL1: byte {at}: text is not UTF-8"):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_damaged_file_loads_or_names_the_format(self, tmp_dir, blob, data):
+        path = tmp_dir / "damaged.hal"
+        path.write_bytes(data.draw(damaged(blob)))
+        try:
+            load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith("HAL1: "), exc
 
 
 class TestTiedSketches:

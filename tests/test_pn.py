@@ -118,6 +118,64 @@ class TestSigmeGrad:
             sigme_vjp(psi, np.ones((3, 3)), np.ones((2, 3)), CFG)
 
 
+def formula_sigme(psi, cfg):
+    """SigmE as first written, with np.linalg.norm."""
+    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+    return np.tanh(cfg.eta * psi / (2.0 * (norm + cfg.epsilon)))
+
+
+def formula_sigme_vjp(psi, g, upstream, cfg):
+    """The saved-output VJP as first written: np.linalg.norm and two
+    full-size np.where passes on every call."""
+    norm = np.linalg.norm(psi, axis=-1, keepdims=True)
+    n = norm + cfg.epsilon
+    sech2 = 1.0 - g * g
+    half_eta = 0.5 * cfg.eta
+    direct = half_eta * sech2 * upstream / n
+    inner = (upstream * sech2 * psi).sum(axis=-1, keepdims=True)
+    safe_norm = np.where(norm > 0.0, norm, 1.0)
+    norm_term = np.where(norm > 0.0, half_eta * inner * psi / (n * n * safe_norm), 0.0)
+    return direct - norm_term
+
+
+class TestSameBitsAsFormulas:
+    @pytest.mark.parametrize("shape", [(7,), (5, 7), (4, 32, 128), (13, 1, 128)])
+    @pytest.mark.parametrize("zero_rows", [False, True])
+    def test_forward_and_backward(self, shape, zero_rows):
+        cfg = PnConfig(eta=4.0)
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        for _ in range(3):
+            psi = rng.normal(size=shape) * rng.uniform(0.1, 10.0)
+            if zero_rows:
+                psi.reshape(-1, shape[-1])[::2] = 0.0
+            upstream = rng.normal(size=shape)
+            g = sigme(psi, cfg)
+            assert np.array_equal(g, formula_sigme(psi, cfg))
+            got = sigme_vjp(psi, g, upstream, cfg)
+            assert np.array_equal(got, formula_sigme_vjp(psi, g, upstream, cfg))
+
+    def test_all_zero_input(self):
+        psi = np.zeros((3, 6))
+        g = sigme(psi, CFG)
+        upstream = np.ones((3, 6))
+        assert np.array_equal(g, formula_sigme(psi, CFG))
+        assert np.array_equal(sigme_vjp(psi, g, upstream, CFG),
+                              formula_sigme_vjp(psi, g, upstream, CFG))
+
+    def test_huge_finite_rows_still_accepted(self):
+        # the squared norm overflows to inf, but the input is finite
+        psi = np.array([[1e200, 1.0], [3.0, 4.0]])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(sigme(psi, CFG), formula_sigme(psi, CFG))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_anywhere_rejected(self, bad):
+        psi = np.ones((3, 4))
+        psi[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sigme(psi, CFG)
+
+
 class TestMaxExp:
     def test_endpoints(self):
         np.testing.assert_array_equal(maxexp(np.array([0.0, 1.0]), 3.0), [0.0, 1.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fuzz import damaged
 from scipy import stats
 
 from momhal.sketch import (
@@ -189,8 +190,18 @@ class TestSerialization:
         np.testing.assert_array_equal(back.h, sk.h)
 
     def test_bad_magic(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="CSK1: bad magic"):
             sketch_from_bytes(b"XXXX" + bytes(20))
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged(sketch_to_bytes(sketch_new(6, 3, 5))))
+    def test_damaged_file_loads_or_names_the_format(self, blob):
+        try:
+            sk = sketch_from_bytes(blob)
+        except ValueError as exc:
+            assert str(exc).startswith("CSK1: "), exc
+        else:
+            assert len(sketch_to_bytes(sk)) == len(blob)
 
     def test_exact_length(self):
         blob = sketch_to_bytes(sketch_new(5, 4, 2))

@@ -213,6 +213,17 @@ class TestTargetCache:
         assert len(cache_entries(data) - before) == 3
         assert videos[0].ground_truth["fv1"].shape == (kwargs.get("sketch_dim", 16),)
 
+    def test_one_entry_per_stream(self, data, monkeypatch):
+        streams = ("fv1", "det1", "sal1")
+        load_dataset(data, sketch_dim=16, streams=streams)
+        load_dataset(data, sketch_dim=12, streams=streams)
+        entries = cache_entries(data)
+        assert sorted(name.split("-")[0] for name in entries) == ["det1", "fv1", "sal1"]
+        load_dataset(data, sketch_dim=16, streams=("fv2",))   # other streams' entries stay
+        assert len(cache_entries(data)) == 4 and entries <= cache_entries(data)
+        no_encoders(monkeypatch)   # the kept entries are the newest ones
+        load_dataset(data, sketch_dim=12, streams=streams)
+
     def test_changed_encoder_source_misses(self, data, monkeypatch):
         load_dataset(data, sketch_dim=16, streams=("sal1",))
         before = cache_entries(data)
