@@ -115,61 +115,21 @@ class SyntheticVideo:
     label: int | np.ndarray                # class id, or multi-hot vector
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamUnit:
+    """One stream: affine map, SigmE, count sketch.  Inside a model the
+    weight and bias are views of the model's parameter slabs, so in-place
+    writes reach its forward pass; the fields cannot be reassigned."""
+
     stream_id: str
-    weight: np.ndarray   # (m, b); a view into its model's parameter stack once a pass has run
+    weight: np.ndarray   # (m, b)
     bias: np.ndarray     # (m,)
     pn: PnConfig
     sketch: CountSketch  # m -> d'
-    stack: _Stack | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.sketch.input_dim != self.weight.shape[0]:
             raise ValueError("sketch input dim must equal the unit's output dim")
-
-
-class _Stack:
-    """The parameters of a model's units, pass-through unit last, as one
-    (U+1, m, b) weight and one (U+1, m) bias array, with the U+1 sketches
-    tabled once.  Building it copies each unit's weight and bias in and
-    rebinds them to views of the stack, so every unit reads what training
-    writes."""
-
-    def __init__(self, units: list[StreamUnit]):
-        self.pn = units[0].pn
-        if any(u.pn != self.pn for u in units):
-            raise ValueError("the units of a model must share one PnConfig")
-        self.weight = np.array([u.weight for u in units], dtype=np.float64)
-        self.bias = np.array([u.bias for u in units], dtype=np.float64)
-        self.sketches = SketchStack([u.sketch for u in units])
-        for k, u in enumerate(units):
-            u.weight, u.bias, u.stack = self.weight[k], self.bias[k], self
-        self._members = [(u, u.weight, u.bias, u.sketch, u.pn) for u in units]
-
-    def holds(self, units: list[StreamUnit]) -> bool:
-        """Whether ``units`` are exactly this stack's units, in order, with
-        the views, sketches and PnConfig it was built with, and the views
-        still look into this stack (a copied model's do not)."""
-        return len(units) == len(self._members) and all(
-            u is v and u.weight is w and u.bias is b and u.sketch is sk and u.pn is pn
-            and w.base is self.weight and b.base is self.bias
-            for u, (v, w, b, sk, pn) in zip(units, self._members))
-
-    def chain(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _chain(self.weight, self.bias, self.sketches, self.pn, z)
-
-    def outputs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Every unit's sketched outputs (U+1, n, d') of the rows of ``z``,
-        into ``out`` if given, a row block at a time."""
-        blocks = _row_blocks(z.shape[0])
-        if out is None:
-            if len(blocks) == 1:
-                return self.chain(z)[2]
-            out = np.empty((len(self.weight), z.shape[0], self.sketches.output_dim))
-        for lo, hi in blocks:
-            out[:, lo:hi] = self.chain(z[lo:hi])[2]
-        return out
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -201,6 +161,13 @@ class PredNet:
 
 @dataclass
 class Model:
+    """Construction copies the units' weights and biases into one (U+1, m, b)
+    ``weight`` and one (U+1, m) ``bias`` slab, pass-through unit last, tables
+    their sketches once, and rebinds ``units``/``haf_unit`` to units whose
+    arrays are views of the slabs.  Passes and checkpoints read the slabs
+    only, so a unit put in place of another later is not read: build a new
+    model (``dataclasses.replace(model, units=...)``) instead."""
+
     config: TrainConfig
     units: dict[str, StreamUnit]   # hallucination streams, canonical order
     haf_unit: StreamUnit
@@ -214,6 +181,34 @@ class Model:
     # with O(1) inputs, keeping SGD conditioning independent of how many
     # streams are enabled.
     tot_scale: float = 1.0
+    weight: np.ndarray = field(init=False, repr=False)   # (U+1, m, b)
+    bias: np.ndarray = field(init=False, repr=False)     # (U+1, m)
+    sketches: SketchStack = field(init=False, repr=False)
+
+    def __post_init__(self):
+        units = [*self.units.values(), self.haf_unit]
+        if any(u.pn != self.config.pn for u in units):
+            raise ValueError("every unit of a model must use the model's PnConfig")
+        self.weight = np.array([u.weight for u in units], dtype=np.float64)
+        self.bias = np.array([u.bias for u in units], dtype=np.float64)
+        self.sketches = SketchStack([u.sketch for u in units])
+        views = [replace(u, weight=w, bias=b) for u, w, b in zip(units, self.weight, self.bias)]
+        self.units, self.haf_unit = dict(zip(self.units, views)), views[-1]
+
+    def chain(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _chain(self.weight, self.bias, self.sketches, self.config.pn, z)
+
+    def outputs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Every unit's sketched outputs (U+1, n, d') of the rows of ``z``,
+        into ``out`` if given, a row block at a time."""
+        blocks = _row_blocks(z.shape[0])
+        if out is None:
+            if len(blocks) == 1:
+                return self.chain(z)[2]
+            out = np.empty((len(self.weight), z.shape[0], self.sketches.output_dim))
+        for lo, hi in blocks:
+            out[:, lo:hi] = self.chain(z[lo:hi])[2]
+        return out
 
 
 @dataclass
@@ -273,14 +268,6 @@ def _all_units(model: Model) -> list[tuple[str, StreamUnit]]:
     return [*model.units.items(), (HAF_ID, model.haf_unit)]
 
 
-def _stack(model: Model) -> _Stack:
-    """The model's parameter stack, rebuilt only when a unit, a weight or
-    bias array, a sketch or a PnConfig has been replaced since it was built."""
-    units = [unit for _, unit in _all_units(model)]
-    stack = units[0].stack
-    return stack if stack is not None and stack.holds(units) else _Stack(units)
-
-
 def _pool(model: Model, outs: np.ndarray, coeffs: dict[str, float]) -> np.ndarray:
     """tot_scale * sum_i c_i out_i of the stacked (U+1, n, d') outputs,
     summed from zero in coefficient order."""
@@ -297,7 +284,6 @@ class _Pass:
     """One forward pass over a batch of time-pooled features.  The unit
     axis of the stacked arrays follows ``_all_units``: pass-through last."""
 
-    stack: _Stack
     acts: np.ndarray | None       # (U+1, n, m) affine pre-activations, kept for the backward pass
     pres: np.ndarray | None       # (U+1, n, m) SigmE outputs, kept for the backward pass
     outs: np.ndarray              # (U+1, n, d') sketched outputs
@@ -312,16 +298,15 @@ def _forward(
     """The forward pass over the rows of ``z``.  ``backward`` keeps the
     activations the gradients need; otherwise the pass runs in row blocks
     and writes the sketched outputs into ``out`` if given."""
-    stack = _stack(model)
     if backward:
-        acts, pres, outs = stack.chain(z)
+        acts, pres, outs = model.chain(z)
     else:
         acts = pres = None
-        outs = stack.outputs(z, out)
+        outs = model.outputs(z, out)
     coeffs = model.spec.coefficients()
     pooled = _pool(model, outs, coeffs)
     scores = pooled @ model.prednet.weight.T + model.prednet.bias
-    return _Pass(stack, acts, pres, outs, coeffs, pooled, scores)
+    return _Pass(acts, pres, outs, coeffs, pooled, scores)
 
 
 def _class_loss_and_grad(
@@ -372,41 +357,20 @@ def _squared_residuals(outs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return sq_norms
 
 
-def objective(
-    batch: list[SyntheticVideo],
-    units: dict[str, StreamUnit],
-    haf_unit: StreamUnit,
-    prednet: PredNet,
-    spec: FusionSpec,
-    cfg: TrainConfig,
-    tot_scale: float = 1.0,
-) -> tuple[float, dict[str, float], float]:
-    """Combined loss on a batch.
-
-    Returns (total loss, per-stream mean squared error, classification
-    loss) with total = (alpha / |streams|) * sum of per-stream MSE plus the
-    classification loss, exactly.
-    """
-    model = Model(cfg, units, haf_unit, prednet, spec, prednet.weight.shape[0], tot_scale)
-    data = video_arrays(batch, cfg, tuple(units))
+def objective(model: Model, batch: list[SyntheticVideo]) -> tuple[float, dict[str, float], float]:
+    """Combined loss of ``model`` on a batch: (total loss, per-stream mean
+    squared error, classification loss) with total = (alpha / |streams|) *
+    sum of per-stream MSE plus the classification loss, exactly."""
+    data = video_arrays(batch, model.config, tuple(model.units))
     fwd = _forward(model, data.z)
     return _losses(model, _squared_residuals(fwd.outs, data.targets), fwd.scores, data)[:3]
 
 
 @dataclass
 class _Grads:
-    names: list[str]          # the stream units' names; the pass-through unit follows them
-    weight: np.ndarray        # (U+1, m, b)
+    weight: np.ndarray        # (U+1, m, b), laid out as Model.weight
     bias: np.ndarray          # (U+1, m)
     prednet: tuple[np.ndarray, np.ndarray]
-
-    @property
-    def units(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        return {name: (self.weight[k], self.bias[k]) for k, name in enumerate(self.names)}
-
-    @property
-    def haf(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.weight[-1], self.bias[-1]
 
 
 def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
@@ -422,11 +386,10 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     d_out = coeffs[:, None, None] * d_tot
     if n_units:
         d_out[:n_units] += np.multiply((cfg.alpha / n_units) * (2.0 / b), resids, out=resids)
-    d_pre = fwd.stack.sketches.transpose(d_out)
-    d_a = sigme_vjp(fwd.acts, fwd.pres, d_pre, fwd.stack.pn)
+    d_pre = model.sketches.transpose(d_out)
+    d_a = sigme_vjp(fwd.acts, fwd.pres, d_pre, cfg.pn)
     weight = np.matmul(d_a.transpose(0, 2, 1), data.z)
-    return loss, _Grads(list(model.units), weight, d_a.sum(axis=1),
-                        (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
+    return loss, _Grads(weight, d_a.sum(axis=1), (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
 
 
 def batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grads]:
@@ -436,8 +399,7 @@ def batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grad
 
 def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
     """One SGD step; scales the gradient arrays in place."""
-    for layer, dw, db in [(_stack(model), grads.weight, grads.bias),
-                          (model.prednet, *grads.prednet)]:
+    for layer, dw, db in [(model, grads.weight, grads.bias), (model.prednet, *grads.prednet)]:
         layer.weight -= np.multiply(lr, dw, out=dw)
         layer.bias -= np.multiply(lr, db, out=db)
 
@@ -708,14 +670,13 @@ def save_checkpoint(model: Model, path) -> None:
         buf.write(np.float64(v).tobytes())
     buf.write(np.uint8(1 if cfg.multi_label else 0).tobytes())
 
-    all_units = _all_units(model)
-    buf.write(np.uint32(len(all_units)).tobytes())
-    for name, unit in all_units:
+    buf.write(np.uint32(len(model.weight)).tobytes())
+    for (name, unit), w, b in zip(_all_units(model), model.weight, model.bias):
         raw = name.encode()
         buf.write(np.uint16(len(raw)).tobytes())
         buf.write(raw)
-        _write_array(buf, unit.weight)
-        _write_array(buf, unit.bias)
+        _write_array(buf, w)
+        _write_array(buf, b)
         sk = sketch_to_bytes(unit.sketch)
         buf.write(np.uint32(len(sk)).tobytes())
         buf.write(sk)
@@ -755,18 +716,17 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
 
     n_units = int(r.array("<u4")[0])
     pn_cfg = PnConfig(eta=eta, epsilon=eps)
-    units: dict[str, StreamUnit] = {}
-    haf_unit = None
+    units: dict[str, StreamUnit] = {}   # the pass-through unit too, until the loop ends
     for _ in range(n_units):
+        at = r.pos + 2   # the name, after its u16 length
         name = r.text(int(r.array("<u2")[0]))
+        if name in units:
+            raise ValueError(f"HAL1: byte {at}: repeated unit {name!r}")
         w = r.floats((m, b))
         bias = r.floats((m,))
         sk = sketch_from_bytes(r.take(int(r.array("<u4")[0])))
-        unit = StreamUnit(name, w, bias, pn_cfg, sk)
-        if name == HAF_ID:
-            haf_unit = unit
-        else:
-            units[name] = unit
+        units[name] = StreamUnit(name, w, bias, pn_cfg, sk)
+    haf_unit = units.pop(HAF_ID, None)
     if haf_unit is None:
         raise ValueError("HAL1: no pass-through unit")
     wp = r.floats((n_classes, d_prime))

@@ -111,14 +111,11 @@ def suite_gradients(seed: int = 11) -> bool:
     _, grads = halluc.batch_grads(batch, model)
 
     def loss() -> float:
-        val, _, _ = halluc.objective(batch, model.units, model.haf_unit,
-                                     model.prednet, model.spec, cfg,
-                                     tot_scale=model.tot_scale)
-        return val
+        return halluc.objective(model, batch)[0]
 
-    params = [(model.units[s].weight, grads.units[s][0]) for s in cfg.streams]
-    params += [(model.units[s].bias, grads.units[s][1]) for s in cfg.streams]
-    params += [(model.haf_unit.weight, grads.haf[0]), (model.haf_unit.bias, grads.haf[1])]
+    # one block per unit (pass-through last) and layer, each a view of the model's slabs
+    params = [(model.weight[k], grads.weight[k]) for k in range(len(model.weight))]
+    params += [(model.bias[k], grads.bias[k]) for k in range(len(model.bias))]
     params += [(model.prednet.weight, grads.prednet[0]), (model.prednet.bias, grads.prednet[1])]
     worst = 0.0
     for arr, grad in params:

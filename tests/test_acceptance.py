@@ -161,17 +161,12 @@ class TestCriterion5Gradients:
             _, grads = batch_grads(batch, model)
 
             def loss():
-                val, _, _ = objective(batch, model.units, model.haf_unit,
-                                      model.prednet, model.spec, cfg,
-                                      tot_scale=model.tot_scale)
-                return val
+                return objective(model, batch)[0]
 
             blocks = []
-            for name in model.units:
-                blocks.append((model.units[name].weight, grads.units[name][0]))
-                blocks.append((model.units[name].bias, grads.units[name][1]))
-            blocks.append((model.haf_unit.weight, grads.haf[0]))
-            blocks.append((model.haf_unit.bias, grads.haf[1]))
+            for k in range(len(model.weight)):   # every stream unit, then the pass-through unit
+                blocks.append((model.weight[k], grads.weight[k]))
+                blocks.append((model.bias[k], grads.bias[k]))
             blocks.append((model.prednet.weight, grads.prednet[0]))
             blocks.append((model.prednet.bias, grads.prednet[1]))
             for arr, grad in blocks:

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 from fuzz import damaged
@@ -91,9 +93,7 @@ class TestObjective:
         cfg = small_cfg(alpha=0.0)
         model = init_model(cfg, 3)
         batch = make_batch(np.random.default_rng(5), cfg)
-        loss, per_mse, class_loss = objective(batch, model.units, model.haf_unit,
-                                              model.prednet, model.spec, cfg,
-                                              tot_scale=model.tot_scale)
+        loss, per_mse, class_loss = objective(model, batch)
         assert loss == class_loss
         assert all(v > 0 for v in per_mse.values())
 
@@ -106,18 +106,14 @@ class TestObjective:
         for name, unit in model.units.items():
             for video in batch:
                 video.ground_truth[name] = stream_forward(unit, video.backbone_features)[1]
-        _, per_mse, _ = objective(batch, model.units, model.haf_unit,
-                                  model.prednet, model.spec, cfg,
-                                  tot_scale=model.tot_scale)
+        _, per_mse, _ = objective(model, batch)
         assert all(v == pytest.approx(0.0, abs=1e-18) for v in per_mse.values())
 
     def test_decomposition_identity(self):
         cfg = small_cfg(alpha=1.7)
         model = init_model(cfg, 3)
         batch = make_batch(np.random.default_rng(7), cfg)
-        loss, per_mse, class_loss = objective(batch, model.units, model.haf_unit,
-                                              model.prednet, model.spec, cfg,
-                                              tot_scale=model.tot_scale)
+        loss, per_mse, class_loss = objective(model, batch)
         assert loss == (cfg.alpha / len(model.units)) * sum(per_mse.values()) + class_loss
 
     def test_missing_target_error(self):
@@ -126,8 +122,7 @@ class TestObjective:
         batch = make_batch(np.random.default_rng(8), cfg)
         del batch[0].ground_truth["det1"]
         with pytest.raises(ValueError, match="det1"):
-            objective(batch, model.units, model.haf_unit, model.prednet,
-                      model.spec, cfg)
+            objective(model, batch)
 
 
 def norm_rel_err(a, b):
@@ -143,16 +138,12 @@ def finite_difference_check(cfg, seed, n_classes=3):
     _, grads = batch_grads(batch, model)
 
     def loss():
-        val, _, _ = objective(batch, model.units, model.haf_unit, model.prednet,
-                              model.spec, cfg, tot_scale=model.tot_scale)
-        return val
+        return objective(model, batch)[0]
 
     blocks = []
-    for name in model.units:
-        blocks.append((model.units[name].weight, grads.units[name][0]))
-        blocks.append((model.units[name].bias, grads.units[name][1]))
-    blocks.append((model.haf_unit.weight, grads.haf[0]))
-    blocks.append((model.haf_unit.bias, grads.haf[1]))
+    for k in range(len(model.weight)):   # every stream unit, then the pass-through unit
+        blocks.append((model.weight[k], grads.weight[k]))
+        blocks.append((model.bias[k], grads.bias[k]))
     blocks.append((model.prednet.weight, grads.prednet[0]))
     blocks.append((model.prednet.bias, grads.prednet[1]))
 
@@ -191,9 +182,7 @@ class TestGradients:
         _, grads = batch_grads(batch, model)
 
         def loss():
-            val, _, _ = objective(batch, model.units, model.haf_unit, model.prednet,
-                                  model.spec, cfg, tot_scale=model.tot_scale)
-            return val
+            return objective(model, batch)[0]
 
         arr, grad = model.prednet.weight, grads.prednet[0]
         fd = np.zeros_like(arr)
@@ -283,9 +272,7 @@ class TestTrain:
         n_val = int(round(cfg.val_fraction * len(data)))
         val = [data[i] for i in perm[:n_val]]
         training = [data[i] for i in perm[n_val:]]
-        loss, per_mse, class_loss = objective(training, model.units, model.haf_unit,
-                                              model.prednet, model.spec, cfg,
-                                              tot_scale=model.tot_scale)
+        loss, per_mse, class_loss = objective(model, training)
         last = metrics[-1]
         assert last["loss"] == loss
         assert last["class_loss"] == class_loss
@@ -458,15 +445,52 @@ class TestStackedUnits:
         assert not np.array_equal(model.units["fv1"].weight, before)
         assert_checkpoint_holds_unit_weights()
 
-    def test_replaced_weight_is_read(self):
+    def test_unit_arrays_cannot_be_replaced(self):
+        model = self.model()
+        unit = model.units["det1"]
+        assert np.shares_memory(unit.weight, model.weight)
+        with pytest.raises(FrozenInstanceError):
+            unit.weight = 2.0 * unit.weight
+        with pytest.raises(FrozenInstanceError):
+            unit.bias = unit.bias.copy()
+
+    def test_in_place_write_is_read(self):
         model = self.model()
         videos = make_batch(np.random.default_rng(14), model.config, n=3)
         before = predict_scores(model, videos)
-        model.units["det1"].weight = 2.0 * model.units["det1"].weight
-        want = predict_scores(model, videos)
-        assert not np.array_equal(want, before)
-        model.units["det1"].weight = model.units["det1"].weight / 2.0
+        model.units["det1"].weight[...] *= 2.0   # a bare `weight *= 2.0` also rebinds the field
+        assert not np.array_equal(predict_scores(model, videos), before)
+        model.units["det1"].weight[...] /= 2.0
         assert np.array_equal(predict_scores(model, videos), before)
+
+    def test_construction_copies_the_units(self):
+        model = init_model(small_cfg(), 3)
+        copied = replace(model)   # a new Model built from model's units
+        assert not np.shares_memory(copied.weight, model.weight)
+        assert np.array_equal(copied.weight, model.weight)
+        copied.units["fv1"].weight[...] += 1.0
+        assert not np.array_equal(copied.weight, model.weight)
+
+    def test_units_must_share_the_model_pn_config(self):
+        model = init_model(small_cfg(), 3)
+        units = {**model.units, "det1": replace(model.units["det1"], pn=PnConfig(eta=5.0))}
+        with pytest.raises(ValueError, match="PnConfig"):
+            replace(model, units=units)
+
+
+UNIT_COUNT_AT = 65   # offset of the HAL1 v1 unit count, after the fixed header
+
+
+def unit_blocks(blob, m, b):
+    """(start, end) byte ranges of a HAL1 v1 file's unit blocks."""
+    n_units = int(np.frombuffer(blob, "<u4", 1, UNIT_COUNT_AT)[0])
+    blocks, pos = [], UNIT_COUNT_AT + 4
+    for _ in range(n_units):
+        at = pos + 2 + int(np.frombuffer(blob, "<u2", 1, pos)[0]) + 4 * (m * b + m)
+        end = at + 4 + int(np.frombuffer(blob, "<u4", 1, at)[0])
+        blocks.append((pos, end))
+        pos = end
+    return blocks
 
 
 class TestCheckpoint:
@@ -490,6 +514,21 @@ class TestCheckpoint:
         path2 = tmp_path / "model2.hal"
         save_checkpoint(back, path2)
         assert path2.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("which", [0, -1])   # a stream unit, the pass-through unit
+    def test_repeated_unit_is_refused(self, tmp_path, which):
+        cfg = small_cfg()
+        path = tmp_path / "model.hal"
+        save_checkpoint(init_model(cfg, 3), path)
+        blob = path.read_bytes()
+        start, end = unit_blocks(blob, cfg.pre_sketch_dim, cfg.backbone_dim)[which]
+        n_units = int(np.frombuffer(blob, "<u4", 1, UNIT_COUNT_AT)[0])
+        path.write_bytes(blob[:UNIT_COUNT_AT] + np.uint32(n_units + 1).tobytes()
+                         + blob[UNIT_COUNT_AT + 4 : end] + blob[start:end] + blob[end:])
+        name = blob[start + 2 : start + 2 + blob[start]].decode()
+        with pytest.raises(ValueError,
+                           match=f"HAL1: byte {end + 2}: repeated unit '{name}'"):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.hal"
