@@ -8,7 +8,7 @@ Submodules:
   odf      - object detection features
   sdf      - saliency detection features
   fusion   - stream reweighting, pooling, golden-section search
-  halluc   - stream units, objective, training, inference
+  halluc   - the stacked stream units, objective, training, inference
   synthgen - deterministic synthetic datasets and the target cache
   atomic   - atomic file writes
   keyvalue - the shared key = value document parser
@@ -23,7 +23,7 @@ from .pn import PnConfig, maxexp, sigme, sigme_grad
 from .sdf import SaliencyFrame, SdfConfig, encode_frame, gradients, sdf_descriptor
 from .sketch import CountSketch, project, sketch_new, unbiasedness_check
 from .fusion import FusionSpec, eq9_weights, golden_section_max, pooled
-from .halluc import Model, StreamUnit, SyntheticVideo, TrainConfig, infer, objective, train
+from .halluc import Model, SyntheticVideo, TrainConfig, infer, objective, train
 
 __all__ = [
     "FeatureMapConfig", "feature_map", "kernel_approx_constant",
@@ -33,7 +33,7 @@ __all__ = [
     "DetectionRecord", "OdfConfig", "encode_box", "odf_descriptor",
     "SaliencyFrame", "SdfConfig", "gradients", "encode_frame", "sdf_descriptor",
     "FusionSpec", "eq9_weights", "pooled", "golden_section_max",
-    "StreamUnit", "TrainConfig", "SyntheticVideo", "Model", "objective", "train", "infer",
+    "TrainConfig", "SyntheticVideo", "Model", "objective", "train", "infer",
 ]
 
 __version__ = "0.1.0"

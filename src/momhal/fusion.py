@@ -72,7 +72,6 @@ class FusionSpec:
     beta: dict[str, float]
     rho: float = 0.1
     haf_weight: float = 1.0
-    haf_id: str = HAF_ID
     _coefficients: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,7 +87,7 @@ class FusionSpec:
     def weighted_members(self, group: str) -> list[str]:
         """Group members that receive exponent-scaled weights (the fixed
         pass-through stream is excluded)."""
-        return [sid for sid in self.groups[group] if sid != self.haf_id]
+        return [sid for sid in self.groups[group] if sid != HAF_ID]
 
     def normalized_weights(self, group: str) -> np.ndarray:
         """Raw weights of the weighted members scaled so the maximum is 1."""
@@ -115,7 +114,7 @@ class FusionSpec:
         coefficients read has changed since the last call."""
         state = (tuple(self.beta.items()), tuple(self.raw_weights.items()),
                  tuple((g, tuple(m)) for g, m in self.groups.items()),
-                 self.rho, self.haf_weight, self.haf_id)
+                 self.rho, self.haf_weight)
         if not self._coefficients or self._coefficients[0] != state:
             self._coefficients = (state, effective_coefficients(self))
         return dict(self._coefficients[1])
@@ -149,8 +148,8 @@ def pooled(streams: dict[str, np.ndarray], spec: FusionSpec, group: str) -> np.n
     acc = np.zeros(dim)
     for sid, w in weights.items():
         acc += w * np.asarray(streams[sid], dtype=np.float64)
-    if spec.haf_id in members:
-        acc += spec.haf_weight * np.asarray(streams[spec.haf_id], dtype=np.float64)
+    if HAF_ID in members:
+        acc += spec.haf_weight * np.asarray(streams[HAF_ID], dtype=np.float64)
         return acc / (n + 1)
     if n == 0:
         raise ValueError(f"group {group!r} has no members")
@@ -176,7 +175,7 @@ def effective_coefficients(spec: FusionSpec) -> dict[str, float]:
     coeffs: dict[str, float] = {}
     for sid in spec.groups[GROUP_TOP]:
         group = SLOT_GROUPS.get(sid)
-        if sid == spec.haf_id:
+        if sid == HAF_ID:
             coeffs[sid] = spec.haf_weight * outer
         elif group and spec.groups.get(group):
             for leaf, w in spec.group_weights(group).items():
@@ -282,8 +281,8 @@ def spec_to_text(spec: FusionSpec) -> str:
     pairs = [
         ("rho", spec.rho),
         ("haf_weight", spec.haf_weight),
-        ("haf_id", spec.haf_id),
-        ("ratio_weights", "true"),  # the only pooling form; kept so HAL1 bytes stay put
+        ("haf_id", HAF_ID),         # the only pass-through name and the only
+        ("ratio_weights", "true"),  # pooling form, written so HAL1 bytes stay put
     ]
     pairs += [(f"group.{g}", ",".join(spec.groups[g])) for g in sorted(spec.groups)]
     pairs += [(f"beta.{g}", spec.beta[g]) for g in sorted(spec.beta)]
@@ -301,7 +300,9 @@ def spec_from_text(text: str, origin: str = "<string>") -> FusionSpec:
         if key in ("rho", "haf_weight"):
             scalars[key] = float(value)
         elif key == "haf_id":
-            scalars[key] = value
+            if value != HAF_ID:
+                raise ValueError(f"haf_id = {value} is not supported: the pass-through "
+                                 f"stream is always {HAF_ID!r}")
         elif key == "ratio_weights":
             if not parse_bool(value):
                 raise ValueError("ratio_weights = false (the r_i/|T| pooling form) is not supported")
@@ -316,13 +317,3 @@ def spec_from_text(text: str, origin: str = "<string>") -> FusionSpec:
 
     parse_key_values(text, origin, setting)
     return FusionSpec(groups=groups, raw_weights=raw, beta=beta, **scalars)
-
-
-def write_fusion_spec(spec: FusionSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fp:
-        fp.write(spec_to_text(spec))
-
-
-def read_fusion_spec(path) -> FusionSpec:
-    with open(path, "r", encoding="utf-8") as fp:
-        return spec_from_text(fp.read(), origin=str(path))

@@ -40,7 +40,6 @@ from .odf import DETECTOR_SLOTS
 from .pn import PnConfig, sigme, sigme_vjp
 from .sdf import SALIENCY_SLOTS
 from .sketch import (
-    CountSketch,
     SketchStack,
     derive_stream_seed,
     sketch_from_bytes,
@@ -115,23 +114,6 @@ class SyntheticVideo:
     label: int | np.ndarray                # class id, or multi-hot vector
 
 
-@dataclass(frozen=True)
-class StreamUnit:
-    """One stream: affine map, SigmE, count sketch.  Inside a model the
-    weight and bias are views of the model's parameter slabs, so in-place
-    writes reach its forward pass; the fields cannot be reassigned."""
-
-    stream_id: str
-    weight: np.ndarray   # (m, b)
-    bias: np.ndarray     # (m,)
-    pn: PnConfig
-    sketch: CountSketch  # m -> d'
-
-    def __post_init__(self):
-        if self.sketch.input_dim != self.weight.shape[0]:
-            raise ValueError("sketch input dim must equal the unit's output dim")
-
-
 def _row_blocks(n: int) -> list[tuple[int, int]]:
     """Row ranges of _BLOCK_ROWS to 2 * _BLOCK_ROWS - 1 rows that cover n rows,
     so a long pass allocates no temporaries larger than a training batch's,
@@ -161,16 +143,16 @@ class PredNet:
 
 @dataclass
 class Model:
-    """Construction copies the units' weights and biases into one (U+1, m, b)
-    ``weight`` and one (U+1, m) ``bias`` slab, pass-through unit last, tables
-    their sketches once, and rebinds ``units``/``haf_unit`` to units whose
-    arrays are views of the slabs.  Passes and checkpoints read the slabs
-    only, so a unit put in place of another later is not read: build a new
-    model (``dataclasses.replace(model, units=...)``) instead."""
+    """Every unit as stacked arrays, pass-through unit last: one (U+1, m, b)
+    ``weight`` and one (U+1, m) ``bias`` slab and one ``SketchStack``.  No
+    other object holds a unit, so passes and checkpoints read whatever the
+    slabs hold, whether written in place or rebound."""
 
     config: TrainConfig
-    units: dict[str, StreamUnit]   # hallucination streams, canonical order
-    haf_unit: StreamUnit
+    streams: tuple[str, ...]   # the U hallucination streams, canonical order
+    weight: np.ndarray         # (U+1, m, b)
+    bias: np.ndarray           # (U+1, m)
+    sketches: SketchStack      # U+1 count sketches m -> d'
     prednet: PredNet
     spec: FusionSpec
     n_classes: int
@@ -181,19 +163,13 @@ class Model:
     # with O(1) inputs, keeping SGD conditioning independent of how many
     # streams are enabled.
     tot_scale: float = 1.0
-    weight: np.ndarray = field(init=False, repr=False)   # (U+1, m, b)
-    bias: np.ndarray = field(init=False, repr=False)     # (U+1, m)
-    sketches: SketchStack = field(init=False, repr=False)
 
     def __post_init__(self):
-        units = [*self.units.values(), self.haf_unit]
-        if any(u.pn != self.config.pn for u in units):
-            raise ValueError("every unit of a model must use the model's PnConfig")
-        self.weight = np.array([u.weight for u in units], dtype=np.float64)
-        self.bias = np.array([u.bias for u in units], dtype=np.float64)
-        self.sketches = SketchStack([u.sketch for u in units])
-        views = [replace(u, weight=w, bias=b) for u, w, b in zip(units, self.weight, self.bias)]
-        self.units, self.haf_unit = dict(zip(self.units, views)), views[-1]
+        got = (len(self.sketches.sketches), self.sketches.input_dim, self.sketches.output_dim)
+        want = (len(self.streams) + 1, self.weight.shape[1], self.config.sketch_dim)
+        if got != want:
+            raise ValueError("{} count sketches of {} -> {}, but the model needs {} of {} -> {}"
+                             .format(*got, *want))
 
     def chain(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _chain(self.weight, self.bias, self.sketches, self.config.pn, z)
@@ -255,23 +231,10 @@ def video_arrays(
     return VideoArrays(_pool_features(videos, cfg.backbone_dim), targets, labels)
 
 
-def stream_forward(unit: StreamUnit, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-video forward pass: mean-pool time, affine, SigmE, sketch.
-    Returns (pre-sketch activation, sketched output)."""
-    z = _time_pool([x], unit.weight.shape[1])
-    _, pre, out = _chain(unit.weight[None], unit.bias[None], SketchStack([unit.sketch]),
-                         unit.pn, z)
-    return pre[0, 0], out[0, 0]
-
-
-def _all_units(model: Model) -> list[tuple[str, StreamUnit]]:
-    return [*model.units.items(), (HAF_ID, model.haf_unit)]
-
-
 def _pool(model: Model, outs: np.ndarray, coeffs: dict[str, float]) -> np.ndarray:
     """tot_scale * sum_i c_i out_i of the stacked (U+1, n, d') outputs,
     summed from zero in coefficient order."""
-    index = {name: k for k, name in enumerate([*model.units, HAF_ID])}
+    index = {name: k for k, name in enumerate((*model.streams, HAF_ID))}
     pooled, term = np.zeros(outs.shape[1:]), np.empty(outs.shape[1:])
     for name, c in coeffs.items():
         pooled += np.multiply(c, outs[index[name]], out=term)
@@ -282,7 +245,7 @@ def _pool(model: Model, outs: np.ndarray, coeffs: dict[str, float]) -> np.ndarra
 @dataclass
 class _Pass:
     """One forward pass over a batch of time-pooled features.  The unit
-    axis of the stacked arrays follows ``_all_units``: pass-through last."""
+    axis of the stacked arrays follows ``Model.weight``: pass-through last."""
 
     acts: np.ndarray | None       # (U+1, n, m) affine pre-activations, kept for the backward pass
     pres: np.ndarray | None       # (U+1, n, m) SigmE outputs, kept for the backward pass
@@ -340,8 +303,8 @@ def _losses(
     y = labels if cfg.multi_label else np.eye(model.n_classes)[labels]
     class_loss, d_scores = _class_loss_and_grad(scores[rows], y, cfg.multi_label)
     # one 1-D mean per stream: a 2-D mean along axis 1 sums in another order
-    per_stream_mse = {name: float(sq.mean()) for name, sq in zip(model.units, sq_norms[:, rows])}
-    n_units = len(model.units)
+    per_stream_mse = {name: float(sq.mean()) for name, sq in zip(model.streams, sq_norms[:, rows])}
+    n_units = len(model.streams)
     mse_term = (cfg.alpha / n_units) * sum(per_stream_mse.values()) if n_units else 0.0
     return mse_term + class_loss, per_stream_mse, class_loss, d_scores
 
@@ -361,7 +324,7 @@ def objective(model: Model, batch: list[SyntheticVideo]) -> tuple[float, dict[st
     """Combined loss of ``model`` on a batch: (total loss, per-stream mean
     squared error, classification loss) with total = (alpha / |streams|) *
     sum of per-stream MSE plus the classification loss, exactly."""
-    data = video_arrays(batch, model.config, tuple(model.units))
+    data = video_arrays(batch, model.config, model.streams)
     fwd = _forward(model, data.z)
     return _losses(model, _squared_residuals(fwd.outs, data.targets), fwd.scores, data)[:3]
 
@@ -378,11 +341,11 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     forward pass, for all units at once."""
     cfg = model.config
     fwd = _forward(model, data.z, backward=True)
-    n_units, b = len(model.units), data.z.shape[0]
+    n_units, b = len(model.streams), data.z.shape[0]
     resids = fwd.outs[:n_units] - data.targets
     loss, _, _, d_scores = _losses(model, (resids ** 2).sum(axis=2), fwd.scores, data)
     d_tot = model.tot_scale * (d_scores @ model.prednet.weight)
-    coeffs = np.array([fwd.coeffs[name] for name in [*model.units, HAF_ID]])
+    coeffs = np.array([fwd.coeffs[name] for name in (*model.streams, HAF_ID)])
     d_out = coeffs[:, None, None] * d_tot
     if n_units:
         d_out[:n_units] += np.multiply((cfg.alpha / n_units) * (2.0 / b), resids, out=resids)
@@ -394,7 +357,7 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
 
 def batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grads]:
     """Loss and hand-derived parameter gradients for one batch of videos."""
-    return _loss_and_grads(model, video_arrays(batch, model.config, tuple(model.units)))
+    return _loss_and_grads(model, video_arrays(batch, model.config, model.streams))
 
 
 def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
@@ -404,30 +367,26 @@ def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
         layer.bias -= np.multiply(lr, db, out=db)
 
 
-def _new_unit(name: str, cfg: TrainConfig, rng: np.random.Generator) -> StreamUnit:
-    w = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.backbone_dim),
-                   size=(cfg.pre_sketch_dim, cfg.backbone_dim))
-    bias = np.zeros(cfg.pre_sketch_dim)
-    # tie_sketches reuses the ground-truth seed role, making the stream
-    # sketch bit-identical to the target sketch when the dims and the
-    # dataset/train seeds agree.
-    role = "gt" if cfg.tie_sketches else "stream"
-    sk = sketch_new(cfg.pre_sketch_dim, cfg.sketch_dim,
-                    derive_stream_seed(cfg.seed, name, role))
-    return StreamUnit(name, w, bias, cfg.pn, sk)
-
-
 def init_model(cfg: TrainConfig, n_classes: int) -> Model:
     """Build a model at its deterministic initialization (no training)."""
     rng = np.random.default_rng((cfg.seed, 0xC0))
-    units = {name: _new_unit(name, cfg, rng) for name in cfg.ordered_streams()}
-    haf_unit = _new_unit(HAF_ID, cfg, rng)
+    streams = cfg.ordered_streams()
+    units = (*streams, HAF_ID)
+    # one draw of U+1 (m, b) blocks gives the bits of U+1 draws in unit order
+    weight = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.backbone_dim),
+                        size=(len(units), cfg.pre_sketch_dim, cfg.backbone_dim))
+    # tie_sketches reuses the ground-truth seed role: a stream's sketch is then its
+    # target sketch, bit for bit, when the dims and the dataset/train seeds agree
+    role = "gt" if cfg.tie_sketches else "stream"
+    sketches = SketchStack([sketch_new(cfg.pre_sketch_dim, cfg.sketch_dim,
+                                       derive_stream_seed(cfg.seed, name, role))
+                            for name in units])
     wp = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.sketch_dim),
                     size=(n_classes, cfg.sketch_dim))
-    prednet = PredNet(wp, np.zeros(n_classes))
     spec = _default_spec(cfg)
     tot_scale = 1.0 / sum(effective_coefficients(spec).values())
-    return Model(cfg, units, haf_unit, prednet, spec, n_classes, tot_scale)
+    return Model(cfg, streams, weight, np.zeros(weight.shape[:2]), sketches,
+                 PredNet(wp, np.zeros(n_classes)), spec, n_classes, tot_scale)
 
 
 def _default_spec(cfg: TrainConfig) -> FusionSpec:
@@ -453,7 +412,7 @@ def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[st
     """Test-time pass on raw backbone features only: hallucinate every
     stream, pool, and score.  No ground-truth descriptors are consumed."""
     fwd = _forward(model, _time_pool([video_features], model.config.backbone_dim))
-    return fwd.scores[0], {name: out[0] for name, out in zip(model.units, fwd.outs)}
+    return fwd.scores[0], {name: out[0] for name, out in zip(model.streams, fwd.outs)}
 
 
 def predict_scores(model: Model, videos: list[SyntheticVideo]) -> np.ndarray:
@@ -530,7 +489,7 @@ def _initial_weights(
         return ridge_accuracy(x[train_idx], y[train_idx], x[val_idx], y[val_idx],
                               model.n_classes, model.config.ridge_l2)
 
-    gt = {name: data.targets[k] for k, name in enumerate(model.units)}
+    gt = {name: data.targets[k] for k, name in enumerate(model.streams)}
     accs = {name: accuracy(x) for name, x in gt.items()}
     for slot, gid in SLOT_GROUPS.items():
         members = model.spec.groups.get(gid, [])
@@ -565,7 +524,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     bracket = Bracket(lo, hi - lo)
     # every unit's sketched outputs over all videos at the current weights,
     # rewritten by each epoch's end
-    outs = np.empty((len(model.units) + 1, len(dataset), cfg.sketch_dim))
+    outs = np.empty((len(model.weight), len(dataset), cfg.sketch_dim))
     for epoch in range(1, cfg.epochs + 1):
         if epoch <= cfg.warmup_epochs:
             model.spec.set_beta(0.0)
@@ -591,7 +550,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss after epoch {epoch}")
         row = {"epoch": epoch, "loss": loss, "class_loss": class_loss}
-        row.update({f"mse_{name}": per_mse[name] for name in model.units})
+        row.update({f"mse_{name}": per_mse[name] for name in model.streams})
         row.update({"val_acc": val_acc, "beta_lo": beta_lo, "beta_hi": beta_hi})
         metrics.append(row)
     return model, metrics
@@ -671,13 +630,14 @@ def save_checkpoint(model: Model, path) -> None:
     buf.write(np.uint8(1 if cfg.multi_label else 0).tobytes())
 
     buf.write(np.uint32(len(model.weight)).tobytes())
-    for (name, unit), w, b in zip(_all_units(model), model.weight, model.bias):
+    units = zip((*model.streams, HAF_ID), model.weight, model.bias, model.sketches.sketches)
+    for name, w, b, sketch in units:
         raw = name.encode()
         buf.write(np.uint16(len(raw)).tobytes())
         buf.write(raw)
         _write_array(buf, w)
         _write_array(buf, b)
-        sk = sketch_to_bytes(unit.sketch)
+        sk = sketch_to_bytes(sketch)
         buf.write(np.uint32(len(sk)).tobytes())
         buf.write(sk)
     _write_array(buf, model.prednet.weight)
@@ -715,34 +675,36 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
     multi_label = bool(r.array("u1")[0])
 
     n_units = int(r.array("<u4")[0])
-    pn_cfg = PnConfig(eta=eta, epsilon=eps)
-    units: dict[str, StreamUnit] = {}   # the pass-through unit too, until the loop ends
-    for _ in range(n_units):
+    # a unit block holds at least its f32 arrays, two lengths and a CSK1 header
+    least = r.pos + n_units * (4 * (m * b + m) + 26)
+    if least > len(r.data):
+        raise ValueError(f"HAL1: expected at least {least} bytes, got {len(r.data)}")
+    names, sketches, weight, bias = [], [], np.empty((n_units, m, b)), np.empty((n_units, m))
+    for k in range(n_units):
         at = r.pos + 2   # the name, after its u16 length
         name = r.text(int(r.array("<u2")[0]))
-        if name in units:
+        if name in names:
             raise ValueError(f"HAL1: byte {at}: repeated unit {name!r}")
-        w = r.floats((m, b))
-        bias = r.floats((m,))
+        names.append(name)
+        weight[k], bias[k] = r.floats((m, b)), r.floats((m,))
+        at = r.pos + 4
         sk = sketch_from_bytes(r.take(int(r.array("<u4")[0])))
-        units[name] = StreamUnit(name, w, bias, pn_cfg, sk)
-    haf_unit = units.pop(HAF_ID, None)
-    if haf_unit is None:
+        if (sk.input_dim, sk.output_dim) != (m, d_prime):
+            raise ValueError(f"HAL1: byte {at}: count sketch {sk.input_dim} -> {sk.output_dim}, "
+                             f"but the header says {m} -> {d_prime}")
+        sketches.append(sk)
+    if HAF_ID not in names:
         raise ValueError("HAL1: no pass-through unit")
-    wp = r.floats((n_classes, d_prime))
-    bp = r.floats((n_classes,))
+    order = sorted(range(n_units), key=lambda k: names[k] == HAF_ID)   # pass-through last
+    wp, bp = r.floats((n_classes, d_prime)), r.floats((n_classes,))
     spec = spec_from_text(r.text(int(r.array("<u4")[0])), origin=str(path))
     if r.pos != len(r.data):
         raise ValueError(f"HAL1: expected {r.pos} bytes, got {len(r.data)}")
 
-    cfg = TrainConfig(
-        alpha=alpha,
-        seed=seed,
-        backbone_dim=b,
-        pre_sketch_dim=m,
-        sketch_dim=d_prime,
-        streams=tuple(units.keys()),
-        pn=pn_cfg,
-        multi_label=multi_label,
-    )
-    return Model(cfg, units, haf_unit, PredNet(wp, bp), spec, n_classes, tot_scale)
+    streams = tuple(names[k] for k in order[:-1])
+    pn_cfg = PnConfig(eta=eta, epsilon=eps)
+    cfg = TrainConfig(alpha=alpha, seed=seed, backbone_dim=b, pre_sketch_dim=m,
+                      sketch_dim=d_prime, streams=streams, pn=pn_cfg, multi_label=multi_label)
+    return Model(cfg, streams, weight[order], bias[order],
+                 SketchStack([sketches[k] for k in order]), PredNet(wp, bp), spec, n_classes,
+                 tot_scale)

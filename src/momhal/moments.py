@@ -10,7 +10,6 @@ length of d * (4 + n_leading).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import BinaryIO
 
 import numpy as np
 
@@ -213,11 +212,3 @@ def descriptor_from_bytes(data: bytes) -> MultiMomentDescriptor:
         eig_spectrum=blocks[3 + n_prime],
         n_prime=n_prime,
     )
-
-
-def write_descriptor(desc: MultiMomentDescriptor, fp: BinaryIO) -> None:
-    fp.write(descriptor_to_bytes(desc))
-
-
-def read_descriptor(fp: BinaryIO) -> MultiMomentDescriptor:
-    return descriptor_from_bytes(fp.read())

@@ -19,7 +19,6 @@ Detections arrive as JSON Lines, one object per detection:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,9 +35,11 @@ SCORE_SUM_TOL = 1e-6
 DETECTOR_SLOTS = ("det1", "det2", "det3", "det4")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectionRecord:
-    """One bounding-box detection within a video."""
+    """One bounding-box detection within a video.  Construction checks the
+    fields once, so every record is valid; ``lenient`` repairs raw fields
+    before it constructs one."""
 
     frame_index: int          # t in [1, tau]
     class_label: int          # y in [1, 171]
@@ -47,8 +48,10 @@ class DetectionRecord:
     imagenet_scores: np.ndarray  # (1001,), nonnegative, sums to 1
 
     def __post_init__(self):
-        self.imagenet_scores = np.asarray(self.imagenet_scores, dtype=np.float64)
-        self.box = tuple(float(v) for v in self.box)
+        object.__setattr__(self, "imagenet_scores",
+                           np.asarray(self.imagenet_scores, dtype=np.float64))
+        object.__setattr__(self, "box", tuple(float(v) for v in self.box))
+        self.validate()
 
     def validate(self) -> None:
         if not 1 <= self.class_label <= CLASS_SPACE_SIZE:
@@ -69,24 +72,27 @@ class DetectionRecord:
         if abs(float(self.imagenet_scores.sum()) - 1.0) > SCORE_SUM_TOL:
             raise ValueError("imagenet_scores must sum to 1")
 
-    def sanitized(self) -> "DetectionRecord":
-        """Lenient copy: clamp ranges, reorder corners, renormalize scores.
-        Structural problems (label space, vector length) still raise."""
-        if not 1 <= self.class_label <= CLASS_SPACE_SIZE:
-            raise ValueError(f"class label {self.class_label} outside [1, {CLASS_SPACE_SIZE}]")
-        if self.imagenet_scores.shape != (IMAGENET_SIZE,):
+    @classmethod
+    def lenient(cls, frame_index: int, class_label: int, confidence: float, box, imagenet_scores,
+                tau: int) -> DetectionRecord:
+        """A record from raw fields: clamp the frame index into [1, tau] and
+        the other ranges, reorder corners, renormalize scores.  Structural
+        problems (label space, vector lengths) still raise."""
+        v = np.clip(np.asarray(box, dtype=np.float64), 0.0, 1.0)
+        scores = np.asarray(imagenet_scores, dtype=np.float64)
+        if v.shape != (4,):
+            raise ValueError("box must have 4 coordinates")
+        if scores.shape != (IMAGENET_SIZE,):
             raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
-        v = np.clip(np.asarray(self.box, dtype=np.float64), 0.0, 1.0)
-        box = (min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3]))
-        scores = np.clip(self.imagenet_scores, 0.0, None)
+        scores = np.clip(scores, 0.0, None)
         total = float(scores.sum())
-        scores = scores / total if total > 0 else np.full(IMAGENET_SIZE, 1.0 / IMAGENET_SIZE)
-        return DetectionRecord(
-            frame_index=self.frame_index,
-            class_label=self.class_label,
-            confidence=float(min(max(self.confidence, 0.0), 1.0)),
-            box=box,
-            imagenet_scores=scores,
+        return cls(
+            frame_index=min(max(frame_index, 1), tau),
+            class_label=class_label,
+            confidence=float(min(max(confidence, 0.0), 1.0)),
+            box=(min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3])),
+            imagenet_scores=(scores / total if total > 0
+                             else np.full(IMAGENET_SIZE, 1.0 / IMAGENET_SIZE)),
         )
 
 
@@ -111,13 +117,12 @@ def encode_box(rec: DetectionRecord, tau: int, cfg: OdfConfig) -> np.ndarray:
         raise ValueError(f"tau must be >= 1, got {tau}")
     if not 1 <= rec.frame_index <= tau:
         raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
-    rec.validate()
 
     one_hot = np.zeros(CLASS_SPACE_SIZE)
     one_hot[rec.class_label - 1] = 1.0
     frame_pos = (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0
     scalars = np.array([rec.confidence, *rec.box, frame_pos])
-    if cfg.use_rbf_embedding:   # validate() above keeps every scalar in [0, 1]
+    if cfg.use_rbf_embedding:   # a DetectionRecord keeps every scalar in [0, 1]
         scalars = feature_map_batch(scalars, cfg.scalar_map).reshape(-1)
     return np.concatenate([one_hot, rec.imagenet_scores, scalars])
 
@@ -168,25 +173,14 @@ def parse_detection_line(line: str, strict: bool = True) -> tuple[str, str, int,
     for key in ("video", "detector", "frame", "tau", "class", "conf", "box"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
-    rec = DetectionRecord(
-        frame_index=int(obj["frame"]),
-        class_label=int(obj["class"]),
-        confidence=float(obj["conf"]),
-        box=tuple(float(v) for v in obj["box"]),
-        imagenet_scores=_scores_from_obj(obj),
-    )
+    fields = (int(obj["frame"]), int(obj["class"]), float(obj["conf"]),
+              tuple(float(v) for v in obj["box"]), _scores_from_obj(obj))
     tau = int(obj["tau"])
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    if strict:
-        rec.validate()
-        if not 1 <= rec.frame_index <= tau:
-            raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
-    else:
-        rec = rec.sanitized()
-        rec.frame_index = min(max(rec.frame_index, 1), tau)
-    if not math.isfinite(rec.confidence):
-        raise ValueError("non-finite confidence")
+    rec = DetectionRecord(*fields) if strict else DetectionRecord.lenient(*fields, tau)
+    if not 1 <= rec.frame_index <= tau:   # a lenient record has its frame index clamped
+        raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
     return str(obj["video"]), str(obj["detector"]), tau, rec
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import BinaryIO, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,9 +109,10 @@ class SketchStack:
     """S count sketches of one shape, applied together: slab k of a
     (S, rows, .) array goes through sketch k.  The bucket and sign tables
     are built once; the flat (sketch, row, coordinate) -> output index is
-    built once per row count."""
+    built once per row count.  ``sketches`` keeps the S sketches."""
 
     def __init__(self, sketches: list[CountSketch]):
+        self.sketches = tuple(sketches)
         self.input_dim, self.output_dim = sketches[0].input_dim, sketches[0].output_dim
         if any((sk.input_dim, sk.output_dim) != (self.input_dim, self.output_dim)
                for sk in sketches):
@@ -220,11 +221,3 @@ def sketch_from_bytes(data: bytes) -> CountSketch:
         return CountSketch(d, d_prime, h, s, seed)
     except ValueError as exc:
         raise ValueError(f"CSK1: {exc}") from None
-
-
-def write_sketch(sk: CountSketch, fp: BinaryIO) -> None:
-    fp.write(sketch_to_bytes(sk))
-
-
-def read_sketch(fp: BinaryIO) -> CountSketch:
-    return sketch_from_bytes(fp.read())

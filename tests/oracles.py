@@ -2,10 +2,15 @@
 
 These deliberately avoid the library's own code paths: dense
 eigendecompositions instead of the Gram shortcut, per-pixel loops instead
-of einsum, explicit sums instead of vectorized cumulants.
+of einsum, explicit sums instead of vectorized cumulants, one unit and one
+sketched vector at a time instead of the stacked units.
 """
 
 import numpy as np
+
+from momhal.fusion import HAF_ID
+from momhal.pn import sigme
+from momhal.sketch import project
 
 
 def dense_multi_moment(frames, n_prime, eps=1e-12):
@@ -91,3 +96,20 @@ def pixel_loop_gradient_encoding(amplitude, orientation, z_ang=12, z_sp=5, sigma
             py = interval_map(r / (h - 1))
             out += amplitude[r, c] * np.kron(phi, np.kron(px, py))
     return out
+
+
+def unit_chain_rows(model, k, z):
+    """Unit k of ``model`` (the pass-through unit is last) on the rows of z,
+    one unit and, for the sketch, one row at a time: the affine map, SigmE
+    and count sketch that the stacked pass must match bit for bit.  Returns
+    (SigmE outputs, sketched outputs)."""
+    pre = sigme(z @ model.weight[k].T + model.bias[k], model.config.pn)
+    return pre, np.array([project(model.sketches.sketches[k], row) for row in pre])
+
+
+def unit_outputs(model, features):
+    """{unit name: (n, d') sketched outputs} of every unit of ``model`` on n
+    videos' (b, t) backbone features, mean-pooled over time."""
+    z = np.array(features, dtype=np.float64).mean(axis=2)
+    names = (*model.streams, HAF_ID)
+    return {name: unit_chain_rows(model, k, z)[1] for k, name in enumerate(names)}

@@ -262,7 +262,7 @@ class TestCriterion8EndToEnd:
                     for v in videos[:32]]
         evaluate(model_all, poisoned)
         scores, halls = infer(model_all, videos[0].backbone_features)
-        audit_ok = scores.shape == (8,) and set(halls) == set(model_all.units)
+        audit_ok = scores.shape == (8,) and set(halls) == set(model_all.streams)
 
         elapsed = time.time() - t0
         ok = gap >= 0.20 and audit_ok and elapsed < 120.0

@@ -11,11 +11,12 @@ import pytest
 from momhal import synthgen
 from momhal.atomic import write_atomic
 from momhal.cli import main
-from momhal.fusion import HAF_ID, effective_coefficients, ridge_accuracy
-from momhal.halluc import load_checkpoint, stream_forward
+from momhal.fusion import effective_coefficients, ridge_accuracy
+from momhal.halluc import load_checkpoint
 from momhal.moments import descriptor_from_bytes
 from momhal.sdf import write_pgm
 from momhal.synthgen import load_dataset
+from oracles import unit_outputs
 
 
 def run(capsys, *argv):
@@ -272,11 +273,9 @@ class TestSynthTrainEval:
         perm = np.random.default_rng((2, 0x5E)).permutation(n)
         val, tr = perm[: round(0.25 * n)], perm[round(0.25 * n):]
         spec = replace(model.spec, beta=dict.fromkeys(model.spec.beta, float(m.group(1))))
-        units = {**model.units, HAF_ID: model.haf_unit}
-        pooled = model.tot_scale * sum(
-            c * np.stack([stream_forward(units[name], v.backbone_features)[1] for v in videos])
-            for name, c in effective_coefficients(spec).items()
-        )
+        outs = unit_outputs(model, [v.backbone_features for v in videos])
+        pooled = model.tot_scale * sum(c * outs[name]
+                                       for name, c in effective_coefficients(spec).items())
         y = np.array([v.label for v in videos])
         want = ridge_accuracy(pooled[tr], y[tr], pooled[val], y[val], model.n_classes, 1e-3)
         assert m.group(2) == f"{want:.4f}"

@@ -19,11 +19,9 @@ from momhal.fusion import (
     golden_step,
     pooled,
     pooled_total,
-    read_fusion_spec,
     ridge_accuracy,
     spec_from_text,
     spec_to_text,
-    write_fusion_spec,
 )
 from momhal.halluc import TrainConfig
 
@@ -278,8 +276,8 @@ class TestSpecSerialization:
         spec = make_spec(beta=4.5)
         spec.raw_weights["det3"] = 0.35
         path = tmp_path / "fusion.cfg"
-        write_fusion_spec(spec, path)
-        back = read_fusion_spec(path)
+        path.write_text(spec_to_text(spec), encoding="utf-8")
+        back = spec_from_text(path.read_text(encoding="utf-8"), origin=str(path))
         assert back.groups == spec.groups
         assert back.raw_weights == spec.raw_weights
         assert back.beta == spec.beta
@@ -291,6 +289,12 @@ class TestSpecSerialization:
         text = spec_to_text(make_spec()).replace("ratio_weights = true", "ratio_weights = false")
         with pytest.raises(ValueError, match=r"fusion\.cfg: line 4: ratio_weights = false"):
             spec_from_text(text, origin="fusion.cfg")
+
+    def test_other_pass_through_name_is_refused(self):
+        text = spec_to_text(make_spec())
+        assert "haf_id = haf\n" in text   # written for HAL1's bytes; no other value is read
+        with pytest.raises(ValueError, match=r"fusion\.cfg: line 3: haf_id = hag is not supported"):
+            spec_from_text(text.replace("haf_id = haf", "haf_id = hag"), origin="fusion.cfg")
 
     def test_text_roundtrip(self):
         spec = make_spec()

@@ -1,16 +1,16 @@
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from fuzz import damaged
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import unit_chain_rows, unit_outputs
 
 from momhal.fusion import HAF_ID, effective_coefficients
 from momhal.halluc import (
     Model,
     PredNet,
-    StreamUnit,
     SyntheticVideo,
     TrainConfig,
     TrainingDivergedError,
@@ -23,13 +23,12 @@ from momhal.halluc import (
     objective,
     predict_scores,
     save_checkpoint,
-    stream_forward,
     train,
     video_arrays,
 )
-from momhal.halluc import _all_units, _apply_grads, _forward, _loss_and_grads
-from momhal.pn import PnConfig, sigme
-from momhal.sketch import CountSketch, project_rows, sketch_new
+from momhal.halluc import _apply_grads, _forward, _loss_and_grads
+from momhal.pn import PnConfig
+from momhal.sketch import CountSketch, SketchStack, sketch_new
 
 
 def small_cfg(**kw):
@@ -53,39 +52,40 @@ def make_batch(rng, cfg, n=4, n_classes=3):
 
 class TestStreamForward:
     def test_zero_input_zero_bias(self):
-        unit = StreamUnit("fv1", np.random.default_rng(0).normal(size=(6, 4)),
-                          np.zeros(6), PnConfig(), sketch_new(6, 3, 1))
-        pre, out = stream_forward(unit, np.zeros((4, 7)))
-        np.testing.assert_array_equal(pre, 0.0)
-        np.testing.assert_array_equal(out, 0.0)
+        model = init_model(small_cfg(), 3)   # every bias starts at zero
+        fwd = _forward(model, np.zeros((1, model.config.backbone_dim)), backward=True)
+        np.testing.assert_array_equal(fwd.pres, 0.0)
+        np.testing.assert_array_equal(fwd.outs, 0.0)
 
     def test_doubling_weights_is_not_linear(self):
         rng = np.random.default_rng(2)
-        w = rng.normal(size=(6, 4))
-        x = rng.normal(size=(4, 7))
-        a = stream_forward(StreamUnit("fv1", w, np.zeros(6), PnConfig(eta=4.0),
-                                      sketch_new(6, 3, 1)), x)[1]
-        b = stream_forward(StreamUnit("fv1", 2 * w, np.zeros(6), PnConfig(eta=4.0),
-                                      sketch_new(6, 3, 1)), x)[1]
-        assert not np.allclose(b, 2 * a)
+        model = init_model(small_cfg(), 3)
+        model.weight[...] = rng.normal(size=model.weight.shape)
+        x = rng.normal(size=(model.config.backbone_dim, 7))
+        a = infer(model, x)[1]
+        model.weight *= 2.0
+        b = infer(model, x)[1]
+        for name in model.streams:
+            assert not np.allclose(b[name], 2 * a[name]), name
 
     def test_permutation_sketch_passthrough(self):
         rng = np.random.default_rng(3)
         perm = np.array([2, 3, 1], dtype=np.uint32)
         sk = CountSketch(3, 3, perm, np.ones(3, dtype=np.int8), 0)
-        unit = StreamUnit("fv1", rng.normal(size=(3, 4)), rng.normal(size=3),
-                          PnConfig(), sk)
-        pre, out = stream_forward(unit, rng.normal(size=(4, 7)))
-        assert sorted(out.tolist()) == sorted(pre.tolist())
+        model = init_model(small_cfg(pre_sketch_dim=3, sketch_dim=3), 3)
+        model = replace(model, sketches=SketchStack([sk] * len(model.weight)))
+        model.bias[...] = rng.normal(size=model.bias.shape)
+        fwd = _forward(model, rng.normal(size=(1, model.config.backbone_dim)), backward=True)
+        for pre, out in zip(fwd.pres, fwd.outs):
+            assert sorted(out[0].tolist()) == sorted(pre[0].tolist())
 
     def test_shape_validation(self):
-        unit = StreamUnit("fv1", np.zeros((3, 4)), np.zeros(3), PnConfig(),
-                          sketch_new(3, 2, 0))
+        model = init_model(small_cfg(), 3)   # 5 -> 7 -> 4, four units
         with pytest.raises(ValueError):
-            stream_forward(unit, np.zeros((5, 7)))
-        with pytest.raises(ValueError):
-            StreamUnit("fv1", np.zeros((3, 4)), np.zeros(3), PnConfig(),
-                       sketch_new(5, 2, 0))
+            infer(model, np.zeros((6, 7)))
+        for units, d, d_prime in ((4, 5, 4), (4, 7, 5), (3, 7, 4)):
+            with pytest.raises(ValueError, match="count sketches"):
+                replace(model, sketches=SketchStack([sketch_new(d, d_prime, 0)] * units))
 
 
 class TestObjective:
@@ -103,9 +103,10 @@ class TestObjective:
         rng = np.random.default_rng(6)
         batch = make_batch(rng, cfg)
         # inject the model's own outputs as targets
-        for name, unit in model.units.items():
-            for video in batch:
-                video.ground_truth[name] = stream_forward(unit, video.backbone_features)[1]
+        outs = unit_outputs(model, [video.backbone_features for video in batch])
+        for name in model.streams:
+            for video, out in zip(batch, outs[name]):
+                video.ground_truth[name] = out
         _, per_mse, _ = objective(model, batch)
         assert all(v == pytest.approx(0.0, abs=1e-18) for v in per_mse.values())
 
@@ -114,7 +115,7 @@ class TestObjective:
         model = init_model(cfg, 3)
         batch = make_batch(np.random.default_rng(7), cfg)
         loss, per_mse, class_loss = objective(model, batch)
-        assert loss == (cfg.alpha / len(model.units)) * sum(per_mse.values()) + class_loss
+        assert loss == (cfg.alpha / len(model.streams)) * sum(per_mse.values()) + class_loss
 
     def test_missing_target_error(self):
         cfg = small_cfg()
@@ -210,9 +211,7 @@ class TestTrain:
         model, metrics = train(data, cfg)
         ref = init_model(cfg, 3)
         assert metrics == []
-        for name in model.units:
-            np.testing.assert_array_equal(model.units[name].weight,
-                                          ref.units[name].weight)
+        np.testing.assert_array_equal(model.weight, ref.weight)
         np.testing.assert_array_equal(model.prednet.weight, ref.prednet.weight)
 
     def test_deterministic(self):
@@ -220,8 +219,7 @@ class TestTrain:
         m1, log1 = train(data, cfg)
         m2, log2 = train(data, cfg)
         assert log1 == log2
-        for name in m1.units:
-            np.testing.assert_array_equal(m1.units[name].weight, m2.units[name].weight)
+        np.testing.assert_array_equal(m1.weight, m2.weight)
         np.testing.assert_array_equal(m1.prednet.weight, m2.prednet.weight)
 
     def test_metrics_rows(self):
@@ -316,7 +314,7 @@ class TestInference:
             np.testing.assert_array_equal(
                 scores_one, infer(model, video.backbone_features)[0]
             )
-            assert set(halls) == set(model.units)
+            assert set(halls) == set(model.streams)
 
     def test_infer_never_reads_ground_truth(self):
         model, data = self.setup_model()
@@ -341,12 +339,9 @@ class TestInference:
 
         def fresh_scores():
             # pooled from each unit's own outputs with coefficients computed now
-            coeffs = effective_coefficients(model.spec)
-            units = {**model.units, HAF_ID: model.haf_unit}
+            outs = unit_outputs(model, [v.backbone_features for v in videos])
             pooled = model.tot_scale * sum(
-                c * np.stack([stream_forward(units[name], v.backbone_features)[1]
-                              for v in videos])
-                for name, c in coeffs.items())
+                c * outs[name] for name, c in effective_coefficients(model.spec).items())
             return pooled @ model.prednet.weight.T + model.prednet.bias
 
         before = predict_scores(model, videos)
@@ -374,8 +369,9 @@ class TestInference:
         for video in data:
             scores, halls = infer(model, video.backbone_features)
             assert np.array_equal(scores, predict_scores(model, [video])[0])
-            for name, unit in model.units.items():
-                assert np.array_equal(halls[name], stream_forward(unit, video.backbone_features)[1])
+            want = unit_outputs(model, [video.backbone_features])
+            for name in model.streams:
+                assert np.array_equal(halls[name], want[name][0]), name
 
     def test_hallucinations_survive_the_next_call(self):
         model, data = self.setup_model()
@@ -389,20 +385,11 @@ class TestInference:
             assert np.array_equal(halls[name], kept[name])
 
 
-def unit_chain_rows(unit, z):
-    """One unit's affine map, SigmE and sketch on the rows of z: the
-    one-unit-at-a-time reference the stacked pass must match bit for bit."""
-    pre = sigme(z @ unit.weight.T + unit.bias, unit.pn)
-    return pre, project_rows(unit.sketch, pre)
-
-
 class TestStackedUnits:
     def model(self):
         cfg = TrainConfig(seed=3, epochs=0)   # all 12 streams, 64 -> 128 -> 128
         model = init_model(cfg, 4)
-        rng = np.random.default_rng(4)
-        for _, unit in _all_units(model):
-            unit.bias[:] = rng.normal(scale=0.1, size=unit.bias.shape)
+        model.bias[...] = np.random.default_rng(4).normal(scale=0.1, size=model.bias.shape)
         model.spec.set_beta(2.5)
         return model
 
@@ -410,72 +397,54 @@ class TestStackedUnits:
     def test_forward_equals_unit_by_unit_chain(self, rows):
         model = self.model()
         z = np.random.default_rng(rows).normal(size=(rows, model.config.backbone_dim))
-        units = dict(_all_units(model))
-        if rows == 1:
-            want = {name: stream_forward(unit, z.T) for name, unit in units.items()}
-        else:
-            want = {name: unit_chain_rows(unit, z) for name, unit in units.items()}
+        names = (*model.streams, HAF_ID)
+        want = [unit_chain_rows(model, k, z) for k in range(len(names))]
         coeffs = effective_coefficients(model.spec)
-        pooled = model.tot_scale * sum(c * want[name][1] for name, c in coeffs.items())
+        pooled = model.tot_scale * sum(c * want[names.index(name)][1] for name, c in coeffs.items())
         scores = pooled @ model.prednet.weight.T + model.prednet.bias
         for backward in (False, True):
             fwd = _forward(model, z, backward=backward)
-            for k, name in enumerate(units):
-                assert np.array_equal(fwd.outs[k], want[name][1].reshape(rows, -1)), name
+            for k, (pre, out) in enumerate(want):
+                assert np.array_equal(fwd.outs[k], out), names[k]
                 if backward:
-                    assert np.array_equal(fwd.pres[k], want[name][0].reshape(rows, -1)), name
-            assert np.array_equal(fwd.pooled, pooled.reshape(rows, -1))
-            assert np.array_equal(fwd.scores, scores.reshape(rows, -1))
+                    assert np.array_equal(fwd.pres[k], pre), names[k]
+            assert np.array_equal(fwd.pooled, pooled)
+            assert np.array_equal(fwd.scores, scores)
 
     def test_units_are_views_of_what_training_writes(self, tmp_path):
         cfg = small_cfg(epochs=2)
         model, _ = train(make_batch(np.random.default_rng(12), cfg, n=16), cfg)
 
-        def assert_checkpoint_holds_unit_weights():
+        def assert_checkpoint_holds_the_slabs():
             save_checkpoint(model, tmp_path / "model.hal")
             back = load_checkpoint(tmp_path / "model.hal")
-            for (name, unit), (_, saved) in zip(_all_units(model), _all_units(back)):
-                assert np.array_equal(unit.weight.astype(np.float32), saved.weight), name
-                assert np.array_equal(unit.bias.astype(np.float32), saved.bias), name
+            assert back.streams == model.streams
+            assert np.array_equal(model.weight.astype(np.float32), back.weight)
+            assert np.array_equal(model.bias.astype(np.float32), back.bias)
 
-        assert_checkpoint_holds_unit_weights()
-        before = model.units["fv1"].weight.copy()
-        batch = video_arrays(make_batch(np.random.default_rng(13), cfg), cfg, tuple(model.units))
+        assert_checkpoint_holds_the_slabs()
+        before = model.weight.copy()
+        batch = video_arrays(make_batch(np.random.default_rng(13), cfg), cfg, model.streams)
         _apply_grads(model, _loss_and_grads(model, batch)[1], 0.5)
-        assert not np.array_equal(model.units["fv1"].weight, before)
-        assert_checkpoint_holds_unit_weights()
-
-    def test_unit_arrays_cannot_be_replaced(self):
-        model = self.model()
-        unit = model.units["det1"]
-        assert np.shares_memory(unit.weight, model.weight)
-        with pytest.raises(FrozenInstanceError):
-            unit.weight = 2.0 * unit.weight
-        with pytest.raises(FrozenInstanceError):
-            unit.bias = unit.bias.copy()
+        assert not np.array_equal(model.weight[0], before[0])
+        assert_checkpoint_holds_the_slabs()
 
     def test_in_place_write_is_read(self):
         model = self.model()
         videos = make_batch(np.random.default_rng(14), model.config, n=3)
         before = predict_scores(model, videos)
-        model.units["det1"].weight[...] *= 2.0   # a bare `weight *= 2.0` also rebinds the field
+        k = model.streams.index("det1")
+        model.weight[k] *= 2.0
         assert not np.array_equal(predict_scores(model, videos), before)
-        model.units["det1"].weight[...] /= 2.0
+        model.weight[k] /= 2.0
         assert np.array_equal(predict_scores(model, videos), before)
 
-    def test_construction_copies_the_units(self):
-        model = init_model(small_cfg(), 3)
-        copied = replace(model)   # a new Model built from model's units
-        assert not np.shares_memory(copied.weight, model.weight)
-        assert np.array_equal(copied.weight, model.weight)
-        copied.units["fv1"].weight[...] += 1.0
-        assert not np.array_equal(copied.weight, model.weight)
-
-    def test_units_must_share_the_model_pn_config(self):
-        model = init_model(small_cfg(), 3)
-        units = {**model.units, "det1": replace(model.units["det1"], pn=PnConfig(eta=5.0))}
-        with pytest.raises(ValueError, match="PnConfig"):
-            replace(model, units=units)
+    def test_rebound_slab_is_read(self):
+        model = self.model()
+        x = make_batch(np.random.default_rng(15), model.config, n=1)[0].backbone_features
+        before = infer(model, x)[1]["fv1"]
+        model.weight = 3.0 * model.weight
+        assert not np.array_equal(infer(model, x)[1]["fv1"], before)
 
 
 UNIT_COUNT_AT = 65   # offset of the HAL1 v1 unit count, after the fixed header
@@ -505,7 +474,7 @@ class TestCheckpoint:
 
         assert back.n_classes == model.n_classes
         assert back.tot_scale == model.tot_scale
-        assert list(back.units) == list(model.units)
+        assert back.streams == model.streams
         scores_a = predict_scores(model, data[:3])
         scores_b = predict_scores(back, data[:3])
         np.testing.assert_allclose(scores_a, scores_b, atol=1e-5)
@@ -528,6 +497,35 @@ class TestCheckpoint:
         name = blob[start + 2 : start + 2 + blob[start]].decode()
         with pytest.raises(ValueError,
                            match=f"HAL1: byte {end + 2}: repeated unit '{name}'"):
+            load_checkpoint(path)
+
+    def test_sketch_shape_must_match_header(self, tmp_path):
+        cfg = small_cfg()   # 5 -> 7 -> 4
+        path = tmp_path / "model.hal"
+        save_checkpoint(init_model(cfg, 3), path)
+        blob = bytearray(path.read_bytes())
+        sketch_at = [end - (20 + 5 * 7) for _, end in unit_blocks(blob, 7, 5)]
+        for at in sketch_at:   # every CSK1 d', past its magic and d
+            blob[at + 8 : at + 12] = np.uint32(5).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=f"HAL1: byte {sketch_at[0]}: count sketch 7 -> 5, "
+                                             "but the header says 7 -> 4"):
+            load_checkpoint(path)
+
+    def test_other_pass_through_name_is_refused(self, tmp_path):
+        path = tmp_path / "model.hal"
+        save_checkpoint(init_model(small_cfg(), 3), path)
+        path.write_bytes(path.read_bytes().replace(b"haf_id = haf", b"haf_id = hag"))
+        with pytest.raises(ValueError, match=r"HAL1: byte \d+: .*: line 3: haf_id = hag"):
+            load_checkpoint(path)
+
+    def test_unit_count_past_the_end_is_refused_before_allocating(self, tmp_path):
+        path = tmp_path / "model.hal"
+        save_checkpoint(init_model(small_cfg(), 3), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:UNIT_COUNT_AT] + np.uint32(2**32 - 1).tobytes()
+                         + blob[UNIT_COUNT_AT + 4 :])
+        with pytest.raises(ValueError, match="HAL1: expected at least"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
@@ -586,14 +584,14 @@ class TestTiedSketches:
 
         cfg = small_cfg(tie_sketches=True)
         model = init_model(cfg, 3)
-        for name, unit in model.units.items():
+        for name, sketch in zip(model.streams, model.sketches.sketches):
             ref = sketch_new(cfg.pre_sketch_dim, cfg.sketch_dim,
                              derive_stream_seed(cfg.seed, name, "gt"))
-            np.testing.assert_array_equal(unit.sketch.h, ref.h)
-            np.testing.assert_array_equal(unit.sketch.s, ref.s)
+            np.testing.assert_array_equal(sketch.h, ref.h)
+            np.testing.assert_array_equal(sketch.s, ref.s)
         untied = init_model(small_cfg(tie_sketches=False), 3)
-        assert not np.array_equal(untied.units["fv1"].sketch.h,
-                                  model.units["fv1"].sketch.h)
+        assert model.streams[0] == untied.streams[0] == "fv1"
+        assert not np.array_equal(untied.sketches.sketches[0].h, model.sketches.sketches[0].h)
 
 
 class TestMetricsCsv:

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -10,8 +8,6 @@ from momhal.moments import (
     descriptor_from_bytes,
     descriptor_to_bytes,
     multi_moment,
-    read_descriptor,
-    write_descriptor,
 )
 from oracles import dense_multi_moment
 
@@ -180,12 +176,12 @@ class TestSerialization:
         assert blob[:4] == b"MMD1"
         assert len(blob) == 4 + 4 + 4 + 4 * 2 * 5
 
-    def test_file_helpers(self):
+    def test_file_helpers(self, tmp_path):
         desc = multi_moment(FeatureBag(2, [np.eye(2)]), 2)
-        buf = io.BytesIO()
-        write_descriptor(desc, buf)
-        buf.seek(0)
-        np.testing.assert_allclose(read_descriptor(buf).flat(), desc.flat(), atol=1e-6)
+        path = tmp_path / "desc.mmd"
+        path.write_bytes(descriptor_to_bytes(desc))
+        back = descriptor_from_bytes(path.read_bytes())
+        np.testing.assert_allclose(back.flat(), desc.flat(), atol=1e-6)
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -107,10 +108,10 @@ class TestEncodeBox:
             encode_box(make_record(frame=4), 3, cfg)
 
     def test_lenient_sanitize(self):
-        rec = DetectionRecord(1, 5, 1.7, (0.9, 0.2, 0.3, -0.1),
-                              np.full(IMAGENET_SIZE, 3.0))
-        fixed = rec.sanitized()
+        fixed = DetectionRecord.lenient(5, 5, 1.7, (0.9, 0.2, 0.3, -0.1),
+                                        np.full(IMAGENET_SIZE, 3.0), tau=3)
         fixed.validate()
+        assert fixed.frame_index == 3
         assert fixed.confidence == 1.0
         assert fixed.box[0] <= fixed.box[2] and fixed.box[1] <= fixed.box[3]
         assert fixed.imagenet_scores.sum() == pytest.approx(1.0)
@@ -207,6 +208,35 @@ class TestJsonl:
         _, _, _, rec = parse_detection_line(self.line(conf=1.5, frame=9), strict=False)
         assert rec.confidence == 1.0
         assert rec.frame_index == 4
+
+    def test_each_record_is_checked_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        path.write_text("".join(self.line(frame=i % 4 + 1) + "\n" for i in range(6)))
+        checked, validate = [], DetectionRecord.validate
+        monkeypatch.setattr(DetectionRecord, "validate",
+                            lambda rec: checked.append(rec) or validate(rec))
+        for strict in (True, False):
+            checked.clear()
+            ((tau, recs),) = read_detections(path, strict=strict).values()
+            odf_descriptor(recs, tau, OdfConfig(n_prime=1))
+            assert len(checked) == 6
+
+    def test_record_is_valid_by_construction(self):
+        _, _, _, rec = parse_detection_line(self.line())
+        with pytest.raises(FrozenInstanceError):
+            rec.confidence = 1.5
+        with pytest.raises(ValueError, match="confidence 1.5"):
+            DetectionRecord(1, 7, 1.5, rec.box, rec.imagenet_scores)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("box", [0.1, 0.1, 0.5], "4 coordinates"),
+        ("box", [0.1, 0.1, 0.5, 0.5, 0.9], "4 coordinates"),
+        ("box", [float("nan"), 0.1, 0.5, 0.5], "outside"),
+        ("class", 0, "class label"),
+    ])
+    def test_lenient_refuses_what_it_cannot_repair(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            parse_detection_line(self.line(**{field: value}), strict=False)
 
     def test_missing_field(self):
         obj = json.loads(self.line())

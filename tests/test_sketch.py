@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,13 +11,11 @@ from momhal.sketch import (
     project,
     project_rows,
     project_transpose_rows,
-    read_sketch,
     sketch_from_bytes,
     sketch_new,
     sketch_to_bytes,
     splitmix64,
     unbiasedness_check,
-    write_sketch,
 )
 
 
@@ -181,12 +177,11 @@ class TestSerialization:
         assert blob[:4] == b"CSK1"
         assert len(blob) == 4 + 4 + 4 + 8 + 4 * 2 + 2
 
-    def test_file_helpers(self):
+    def test_file_helpers(self, tmp_path):
         sk = sketch_new(5, 4, 2)
-        buf = io.BytesIO()
-        write_sketch(sk, buf)
-        buf.seek(0)
-        back = read_sketch(buf)
+        path = tmp_path / "sketch.csk"
+        path.write_bytes(sketch_to_bytes(sk))
+        back = sketch_from_bytes(path.read_bytes())
         np.testing.assert_array_equal(back.h, sk.h)
 
     def test_bad_magic(self):
