@@ -22,7 +22,7 @@ from .odf import DetectionRecord, OdfConfig, encode_box, odf_descriptor
 from .pn import PnConfig, maxexp, sigme, sigme_grad
 from .sdf import SaliencyFrame, SdfConfig, encode_frame, gradients, sdf_descriptor
 from .sketch import CountSketch, project, sketch_new, unbiasedness_check
-from .fusion import FusionSpec, eq9_weights, golden_section_max, pooled
+from .fusion import FusionSpec, eq9_weights, golden_section_max
 from .halluc import Model, SyntheticVideo, TrainConfig, infer, objective, train
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
     "FeatureBag", "MultiMomentDescriptor", "assemble_upsilon", "multi_moment",
     "DetectionRecord", "OdfConfig", "encode_box", "odf_descriptor",
     "SaliencyFrame", "SdfConfig", "gradients", "encode_frame", "sdf_descriptor",
-    "FusionSpec", "eq9_weights", "pooled", "golden_section_max",
+    "FusionSpec", "eq9_weights", "golden_section_max",
     "TrainConfig", "SyntheticVideo", "Model", "objective", "train", "infer",
 ]
 

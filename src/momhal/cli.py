@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .atomic import write_atomic
-from .fusion import golden_section_max
+from .fusion import BETA_BRACKET, golden_section_max
 from .halluc import (
     TrainConfig,
     beta_objective,
@@ -237,7 +237,7 @@ def cmd_search_beta(args) -> int:
     model = load_checkpoint(args.model)
     videos, _ = load_dataset(args.data, model.config.sketch_dim, model.config.pn, ())
     score = beta_objective(model, video_arrays(videos, model.config))
-    result = golden_section_max(score, *model.config.beta_bracket, args.iters)
+    result = golden_section_max(score, *BETA_BRACKET, args.iters)
     for i, width in enumerate(result.widths):
         print(f"iter {i}: bracket width {width:.6f}")
     print(f"beta* = {result.beta_star:.6f}, val accuracy {result.f_star:.4f}, "

@@ -7,27 +7,38 @@ beta = 0 equalizes the ratios at 1/|T|; large beta approaches
 winner-takes-all with losers held at the floor rho.  The paper's
 w_i = r_i / |T| form is kept as ``eq9_weights``.
 
-Pooling runs on three levels: detector streams pool into "det", saliency
-streams into "sal", and the top level combines the auxiliary streams,
-"det", "sal", and the pass-through stream, whose weight is fixed rather
-than exponent-scaled, under an outer 1/(|top members| + 1) factor.
+Pooling runs on three levels, fixed by the streams' kinds: detector
+streams pool into "det", saliency streams into "sal", and the top level
+combines the auxiliary streams, "det", "sal", and the pass-through stream,
+whose weight is fixed rather than exponent-scaled, under an outer
+1/(|top members| + 1) factor.  One exponent beta applies to every group.
 
-The exponent beta is tuned by golden-section search on a 1-d score
-function; the bracket state carries over between steps so a training loop
-can advance one elimination per epoch.
+The exponent is tuned by golden-section search over ``BETA_BRACKET`` on a
+1-d score function; the bracket state carries over between steps so a
+training loop can advance one elimination per epoch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass, replace
+from itertools import zip_longest
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from .keyvalue import format_key_values, parse_bool, parse_key_values
+from .keyvalue import format_key_values, parse_key_values
+from .odf import DETECTOR_SLOTS
+from .sdf import SALIENCY_SLOTS
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+BETA_BRACKET = (0.0, 50.0)   # the exponent range searched by train and search-beta
+
+AUX_STREAMS = ("fv1", "fv2", "bow", "off")
+DET_STREAMS = DETECTOR_SLOTS
+SAL_STREAMS = SALIENCY_SLOTS
+STREAM_ORDER = AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
 GROUP_DET = "D"
 GROUP_SAL = "S"
@@ -60,125 +71,82 @@ def eq9_weights(w_prime: np.ndarray, beta: float, rho: float) -> np.ndarray:
     return r / r.size
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionSpec:
-    """Groups, raw stream scores, per-group exponent, floor, and the fixed
-    pass-through weight.  Exponent-scaled members are weighted by the bare
-    ratios r_i (see notes/decisions.md, "Pooling with bare ratios").
+    """The pooling of a model's hallucination streams: raw per-stream
+    scores, one exponent and the floor.  Exponent-scaled members are
+    weighted by the bare ratios r_i (see notes/decisions.md, "Pooling with
+    bare ratios").
+
+    ``raw_weights`` holds one score per stream and per present "det"/"sal"
+    slot (1.0 each by default) and is read-only.  The groups, the fixed
+    pass-through weight 1/(|top members| + 1), the leaf ``coefficients`` and
+    ``tot_scale`` (the inverse coefficient mass at beta = 0, which no raw
+    weight moves) follow from the fields and are computed once, here.
     """
 
-    groups: dict[str, list[str]]
-    raw_weights: dict[str, float]
-    beta: dict[str, float]
+    streams: tuple[str, ...]
+    raw_weights: Mapping[str, float] | None = None
+    beta: float = 0.0
     rho: float = 0.1
-    haf_weight: float = 1.0
-    _coefficients: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        streams = tuple(self.streams)
+        if streams != tuple(s for s in STREAM_ORDER if s in streams):
+            raise ValueError(f"streams {streams} are not distinct members of {STREAM_ORDER}, "
+                             "in that order")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        for g, b in self.beta.items():
-            if b < 0.0:
-                raise ValueError(f"beta[{g}] must be >= 0, got {b}")
-        for sid, w in self.raw_weights.items():
-            if w < 0.0:
-                raise ValueError(f"raw weight for {sid} must be >= 0, got {w}")
-
-    def weighted_members(self, group: str) -> list[str]:
-        """Group members that receive exponent-scaled weights (the fixed
-        pass-through stream is excluded)."""
-        return [sid for sid in self.groups[group] if sid != HAF_ID]
-
-    def normalized_weights(self, group: str) -> np.ndarray:
-        """Raw weights of the weighted members scaled so the maximum is 1."""
-        members = self.weighted_members(group)
-        w = np.array([self.raw_weights[sid] for sid in members], dtype=np.float64)
-        top = w.max() if w.size else 0.0
-        if top <= 0.0:
-            return np.ones_like(w)
-        return w / top
-
-    def group_weights(self, group: str) -> dict[str, float]:
-        members = self.weighted_members(group)
-        if not members:
-            return {}
-        w = eq9_ratios(self.normalized_weights(group), self.beta[group], self.rho)
-        return dict(zip(members, w.tolist()))
-
-    def set_beta(self, value: float) -> None:
-        for g in self.beta:
-            self.beta[g] = value
-
-    def coefficients(self) -> dict[str, float]:
-        """``effective_coefficients(self)``, recomputed only when a field the
-        coefficients read has changed since the last call."""
-        state = (tuple(self.beta.items()), tuple(self.raw_weights.items()),
-                 tuple((g, tuple(m)) for g, m in self.groups.items()),
-                 self.rho, self.haf_weight)
-        if not self._coefficients or self._coefficients[0] != state:
-            self._coefficients = (state, effective_coefficients(self))
-        return dict(self._coefficients[1])
+        if not self.beta >= 0.0:
+            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        det = tuple(s for s in streams if s in DET_STREAMS)
+        sal = tuple(s for s in streams if s in SAL_STREAMS)
+        slots = tuple(slot for slot, members in (("det", det), ("sal", sal)) if members)
+        top = (*(s for s in streams if s in AUX_STREAMS), *slots, HAF_ID)
+        raw = (dict.fromkeys((*streams, *slots), 1.0) if self.raw_weights is None
+               else dict(self.raw_weights))
+        if raw.keys() != {*streams, *slots}:
+            raise ValueError(f"raw weights for {sorted(raw)}, but these streams need "
+                             f"{sorted({*streams, *slots})}")
+        for sid, w in raw.items():
+            if not 0.0 <= w < math.inf:
+                raise ValueError(f"raw weight for {sid} must be finite and >= 0, got {w}")
+        # frozen: the fields are normalized and the derived values set once, here
+        self.__dict__.update(
+            streams=streams, beta=float(self.beta), rho=float(self.rho),
+            raw_weights=MappingProxyType({sid: float(w) for sid, w in raw.items()}),
+            groups=MappingProxyType({GROUP_DET: det, GROUP_SAL: sal, GROUP_TOP: top}),
+            haf_weight=1.0 / len(top))
+        coeffs = effective_coefficients(self)
+        at_zero = coeffs if self.beta == 0.0 else replace(self, beta=0.0).coefficients
+        self.__dict__.update(coefficients=MappingProxyType(coeffs),
+                             tot_scale=1.0 / sum(at_zero.values()))
 
 
-def pooled(streams: dict[str, np.ndarray], spec: FusionSpec, group: str) -> np.ndarray:
-    """Weighted mean of a group's stream vectors.
-
-    Non-top groups return the convex mean sum r_i psi_i.  The top group
-    adds the pass-through term with its fixed weight and divides by
-    |members| + 1.
-    """
-    if group not in spec.groups:
-        raise ValueError(f"unknown group {group!r}")
-    members = spec.groups[group]
+def _group_weights(spec: FusionSpec, group: str) -> dict[str, float]:
+    """Eq-9 ratios of a group's exponent-scaled members (the fixed
+    pass-through stream is excluded), from their raw weights scaled so the
+    maximum is 1."""
+    members = [sid for sid in spec.groups[group] if sid != HAF_ID]
     if not members:
-        raise ValueError(f"group {group!r} has no members")
-    missing = [sid for sid in members if sid not in streams]
-    if missing:
-        raise ValueError(f"missing streams {missing} for group {group}")
-    dim = None
-    for sid in members:
-        v = np.asarray(streams[sid], dtype=np.float64)
-        if dim is None:
-            dim = v.shape
-        elif v.shape != dim:
-            raise ValueError(f"stream {sid} has shape {v.shape}, expected {dim}")
-
-    weights = spec.group_weights(group)
-    n = len(weights)
-    acc = np.zeros(dim)
-    for sid, w in weights.items():
-        acc += w * np.asarray(streams[sid], dtype=np.float64)
-    if HAF_ID in members:
-        acc += spec.haf_weight * np.asarray(streams[HAF_ID], dtype=np.float64)
-        return acc / (n + 1)
-    if n == 0:
-        raise ValueError(f"group {group!r} has no members")
-    return acc
-
-
-def pooled_total(streams: dict[str, np.ndarray], spec: FusionSpec) -> np.ndarray:
-    """Three-level pooling: detector and saliency groups first, then the top
-    group over auxiliary streams, "det", "sal", and the pass-through."""
-    combined = dict(streams)
-    if spec.groups.get(GROUP_DET):
-        combined["det"] = pooled(streams, spec, GROUP_DET)
-    if spec.groups.get(GROUP_SAL):
-        combined["sal"] = pooled(streams, spec, GROUP_SAL)
-    return pooled(combined, spec, GROUP_TOP)
+        return {}
+    w = np.array([spec.raw_weights[sid] for sid in members], dtype=np.float64)
+    top = w.max()
+    w = w / top if top > 0.0 else np.ones_like(w)
+    return dict(zip(members, eq9_ratios(w, spec.beta, spec.rho).tolist()))
 
 
 def effective_coefficients(spec: FusionSpec) -> dict[str, float]:
     """Scalar coefficient of each leaf stream in the top-level pooled vector,
     flattening the three pooling levels."""
-    top_w = spec.group_weights(GROUP_TOP)
-    outer = 1.0 / (len(spec.weighted_members(GROUP_TOP)) + 1)
+    top_w = _group_weights(spec, GROUP_TOP)
+    outer = 1.0 / len(spec.groups[GROUP_TOP])
     coeffs: dict[str, float] = {}
     for sid in spec.groups[GROUP_TOP]:
-        group = SLOT_GROUPS.get(sid)
         if sid == HAF_ID:
             coeffs[sid] = spec.haf_weight * outer
-        elif group and spec.groups.get(group):
-            for leaf, w in spec.group_weights(group).items():
+        elif sid in SLOT_GROUPS:
+            for leaf, w in _group_weights(spec, SLOT_GROUPS[sid]).items():
                 coeffs[leaf] = top_w[sid] * outer * w
         else:
             coeffs[sid] = top_w[sid] * outer
@@ -285,35 +253,33 @@ def spec_to_text(spec: FusionSpec) -> str:
         ("ratio_weights", "true"),  # pooling form, written so HAL1 bytes stay put
     ]
     pairs += [(f"group.{g}", ",".join(spec.groups[g])) for g in sorted(spec.groups)]
-    pairs += [(f"beta.{g}", spec.beta[g]) for g in sorted(spec.beta)]
+    pairs += [(f"beta.{g}", spec.beta) for g in sorted(spec.groups)]
     pairs += [(f"weight.{sid}", spec.raw_weights[sid]) for sid in sorted(spec.raw_weights)]
     return format_key_values(pairs)
 
 
-def spec_from_text(text: str, origin: str = "<string>") -> FusionSpec:
-    groups: dict[str, list[str]] = {}
-    beta: dict[str, float] = {}
-    raw: dict[str, float] = {}
-    scalars: dict = {}
+def spec_from_text(text: str, streams: tuple[str, ...], origin: str = "<string>") -> FusionSpec:
+    """The spec of ``streams`` that ``text`` holds.  Only ``rho``,
+    ``beta.TOP`` and the weights are read; the text must then be exactly what
+    ``spec_to_text`` writes for that spec, and the first line that differs
+    (a group, exponent or pass-through weight other than the streams give, a
+    missing or extra weight) is refused as ``origin: line N: <line> ...``."""
+    values: dict[str, float] = {}
 
     def setting(key: str, value: str) -> None:
-        if key in ("rho", "haf_weight"):
-            scalars[key] = float(value)
-        elif key == "haf_id":
-            if value != HAF_ID:
-                raise ValueError(f"haf_id = {value} is not supported: the pass-through "
-                                 f"stream is always {HAF_ID!r}")
-        elif key == "ratio_weights":
-            if not parse_bool(value):
-                raise ValueError("ratio_weights = false (the r_i/|T| pooling form) is not supported")
-        elif key.startswith("group."):
-            groups[key[6:]] = [s for s in value.split(",") if s]
-        elif key.startswith("beta."):
-            beta[key[5:]] = float(value)
-        elif key.startswith("weight."):
-            raw[key[7:]] = float(value)
-        else:
-            raise ValueError(f"unknown key {key!r}")
+        if key in ("rho", "beta.TOP") or key.startswith("weight."):
+            values[key] = float(value)
 
     parse_key_values(text, origin, setting)
-    return FusionSpec(groups=groups, raw_weights=raw, beta=beta, **scalars)
+    try:
+        keys = FusionSpec(streams).raw_weights
+        spec = FusionSpec(streams, {k: values.get(f"weight.{k}", 1.0) for k in keys},
+                          values.get("beta.TOP", 0.0), values.get("rho", 0.1))
+    except ValueError as exc:
+        raise ValueError(f"{origin}: {exc}") from None
+    lines = zip_longest(text.split("\n"), spec_to_text(spec).split("\n"), fillvalue="")
+    for lineno, (got, want) in enumerate(lines, start=1):
+        if got != want:
+            raise ValueError(f"{origin}: line {lineno}: {got or '(empty)'} is not supported; "
+                             f"the spec of these streams has {want or '(nothing)'!r} there")
+    return spec

@@ -23,22 +23,18 @@ import numpy as np
 
 from .atomic import write_atomic
 from .fusion import (
-    GROUP_DET,
-    GROUP_SAL,
-    GROUP_TOP,
+    BETA_BRACKET,
     HAF_ID,
     SLOT_GROUPS,
+    STREAM_ORDER,
     Bracket,
     FusionSpec,
-    effective_coefficients,
     golden_step,
     ridge_accuracy,
     spec_from_text,
     spec_to_text,
 )
-from .odf import DETECTOR_SLOTS
 from .pn import PnConfig, sigme, sigme_vjp
-from .sdf import SALIENCY_SLOTS
 from .sketch import (
     SketchStack,
     derive_stream_seed,
@@ -46,11 +42,6 @@ from .sketch import (
     sketch_new,
     sketch_to_bytes,
 )
-
-AUX_STREAMS = ("fv1", "fv2", "bow", "off")
-DET_STREAMS = DETECTOR_SLOTS
-SAL_STREAMS = SALIENCY_SLOTS
-STREAM_ORDER = AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
 CHECKPOINT_MAGIC = b"HAL1"
 _BLOCK_ROWS = 32   # rows per block of a forward pass that keeps no backward state
@@ -77,7 +68,6 @@ class TrainConfig:
     multi_label: bool = False
     tie_sketches: bool = False
     warmup_epochs: int = 10          # epochs at beta = 0 before the golden-section search
-    beta_bracket: tuple[float, float] = (0.0, 50.0)
     ridge_l2: float = 1e-3
     init_scale: float = 0.2
 
@@ -146,30 +136,37 @@ class Model:
     """Every unit as stacked arrays, pass-through unit last: one (U+1, m, b)
     ``weight`` and one (U+1, m) ``bias`` slab and one ``SketchStack``.  No
     other object holds a unit, so passes and checkpoints read whatever the
-    slabs hold, whether written in place or rebound."""
+    slabs hold, whether written in place or rebound.  The U hallucination
+    streams are the spec's, which must be the config's."""
 
     config: TrainConfig
-    streams: tuple[str, ...]   # the U hallucination streams, canonical order
     weight: np.ndarray         # (U+1, m, b)
     bias: np.ndarray           # (U+1, m)
     sketches: SketchStack      # U+1 count sketches m -> d'
     prednet: PredNet
     spec: FusionSpec
     n_classes: int
-    # Fixed input gain for the prediction head: the pooling coefficients
-    # carry nested 1/|group| factors, so the pooled vector is far smaller
-    # than any single stream output.  Dividing by the total coefficient
-    # mass (frozen at initialization) reparametrizes the same affine family
-    # with O(1) inputs, keeping SGD conditioning independent of how many
-    # streams are enabled.
-    tot_scale: float = 1.0
 
     def __post_init__(self):
+        if (self.spec.streams, self.spec.rho) != (self.config.ordered_streams(), self.config.rho):
+            raise ValueError(f"a fusion spec of streams {self.spec.streams} at rho {self.spec.rho}, "
+                             f"but the config has {self.config.ordered_streams()} at {self.config.rho}")
         got = (len(self.sketches.sketches), self.sketches.input_dim, self.sketches.output_dim)
         want = (len(self.streams) + 1, self.weight.shape[1], self.config.sketch_dim)
         if got != want:
             raise ValueError("{} count sketches of {} -> {}, but the model needs {} of {} -> {}"
                              .format(*got, *want))
+
+    @property
+    def streams(self) -> tuple[str, ...]:
+        return self.spec.streams
+
+    @property
+    def tot_scale(self) -> float:
+        """The head's fixed input gain: dividing by the coefficient mass, whose
+        nested 1/|group| factors shrink the pooled vector, gives O(1) inputs and
+        SGD conditioning independent of how many streams are enabled."""
+        return self.spec.tot_scale
 
     def chain(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return _chain(self.weight, self.bias, self.sketches, self.config.pn, z)
@@ -231,14 +228,14 @@ def video_arrays(
     return VideoArrays(_pool_features(videos, cfg.backbone_dim), targets, labels)
 
 
-def _pool(model: Model, outs: np.ndarray, coeffs: dict[str, float]) -> np.ndarray:
+def _pool(spec: FusionSpec, outs: np.ndarray) -> np.ndarray:
     """tot_scale * sum_i c_i out_i of the stacked (U+1, n, d') outputs,
     summed from zero in coefficient order."""
-    index = {name: k for k, name in enumerate((*model.streams, HAF_ID))}
+    index = {name: k for k, name in enumerate((*spec.streams, HAF_ID))}
     pooled, term = np.zeros(outs.shape[1:]), np.empty(outs.shape[1:])
-    for name, c in coeffs.items():
+    for name, c in spec.coefficients.items():
         pooled += np.multiply(c, outs[index[name]], out=term)
-    pooled *= model.tot_scale
+    pooled *= spec.tot_scale
     return pooled
 
 
@@ -250,7 +247,6 @@ class _Pass:
     acts: np.ndarray | None       # (U+1, n, m) affine pre-activations, kept for the backward pass
     pres: np.ndarray | None       # (U+1, n, m) SigmE outputs, kept for the backward pass
     outs: np.ndarray              # (U+1, n, d') sketched outputs
-    coeffs: dict[str, float]      # pooling coefficient per leaf stream
     pooled: np.ndarray            # tot_scale * sum_i c_i out_i, the head's input
     scores: np.ndarray
 
@@ -266,10 +262,9 @@ def _forward(
     else:
         acts = pres = None
         outs = model.outputs(z, out)
-    coeffs = model.spec.coefficients()
-    pooled = _pool(model, outs, coeffs)
+    pooled = _pool(model.spec, outs)
     scores = pooled @ model.prednet.weight.T + model.prednet.bias
-    return _Pass(acts, pres, outs, coeffs, pooled, scores)
+    return _Pass(acts, pres, outs, pooled, scores)
 
 
 def _class_loss_and_grad(
@@ -345,7 +340,7 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     resids = fwd.outs[:n_units] - data.targets
     loss, _, _, d_scores = _losses(model, (resids ** 2).sum(axis=2), fwd.scores, data)
     d_tot = model.tot_scale * (d_scores @ model.prednet.weight)
-    coeffs = np.array([fwd.coeffs[name] for name in (*model.streams, HAF_ID)])
+    coeffs = np.array([model.spec.coefficients[name] for name in (*model.streams, HAF_ID)])
     d_out = coeffs[:, None, None] * d_tot
     if n_units:
         d_out[:n_units] += np.multiply((cfg.alpha / n_units) * (2.0 / b), resids, out=resids)
@@ -383,29 +378,8 @@ def init_model(cfg: TrainConfig, n_classes: int) -> Model:
                             for name in units])
     wp = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.sketch_dim),
                     size=(n_classes, cfg.sketch_dim))
-    spec = _default_spec(cfg)
-    tot_scale = 1.0 / sum(effective_coefficients(spec).values())
-    return Model(cfg, streams, weight, np.zeros(weight.shape[:2]), sketches,
-                 PredNet(wp, np.zeros(n_classes)), spec, n_classes, tot_scale)
-
-
-def _default_spec(cfg: TrainConfig) -> FusionSpec:
-    enabled = cfg.ordered_streams()
-    det = [s for s in enabled if s in DET_STREAMS]
-    sal = [s for s in enabled if s in SAL_STREAMS]
-    aux = [s for s in enabled if s in AUX_STREAMS]
-    top = aux + (["det"] if det else []) + (["sal"] if sal else []) + [HAF_ID]
-    n_top = len(top) - 1
-    raw = {s: 1.0 for s in enabled}
-    raw.update({"det": 1.0} if det else {})
-    raw.update({"sal": 1.0} if sal else {})
-    return FusionSpec(
-        groups={GROUP_DET: det, GROUP_SAL: sal, GROUP_TOP: top},
-        raw_weights=raw,
-        beta={GROUP_DET: 0.0, GROUP_SAL: 0.0, GROUP_TOP: 0.0},
-        rho=cfg.rho,
-        haf_weight=1.0 / (n_top + 1),
-    )
+    return Model(cfg, weight, np.zeros(weight.shape[:2]), sketches,
+                 PredNet(wp, np.zeros(n_classes)), FusionSpec(streams, rho=cfg.rho), n_classes)
 
 
 def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -463,8 +437,7 @@ def _beta_score(model: Model, outs: np.ndarray, labels: np.ndarray) -> Callable[
         return lambda _beta: 0.0
 
     def score(beta: float) -> float:
-        spec = replace(model.spec, beta=dict.fromkeys(model.spec.beta, beta))
-        tot = _pool(model, outs, effective_coefficients(spec))
+        tot = _pool(replace(model.spec, beta=beta), outs)
         return ridge_accuracy(
             tot[train_idx], labels[train_idx], tot[val_idx], labels[val_idx],
             model.n_classes, cfg.ridge_l2,
@@ -492,10 +465,10 @@ def _initial_weights(
     gt = {name: data.targets[k] for k, name in enumerate(model.streams)}
     accs = {name: accuracy(x) for name, x in gt.items()}
     for slot, gid in SLOT_GROUPS.items():
-        members = model.spec.groups.get(gid, [])
+        members = model.spec.groups[gid]
         if members:
             accs[slot] = accuracy(np.mean([gt[m] for m in members], axis=0))
-    model.spec.raw_weights.update(accs)
+    model.spec = replace(model.spec, raw_weights=accs)
 
 
 def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[dict]]:
@@ -520,20 +493,18 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     _initial_weights(model, data, train_idx, val_idx)
 
     metrics: list[dict] = []
-    lo, hi = cfg.beta_bracket
-    bracket = Bracket(lo, hi - lo)
+    bracket = Bracket(BETA_BRACKET[0], BETA_BRACKET[1] - BETA_BRACKET[0])
     # every unit's sketched outputs over all videos at the current weights,
     # rewritten by each epoch's end
     outs = np.empty((len(model.weight), len(dataset), cfg.sketch_dim))
     for epoch in range(1, cfg.epochs + 1):
-        if epoch <= cfg.warmup_epochs:
-            model.spec.set_beta(0.0)
+        if epoch <= cfg.warmup_epochs:   # the spec starts at beta = 0
             beta_lo = beta_hi = 0.0
         else:
             if epoch == 1:   # no epoch has ended yet
                 _forward(model, data.z, out=outs)
             bracket = golden_step(_beta_score(model, outs, data.labels), bracket)
-            model.spec.set_beta(bracket.mid)
+            model.spec = replace(model.spec, beta=bracket.mid)
             beta_lo, beta_hi = bracket.lo, bracket.hi
 
         order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_idx))
@@ -671,7 +642,7 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
         raise ValueError(f"HAL1: unsupported version {version}")
     seed = int(r.array("<u8")[0])
     b, m, d_prime, n_classes = (int(v) for v in r.array("<u4", 4))
-    eta, eps, alpha, tot_scale = (float(v) for v in r.array("<f8", 4))
+    eta, eps, alpha, tot_scale = (float(v) for v in r.array("<f8", 4))   # tot_scale at byte 56
     multi_label = bool(r.array("u1")[0])
 
     n_units = int(r.array("<u4")[0])
@@ -697,14 +668,16 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
         raise ValueError("HAL1: no pass-through unit")
     order = sorted(range(n_units), key=lambda k: names[k] == HAF_ID)   # pass-through last
     wp, bp = r.floats((n_classes, d_prime)), r.floats((n_classes,))
-    spec = spec_from_text(r.text(int(r.array("<u4")[0])), origin=str(path))
+    streams = tuple(names[k] for k in order[:-1])
+    spec = spec_from_text(r.text(int(r.array("<u4")[0])), streams, origin=str(path))
     if r.pos != len(r.data):
         raise ValueError(f"HAL1: expected {r.pos} bytes, got {len(r.data)}")
+    if tot_scale != spec.tot_scale:
+        raise ValueError(f"HAL1: byte 56: tot_scale {tot_scale!r}, but the fusion spec "
+                         f"gives {spec.tot_scale!r}")
 
-    streams = tuple(names[k] for k in order[:-1])
-    pn_cfg = PnConfig(eta=eta, epsilon=eps)
     cfg = TrainConfig(alpha=alpha, seed=seed, backbone_dim=b, pre_sketch_dim=m,
-                      sketch_dim=d_prime, streams=streams, pn=pn_cfg, multi_label=multi_label)
-    return Model(cfg, streams, weight[order], bias[order],
-                 SketchStack([sketches[k] for k in order]), PredNet(wp, bp), spec, n_classes,
-                 tot_scale)
+                      sketch_dim=d_prime, streams=streams, rho=spec.rho,
+                      pn=PnConfig(eta=eta, epsilon=eps), multi_label=multi_label)
+    return Model(cfg, weight[order], bias[order], SketchStack([sketches[k] for k in order]),
+                 PredNet(wp, bp), spec, n_classes)

@@ -67,6 +67,8 @@ class DetectionRecord:
             raise ValueError(f"box {self.box} violates top-left <= bottom-right")
         if self.imagenet_scores.shape != (IMAGENET_SIZE,):
             raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
+        if not np.isfinite(self.imagenet_scores).all():
+            raise ValueError("imagenet_scores holds non-finite values")
         if self.imagenet_scores.min() < 0.0:
             raise ValueError("imagenet_scores must be nonnegative")
         if abs(float(self.imagenet_scores.sum()) - 1.0) > SCORE_SUM_TOL:
@@ -77,14 +79,18 @@ class DetectionRecord:
                 tau: int) -> DetectionRecord:
         """A record from raw fields: clamp the frame index into [1, tau] and
         the other ranges, reorder corners, renormalize scores.  Structural
-        problems (label space, vector lengths) still raise."""
-        v = np.clip(np.asarray(box, dtype=np.float64), 0.0, 1.0)
+        problems (label space, vector lengths, non-finite box or scores)
+        still raise."""
+        v = np.asarray(box, dtype=np.float64)
         scores = np.asarray(imagenet_scores, dtype=np.float64)
         if v.shape != (4,):
             raise ValueError("box must have 4 coordinates")
         if scores.shape != (IMAGENET_SIZE,):
             raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
-        scores = np.clip(scores, 0.0, None)
+        for name, values in (("box", v), ("imagenet_scores", scores)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} holds non-finite values")
+        v, scores = np.clip(v, 0.0, 1.0), np.clip(scores, 0.0, None)
         total = float(scores.sum())
         return cls(
             frame_index=min(max(frame_index, 1), tau),

@@ -42,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .halluc import AUX_STREAMS, DET_STREAMS, SAL_STREAMS, SyntheticVideo
+from .fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
+from .halluc import SyntheticVideo
 from .keyvalue import format_key_values, parse_key_values
 from .odf import OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig, sigme

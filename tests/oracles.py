@@ -3,12 +3,13 @@
 These deliberately avoid the library's own code paths: dense
 eigendecompositions instead of the Gram shortcut, per-pixel loops instead
 of einsum, explicit sums instead of vectorized cumulants, one unit and one
-sketched vector at a time instead of the stacked units.
+sketched vector at a time instead of the stacked units, pooling level by
+level instead of the flattened coefficients.
 """
 
 import numpy as np
 
-from momhal.fusion import HAF_ID
+from momhal.fusion import GROUP_DET, GROUP_SAL, GROUP_TOP, HAF_ID, eq9_ratios
 from momhal.pn import sigme
 from momhal.sketch import project
 
@@ -113,3 +114,49 @@ def unit_outputs(model, features):
     z = np.array(features, dtype=np.float64).mean(axis=2)
     names = (*model.streams, HAF_ID)
     return {name: unit_chain_rows(model, k, z)[1] for k, name in enumerate(names)}
+
+
+def pooled(streams, spec, group):
+    """Weighted mean of a group's stream vectors (eq. 9).
+
+    Non-top groups return the convex mean sum r_i psi_i.  The top group
+    adds the pass-through term with its fixed weight and divides by
+    |members| + 1.
+    """
+    if group not in spec.groups:
+        raise ValueError(f"unknown group {group!r}")
+    members = spec.groups[group]
+    if not members:
+        raise ValueError(f"group {group!r} has no members")
+    missing = [sid for sid in members if sid not in streams]
+    if missing:
+        raise ValueError(f"missing streams {missing} for group {group}")
+    dim = None
+    for sid in members:
+        v = np.asarray(streams[sid], dtype=np.float64)
+        if dim is None:
+            dim = v.shape
+        elif v.shape != dim:
+            raise ValueError(f"stream {sid} has shape {v.shape}, expected {dim}")
+
+    weighted = [sid for sid in members if sid != HAF_ID]
+    acc = np.zeros(dim)
+    if weighted:
+        w = np.array([spec.raw_weights[sid] for sid in weighted])
+        for sid, r in zip(weighted, eq9_ratios(w / w.max(), spec.beta, spec.rho)):
+            acc += r * np.asarray(streams[sid], dtype=np.float64)
+    if HAF_ID in members:
+        acc += spec.haf_weight * np.asarray(streams[HAF_ID], dtype=np.float64)
+        return acc / (len(weighted) + 1)
+    return acc
+
+
+def pooled_total(streams, spec):
+    """Three-level pooling: detector and saliency groups first, then the top
+    group over auxiliary streams, "det", "sal", and the pass-through."""
+    combined = dict(streams)
+    if spec.groups[GROUP_DET]:
+        combined["det"] = pooled(streams, spec, GROUP_DET)
+    if spec.groups[GROUP_SAL]:
+        combined["sal"] = pooled(streams, spec, GROUP_SAL)
+    return pooled(combined, spec, GROUP_TOP)

@@ -2,17 +2,18 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from momhal import synthgen
+from momhal import cli, synthgen
 from momhal.atomic import write_atomic
 from momhal.cli import main
 from momhal.fusion import effective_coefficients, ridge_accuracy
-from momhal.halluc import load_checkpoint
+from momhal.halluc import TrainConfig, init_model, load_checkpoint
+from momhal.pn import PnConfig
 from momhal.moments import descriptor_from_bytes
 from momhal.sdf import write_pgm
 from momhal.synthgen import load_dataset
@@ -272,7 +273,7 @@ class TestSynthTrainEval:
         n = len(videos)
         perm = np.random.default_rng((2, 0x5E)).permutation(n)
         val, tr = perm[: round(0.25 * n)], perm[round(0.25 * n):]
-        spec = replace(model.spec, beta=dict.fromkeys(model.spec.beta, float(m.group(1))))
+        spec = replace(model.spec, beta=float(m.group(1)))
         outs = unit_outputs(model, [v.backbone_features for v in videos])
         pooled = model.tot_scale * sum(c * outs[name]
                                        for name, c in effective_coefficients(spec).items())
@@ -347,6 +348,30 @@ class TestConfigDocuments:
         assert code == 1
         assert err.startswith("error: multi_label")
         assert "class ids" in err
+
+    def test_every_train_config_field_survives_config_cfg(self, tmp_path, capsys, monkeypatch):
+        changed = dict(alpha=0.5, learning_rate=0.01, epochs=3, seed=9, backbone_dim=8,
+                       pre_sketch_dim=12, sketch_dim=6, streams=("fv2", "det3", "sal1"),
+                       batch_size=5, val_fraction=0.3, rho=0.3, pn=PnConfig(eta=3.0, epsilon=1e-4),
+                       multi_label=True, tie_sketches=True, warmup_epochs=4, ridge_l2=0.01,
+                       init_scale=0.3)
+        assert changed.keys() == {f.name for f in fields(TrainConfig)}
+        cfg = TrainConfig(**changed)
+        assert [k for k in changed if getattr(cfg, k) == getattr(TrainConfig(), k)] == []
+        # the first run's config.cfg is read back by the second; neither trains
+        seen = []
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: ([None], None))
+        monkeypatch.setattr(cli, "train", lambda videos, c: (seen.append(c), (init_model(c, 2), []))[1])
+        first = tmp_path / "first.cfg"
+        first.write_text("".join(f"{k} = {v}\n" for k, v in {
+            **{k: v for k, v in changed.items() if k not in ("streams", "pn")},
+            "streams": "fv2,det3,sal1", "pn_eta": 3.0, "pn_epsilon": 1e-4,
+            "data_dir": tmp_path / "data", "out_dir": tmp_path / "r1"}.items()))
+        assert run(capsys, "train", "--config", str(first))[0] == 0
+        resolved = tmp_path / "r1" / "config.cfg"
+        resolved.write_text(resolved.read_text().replace(str(tmp_path / "r1"), str(tmp_path / "r2")))
+        assert run(capsys, "train", "--config", str(resolved))[0] == 0
+        assert seen == [cfg, cfg]
 
     @pytest.mark.parametrize("old, new", [("seed = 1", "sed = 1"),
                                           ("n_videos = 8", "n_videos = 16.7")],

@@ -1,15 +1,20 @@
-import math
+import dataclasses
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import pooled, pooled_total
 
 from momhal.fusion import (
+    BETA_BRACKET,
     GROUP_DET,
     GROUP_SAL,
     GROUP_TOP,
     INV_PHI,
+    STREAM_ORDER,
     Bracket,
     FusionSpec,
     effective_coefficients,
@@ -17,26 +22,16 @@ from momhal.fusion import (
     eq9_weights,
     golden_section_max,
     golden_step,
-    pooled,
-    pooled_total,
     ridge_accuracy,
     spec_from_text,
     spec_to_text,
 )
-from momhal.halluc import TrainConfig
 
 
-def make_spec(beta=0.0):
-    groups = {
-        GROUP_DET: ["det1", "det2", "det3", "det4"],
-        GROUP_SAL: ["sal1", "sal2"],
-        GROUP_TOP: ["fv1", "fv2", "bow", "off", "det", "sal", "haf"],
-    }
-    raw = {s: 1.0 for s in ("fv1", "fv2", "bow", "off", "det1", "det2", "det3",
-                            "det4", "sal1", "sal2", "det", "sal")}
-    return FusionSpec(groups=groups, raw_weights=raw,
-                      beta={GROUP_DET: beta, GROUP_SAL: beta, GROUP_TOP: beta},
-                      rho=0.1, haf_weight=1.0 / 7)
+def make_spec(beta=0.0, **weights):
+    """The spec of all 12 streams; raw weights 1.0 but for ``weights``."""
+    raw = {**FusionSpec(STREAM_ORDER).raw_weights, **weights}
+    return FusionSpec(STREAM_ORDER, raw, beta, rho=0.1)
 
 
 class TestEq9:
@@ -88,15 +83,14 @@ class TestPooled:
         np.testing.assert_allclose(got, v)
 
     def test_singleton_group(self):
-        spec = make_spec()
-        spec.groups[GROUP_SAL] = ["sal1"]
+        spec = FusionSpec(("fv1", "sal1"))
+        assert spec.groups[GROUP_SAL] == ("sal1",)
         got = pooled({"sal1": np.ones(2)}, spec, GROUP_SAL)
         np.testing.assert_allclose(got, np.ones(2))  # r = 1
 
     def test_formula_oracle_four_streams(self):
         rng = np.random.default_rng(0)
-        spec = make_spec(beta=2.0)
-        spec.raw_weights.update({"det1": 1.0, "det2": 0.8, "det3": 0.5, "det4": 0.2})
+        spec = make_spec(beta=2.0, det1=1.0, det2=0.8, det3=0.5, det4=0.2)
         streams = {f"det{i}": rng.normal(size=6) for i in range(1, 5)}
         got = pooled(streams, spec, GROUP_DET)
 
@@ -137,24 +131,18 @@ class TestPooled:
 
     def test_hierarchical_differs_from_flat(self):
         rng = np.random.default_rng(7)
-        spec = make_spec(beta=3.0)
-        for sid, scale in (("det1", 1.0), ("det2", 0.3), ("det3", 0.2),
-                           ("det4", 0.1), ("sal1", 0.9), ("sal2", 0.4),
-                           ("fv1", 0.6), ("fv2", 0.5), ("bow", 0.4), ("off", 0.3)):
-            spec.raw_weights[sid] = scale
-        spec.raw_weights.update({"det": 0.8, "sal": 0.7})
-        leafs = [s for s in spec.raw_weights if s not in ("det", "sal")]
+        spec = make_spec(beta=3.0, det1=1.0, det2=0.3, det3=0.2, det4=0.1, sal1=0.9, sal2=0.4,
+                         fv1=0.6, fv2=0.5, bow=0.4, off=0.3, det=0.8, sal=0.7)
+        leafs = list(STREAM_ORDER)
         streams = {sid: rng.normal(size=5) for sid in leafs}
         streams["haf"] = rng.normal(size=5)
 
         three_level = pooled_total(streams, spec)
 
-        flat_spec = FusionSpec(
-            groups={GROUP_DET: [], GROUP_SAL: [],
-                    GROUP_TOP: leafs + ["haf"]},
-            raw_weights={s: spec.raw_weights[s] for s in leafs},
-            beta={GROUP_TOP: 3.0}, rho=0.1, haf_weight=1.0 / 7)
-        flat = pooled(streams, flat_spec, GROUP_TOP)
+        # one group of the 10 leaves and the pass-through at weight 1/7
+        w = np.array([spec.raw_weights[s] for s in leafs])
+        r = eq9_ratios(w / w.max(), 3.0, 0.1)
+        flat = (sum(ri * streams[s] for ri, s in zip(r, leafs)) + streams["haf"] / 7) / 11
         assert not np.allclose(three_level, flat)
 
         # regression pin for the seeded instance (computed apart from the
@@ -164,8 +152,7 @@ class TestPooled:
             three_level[:2], [-0.08199112365309666, -0.039625956288333986], atol=1e-12)
 
     def test_effective_coefficients_match_pooled(self):
-        spec = make_spec(beta=1.7)
-        spec.raw_weights.update({"det2": 0.4, "sal2": 0.6, "bow": 0.2})
+        spec = make_spec(beta=1.7, det2=0.4, sal2=0.6, bow=0.2)
         leafs = ["fv1", "fv2", "bow", "off", "det1", "det2", "det3", "det4",
                  "sal1", "sal2", "haf"]
         coeffs = effective_coefficients(spec)
@@ -175,24 +162,36 @@ class TestPooled:
             want = pooled_total(streams, spec)[0]
             assert coeffs.get(leaf, 0.0) == pytest.approx(want, abs=1e-15)
 
-    def test_cached_coefficients_follow_every_change(self):
-        spec = make_spec(beta=1.7)
-        assert spec.coefficients() == effective_coefficients(spec)
-        changes = [
-            lambda: spec.raw_weights.update({"det2": 0.4, "sal2": 0.6, "bow": 0.2}),
-            lambda: spec.set_beta(4.2),
-            lambda: spec.beta.update({GROUP_SAL: 0.3}),
-            lambda: spec.groups[GROUP_DET].remove("det4"),
-            lambda: setattr(spec, "rho", 0.3),
-        ]
-        for change in changes:
-            before = spec.coefficients()
-            change()
-            after = spec.coefficients()
-            assert after == effective_coefficients(spec)
-            assert after != before
-        spec.coefficients()["fv1"] = -1.0   # a caller's copy, not the cache
-        assert spec.coefficients() == effective_coefficients(spec)
+    def test_spec_is_frozen_and_derived_once(self):
+        spec = make_spec(beta=1.7, det2=0.4)
+        assert [f.name for f in dataclasses.fields(spec)] == ["streams", "raw_weights", "beta", "rho"]
+        assert spec.coefficients == effective_coefficients(spec)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.beta = 4.2
+        with pytest.raises(TypeError):
+            spec.raw_weights["det2"] = 1.0
+        with pytest.raises(TypeError):
+            spec.coefficients["fv1"] = -1.0
+        moved = replace(spec, beta=4.2)
+        assert moved.coefficients == effective_coefficients(moved) != spec.coefficients
+
+    def test_groups_and_pass_through_weight_follow_the_streams(self):
+        spec = FusionSpec(("fv2", "det1", "det3", "sal2"))
+        assert dict(spec.groups) == {GROUP_DET: ("det1", "det3"), GROUP_SAL: ("sal2",),
+                                     GROUP_TOP: ("fv2", "det", "sal", "haf")}
+        assert dict(spec.raw_weights) == dict.fromkeys(
+            ("fv2", "det1", "det3", "sal2", "det", "sal"), 1.0)
+        assert spec.haf_weight == 1.0 / 4
+        alone = FusionSpec(())
+        assert dict(alone.groups) == {GROUP_DET: (), GROUP_SAL: (), GROUP_TOP: ("haf",)}
+        assert dict(alone.coefficients) == {"haf": 1.0} and alone.tot_scale == 1.0
+
+    def test_tot_scale_is_the_inverse_mass_at_beta_zero(self):
+        base = make_spec()
+        assert base.tot_scale == 1.0 / sum(effective_coefficients(base).values())
+        for spec in (make_spec(beta=6.0, fv2=0.5), make_spec(beta=2.0, det2=0.1, fv1=0.3, sal=0.0)):
+            assert spec.coefficients != base.coefficients
+            assert spec.tot_scale == base.tot_scale
 
 
 class TestGoldenSection:
@@ -252,7 +251,7 @@ class TestGoldenSection:
 
 class TestBetaSchedule:
     def test_bracket_width_schedule(self):
-        assert TrainConfig().beta_bracket == (0.0, 50.0)
+        assert BETA_BRACKET == (0.0, 50.0)
         bracket = Bracket(0.0, 50.0)
         for k in range(1, 20):
             bracket = golden_step(lambda b: 0.0, bracket)
@@ -273,42 +272,79 @@ class TestRidge:
 
 class TestSpecSerialization:
     def test_roundtrip(self, tmp_path):
-        spec = make_spec(beta=4.5)
-        spec.raw_weights["det3"] = 0.35
+        spec = make_spec(beta=4.5, det3=0.35)
         path = tmp_path / "fusion.cfg"
         path.write_text(spec_to_text(spec), encoding="utf-8")
-        back = spec_from_text(path.read_text(encoding="utf-8"), origin=str(path))
+        back = spec_from_text(path.read_text(encoding="utf-8"), STREAM_ORDER, origin=str(path))
+        assert back == spec
         assert back.groups == spec.groups
-        assert back.raw_weights == spec.raw_weights
-        assert back.beta == spec.beta
-        assert back.rho == spec.rho
         assert back.haf_weight == spec.haf_weight
+        assert back.coefficients == spec.coefficients
         assert "ratio_weights = true\n" in path.read_text()
 
     def test_group_size_form_is_refused(self):
         text = spec_to_text(make_spec()).replace("ratio_weights = true", "ratio_weights = false")
         with pytest.raises(ValueError, match=r"fusion\.cfg: line 4: ratio_weights = false"):
-            spec_from_text(text, origin="fusion.cfg")
+            spec_from_text(text, STREAM_ORDER, origin="fusion.cfg")
 
     def test_other_pass_through_name_is_refused(self):
         text = spec_to_text(make_spec())
         assert "haf_id = haf\n" in text   # written for HAL1's bytes; no other value is read
         with pytest.raises(ValueError, match=r"fusion\.cfg: line 3: haf_id = hag is not supported"):
-            spec_from_text(text.replace("haf_id = haf", "haf_id = hag"), origin="fusion.cfg")
+            spec_from_text(text.replace("haf_id = haf", "haf_id = hag"), STREAM_ORDER,
+                           origin="fusion.cfg")
 
     def test_text_roundtrip(self):
         spec = make_spec()
-        again = spec_from_text(spec_to_text(spec))
+        again = spec_from_text(spec_to_text(spec), STREAM_ORDER)
         assert again.raw_weights == spec.raw_weights
 
+    @pytest.mark.parametrize("old, new, line", [
+        ("group.D = det1,det2,det3,det4", "group.D = det1,det2,det3,det5", 5),
+        ("group.TOP = fv1,fv2,bow,off,det,sal,haf", "group.TOP = fv1,fv2,bow,off,det,sal", 7),
+        ("haf_weight = 0.14285714285714285", "haf_weight = 0.5", 2),
+        ("beta.S = 2.0", "beta.S = 3.0", 9),
+        ("weight.det2 = 1.0\n", "", 14),
+        ("weight.sal = 1.0\n", "weight.sal = 1.0\nweight.sal0 = 1.0\n", 21),
+        ("rho = 0.1", "rho = 0.10", 1),
+        ("weight.off = 1.0", "weight.off =  1.0", 19),
+        ("beta.TOP = 2.0\n", "beta.TOP = 2.0\n# comment\n", 11),
+    ])
+    def test_text_other_than_the_streams_give_is_refused(self, old, new, line):
+        text = spec_to_text(make_spec(beta=2.0))
+        assert old in text
+        bad = text.replace(old, new)
+        want = rf"fusion\.cfg: line {line}: {re.escape(bad.split(chr(10))[line - 1] or '(empty)')} "
+        with pytest.raises(ValueError, match=want + "is not supported"):
+            spec_from_text(bad, STREAM_ORDER, origin="fusion.cfg")
+
     def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            spec_from_text("bogus = 1\n")
+        text = spec_to_text(make_spec()).replace("weight.bow = 1.0\n", "weight.bow = 1.0\nbogus = 1\n")
+        with pytest.raises(ValueError, match="line 12: bogus = 1 is not supported"):
+            spec_from_text(text, STREAM_ORDER)
+
+    def test_unparsable_values_name_their_line(self):
+        text = spec_to_text(make_spec()).replace("weight.fv1 = 1.0", "weight.fv1 = one")
+        with pytest.raises(ValueError, match=r"fusion\.cfg: line 17: could not convert"):
+            spec_from_text(text, STREAM_ORDER, origin="fusion.cfg")
+        with pytest.raises(ValueError, match=r"fusion\.cfg: rho must lie in \(0, 1\]"):
+            spec_from_text(spec_to_text(make_spec()).replace("rho = 0.1", "rho = 1.5"),
+                           STREAM_ORDER, origin="fusion.cfg")
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FusionSpec(groups={}, raw_weights={}, beta={}, rho=1.5)
-        with pytest.raises(ValueError):
-            FusionSpec(groups={}, raw_weights={"a": -1.0}, beta={}, rho=0.1)
-        with pytest.raises(ValueError):
-            FusionSpec(groups={}, raw_weights={}, beta={"D": -2.0}, rho=0.1)
+        with pytest.raises(ValueError, match="rho"):
+            FusionSpec(STREAM_ORDER, rho=1.5)
+        with pytest.raises(ValueError, match="raw weight for fv1"):
+            make_spec(fv1=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="raw weight for fv1"):
+                make_spec(fv1=bad)
+        with pytest.raises(ValueError, match="beta"):
+            FusionSpec(STREAM_ORDER, beta=-2.0)
+        with pytest.raises(ValueError, match="raw weights for"):
+            FusionSpec(("fv1", "det1"), {"fv1": 1.0, "det1": 1.0})   # no "det" slot
+        with pytest.raises(ValueError, match="raw weights for"):
+            FusionSpec(("fv1",), {"fv1": 1.0, "det": 1.0})
+        for streams in (("det1", "fv1"), ("fv1", "fv1"), ("det5",)):
+            with pytest.raises(ValueError, match="not distinct members"):
+                FusionSpec(streams)

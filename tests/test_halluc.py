@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import unit_chain_rows, unit_outputs
 
-from momhal.fusion import HAF_ID, effective_coefficients
+from momhal.fusion import HAF_ID, FusionSpec, effective_coefficients
 from momhal.halluc import (
     Model,
     PredNet,
@@ -345,10 +346,10 @@ class TestInference:
             return pooled @ model.prednet.weight.T + model.prednet.bias
 
         before = predict_scores(model, videos)
-        changes = [lambda: model.spec.set_beta(6.0),
-                   lambda: model.spec.raw_weights.update({"fv1": 0.05, "det": 0.3})]
+        changes = [{"beta": 6.0},
+                   {"raw_weights": {**model.spec.raw_weights, "fv1": 0.05, "det": 0.3}}]
         for change in changes:
-            change()
+            model.spec = replace(model.spec, **change)
             want = fresh_scores()
             np.testing.assert_allclose(predict_scores(model, videos), want, rtol=0, atol=1e-12)
             for i, video in enumerate(videos):
@@ -390,7 +391,7 @@ class TestStackedUnits:
         cfg = TrainConfig(seed=3, epochs=0)   # all 12 streams, 64 -> 128 -> 128
         model = init_model(cfg, 4)
         model.bias[...] = np.random.default_rng(4).normal(scale=0.1, size=model.bias.shape)
-        model.spec.set_beta(2.5)
+        model.spec = replace(model.spec, beta=2.5)
         return model
 
     @pytest.mark.parametrize("rows", [1, 32, 70, 256])
@@ -438,6 +439,14 @@ class TestStackedUnits:
         assert not np.array_equal(predict_scores(model, videos), before)
         model.weight[k] /= 2.0
         assert np.array_equal(predict_scores(model, videos), before)
+
+    def test_spec_must_follow_the_config(self):
+        model = self.model()
+        assert model.streams is model.spec.streams
+        assert model.tot_scale == model.spec.tot_scale
+        for spec in (FusionSpec(("fv1", "det1")), replace(model.spec, rho=0.5)):
+            with pytest.raises(ValueError, match="a fusion spec of streams"):
+                replace(model, spec=spec)
 
     def test_rebound_slab_is_read(self):
         model = self.model()
@@ -519,6 +528,41 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"HAL1: byte \d+: .*: line 3: haf_id = hag"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("old, new, line", [
+        (rb"group.D = det1,det2", b"group.D = det1,det2,det5", 5),   # a stream with no unit
+        (rb"weight.det2 = [^\n]*\n", b"", 13),
+        (rb",haf\n", b"\n", 7),                                     # drops the pass-through unit
+        (rb"haf_weight = [^\n]*", b"haf_weight = 0.5", 2),
+        (rb"beta.S = [^\n]*", b"beta.S = 1.5", 9),
+    ])
+    def test_spec_other_than_the_units_give_is_refused(self, tmp_path, old, new, line):
+        cfg = small_cfg(streams=("fv1", "det1", "det2", "sal1"))
+        path = tmp_path / "model.hal"
+        save_checkpoint(init_model(cfg, 3), path)
+        blob = path.read_bytes()
+        at = blob.rindex(b"rho = ")   # the spec text ends the file, after its u32 length
+        text = re.sub(old, new, blob[at:], count=1)
+        assert text != blob[at:]
+        path.write_bytes(blob[: at - 4] + np.uint32(len(text)).tobytes() + text)
+        with pytest.raises(ValueError, match=rf"^HAL1: byte \d+: .*: line {line}: .* is not supported"):
+            load_checkpoint(path)
+
+    def test_rho_survives_the_checkpoint(self, tmp_path):
+        cfg = small_cfg(rho=0.3, epochs=2)
+        model, _ = train(make_batch(np.random.default_rng(16), cfg, n=12), cfg)
+        save_checkpoint(model, tmp_path / "model.hal")
+        back = load_checkpoint(tmp_path / "model.hal")
+        assert back.config.rho == 0.3
+        assert back.spec == model.spec
+
+    def test_tot_scale_must_match_the_spec(self, tmp_path):
+        path = tmp_path / "model.hal"
+        save_checkpoint(init_model(small_cfg(), 3), path)
+        blob = path.read_bytes()
+        path.write_bytes(blob[:56] + np.float64(2.5).tobytes() + blob[64:])
+        with pytest.raises(ValueError, match=r"^HAL1: byte 56: tot_scale 2\.5, but the fusion spec"):
+            load_checkpoint(path)
+
     def test_unit_count_past_the_end_is_refused_before_allocating(self, tmp_path):
         path = tmp_path / "model.hal"
         save_checkpoint(init_model(small_cfg(), 3), path)
@@ -570,12 +614,19 @@ class TestCheckpointFuzz:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_damaged_file_loads_or_names_the_format(self, tmp_dir, blob, data):
+        """A damaged file is refused with a ValueError naming HAL1, or loads
+        into a model on which inference raises nothing but ValueError."""
         path = tmp_dir / "damaged.hal"
         path.write_bytes(data.draw(damaged(blob)))
         try:
-            load_checkpoint(path)
+            model = load_checkpoint(path)
         except ValueError as exc:
             assert str(exc).startswith("HAL1: "), exc
+            return
+        try:
+            infer(model, np.ones((model.config.backbone_dim, 3)))
+        except ValueError:
+            pass
 
 
 class TestTiedSketches:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -231,12 +232,25 @@ class TestJsonl:
     @pytest.mark.parametrize("field, value, message", [
         ("box", [0.1, 0.1, 0.5], "4 coordinates"),
         ("box", [0.1, 0.1, 0.5, 0.5, 0.9], "4 coordinates"),
-        ("box", [float("nan"), 0.1, 0.5, 0.5], "outside"),
+        ("box", [float("nan"), 0.1, 0.5, 0.5], "non-finite"),
         ("class", 0, "class label"),
     ])
     def test_lenient_refuses_what_it_cannot_repair(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             parse_detection_line(self.line(**{field: value}), strict=False)
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @pytest.mark.parametrize("field, value", [
+        ("inet_sparse", [[3, float("nan")], [900, 0.5]]),
+        ("inet_sparse", [[3, float("inf")], [900, 0.5]]),
+        ("box", [0.5, 0.1, float("nan"), 0.5]),
+        ("box", [0.1, 0.1, float("inf"), 0.5]),
+    ], ids=["nan_score", "inf_score", "nan_box", "inf_box"])
+    def test_non_finite_values_are_refused_with_their_line(self, tmp_path, strict, field, value):
+        path = tmp_path / "d.jsonl"
+        path.write_text(self.line() + "\n" + self.line(**{field: value}) + "\n")
+        with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: "):
+            read_detections(path, strict=strict)
 
     def test_missing_field(self):
         obj = json.loads(self.line())

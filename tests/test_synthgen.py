@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from momhal import synthgen
-from momhal.halluc import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
+from momhal.fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
 from momhal.pn import PnConfig
 from momhal.synthgen import (
     CACHE_DIR,
