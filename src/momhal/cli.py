@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 runtime error, 2 empty or invalid input.
 Every command taking --seed is reproducible byte-for-byte in
-single-threaded mode; --threads (default: the CPU count) only
-parallelizes per-video encoding jobs, whose outputs are written in a
-deterministic order either way.  A config document or --tau-source file
-with an unknown key, a malformed line or a bad value is refused with
+single-threaded mode; --threads (default: the CPU count) only runs
+per-video encoding jobs in parallel, largest bag first, and changes no
+output byte or order.  A config document or --tau-source file with an
+unknown key, a malformed line or a bad value is refused with
 ``file: line N: ...`` and exit code 1.
 """
 
@@ -78,6 +78,15 @@ def _read_taus(path) -> dict[str, int]:
     return taus
 
 
+def _run_largest_first(job, items: list, size, threads: int) -> list:
+    """``job(item)`` for each item on a pool of ``threads``, largest
+    ``size(item)`` first; the results come back in the order of ``items``."""
+    order = sorted(range(len(items)), key=lambda i: size(items[i]), reverse=True)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = {i: pool.submit(job, items[i]) for i in order}
+        return [futures[i].result() for i in range(len(items))]
+
+
 def cmd_encode_odf(args) -> int:
     groups = read_detections(args.input, strict=not args.lenient)
     if not groups:
@@ -93,14 +102,12 @@ def cmd_encode_odf(args) -> int:
     paths = _output_paths(out, groups)
     out.mkdir(parents=True, exist_ok=True)
 
-    def job(key):
-        (video, detector), (tau, recs) = key
-        desc = odf_descriptor(recs, tau, cfg)
-        return video, detector, tau, len(recs), desc
+    def job(item):
+        (video, detector), (tau, recs) = item
+        return video, detector, tau, len(recs), odf_descriptor(recs, tau, cfg)
 
-    keys = sorted(groups.items())
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(job, keys))
+    results = _run_largest_first(job, sorted(groups.items()), lambda item: len(item[1][1]),
+                                 args.threads)
     print(f"{'video':<12} {'detector':<10} {'boxes':>6} {'tau':>5} {'dim':>6} {'flat':>7}")
     for video, detector, tau, count, desc in results:
         write_atomic(paths[video, detector], descriptor_to_bytes(desc))
@@ -120,14 +127,12 @@ def cmd_encode_sdf(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     def job(item):
-        (video, source), paths = item
-        frames = [read_pgm(p) for p in paths]
-        desc = sdf_descriptor(frames, cfg, args.n_dagger)
-        return video, source, len(frames), desc
+        (video, source), frame_paths = item
+        desc = sdf_descriptor([read_pgm(p) for p in frame_paths], cfg, args.n_dagger)
+        return video, source, len(frame_paths), desc
 
-    keys = sorted(groups.items())
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(job, keys))
+    results = _run_largest_first(job, sorted(groups.items()), lambda item: len(item[1]),
+                                 args.threads)
     print(f"{'video':<12} {'source':<8} {'frames':>6} {'dim':>6} {'flat':>7}")
     for video, source, count, desc in results:
         write_atomic(paths[video, source], descriptor_to_bytes(desc))
@@ -181,7 +186,7 @@ def _build_train_config(args) -> tuple[TrainConfig, str, str]:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if args.streams:
+    if args.streams is not None:   # --streams "" trains the pass-through unit alone
         values["streams"] = _CONFIG_KEYS["streams"](args.streams)
     if "data_dir" not in values:
         raise ValueError("data_dir required (config key data_dir or --data)")

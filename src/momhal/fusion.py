@@ -20,8 +20,9 @@ training loop can advance one elimination per epoch.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import zip_longest
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
@@ -118,9 +119,15 @@ class FusionSpec:
             groups=MappingProxyType({GROUP_DET: det, GROUP_SAL: sal, GROUP_TOP: top}),
             haf_weight=1.0 / len(top))
         coeffs = effective_coefficients(self)
-        at_zero = coeffs if self.beta == 0.0 else replace(self, beta=0.0).coefficients
         self.__dict__.update(coefficients=MappingProxyType(coeffs),
-                             tot_scale=1.0 / sum(at_zero.values()))
+                             tot_scale=(1.0 / sum(coeffs.values()) if self.beta == 0.0
+                                        else _tot_scale(streams)))
+
+
+@functools.lru_cache(maxsize=None)
+def _tot_scale(streams: tuple[str, ...]) -> float:
+    """``tot_scale`` of every spec on ``streams``, which no raw weight or rho moves."""
+    return FusionSpec(streams).tot_scale
 
 
 def _group_weights(spec: FusionSpec, group: str) -> dict[str, float]:

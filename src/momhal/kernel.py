@@ -50,7 +50,7 @@ class FeatureMapConfig:
 def _distances(x: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     d = np.abs(x[..., None] - cfg.pivots())
     if cfg.domain == RING_UNIT:
-        d = np.minimum(d, 1.0 - d)
+        np.minimum(d, 1.0 - d, out=d)
     return d
 
 
@@ -68,8 +68,7 @@ def feature_map(x: float, cfg: FeatureMapConfig) -> np.ndarray:
             raise ValueError(f"ring input must lie in [0, 1), got {x}")
     elif not 0.0 <= x <= 1.0:
         raise ValueError(f"interval input must lie in [0, 1], got {x}")
-    d = _distances(np.asarray(x), cfg)
-    return np.exp(-(d * d) / (cfg.sigma * cfg.sigma))
+    return feature_map_batch(x, cfg)
 
 
 def feature_map_batch(xs: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
@@ -78,9 +77,11 @@ def feature_map_batch(xs: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     Assumes inputs already lie in the domain; used on bulk data such as
     per-pixel orientations where the range is guaranteed by construction.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    d = _distances(xs, cfg)
-    return np.exp(-(d * d) / (cfg.sigma * cfg.sigma))
+    d = _distances(np.asarray(xs, dtype=np.float64), cfg)
+    d *= d   # in place: exp(-(d * d) / sigma^2) with one buffer, as big stacks need
+    np.negative(d, out=d)
+    d /= cfg.sigma * cfg.sigma
+    return np.exp(d, out=d)
 
 
 def _domain_grid(cfg: FeatureMapConfig, grid_size: int) -> np.ndarray:

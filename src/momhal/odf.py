@@ -116,21 +116,31 @@ class OdfConfig:
         return CLASS_SPACE_SIZE + IMAGENET_SIZE + 6 * per_scalar
 
 
+def _encode_boxes(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> np.ndarray:
+    """(N, dim) matrix of per-box vectors, one row per record in order."""
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+    for rec in records:
+        if not 1 <= rec.frame_index <= tau:
+            raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
+    n, scores_end = len(records), CLASS_SPACE_SIZE + IMAGENET_SIZE
+    out = np.zeros((n, cfg.dim))
+    out[np.arange(n), [rec.class_label - 1 for rec in records]] = 1.0
+    for row, rec in zip(out, records):
+        row[CLASS_SPACE_SIZE:scores_end] = rec.imagenet_scores
+    scalars = np.array([(rec.confidence, *rec.box,
+                         (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0)
+                        for rec in records])
+    if cfg.use_rbf_embedding:   # a DetectionRecord keeps every scalar in [0, 1]
+        scalars = feature_map_batch(scalars, cfg.scalar_map).reshape(n, -1)
+    out[:, scores_end:] = scalars
+    return out
+
+
 def encode_box(rec: DetectionRecord, tau: int, cfg: OdfConfig) -> np.ndarray:
     """Per-box vector: [one-hot(label); imagenet; phi(conf); phi(v1..v4);
     phi(frame position)].  For a single-frame video the frame position is 0."""
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    if not 1 <= rec.frame_index <= tau:
-        raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
-
-    one_hot = np.zeros(CLASS_SPACE_SIZE)
-    one_hot[rec.class_label - 1] = 1.0
-    frame_pos = (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0
-    scalars = np.array([rec.confidence, *rec.box, frame_pos])
-    if cfg.use_rbf_embedding:   # a DetectionRecord keeps every scalar in [0, 1]
-        scalars = feature_map_batch(scalars, cfg.scalar_map).reshape(-1)
-    return np.concatenate([one_hot, rec.imagenet_scores, scalars])
+    return _encode_boxes([rec], tau, cfg)[0]
 
 
 class EmptyDetectorError(ValueError):
@@ -138,20 +148,17 @@ class EmptyDetectorError(ValueError):
 
 
 def detection_bag(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> FeatureBag:
-    """Group encoded boxes by frame into a bag with J = tau groups; frames
-    without detections stay empty but still count."""
+    """Group encoded boxes by frame into a bag with J = tau groups, keeping
+    the record order within a frame; frames without detections stay empty
+    but still count."""
     if not records:
         raise EmptyDetectorError("no detections for this video/detector")
-    frames: list[list[np.ndarray]] = [[] for _ in range(tau)]
-    for rec in records:
-        encoded = encode_box(rec, tau, cfg)  # validates frame_index <= tau
-        frames[rec.frame_index - 1].append(encoded)
-    d = cfg.dim
-    arrays = [
-        np.array(group) if group else np.zeros((0, d))
-        for group in frames
-    ]
-    return FeatureBag(dim=d, frames=arrays)
+    boxes = _encode_boxes(records, tau, cfg)  # validates frame_index <= tau
+    frames = np.array([rec.frame_index for rec in records])
+    if (np.diff(frames) < 0).any():   # records out of frame order
+        boxes = boxes[np.argsort(frames, kind="stable")]
+    bounds = np.cumsum(np.bincount(frames - 1, minlength=tau))[:-1]
+    return FeatureBag(dim=cfg.dim, frames=np.split(boxes, bounds))
 
 
 def odf_descriptor(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> MultiMomentDescriptor:

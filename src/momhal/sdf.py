@@ -24,6 +24,7 @@ from .kernel import INTERVAL_UNIT, RING_UNIT, FeatureMapConfig, feature_map_batc
 from .moments import FeatureBag, MultiMomentDescriptor, multi_moment
 
 SALIENCY_SLOTS = ("sal1", "sal2")
+_PIXEL_BUDGET = 1 << 14   # pixels per stacked encode: (F, H, W, 12) temporaries of 1.5 MB
 
 
 @dataclass
@@ -43,14 +44,6 @@ class SaliencyFrame:
             raise ValueError("frame contains non-finite values")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
             raise ValueError("frame values must lie in [0, 1]")
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -73,30 +66,29 @@ class SdfConfig:
         return self.gradient_dim + self.gist_size**2
 
 
-def gradients(frame: SaliencyFrame) -> tuple[np.ndarray, np.ndarray]:
+def gradients(frames: SaliencyFrame | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centered-difference gradients with replicate boundary.
 
-    Returns (amplitude, orientation) maps; orientation is atan2(gy, gx)
-    mapped to [0, 1) as a fraction of a full turn, with 0 wherever the
-    amplitude vanishes.
+    ``frames`` is one SaliencyFrame or the values of frames stacked as
+    (..., H, W).  Returns (amplitude, orientation) maps of that shape;
+    orientation is atan2(gy, gx) mapped to [0, 1) as a fraction of a full
+    turn, with 0 wherever the amplitude vanishes.
     """
-    v = frame.values
-    h, w = v.shape
+    v = frames.values if isinstance(frames, SaliencyFrame) else np.asarray(frames, np.float64)
     gx = np.empty_like(v)
-    gx[:, 1:-1] = v[:, 2:] - v[:, :-2]
-    gx[:, 0] = v[:, 1] - v[:, 0]
-    gx[:, -1] = v[:, -1] - v[:, -2]
+    gx[..., 1:-1] = v[..., 2:] - v[..., :-2]
+    gx[..., 0] = v[..., 1] - v[..., 0]
+    gx[..., -1] = v[..., -1] - v[..., -2]
     gy = np.empty_like(v)
-    gy[1:-1, :] = v[2:, :] - v[:-2, :]
-    gy[0, :] = v[1, :] - v[0, :]
-    gy[-1, :] = v[-1, :] - v[-2, :]
+    gy[..., 1:-1, :] = v[..., 2:, :] - v[..., :-2, :]
+    gy[..., 0, :] = v[..., 1, :] - v[..., 0, :]
+    gy[..., -1, :] = v[..., -1, :] - v[..., -2, :]
 
     amplitude = np.hypot(gx, gy)
-    theta = np.arctan2(gy, gx)
-    theta = np.where(theta < 0.0, theta + 2.0 * np.pi, theta)
-    orientation = theta / (2.0 * np.pi)
-    orientation = np.where(orientation >= 1.0, 0.0, orientation)
-    orientation = np.where(amplitude == 0.0, 0.0, orientation)
+    orientation = np.arctan2(gy, gx)
+    orientation[orientation < 0.0] += 2.0 * np.pi
+    orientation /= 2.0 * np.pi
+    orientation[(orientation >= 1.0) | (amplitude == 0.0)] = 0.0
     return amplitude, orientation
 
 
@@ -104,17 +96,21 @@ def encode_gradient_field(
     amplitude: np.ndarray, orientation: np.ndarray, cfg: SdfConfig
 ) -> np.ndarray:
     """Amplitude-weighted sum over pixels of
-    phi_ring(orientation) (x) phi(x position) (x) phi(y position)."""
+    phi_ring(orientation) (x) phi(x position) (x) phi(y position), for one
+    (H, W) map pair or a (..., H, W) stack; returns (..., 300)."""
     amplitude = np.asarray(amplitude, dtype=np.float64)
     orientation = np.asarray(orientation, dtype=np.float64)
-    if amplitude.shape != orientation.shape or amplitude.ndim != 2:
-        raise ValueError("amplitude and orientation must be equal-shape 2-d maps")
-    h, w = amplitude.shape
-    ang = feature_map_batch(orientation, cfg.angular_map)          # (H, W, A)
+    if amplitude.shape != orientation.shape or amplitude.ndim < 2:
+        raise ValueError("amplitude and orientation must be equal-shape (..., H, W) maps")
+    *stack, h, w = amplitude.shape
+    ang = feature_map_batch(orientation, cfg.angular_map)               # (..., H, W, A)
     phi_x = feature_map_batch(np.arange(w) / (w - 1), cfg.spatial_map)  # (W, X)
     phi_y = feature_map_batch(np.arange(h) / (h - 1), cfg.spatial_map)  # (H, Y)
-    weighted = (amplitude[..., None] * ang).transpose(0, 2, 1) @ phi_x  # (H, A, X)
-    return np.tensordot(weighted, phi_y, axes=(0, 0)).reshape(-1)      # (A, X, Y)
+    ang *= amplitude[..., None]
+    weighted = ang.swapaxes(-1, -2) @ phi_x                             # (..., H, A, X)
+    # Contract H as one (A*X, H) @ (H, Y) product per frame: (..., A, X, Y).
+    flat = weighted.reshape(*stack, h, -1).swapaxes(-1, -2) @ phi_y
+    return flat.reshape(*stack, -1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -135,31 +131,42 @@ def _pool_weights(n_pixels: int, n_bins: int) -> np.ndarray:
 
 
 def gist(values: np.ndarray, size: int) -> np.ndarray:
-    """Area-weighted average pooling to a size x size grid, row-major flat."""
-    h, w = values.shape
+    """Area-weighted average pooling of an (H, W) frame or an (..., H, W)
+    stack to a size x size grid, row-major flat: (..., size**2)."""
+    *stack, h, w = values.shape
     rows = _pool_weights(h, size)
     cols = _pool_weights(w, size)
-    return (rows @ values @ cols.T).reshape(-1)
+    return (rows @ values @ cols.T).reshape(*stack, -1)
 
 
-def encode_frame(frame: SaliencyFrame, cfg: SdfConfig) -> np.ndarray:
-    """Per-frame feature: [gradient block / max(l2, eps); gist / max(l1, eps)]."""
-    amplitude, orientation = gradients(frame)
-    grad_block = encode_gradient_field(amplitude, orientation, cfg)
-    grad_block = grad_block / max(float(np.linalg.norm(grad_block)), cfg.eps)
-    gist_block = gist(frame.values, cfg.gist_size)
-    gist_block = gist_block / max(float(np.abs(gist_block).sum()), cfg.eps)
-    return np.concatenate([grad_block, gist_block])
+def encode_frame(frames: SaliencyFrame | np.ndarray, cfg: SdfConfig) -> np.ndarray:
+    """Per-frame feature [gradient block / max(l2, eps); gist / max(l1, eps)]:
+    (dim,) for one SaliencyFrame, (F, dim) for stacked (F, H, W) values."""
+    if isinstance(frames, SaliencyFrame):
+        return encode_frame(frames.values[None], cfg)[0]
+    grad = encode_gradient_field(*gradients(frames), cfg)
+    pooled = gist(frames, cfg.gist_size)
+    for g, p in zip(grad, pooled):   # one 1-d reduce per frame, as for a lone frame
+        g /= max(float(np.linalg.norm(g)), cfg.eps)
+        p /= max(float(np.abs(p).sum()), cfg.eps)
+    return np.concatenate([grad, pooled], axis=1)
 
 
 def sdf_descriptor(
     frames: list[SaliencyFrame], cfg: SdfConfig, n_dagger: int = 3
 ) -> MultiMomentDescriptor:
-    """Multi-moment descriptor over per-frame features (one group per frame)."""
+    """Multi-moment descriptor over per-frame features (one group per frame),
+    encoded in stacks of one frame size and at most ``_PIXEL_BUDGET`` pixels."""
     if not frames:
         raise ValueError("no saliency frames")
-    encoded = [encode_frame(f, cfg).reshape(1, -1) for f in frames]
-    bag = FeatureBag(dim=cfg.dim, frames=encoded)
+    encoded = np.empty((len(frames), cfg.dim))
+    for h, w in dict.fromkeys(frame.values.shape for frame in frames):
+        index = [i for i, frame in enumerate(frames) if frame.values.shape == (h, w)]
+        step = max(1, _PIXEL_BUDGET // (h * w))
+        for lo in range(0, len(index), step):
+            chunk = index[lo:lo + step]
+            encoded[chunk] = encode_frame(np.stack([frames[i].values for i in chunk]), cfg)
+    bag = FeatureBag(dim=cfg.dim, frames=list(encoded[:, None]))
     return multi_moment(bag, n_dagger)
 
 

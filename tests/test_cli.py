@@ -162,6 +162,55 @@ class TestEncodeSdf:
         assert code == 2
 
 
+class TestThreads:
+    """The thread count and the largest-first schedule change no byte."""
+
+    @staticmethod
+    def outputs(capsys, argv, out):
+        code, stdout, err = run(capsys, *argv, "--out", str(out))
+        assert code == 0, err
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        for p in out.iterdir():
+            p.unlink()
+        return stdout, files
+
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_encode_odf(self, tmp_path, capsys, lenient):
+        rng = np.random.default_rng(0)
+        lines = []
+        for video, det, tau, n in (("v1", "d1", 3, 2), ("v2", "d1", 20, 90), ("v2", "d2", 5, 14),
+                                   ("v3", "d1", 9, 40), ("v4", "d2", 2, 40)):
+            for _ in range(n):
+                frame = int(rng.integers(1, tau + (3 if lenient else 1)))
+                conf = float(rng.uniform(0, 1.4 if lenient else 1))
+                lines.append(detection_line(video=video, detector=det, frame=frame, tau=tau,
+                                            conf=conf, **{"class": int(rng.integers(1, 172))}))
+        dets = tmp_path / "dets.jsonl"
+        dets.write_text("\n".join(lines) + "\n")
+        argv = ["encode-odf", "--input", str(dets), *(["--lenient"] if lenient else [])]
+        one = self.outputs(capsys, [*argv, "--threads", "1"], tmp_path / "out")
+        two = self.outputs(capsys, [*argv, "--threads", "2"], tmp_path / "out")
+        assert len(one[1]) == 5 and one == two
+
+    def test_encode_sdf(self, tmp_path, capsys):
+        rng = np.random.default_rng(1)
+        (tmp_path / "frames").mkdir()
+        lines = []
+        for video, n, shapes in (("v1", 2, [(12, 16)]), ("v2", 60, [(24, 32), (10, 14)]),
+                                 ("v3", 7, [(30, 20)]), ("v4", 60, [(8, 8)])):
+            for t in range(n):
+                rel = f"frames/{video}_{t}.pgm"
+                write_pgm(tmp_path / rel, rng.uniform(0, 1, shapes[t % len(shapes)]),
+                          maxval=65535 if video == "v3" else 255)
+                lines.append(f"{video} sal1 {rel}")
+        man = tmp_path / "manifest.txt"
+        man.write_text("\n".join(lines) + "\n")
+        argv = ["encode-sdf", "--manifest", str(man)]
+        one = self.outputs(capsys, [*argv, "--threads", "1"], tmp_path / "out")
+        two = self.outputs(capsys, [*argv, "--threads", "2"], tmp_path / "out")
+        assert len(one[1]) == 4 and one == two
+
+
 class TestOutputNames:
     def test_video_id_with_path_separator_is_refused(self, tmp_path, capsys):
         dets = tmp_path / "dets.jsonl"
@@ -298,6 +347,18 @@ class TestSynthTrainEval:
         assert len(csv.strip().splitlines()) == 2  # header + 1 epoch
         resolved = (tmp_path / "r2" / "config.cfg").read_text()
         assert "epochs = 1" in resolved
+
+    def test_empty_streams_flag_trains_the_pass_through_unit_alone(self, tmp_path, capsys):
+        data, run_dir = tmp_path / "data", tmp_path / "run"
+        run(capsys, "synth", "--out", str(data), "--videos", "8", "--classes", "2",
+            "--seed", "1", "--backbone-dim", "8", "--tau", "3")
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(run_dir),
+                           "--epochs", "1", "--streams", "")
+        assert code == 0, err
+        assert "streams = \n" in (run_dir / "config.cfg").read_text()
+        model = load_checkpoint(run_dir / "checkpoint.hal")
+        assert model.streams == () and model.weight.shape[0] == 1
+        assert "mse_" not in (run_dir / "metrics.csv").read_text().splitlines()[0]
 
     def test_missing_data_dir_errors(self, capsys):
         code, _, err = run(capsys, "train")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import pooled, pooled_total
 
+from momhal import fusion
 from momhal.fusion import (
     BETA_BRACKET,
     GROUP_DET,
@@ -59,8 +60,9 @@ class TestEq9:
         w = w / w.max()
         r = eq9_ratios(w, beta, rho=0.1)
         assert r.sum() == pytest.approx(1.0)
-        if np.count_nonzero(w == w.max()) == 1:
-            assert int(np.argmax(r)) == int(np.argmax(w))
+        # the top raw weight keeps a top ratio; w^beta may round a near-tie
+        # (w = [1 - 2**-53, 1], beta = 0.25) into an exact tie, never past it
+        assert r[int(np.argmax(w))] == r.max()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -192,6 +194,30 @@ class TestPooled:
         for spec in (make_spec(beta=6.0, fv2=0.5), make_spec(beta=2.0, det2=0.1, fv1=0.3, sal=0.0)):
             assert spec.coefficients != base.coefficients
             assert spec.tot_scale == base.tot_scale
+
+    def test_replace_computes_the_coefficients_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec.beta)
+            return effective_coefficients(spec)
+
+        spec = make_spec(beta=1.0, det2=0.4)
+        replace(spec, beta=2.0)   # the first spec at beta != 0 on these streams may build one more
+        monkeypatch.setattr(fusion, "effective_coefficients", counted)
+        for beta in (0.0, 3.5, 17.0):
+            replace(spec, beta=beta)
+        assert calls == [0.0, 3.5, 17.0]
+
+    def test_tot_scale_bits_for_every_stream_subset(self):
+        rng = np.random.default_rng(0)
+        for mask in range(2 ** len(STREAM_ORDER)):
+            streams = tuple(s for i, s in enumerate(STREAM_ORDER) if mask >> i & 1)
+            keys = FusionSpec(streams).raw_weights
+            raw = dict(zip(keys, rng.uniform(0.0, 2.0, len(keys)).tolist()))
+            spec = FusionSpec(streams, raw, float(rng.uniform(0.1, 50.0)), rho=0.05)
+            at_zero = effective_coefficients(replace(spec, beta=0.0))
+            assert spec.tot_scale == 1.0 / sum(at_zero.values())
 
 
 class TestGoldenSection:

@@ -173,6 +173,45 @@ class TestDescriptor:
             odf_descriptor([], tau=3, cfg=OdfConfig())
 
 
+class TestBoxMatrix:
+    """detection_bag encodes a bag as one box matrix; each box keeps the
+    bits that encode_box gives it alone, in record order within a frame."""
+
+    @staticmethod
+    def records(frames, seed=0):
+        rng = np.random.default_rng(seed)
+        recs = []
+        for frame in frames:
+            b = np.sort(rng.uniform(0, 1, 4))
+            recs.append(DetectionRecord(frame, int(rng.integers(1, 172)), float(rng.uniform()),
+                                        (b[0], b[1], b[2], b[3]),
+                                        rng.dirichlet(np.ones(IMAGENET_SIZE))))
+        return recs
+
+    @pytest.mark.parametrize("rbf", [True, False])
+    @pytest.mark.parametrize("tau, frames", [
+        (6, (3, 1, 6, 1, 3, 2, 6, 1)),   # out of frame order; frames 4 and 5 empty
+        (1, (1, 1, 1)),
+        (4, (4,)),
+        (260, tuple(np.random.default_rng(9).integers(1, 261, 1500))),
+    ])
+    def test_bag_equals_box_by_box(self, rbf, tau, frames):
+        cfg = OdfConfig(use_rbf_embedding=rbf)
+        recs = self.records(frames)
+        bag = detection_bag(recs, tau, cfg)
+        assert bag.n_frames == tau
+        for t, got in enumerate(bag.frames, start=1):
+            want = [encode_box(r, tau, cfg) for r in recs if r.frame_index == t]
+            assert np.array_equal(got, np.array(want).reshape(-1, cfg.dim))
+
+    def test_first_bad_record_is_named(self):
+        recs = self.records((2, 9, 0, 5))
+        with pytest.raises(ValueError, match=re.escape("frame index 9 outside [1, 3]")):
+            detection_bag(recs, 3, OdfConfig())
+        with pytest.raises(ValueError, match="tau must be >= 1, got 0"):
+            detection_bag(recs, 0, OdfConfig())
+
+
 class TestJsonl:
     def line(self, **kw):
         obj = {

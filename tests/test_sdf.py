@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from momhal import sdf
+from momhal.moments import FeatureBag, multi_moment
 from momhal.sdf import (
     SaliencyFrame,
     SdfConfig,
@@ -170,6 +172,60 @@ class TestDescriptor:
     def test_empty_error(self):
         with pytest.raises(ValueError):
             sdf_descriptor([], CFG, 3)
+
+
+class TestStackedEncode:
+    """A bag is encoded in stacks of one frame size; each frame keeps the
+    bits that encode_frame gives it alone."""
+
+    @staticmethod
+    def frames(n, shapes, maxval=255, seed=0):
+        rng = np.random.default_rng(seed)
+        return [SaliencyFrame(np.rint(rng.uniform(0, 1, shapes[i % len(shapes)]) * maxval) / maxval)
+                for i in range(n)]
+
+    @staticmethod
+    def bag_rows(monkeypatch, frames):
+        """The per-frame features sdf_descriptor hands to multi_moment."""
+        monkeypatch.setattr(sdf, "multi_moment", lambda bag, n: bag)
+        return sdf_descriptor(frames, CFG, 3).stacked()
+
+    def assert_frame_by_frame(self, monkeypatch, frames):
+        want = np.array([encode_frame(f, CFG) for f in frames])
+        assert np.array_equal(self.bag_rows(monkeypatch, frames), want)
+
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1])
+    def test_chunk_edges(self, monkeypatch, offset):
+        per_chunk = sdf._PIXEL_BUDGET // (24 * 32)
+        n = 1 if offset is None else per_chunk + offset
+        self.assert_frame_by_frame(monkeypatch, self.frames(n, [(24, 32)]))
+
+    def test_600_frames(self, monkeypatch):
+        self.assert_frame_by_frame(monkeypatch, self.frames(600, [(24, 32)], seed=1))
+
+    def test_interleaved_sizes(self, monkeypatch):
+        shapes = [(24, 32), (36, 48), (2, 2), (200, 180)]   # 200x180 is over the pixel budget
+        self.assert_frame_by_frame(monkeypatch, self.frames(90, shapes, seed=2))
+
+    def test_16_bit_frames(self, monkeypatch):
+        self.assert_frame_by_frame(monkeypatch, self.frames(30, [(48, 64), (20, 26)], 65535, 3))
+
+    def test_descriptor_equals_per_frame_bag(self):
+        frames = self.frames(50, [(24, 32), (36, 48)], seed=4)
+        rows = [encode_frame(f, CFG).reshape(1, -1) for f in frames]
+        want = multi_moment(FeatureBag(dim=CFG.dim, frames=rows), 3).flat()
+        assert np.array_equal(sdf_descriptor(frames, CFG, 3).flat(), want)
+
+    def test_stacked_parts_equal_one_frame_calls(self):
+        values = np.stack([f.values for f in self.frames(5, [(20, 26)], seed=5)])
+        amp, ori = gradients(values)
+        grad = encode_gradient_field(amp, ori, CFG)
+        pooled = gist(values, 16)
+        for i, v in enumerate(values):
+            a, o = gradients(SaliencyFrame(v))
+            assert np.array_equal(amp[i], a) and np.array_equal(ori[i], o)
+            assert np.array_equal(grad[i], encode_gradient_field(a, o, CFG))
+            assert np.array_equal(pooled[i], gist(v, 16))
 
 
 class TestPgm:
