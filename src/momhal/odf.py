@@ -116,18 +116,19 @@ class OdfConfig:
         return CLASS_SPACE_SIZE + IMAGENET_SIZE + 6 * per_scalar
 
 
-def _encode_boxes(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> np.ndarray:
-    """(N, dim) matrix of per-box vectors, one row per record in order."""
+def _encode_boxes(records: list[DetectionRecord], frames: np.ndarray, tau: int,
+                  cfg: OdfConfig) -> np.ndarray:
+    """(N, dim) matrix of per-box vectors, one row per record in order;
+    ``frames`` holds the records' frame indices."""
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    for rec in records:
-        if not 1 <= rec.frame_index <= tau:
-            raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
+    bad = np.flatnonzero((frames < 1) | (frames > tau))
+    if bad.size:
+        raise ValueError(f"frame index {frames[bad[0]]} outside [1, {tau}]")
     n, scores_end = len(records), CLASS_SPACE_SIZE + IMAGENET_SIZE
     out = np.zeros((n, cfg.dim))
     out[np.arange(n), [rec.class_label - 1 for rec in records]] = 1.0
-    for row, rec in zip(out, records):
-        row[CLASS_SPACE_SIZE:scores_end] = rec.imagenet_scores
+    out[:, CLASS_SPACE_SIZE:scores_end] = [rec.imagenet_scores for rec in records]
     scalars = np.array([(rec.confidence, *rec.box,
                          (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0)
                         for rec in records])
@@ -140,7 +141,7 @@ def _encode_boxes(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> n
 def encode_box(rec: DetectionRecord, tau: int, cfg: OdfConfig) -> np.ndarray:
     """Per-box vector: [one-hot(label); imagenet; phi(conf); phi(v1..v4);
     phi(frame position)].  For a single-frame video the frame position is 0."""
-    return _encode_boxes([rec], tau, cfg)[0]
+    return _encode_boxes([rec], np.array([rec.frame_index]), tau, cfg)[0]
 
 
 class EmptyDetectorError(ValueError):
@@ -153,8 +154,8 @@ def detection_bag(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> F
     but still count."""
     if not records:
         raise EmptyDetectorError("no detections for this video/detector")
-    boxes = _encode_boxes(records, tau, cfg)  # validates frame_index <= tau
     frames = np.array([rec.frame_index for rec in records])
+    boxes = _encode_boxes(records, frames, tau, cfg)  # validates frame_index <= tau
     if (np.diff(frames) < 0).any():   # records out of frame order
         boxes = boxes[np.argsort(frames, kind="stable")]
     bounds = np.cumsum(np.bincount(frames - 1, minlength=tau))[:-1]

@@ -60,8 +60,11 @@ class TestEq9:
         w = w / w.max()
         r = eq9_ratios(w, beta, rho=0.1)
         assert r.sum() == pytest.approx(1.0)
-        # the top raw weight keeps a top ratio; w^beta may round a near-tie
-        # (w = [1 - 2**-53, 1], beta = 0.25) into an exact tie, never past it
+        p = np.power(w, beta)
+        if np.count_nonzero(p == p.max()) == 1:
+            assert int(np.argmax(r)) == int(np.argmax(w))
+        # w^beta may round a near-tie (w = [1 - 2**-53, 1], beta = 0.25)
+        # into an exact tie, never past it
         assert r[int(np.argmax(w))] == r.max()
 
     def test_validation(self):
