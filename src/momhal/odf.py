@@ -128,7 +128,7 @@ def _encode_boxes(records: list[DetectionRecord], frames: np.ndarray, tau: int,
     n, scores_end = len(records), CLASS_SPACE_SIZE + IMAGENET_SIZE
     out = np.zeros((n, cfg.dim))
     out[np.arange(n), [rec.class_label - 1 for rec in records]] = 1.0
-    out[:, CLASS_SPACE_SIZE:scores_end] = [rec.imagenet_scores for rec in records]
+    np.stack([rec.imagenet_scores for rec in records], out=out[:, CLASS_SPACE_SIZE:scores_end])
     scalars = np.array([(rec.confidence, *rec.box,
                          (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0)
                         for rec in records])
