@@ -29,7 +29,7 @@ from .halluc import (
     train,
     video_arrays,
 )
-from .keyvalue import format_key_values, parse_bool, parse_key_values
+from .keyvalue import format_key_values, parse_bool, read_key_values, read_lines
 from .moments import descriptor_to_bytes
 from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig
@@ -62,19 +62,19 @@ def _output_paths(out: Path, keys) -> dict[tuple[str, str], Path]:
 def _read_taus(path) -> dict[str, int]:
     """``video tau`` lines (blank lines and ``#`` comments skipped)."""
     taus = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+
+    def entry(line: str) -> None:
         fields = line.split()
-        if not fields or fields[0].startswith("#"):
-            continue
-        try:
-            if len(fields) != 2:
-                raise ValueError("expected 'video tau'")
-            video, tau = fields[0], int(fields[1])
-            if tau < 1:
-                raise ValueError(f"tau must be >= 1, got {tau}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        taus[video] = tau
+        if line.startswith("#"):
+            return
+        if len(fields) != 2:
+            raise ValueError("expected 'video tau'")
+        if (tau := int(fields[1])) < 1:
+            raise ValueError(f"tau must be >= 1, got {tau}")
+        taus[fields[0]] = tau
+
+    with open(path, "rb") as fp:
+        read_lines(fp, str(path), entry)
     return taus
 
 
@@ -94,9 +94,7 @@ def cmd_encode_odf(args) -> int:
         return EXIT_EMPTY
     if args.tau_source != "records":
         taus = _read_taus(args.tau_source)
-        groups = {
-            key: (taus.get(key[0], tau), recs) for key, (tau, recs) in groups.items()
-        }
+        groups = {key: (taus.get(key[0], tau), recs) for key, (tau, recs) in groups.items()}
     cfg = OdfConfig(use_rbf_embedding=not args.no_rbf, n_prime=args.n_prime)
     out = Path(args.out)
     paths = _output_paths(out, groups)
@@ -169,15 +167,7 @@ _CONFIG_KEYS = {
 
 
 def _build_train_config(args) -> tuple[TrainConfig, str, str]:
-    values: dict = {}
-
-    def setting(key: str, value: str) -> None:
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown key {key!r}")
-        values[key] = _CONFIG_KEYS[key](value)
-
-    if args.config:
-        parse_key_values(Path(args.config).read_text(encoding="utf-8"), args.config, setting)
+    values = read_key_values(args.config, _CONFIG_KEYS) if args.config else {}
     for key in ("data_dir", "out_dir"):
         flag = getattr(args, key.replace("_dir", ""), None)
         if flag:

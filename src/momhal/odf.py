@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernel import INTERVAL_UNIT, FeatureMapConfig, feature_map_batch
+from .keyvalue import read_lines
 from .moments import FeatureBag, MultiMomentDescriptor, multi_moment
 
 COCO_CLASSES = 91
@@ -203,27 +204,18 @@ def read_detections(
 ) -> dict[tuple[str, str], tuple[int, list[DetectionRecord]]]:
     """Read a JSONL file into {(video, detector): (tau, records)}.
 
-    Malformed lines raise ValueError tagged with the 1-based line number.
-    tau must be consistent across a video's records.
+    A malformed line is refused as ``path: line N: ...``; tau must be
+    consistent across a video's records.
     """
     groups: dict[tuple[str, str], tuple[int, list[DetectionRecord]]] = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                video, detector, tau, rec = parse_detection_line(line, strict=strict)
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            key = (video, detector)
-            if key in groups:
-                prev_tau, recs = groups[key]
-                if prev_tau != tau:
-                    raise ValueError(
-                        f"{path}: line {lineno}: tau {tau} conflicts with earlier {prev_tau} for {key}"
-                    )
-                recs.append(rec)
-            else:
-                groups[key] = (tau, [rec])
+
+    def record(line: str) -> None:
+        video, detector, tau, rec = parse_detection_line(line, strict=strict)
+        prev_tau, recs = groups.setdefault((video, detector), (tau, []))
+        if prev_tau != tau:
+            raise ValueError(f"tau {tau} conflicts with earlier {prev_tau} for {(video, detector)}")
+        recs.append(rec)
+
+    with open(path, "rb") as fp:
+        read_lines(fp, str(path), record)
     return groups

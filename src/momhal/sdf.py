@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .kernel import INTERVAL_UNIT, RING_UNIT, FeatureMapConfig, feature_map_batch
+from .keyvalue import read_lines
 from .moments import FeatureBag, MultiMomentDescriptor, multi_moment
 
 SALIENCY_SLOTS = ("sal1", "sal2")
@@ -226,14 +227,15 @@ def read_saliency_manifest(path) -> dict[tuple[str, str], list[Path]]:
     """
     path = Path(path)
     groups: dict[tuple[str, str], list[Path]] = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 'video source path'")
-            video, source, rel = parts
-            groups.setdefault((video, source), []).append(path.parent / rel)
+
+    def frame(line: str) -> None:
+        if line.startswith("#"):
+            return
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError("expected 'video source path'")
+        groups.setdefault((parts[0], parts[1]), []).append(path.parent / parts[2])
+
+    with open(path, "rb") as fp:
+        read_lines(fp, str(path), frame)
     return groups

@@ -37,6 +37,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ import numpy as np
 from .atomic import write_atomic
 from .fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
 from .halluc import SyntheticVideo
-from .keyvalue import format_key_values, parse_key_values
+from .keyvalue import format_key_values, read_key_values, read_lines
 from .odf import OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig, sigme
 from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
@@ -54,7 +55,7 @@ LATENT_DIM = 8
 CACHE_DIR = "cache"   # the target cache, inside the dataset directory
 # The modules a target's arithmetic runs through; their source is part of
 # every cache key, so a change to any of them can never return stale targets.
-_TARGET_MODULES = ("kernel", "moments", "odf", "pn", "sdf", "sketch", "synthgen")
+_TARGET_MODULES = ("kernel", "keyvalue", "moments", "odf", "pn", "sdf", "sketch", "synthgen")
 
 
 @dataclass(frozen=True)
@@ -255,14 +256,7 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
 def read_dataset_config(data_dir) -> SynthConfig:
     path = Path(data_dir) / "dataset.cfg"
     kinds = {f.name: type(f.default) for f in fields(SynthConfig)}   # int or float
-    kwargs: dict[str, int | float] = {}
-
-    def setting(key: str, value: str) -> None:
-        if key not in kinds:
-            raise ValueError(f"unknown key {key!r}")
-        kwargs[key] = kinds[key](value)
-
-    parse_key_values(path.read_text(encoding="utf-8"), str(path), setting)
+    kwargs = read_key_values(path, kinds)
     missing = [key for key in kinds if key not in kwargs]
     if missing:
         raise ValueError(f"{path}: missing key {missing[0]!r}")
@@ -312,18 +306,16 @@ def _load_rows(path: Path, n_videos: int) -> np.ndarray:
 def _read_labels(path: Path, n_videos: int) -> list[int]:
     """The class id of each video, in video order, from ``video,label`` lines."""
     labels: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fp:
-        fp.readline()   # header
-        for lineno, line in enumerate(fp, start=2):
-            if not line.strip():
-                continue
-            video, sep, label = line.strip().partition(",")
-            try:
-                if not sep:
-                    raise ValueError("expected 'video,label'")
-                labels[video] = int(label)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+
+    def label(line: str) -> None:
+        video, sep, value = line.partition(",")
+        if not sep:
+            raise ValueError("expected 'video,label'")
+        labels[video] = int(value)
+
+    with open(path, "rb") as fp:
+        fp.readline()   # the header: line 1, counted below as a blank line
+        read_lines(chain([b""], fp), str(path), label)
     videos = [_video_id(i) for i in range(n_videos)]
     missing = [video for video in videos if video not in labels]
     if missing:
