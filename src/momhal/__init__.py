@@ -11,7 +11,7 @@ Submodules:
   halluc   - the stacked stream units, objective, training, inference
   synthgen - deterministic synthetic datasets and the target cache
   atomic   - atomic file writes
-  keyvalue - the shared key = value document parser
+  keyvalue - the one line reader of every text input; the key = value format
   verify   - runnable property suites
   cli      - command-line interface
 """

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 runtime error, 2 empty or invalid input.
 Every command taking --seed is reproducible byte-for-byte in
-single-threaded mode; --threads (default: the CPU count) only runs
-per-video encoding jobs in parallel, largest bag first, and changes no
-output byte or order.  A config document or --tau-source file with an
-unknown key, a malformed line or a bad value is refused with
-``file: line N: ...`` and exit code 1.
+single-threaded mode; --threads (at least 1; default: the CPU count)
+only runs per-video encoding jobs in parallel, largest bag first, and
+changes no output byte or order.  Every text input (detections,
+manifest, --tau-source, config document, dataset.cfg, labels.csv) goes
+through one line reader: a byte that is not UTF-8, a malformed line, an
+unknown key or a bad value is refused with ``file: line N: ...`` and
+exit code 1.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .halluc import (
     train,
     video_arrays,
 )
-from .keyvalue import format_key_values, parse_bool, read_key_values, read_lines
+from .keyvalue import field_parser, format_key_values, parse_bool, read_key_values, read_lines
 from .moments import descriptor_to_bytes
 from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig
@@ -64,9 +66,9 @@ def _read_taus(path) -> dict[str, int]:
     taus = {}
 
     def entry(line: str) -> None:
-        fields = line.split()
         if line.startswith("#"):
             return
+        fields = line.split()
         if len(fields) != 2:
             raise ValueError("expected 'video tau'")
         if (tau := int(fields[1])) < 1:
@@ -76,6 +78,13 @@ def _read_taus(path) -> dict[str, int]:
     with open(path, "rb") as fp:
         read_lines(fp, str(path), entry)
     return taus
+
+
+def _thread_count(text: str) -> int:
+    """A ``--threads`` value: an integer of at least 1."""
+    if (threads := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
+    return threads
 
 
 def _run_largest_first(job, items: list, size, threads: int) -> list:
@@ -159,10 +168,13 @@ _TRAIN_KEYS = {
     "warmup_epochs": int, "ridge_l2": float, "init_scale": float,
     "multi_label": parse_bool, "tie_sketches": parse_bool,
 }
-_CONFIG_KEYS = {
-    **_TRAIN_KEYS, "data_dir": str, "out_dir": str,
-    "streams": lambda s: tuple(name for name in s.split(",") if name),
-    "pn_eta": float, "pn_epsilon": float,
+_CONFIG_KEYS = {   # a value TrainConfig or PnConfig refuses is refused at its line
+    **{key: field_parser(TrainConfig, key, parse) for key, parse in _TRAIN_KEYS.items()},
+    "data_dir": str, "out_dir": str,
+    "streams": field_parser(TrainConfig, "streams",
+                            lambda s: tuple(name for name in s.split(",") if name)),
+    "pn_eta": field_parser(PnConfig, "eta", float),
+    "pn_epsilon": field_parser(PnConfig, "epsilon", float),
 }
 
 
@@ -258,14 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--tau-source", default="records",
                    help="'records' or a file of 'video tau' lines")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_encode_odf)
 
     p = sub.add_parser("encode-sdf", help="saliency manifest -> per-(video,source) descriptors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-dagger", type=int, default=3)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_encode_sdf)
 
     p = sub.add_parser("synth", help="write a deterministic synthetic dataset")

@@ -72,8 +72,12 @@ class TrainConfig:
     init_scale: float = 0.2
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
+        for name in ("alpha", "learning_rate", "val_fraction", "ridge_l2", "init_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("alpha", "ridge_l2", "init_scale"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("backbone_dim", "pre_sketch_dim", "sketch_dim", "batch_size"):

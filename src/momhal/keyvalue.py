@@ -12,12 +12,13 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 def read_lines(lines: Iterable[bytes], origin: str, apply: Callable[[str], None]) -> None:
     """``apply(line)`` for each line that is not blank, in order, decoded as
     UTF-8 one line at a time and stripped.  A bad byte, or a ValueError,
-    KeyError or TypeError from ``apply``, is refused as ``origin: line N: ...``."""
+    KeyError, TypeError or OverflowError from ``apply``, is refused as
+    ``origin: line N: ...``."""
     for lineno, raw in enumerate(lines, start=1):
         try:
             if line := raw.decode("utf-8").strip():
                 apply(line)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"{origin}: line {lineno}: {exc}") from None
 
 
@@ -47,6 +48,19 @@ def read_key_values(path, parsers: dict[str, Callable[[str], object]]) -> dict[s
     with open(path, "rb") as fp:
         read_lines(fp, str(path), partial(_key_value, setting))
     return values
+
+
+def field_parser(cls, name: str, parse: Callable[[str], object]) -> Callable[[str], object]:
+    """``parse``, then the checks that config class ``cls`` makes of field
+    ``name`` with the other fields at their defaults, so that a document
+    refuses a bad value at its own line."""
+
+    def value(text: str) -> object:
+        result = parse(text)
+        cls(**{name: result})
+        return result
+
+    return value
 
 
 def parse_bool(value: str) -> bool:

@@ -8,6 +8,7 @@ tanh(eta * psi / (2 * (||psi||_2 + eps))).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,9 @@ class PnConfig:
     epsilon: float = 1e-12     # norm guard eps'
 
     def __post_init__(self):
+        for name in ("eta", "epsilon"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.eta > 0:
             raise ValueError(f"eta must be > 0, got {self.eta}")
         if not self.epsilon > 0:

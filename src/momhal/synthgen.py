@@ -45,7 +45,7 @@ import numpy as np
 from .atomic import write_atomic
 from .fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
 from .halluc import SyntheticVideo
-from .keyvalue import format_key_values, read_key_values, read_lines
+from .keyvalue import field_parser, format_key_values, read_key_values, read_lines
 from .odf import OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig, sigme
 from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
@@ -255,9 +255,10 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
 
 def read_dataset_config(data_dir) -> SynthConfig:
     path = Path(data_dir) / "dataset.cfg"
-    kinds = {f.name: type(f.default) for f in fields(SynthConfig)}   # int or float
-    kwargs = read_key_values(path, kinds)
-    missing = [key for key in kinds if key not in kwargs]
+    parsers = {f.name: field_parser(SynthConfig, f.name, type(f.default))   # int or float
+               for f in fields(SynthConfig)}
+    kwargs = read_key_values(path, parsers)
+    missing = [key for key in parsers if key not in kwargs]
     if missing:
         raise ValueError(f"{path}: missing key {missing[0]!r}")
     return SynthConfig(**kwargs)
@@ -285,7 +286,7 @@ def load_dataset(
     wanted = streams if streams is not None else AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
     feats = _load_rows(data_dir / "features.npy", meta.n_videos)
-    labels = _read_labels(data_dir / "labels.csv", meta.n_videos)
+    labels = _read_labels(data_dir / "labels.csv", meta.n_videos, meta.n_classes)
     targets = _stream_targets(data_dir, meta, wanted, sketch_dim, pn)
     videos = [
         SyntheticVideo(feats[i], {name: targets[name][i] for name in wanted}, labels[i])
@@ -303,8 +304,9 @@ def _load_rows(path: Path, n_videos: int) -> np.ndarray:
     return arr
 
 
-def _read_labels(path: Path, n_videos: int) -> list[int]:
-    """The class id of each video, in video order, from ``video,label`` lines."""
+def _read_labels(path: Path, n_videos: int, n_classes: int) -> list[int]:
+    """The class id of each video, in video order, from ``video,label`` lines;
+    each id must lie in [0, n_classes)."""
     labels: dict[str, int] = {}
 
     def label(line: str) -> None:
@@ -312,6 +314,8 @@ def _read_labels(path: Path, n_videos: int) -> list[int]:
         if not sep:
             raise ValueError("expected 'video,label'")
         labels[video] = int(value)
+        if not 0 <= labels[video] < n_classes:
+            raise ValueError(f"label {labels[video]} outside [0, {n_classes - 1}]")
 
     with open(path, "rb") as fp:
         fp.readline()   # the header: line 1, counted below as a blank line

@@ -1,4 +1,4 @@
-"""Hypothesis strategies that damage a valid binary file."""
+"""Hypothesis strategies that damage a valid file, binary or text."""
 
 from hypothesis import strategies as st
 

@@ -110,6 +110,16 @@ class TestEncodeOdf:
         assert f"{taus}: {message}" in err
 
 
+    @pytest.mark.parametrize("field, text", [("frame", "Infinity"), ("class", "1e999"),
+                                             ("inet_sparse", "[[1e999, 1.0]]")])
+    def test_infinite_integer_field_exits_1(self, tmp_path, capsys, field, text):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(detection_line(**{field: 12345}).replace("12345", text) + "\n")
+        code, _, err = run(capsys, "encode-odf", "--input", str(bad), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err == f"error: {bad}: line 1: cannot convert float infinity to integer\n"
+
+
 class TestEncodeSdf:
     @pytest.fixture
     def manifest(self, tmp_path):
@@ -209,6 +219,18 @@ class TestThreads:
         one = self.outputs(capsys, [*argv, "--threads", "1"], tmp_path / "out")
         two = self.outputs(capsys, [*argv, "--threads", "2"], tmp_path / "out")
         assert len(one[1]) == 4 and one == two
+
+
+    @pytest.mark.parametrize("command, flag", [("encode-odf", "--input"),
+                                               ("encode-sdf", "--manifest")])
+    def test_fewer_than_one_thread_is_refused_before_any_output(self, tmp_path, capsys,
+                                                                command, flag):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, str(tmp_path / "in"), "--out", str(out), "--threads", "0"])
+        assert exit_info.value.code == 2
+        assert "--threads: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOutputNames:
@@ -390,8 +412,11 @@ class TestConfigDocuments:
             "--classes", "2", "--seed", "1", "--backbone-dim", "8", "--tau", "3")
         return tmp_path / "data"
 
-    @pytest.mark.parametrize("line", ["learning_rat = 9", "multi_label = ture"],
-                             ids=["unknown_key", "bad_bool"])
+    @pytest.mark.parametrize("line", [
+        "learning_rat = 9", "multi_label = ture", "batch_size = 0", "streams = fv1,bogus",
+        "pn_eta = -1", "ridge_l2 = nan", "alpha = nan", "init_scale = -1", "val_fraction = nan",
+    ], ids=["unknown_key", "bad_bool", "batch_size_0", "unknown_stream", "pn_eta_negative",
+            "ridge_l2_nan", "alpha_nan", "init_scale_negative", "val_fraction_nan"])
     def test_train_config_is_refused(self, tmp_path, data, capsys, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"data_dir = {data}\nepochs = 1\n{line}\n")
@@ -435,8 +460,12 @@ class TestConfigDocuments:
         assert seen == [cfg, cfg]
 
     @pytest.mark.parametrize("old, new", [("seed = 1", "sed = 1"),
-                                          ("n_videos = 8", "n_videos = 16.7")],
-                             ids=["unknown_key", "fractional_int"])
+                                          ("n_videos = 8", "n_videos = 16.7"),
+                                          ("n_videos = 8", "n_videos = 0"),
+                                          ("n_classes = 2", "n_classes = 1"),
+                                          ("tau = 3", "tau = 1")],
+                             ids=["unknown_key", "fractional_int", "no_videos", "one_class",
+                                  "tau_1"])
     def test_dataset_config_is_refused(self, tmp_path, data, capsys, old, new):
         path = data / "dataset.cfg"
         lines = path.read_text().splitlines()

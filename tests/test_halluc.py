@@ -290,6 +290,9 @@ class TestTrainConfig:
         ("batch_size", 0), ("val_fraction", -0.1), ("val_fraction", 1.5),
         ("learning_rate", 0.0), ("backbone_dim", 0), ("pre_sketch_dim", 0),
         ("sketch_dim", 0), ("warmup_epochs", -1),
+        ("alpha", float("nan")), ("alpha", float("inf")), ("learning_rate", float("inf")),
+        ("ridge_l2", float("nan")), ("ridge_l2", -1.0), ("init_scale", float("inf")),
+        ("init_scale", -1.0),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -609,6 +612,15 @@ class TestCheckpointFuzz:
         path = tmp_dir / "bad-name.hal"
         path.write_bytes(blob[:at] + b"\xff" + blob[at + 1:])
         with pytest.raises(ValueError, match=f"HAL1: byte {at}: text is not UTF-8"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("at, value", [(32, float("inf")), (40, float("nan")),
+                                           (48, float("nan")), (48, float("-inf"))],
+                             ids=["eta_inf", "epsilon_nan", "alpha_nan", "alpha_-inf"])
+    def test_non_finite_header_setting_names_the_format(self, tmp_dir, blob, at, value):
+        path = tmp_dir / "bad-setting.hal"
+        path.write_bytes(blob[:at] + np.float64(value).tobytes() + blob[at + 8:])
+        with pytest.raises(ValueError, match=r"^HAL1: byte \d+: \w+ must be finite"):
             load_checkpoint(path)
 
     @settings(max_examples=300, deadline=None)

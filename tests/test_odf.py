@@ -284,7 +284,10 @@ class TestJsonl:
         ("inet_sparse", [[3, float("inf")], [900, 0.5]]),
         ("box", [0.5, 0.1, float("nan"), 0.5]),
         ("box", [0.1, 0.1, float("inf"), 0.5]),
-    ], ids=["nan_score", "inf_score", "nan_box", "inf_box"])
+        ("frame", float("inf")), ("class", float("inf")), ("tau", float("-inf")),
+        ("inet_sparse", [[float("inf"), 1.0]]), ("conf", 10**400),
+    ], ids=["nan_score", "inf_score", "nan_box", "inf_box", "inf_frame", "inf_class", "inf_tau",
+            "inf_index", "huge_int_conf"])
     def test_non_finite_values_are_refused_with_their_line(self, tmp_path, strict, field, value):
         path = tmp_path / "d.jsonl"
         path.write_text(self.line() + "\n" + self.line(**{field: value}) + "\n")

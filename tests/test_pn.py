@@ -213,3 +213,9 @@ class TestMaxExp:
             PnConfig(eta=-1.0)
         with pytest.raises(ValueError):
             PnConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("field", ["eta", "epsilon"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_setting_is_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PnConfig(**{field: value})

@@ -290,6 +290,15 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match=r"labels\.csv: line 3: .*'one'"):
             load_dataset(data, sketch_dim=16, streams=())
 
+    @pytest.mark.parametrize("label", ["3", "-1"])
+    def test_label_outside_the_classes(self, data, label):
+        path = data / "labels.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = f"v0003,{label}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf"labels\.csv: line 5: label {label} outside \[0, 2\]"):
+            load_dataset(data, sketch_dim=16, streams=())
+
     def test_video_missing_from_labels(self, data):
         self.drop_lines(data / "labels.csv", "v0005,")
         with pytest.raises(ValueError, match=r"labels\.csv: no label for video 'v0005'"):
