@@ -80,11 +80,11 @@ def _read_taus(path) -> dict[str, int]:
     return taus
 
 
-def _thread_count(text: str) -> int:
-    """A ``--threads`` value: an integer of at least 1."""
-    if (threads := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {threads}")
-    return threads
+def _positive_int(text: str) -> int:
+    """An integer of at least 1, checked before any output exists."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _run_largest_first(job, items: list, size, threads: int) -> list:
@@ -266,18 +266,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-rbf", action="store_true")
-    p.add_argument("--n-prime", type=int, default=3)
+    p.add_argument("--n-prime", type=_positive_int, default=3)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--tau-source", default="records",
                    help="'records' or a file of 'video tau' lines")
-    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_encode_odf)
 
     p = sub.add_parser("encode-sdf", help="saliency manifest -> per-(video,source) descriptors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-dagger", type=int, default=3)
-    p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1)
+    p.add_argument("--n-dagger", type=_positive_int, default=3)
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_encode_sdf)
 
     p = sub.add_parser("synth", help="write a deterministic synthetic dataset")

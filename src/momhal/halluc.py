@@ -78,6 +78,8 @@ class TrainConfig:
         for name in ("alpha", "ridge_l2", "init_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.rho <= 1.0:
+            raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
         if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         for name in ("backbone_dim", "pre_sketch_dim", "sketch_dim", "batch_size"):

@@ -20,36 +20,42 @@ class EmptyBagError(ValueError):
     """Raised when a descriptor is requested for a bag with no vectors."""
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureBag:
-    """Per-frame groups of feature vectors; groups may be empty."""
+    """Per-frame groups of feature vectors, kept as one frame-major matrix
+    and the number of rows in each frame; frames may be empty."""
 
-    dim: int
-    frames: list[np.ndarray]  # frame j: array of shape (K_j, dim)
+    data: np.ndarray    # (N, dim): frame j's K_j rows follow those of frames 1..j-1
+    counts: np.ndarray  # (J,) per-frame row counts K_j, summing to N
 
     def __post_init__(self):
-        if not self.frames:
-            raise ValueError("bag must contain at least one frame")
-        frames = []
-        for f in self.frames:
-            f = np.asarray(f, dtype=np.float64)
-            if f.size == 0:
-                f = f.reshape(0, self.dim)
-            if f.ndim != 2 or f.shape[1] != self.dim:
-                raise ValueError(f"frame shape {f.shape} incompatible with dim {self.dim}")
-            frames.append(f)
-        self.frames = frames
+        self.data = np.asarray(self.data, dtype=np.float64)
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        if (self.data.ndim != 2 or self.counts.ndim != 1 or self.counts.size == 0
+                or (self.counts < 0).any() or self.counts.sum() != len(self.data)):
+            raise ValueError(f"a bag needs at least one frame, and frame counts {self.counts} "
+                             f"that split its matrix of shape {self.data.shape}")
+
+    @property
+    def dim(self) -> int:
+        return self.data.shape[1]
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.counts.size
 
     @property
     def total(self) -> int:
-        return sum(f.shape[0] for f in self.frames)
+        return len(self.data)
+
+    @property
+    def frames(self) -> list[np.ndarray]:
+        """Frame j's (K_j, dim) rows, as views of the matrix."""
+        return np.split(self.data, np.cumsum(self.counts[:-1]))
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate(self.frames, axis=0)
+        """The (N, dim) matrix itself, not a copy."""
+        return self.data
 
 
 @dataclass
@@ -74,22 +80,15 @@ class MultiMomentDescriptor:
 
 
 def assemble_upsilon(bag: FeatureBag, mu: np.ndarray) -> np.ndarray:
-    """Frame-weighted centered matrix: the column for detection i of frame j
-    is (v_ij - mu) / (J * K_j), frame-major.  Empty frames contribute no
-    columns but still count toward J."""
+    """Frame-weighted centered matrix, a C-contiguous (d, N) array: the column
+    for detection i of frame j is (v_ij - mu) / (J * K_j), frame-major.  Empty
+    frames contribute no columns but still count toward J."""
     mu = np.asarray(mu, dtype=np.float64)
     if mu.shape != (bag.dim,):
         raise ValueError(f"mu must have length {bag.dim}")
-    j_total = bag.n_frames
-    cols = []
-    for frame in bag.frames:
-        k = frame.shape[0]
-        if k == 0:
-            continue
-        cols.append((frame - mu).T / (j_total * k))
-    if not cols:
-        return np.zeros((bag.dim, 0))
-    return np.concatenate(cols, axis=1)
+    upsilon = np.subtract(bag.data.T, mu[:, None], out=np.empty((bag.dim, bag.total)))
+    upsilon /= np.repeat(bag.n_frames * bag.counts, bag.counts)
+    return upsilon
 
 
 def _fix_sign(u: np.ndarray) -> np.ndarray:
@@ -165,11 +164,11 @@ def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMome
 
     eigvecs, lam2 = _leading_subspace(assemble_upsilon(bag, mu), n_prime, eps)
 
-    centered = data - mu
+    centered = data - mu    # formed only once upsilon is released
     sq = centered * centered
     k2 = sq.mean(axis=0)
-    k3 = (sq * centered).mean(axis=0)
-    k4 = (sq * sq).mean(axis=0)
+    k3 = np.multiply(centered, sq, out=centered).mean(axis=0)
+    k4 = np.multiply(sq, sq, out=sq).mean(axis=0)
     guard = np.maximum(k2, eps)
     skewness = k3 / guard**1.5
     kurtosis = k4 / guard**2

@@ -36,23 +36,39 @@ SCORE_SUM_TOL = 1e-6
 DETECTOR_SLOTS = ("det1", "det2", "det3", "det4")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DetectionRecord:
     """One bounding-box detection within a video.  Construction checks the
     fields once, so every record is valid; ``lenient`` repairs raw fields
-    before it constructs one."""
+    before it constructs one.  It keeps the ImageNet scores sparse, as the
+    entries whose bits are nonzero (so a -0.0 stays); ``imagenet_scores``
+    builds the dense vector again, read-only, each time it is read."""
 
     frame_index: int          # t in [1, tau]
     class_label: int          # y in [1, 171]
     confidence: float         # in [0, 1]
     box: tuple[float, float, float, float]  # (v1, v2, v3, v4) normalized, top-left <= bottom-right
-    imagenet_scores: np.ndarray  # (1001,), nonnegative, sums to 1
+    score_index: np.ndarray   # ascending positions of the nonzero ImageNet scores
+    score_values: np.ndarray  # their values; the dense vector is nonnegative and sums to 1
 
-    def __post_init__(self):
-        object.__setattr__(self, "imagenet_scores",
-                           np.asarray(self.imagenet_scores, dtype=np.float64))
-        object.__setattr__(self, "box", tuple(float(v) for v in self.box))
+    def __init__(self, frame_index: int, class_label: int, confidence: float, box,
+                 imagenet_scores: np.ndarray):
+        scores = np.asarray(imagenet_scores, dtype=np.float64)
+        if scores.shape != (IMAGENET_SIZE,):
+            raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
+        keep = np.flatnonzero(scores.view(np.int64))
+        values = (frame_index, class_label, confidence, tuple(float(v) for v in box), keep,
+                  scores[keep])
+        for name, value in zip(self.__dataclass_fields__, values):   # the fields, in order
+            object.__setattr__(self, name, value)
         self.validate()
+
+    @property
+    def imagenet_scores(self) -> np.ndarray:
+        scores = np.zeros(IMAGENET_SIZE)
+        scores[self.score_index] = self.score_values
+        scores.flags.writeable = False
+        return scores
 
     def validate(self) -> None:
         if not 1 <= self.class_label <= CLASS_SPACE_SIZE:
@@ -66,13 +82,12 @@ class DetectionRecord:
             raise ValueError(f"box coordinates {self.box} outside [0, 1]")
         if v1 > v3 or v2 > v4:
             raise ValueError(f"box {self.box} violates top-left <= bottom-right")
-        if self.imagenet_scores.shape != (IMAGENET_SIZE,):
-            raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
-        if not np.isfinite(self.imagenet_scores).all():
+        scores = self.imagenet_scores
+        if not np.isfinite(scores).all():
             raise ValueError("imagenet_scores holds non-finite values")
-        if self.imagenet_scores.min() < 0.0:
+        if scores.min() < 0.0:
             raise ValueError("imagenet_scores must be nonnegative")
-        if abs(float(self.imagenet_scores.sum()) - 1.0) > SCORE_SUM_TOL:
+        if abs(float(scores.sum()) - 1.0) > SCORE_SUM_TOL:
             raise ValueError("imagenet_scores must sum to 1")
 
     @classmethod
@@ -129,7 +144,9 @@ def _encode_boxes(records: list[DetectionRecord], frames: np.ndarray, tau: int,
     n, scores_end = len(records), CLASS_SPACE_SIZE + IMAGENET_SIZE
     out = np.zeros((n, cfg.dim))
     out[np.arange(n), [rec.class_label - 1 for rec in records]] = 1.0
-    np.stack([rec.imagenet_scores for rec in records], out=out[:, CLASS_SPACE_SIZE:scores_end])
+    rows = np.repeat(np.arange(n), [rec.score_index.size for rec in records])
+    cols = CLASS_SPACE_SIZE + np.concatenate([rec.score_index for rec in records])
+    out[rows, cols] = np.concatenate([rec.score_values for rec in records])
     scalars = np.array([(rec.confidence, *rec.box,
                          (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0)
                         for rec in records])
@@ -159,8 +176,7 @@ def detection_bag(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> F
     boxes = _encode_boxes(records, frames, tau, cfg)  # validates frame_index <= tau
     if (np.diff(frames) < 0).any():   # records out of frame order
         boxes = boxes[np.argsort(frames, kind="stable")]
-    bounds = np.cumsum(np.bincount(frames - 1, minlength=tau))[:-1]
-    return FeatureBag(dim=cfg.dim, frames=np.split(boxes, bounds))
+    return FeatureBag(boxes, np.bincount(frames - 1, minlength=tau))
 
 
 def odf_descriptor(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> MultiMomentDescriptor:

@@ -167,8 +167,7 @@ def sdf_descriptor(
         for lo in range(0, len(index), step):
             chunk = index[lo:lo + step]
             encoded[chunk] = encode_frame(np.stack([frames[i].values for i in chunk]), cfg)
-    bag = FeatureBag(dim=cfg.dim, frames=list(encoded[:, None]))
-    return multi_moment(bag, n_dagger)
+    return multi_moment(FeatureBag(encoded, [1] * len(frames)), n_dagger)
 
 
 _TOKEN = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\S+)")

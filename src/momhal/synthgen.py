@@ -178,9 +178,11 @@ def _saliency_frame(
 
 
 def generate_dataset(out_dir, cfg: SynthConfig) -> None:
-    """Write a full synthetic dataset; byte-identical for identical configs."""
+    """Write a full synthetic dataset; byte-identical for identical configs.
+    dataset.cfg, removed first and written atomically last, marks it complete."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "dataset.cfg").unlink(missing_ok=True)
     (out / "saliency").mkdir(exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
 
@@ -248,9 +250,8 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
     with open(out / "manifest.txt", "w", encoding="utf-8") as fp:
         fp.write("\n".join(manifest_lines) + "\n")
 
-    (out / "dataset.cfg").write_text(
-        format_key_values((f.name, getattr(cfg, f.name)) for f in fields(cfg)), encoding="utf-8"
-    )
+    write_atomic(out / "dataset.cfg", format_key_values(
+        (f.name, getattr(cfg, f.name)) for f in fields(cfg)).encode("utf-8"))
 
 
 def read_dataset_config(data_dir) -> SynthConfig:

@@ -63,7 +63,7 @@ def suite_moments(seed: int = 3, cases: int = 20) -> bool:
         d = int(rng.integers(4, 24))
         j = int(rng.integers(1, 5))
         frames = [rng.normal(size=(int(rng.integers(1, 12)), d)) for _ in range(j)]
-        bag = moments.FeatureBag(d, frames)
+        bag = moments.FeatureBag(np.concatenate(frames), [len(f) for f in frames])
         got = moments.multi_moment(bag, 3)
 
         # independent dense reference

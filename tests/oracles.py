@@ -10,8 +10,15 @@ level instead of the flattened coefficients.
 import numpy as np
 
 from momhal.fusion import GROUP_DET, GROUP_SAL, GROUP_TOP, HAF_ID, eq9_ratios
+from momhal.moments import FeatureBag
 from momhal.pn import sigme
 from momhal.sketch import project
+
+
+def bag_of_frames(dim, frames):
+    """A FeatureBag of per-frame (K_j, dim) arrays, copied into one matrix."""
+    frames = [np.asarray(f, dtype=np.float64).reshape(-1, dim) for f in frames]
+    return FeatureBag(np.concatenate([np.empty((0, dim)), *frames]), [len(f) for f in frames])
 
 
 def dense_multi_moment(frames, n_prime, eps=1e-12):
@@ -72,6 +79,14 @@ def dense_multi_moment(frames, n_prime, eps=1e-12):
     spectrum /= max(float(spectrum.sum()), eps)
 
     return np.concatenate([mean_dir, eigvecs.ravel(), skew, kurt, spectrum])
+
+
+def per_frame_upsilon(frames, mu):
+    """Frame-weighted centered matrix built a frame at a time: a transposed,
+    divided copy of each nonempty frame, joined along the columns."""
+    j_total = len(frames)
+    cols = [(frame - mu).T / (j_total * frame.shape[0]) for frame in frames if frame.shape[0]]
+    return np.concatenate(cols, axis=1) if cols else np.zeros((mu.size, 0))
 
 
 def pixel_loop_gradient_encoding(amplitude, orientation, z_ang=12, z_sp=5, sigma=0.5):

@@ -21,13 +21,13 @@ from momhal.halluc import (
     train,
 )
 from momhal.kernel import FeatureMapConfig, kernel_approx_error
-from momhal.moments import FeatureBag, multi_moment
+from momhal.moments import multi_moment
 from momhal.odf import OdfConfig, encode_box, odf_descriptor
 from momhal.pn import PnConfig
 from momhal.sdf import SaliencyFrame, SdfConfig, encode_frame, sdf_descriptor
 from momhal.sketch import unbiasedness_check
 from momhal.synthgen import SynthConfig, generate_dataset, load_dataset
-from oracles import dense_multi_moment
+from oracles import bag_of_frames, dense_multi_moment
 from test_odf import make_record
 
 # Frozen grid-oracle figures for the RBF linearization (sigma = 0.5,
@@ -128,7 +128,7 @@ class TestCriterion4Moments:
             splits = np.sort(rng.integers(0, total + 1, size=n_frames - 1))
             counts = np.diff(np.concatenate([[0], splits, [total]]))
             frames = [rng.normal(size=(int(k), d)) for k in counts]
-            bag = FeatureBag(d, frames)
+            bag = bag_of_frames(d, frames)
             n_prime = int(rng.integers(1, 5))
             got = multi_moment(bag, n_prime).flat()
             want = dense_multi_moment(bag.frames, n_prime)

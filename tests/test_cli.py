@@ -232,6 +232,17 @@ class TestThreads:
         assert "--threads: must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flag, option", [("encode-odf", "--input", "--n-prime"),
+                                                       ("encode-sdf", "--manifest", "--n-dagger")])
+    def test_fewer_than_one_moment_vector_is_refused_before_any_output(self, tmp_path, capsys,
+                                                                      command, flag, option):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, str(tmp_path / "in"), "--out", str(out), option, "0"])
+        assert exit_info.value.code == 2
+        assert f"{option}: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOutputNames:
     def test_video_id_with_path_separator_is_refused(self, tmp_path, capsys):
@@ -415,8 +426,9 @@ class TestConfigDocuments:
     @pytest.mark.parametrize("line", [
         "learning_rat = 9", "multi_label = ture", "batch_size = 0", "streams = fv1,bogus",
         "pn_eta = -1", "ridge_l2 = nan", "alpha = nan", "init_scale = -1", "val_fraction = nan",
+        "rho = 5",
     ], ids=["unknown_key", "bad_bool", "batch_size_0", "unknown_stream", "pn_eta_negative",
-            "ridge_l2_nan", "alpha_nan", "init_scale_negative", "val_fraction_nan"])
+            "ridge_l2_nan", "alpha_nan", "init_scale_negative", "val_fraction_nan", "rho_5"])
     def test_train_config_is_refused(self, tmp_path, data, capsys, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"data_dir = {data}\nepochs = 1\n{line}\n")

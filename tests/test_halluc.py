@@ -292,7 +292,7 @@ class TestTrainConfig:
         ("sketch_dim", 0), ("warmup_epochs", -1),
         ("alpha", float("nan")), ("alpha", float("inf")), ("learning_rate", float("inf")),
         ("ridge_l2", float("nan")), ("ridge_l2", -1.0), ("init_scale", float("inf")),
-        ("init_scale", -1.0),
+        ("init_scale", -1.0), ("rho", 5.0), ("rho", 0.0), ("rho", float("nan")),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):

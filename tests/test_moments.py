@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from momhal.moments import (
     descriptor_to_bytes,
     multi_moment,
 )
-from oracles import dense_multi_moment
+from oracles import bag_of_frames, dense_multi_moment, per_frame_upsilon
 
 
 def random_bag(rng, d=None, n_frames=None):
@@ -18,18 +20,33 @@ def random_bag(rng, d=None, n_frames=None):
     frames = [rng.normal(size=(int(rng.integers(0, 12)), d)) for _ in range(n_frames)]
     if sum(f.shape[0] for f in frames) == 0:
         frames[0] = rng.normal(size=(1, d))
-    return FeatureBag(d, frames)
+    return bag_of_frames(d, frames)
 
 
 class TestBag:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FeatureBag(3, [])
+            FeatureBag(np.zeros((0, 3)), [])
         with pytest.raises(ValueError):
-            FeatureBag(3, [np.zeros((2, 4))])
+            FeatureBag(np.zeros((2, 4)), [3])
+
+    @pytest.mark.parametrize("data, counts", [
+        (np.zeros((3, 2)), []), (np.zeros((3, 2)), [1, 1]), (np.zeros((3, 2)), [4, -1]),
+        (np.zeros(3), [3]), (np.zeros((3, 2)), [[3]]),
+    ], ids=["no_frames", "short", "negative", "1d_matrix", "2d_counts"])
+    def test_counts_must_split_the_matrix(self, data, counts):
+        with pytest.raises(ValueError):
+            FeatureBag(data, counts)
+
+    def test_frames_are_views_of_the_matrix(self):
+        data = np.arange(12.0).reshape(6, 2)
+        bag = FeatureBag(data, [2, 0, 4])
+        assert bag.stacked() is data
+        assert [f.shape for f in bag.frames] == [(2, 2), (0, 2), (4, 2)]
+        assert all(np.shares_memory(f, data) for f in bag.frames if f.size)
 
     def test_empty_frames_allowed(self):
-        bag = FeatureBag(2, [np.zeros((0, 2)), np.ones((3, 2))])
+        bag = bag_of_frames(2, [np.zeros((0, 2)), np.ones((3, 2))])
         assert bag.n_frames == 2
         assert bag.total == 3
 
@@ -37,33 +54,43 @@ class TestBag:
 class TestAssembleUpsilon:
     def test_centering_single_detection(self):
         mu = np.array([1.0, 2.0])
-        bag = FeatureBag(2, [mu.reshape(1, 2)])
+        bag = bag_of_frames(2, [mu.reshape(1, 2)])
         np.testing.assert_array_equal(assemble_upsilon(bag, mu), np.zeros((2, 1)))
 
     def test_frame_weights(self):
-        bag = FeatureBag(1, [np.array([[4.0]]), np.array([[6.0], [8.0]])])
+        bag = bag_of_frames(1, [np.array([[4.0]]), np.array([[6.0], [8.0]])])
         ups = assemble_upsilon(bag, np.array([2.0]))
         # J=2; K_1=1 -> /2, K_2=2 -> /4
         np.testing.assert_allclose(ups, [[(4 - 2) / 2, (6 - 2) / 4, (8 - 2) / 4]])
 
     def test_empty_frames_count_toward_j(self):
-        bag = FeatureBag(1, [np.array([[3.0]]), np.zeros((0, 1))])
+        bag = bag_of_frames(1, [np.array([[3.0]]), np.zeros((0, 1))])
         ups = assemble_upsilon(bag, np.array([1.0]))
         np.testing.assert_allclose(ups, [[(3 - 1) / 2]])
         assert ups.shape == (1, 1)
+
+    def test_equals_per_frame_construction_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            bag = random_bag(rng)
+            mu = bag.stacked().mean(axis=0)
+            ups = assemble_upsilon(bag, mu)
+            want = per_frame_upsilon(bag.frames, mu)
+            assert ups.flags.c_contiguous and ups.shape == want.shape
+            assert np.array_equal(ups.view(np.int64), want.view(np.int64))
 
     def test_scaling_linearity(self):
         rng = np.random.default_rng(0)
         bag = random_bag(rng, d=4, n_frames=3)
         mu = rng.normal(size=4)
         base = assemble_upsilon(bag, mu)
-        scaled_bag = FeatureBag(4, [3.0 * f for f in bag.frames])
+        scaled_bag = bag_of_frames(4, [3.0 * f for f in bag.frames])
         np.testing.assert_allclose(assemble_upsilon(scaled_bag, 3.0 * mu), 3.0 * base, atol=1e-12)
 
 
 class TestMultiMoment:
     def test_hand_two_by_two(self):
-        bag = FeatureBag(2, [np.array([[2.0, 0.0], [0.0, 0.0]])])
+        bag = bag_of_frames(2, [np.array([[2.0, 0.0], [0.0, 0.0]])])
         desc = multi_moment(bag, 1)
         np.testing.assert_allclose(desc.mean_dir, [1.0, 0.0])
         np.testing.assert_allclose(desc.eigvecs, [[1.0, 0.0]])
@@ -73,7 +100,7 @@ class TestMultiMoment:
 
     def test_identical_vectors_degenerate(self):
         v = np.array([1.0, -2.0, 0.5])
-        bag = FeatureBag(3, [np.tile(v, (4, 1)), np.tile(v, (3, 1))])
+        bag = bag_of_frames(3, [np.tile(v, (4, 1)), np.tile(v, (3, 1))])
         desc = multi_moment(bag, 2)
         np.testing.assert_allclose(desc.mean_dir, v / np.linalg.norm(v), atol=1e-12)
         np.testing.assert_allclose(desc.eigvecs, np.zeros((2, 3)), atol=1e-12)
@@ -86,7 +113,7 @@ class TestMultiMoment:
         cases = [(random_bag(rng), int(rng.integers(1, 5))) for _ in range(30)]
         # 30 >= d rows in a 2-dimensional affine subspace of R^12: rank 2 < n' = 4
         basis, offset = rng.normal(size=(2, 12)), rng.normal(size=12)
-        flat = FeatureBag(12, [offset + rng.normal(size=(k, 2)) @ basis for k in (9, 11, 10)])
+        flat = bag_of_frames(12, [offset + rng.normal(size=(k, 2)) @ basis for k in (9, 11, 10)])
         cases.append((flat, 4))
         for bag, n_prime in cases:
             got = multi_moment(bag, n_prime).flat()
@@ -99,9 +126,9 @@ class TestMultiMoment:
     def test_permutation_within_frame(self):
         rng = np.random.default_rng(3)
         frames = [rng.normal(size=(6, 5)), rng.normal(size=(4, 5))]
-        base = multi_moment(FeatureBag(5, frames), 2).flat()
+        base = multi_moment(bag_of_frames(5, frames), 2).flat()
         shuffled = [f[rng.permutation(f.shape[0])] for f in frames]
-        got = multi_moment(FeatureBag(5, shuffled), 2).flat()
+        got = multi_moment(bag_of_frames(5, shuffled), 2).flat()
         np.testing.assert_allclose(got, base, atol=1e-10)
 
     def test_rescaling_about_mean(self):
@@ -109,10 +136,10 @@ class TestMultiMoment:
         frames = [rng.normal(size=(5, 4)), rng.normal(size=(3, 4))]
         data = np.concatenate(frames)
         mu = data.mean(axis=0)
-        base = multi_moment(FeatureBag(4, frames), 2)
+        base = multi_moment(bag_of_frames(4, frames), 2)
         t = 2.5
         stretched = [mu + t * (f - mu) for f in frames]
-        got = multi_moment(FeatureBag(4, stretched), 2)
+        got = multi_moment(bag_of_frames(4, stretched), 2)
         # mean numerator, skewness, kurtosis, eigvecs and spectrum all survive
         np.testing.assert_allclose(got.mean_dir, base.mean_dir, atol=1e-10)
         np.testing.assert_allclose(got.skewness, base.skewness, atol=1e-9)
@@ -122,20 +149,20 @@ class TestMultiMoment:
 
     def test_symmetric_coordinate_zero_skew(self):
         vals = np.array([[1.0], [-1.0], [2.0], [-2.0], [0.0]])
-        desc = multi_moment(FeatureBag(1, [vals]), 1)
+        desc = multi_moment(bag_of_frames(1, [vals]), 1)
         assert abs(desc.skewness[0]) < 1e-12
 
     def test_two_point_kurtosis_is_one(self):
         a = 0.7
         vals = np.array([[a], [-a], [a], [-a]])
-        desc = multi_moment(FeatureBag(1, [vals]), 1)
+        desc = multi_moment(bag_of_frames(1, [vals]), 1)
         assert desc.kurtosis[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_gram_path_matches_dense_svd(self):
         rng = np.random.default_rng(5)
         for n, d in ((6, 20), (25, 10), (8, 8)):
             frames = [rng.normal(size=(n, d))]
-            bag = FeatureBag(d, frames)
+            bag = bag_of_frames(d, frames)
             desc = multi_moment(bag, 3)
             ups = assemble_upsilon(bag, bag.stacked().mean(axis=0))
             u, s, _ = np.linalg.svd(ups, full_matrices=False)
@@ -147,6 +174,18 @@ class TestMultiMoment:
                         ref = -ref
                     np.testing.assert_allclose(desc.eigvecs[i], ref, atol=1e-8)
 
+    @pytest.mark.parametrize("n, d", [(800, 100), (100, 800)], ids=["rows_ge_d", "rows_lt_d"])
+    def test_peak_memory_is_two_bag_copies(self, n, d):
+        """Upsilon goes before the cumulants are formed, and they reuse two buffers."""
+        bag = FeatureBag(np.random.default_rng(3).normal(size=(n, d)), np.full(20, n // 20))
+        tracemalloc.start()
+        try:
+            multi_moment(bag, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * bag.stacked().nbytes
+
     def test_flat_length(self):
         rng = np.random.default_rng(1)
         for n_prime in (1, 3, 5):
@@ -155,11 +194,11 @@ class TestMultiMoment:
 
     def test_errors(self):
         with pytest.raises(EmptyBagError):
-            multi_moment(FeatureBag(2, [np.zeros((0, 2))]), 1)
+            multi_moment(bag_of_frames(2, [np.zeros((0, 2))]), 1)
         with pytest.raises(ValueError):
-            multi_moment(FeatureBag(2, [np.array([[1.0, np.nan]])]), 1)
+            multi_moment(bag_of_frames(2, [np.array([[1.0, np.nan]])]), 1)
         with pytest.raises(ValueError):
-            multi_moment(FeatureBag(2, [np.ones((1, 2))]), 0)
+            multi_moment(bag_of_frames(2, [np.ones((1, 2))]), 0)
 
 
 class TestSerialization:
@@ -171,13 +210,13 @@ class TestSerialization:
         np.testing.assert_allclose(back.flat(), desc.flat(), atol=1e-6)
 
     def test_layout(self):
-        desc = multi_moment(FeatureBag(2, [np.eye(2)]), 1)
+        desc = multi_moment(bag_of_frames(2, [np.eye(2)]), 1)
         blob = descriptor_to_bytes(desc)
         assert blob[:4] == b"MMD1"
         assert len(blob) == 4 + 4 + 4 + 4 * 2 * 5
 
     def test_file_helpers(self, tmp_path):
-        desc = multi_moment(FeatureBag(2, [np.eye(2)]), 2)
+        desc = multi_moment(bag_of_frames(2, [np.eye(2)]), 2)
         path = tmp_path / "desc.mmd"
         path.write_bytes(descriptor_to_bytes(desc))
         back = descriptor_from_bytes(path.read_bytes())
@@ -188,7 +227,7 @@ class TestSerialization:
             descriptor_from_bytes(b"ZZZZ" + bytes(16))
 
     def test_exact_length(self):
-        blob = descriptor_to_bytes(multi_moment(FeatureBag(2, [np.eye(2)]), 1))
+        blob = descriptor_to_bytes(multi_moment(bag_of_frames(2, [np.eye(2)]), 1))
         n = len(blob)
         with pytest.raises(ValueError, match=f"MMD1: expected {n} bytes, got {n + 1}"):
             descriptor_from_bytes(blob + b"\0")

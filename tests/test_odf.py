@@ -5,7 +5,8 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from momhal.moments import FeatureBag
+from momhal import odf
+from momhal.moments import FeatureBag, descriptor_to_bytes, multi_moment
 from momhal.odf import (
     CLASS_SPACE_SIZE,
     IMAGENET_SIZE,
@@ -118,6 +119,40 @@ class TestEncodeBox:
         assert fixed.imagenet_scores.sum() == pytest.approx(1.0)
 
 
+class TestSparseScores:
+    def test_record_keeps_only_its_nonzero_scores(self):
+        scores = np.zeros(IMAGENET_SIZE)
+        scores[[0, 3, 17, 200, 512, 640, 999, 1000]] = 1.0 / 8
+        rec = make_record(scores=scores)
+        stored = [getattr(rec, name) for name in vars(type(rec))["__dataclass_fields__"]]
+        assert sum(a.nbytes for a in stored if isinstance(a, np.ndarray)) < 1024
+        assert np.array_equal(rec.imagenet_scores, scores)
+        with pytest.raises(ValueError, match="read-only"):
+            rec.imagenet_scores[0] = 1.0
+
+    def test_lenient_scores_are_divided_by_the_dense_total(self):
+        scores = np.random.default_rng(2).dirichlet(np.ones(IMAGENET_SIZE)) * 3.7
+        scores[::3] = 0.0
+        rec = DetectionRecord.lenient(1, 1, 0.5, (0.1, 0.2, 0.3, 0.4), scores, tau=1)
+        assert np.array_equal(rec.imagenet_scores, scores / float(np.clip(scores, 0.0, None).sum()))
+
+    def test_negative_zero_score_keeps_its_sign(self):
+        """A dense "inet" -0.0 passes validation and stays -0.0 in the box
+        matrix; the .mmd bytes are those of the dense rows."""
+        inet = [0.0] * IMAGENET_SIZE
+        inet[5], inet[9] = -0.0, 1.0
+        recs = [parse_detection_line(TestJsonl().line(frame=f, inet_sparse=None, inet=inet))[3]
+                for f in (1, 2)]
+        cfg = OdfConfig(n_prime=2)
+        rows = np.array([encode_box(rec, 4, cfg) for rec in recs])
+        dense = np.array(inet)
+        assert np.array_equal(rows[:, CLASS_SPACE_SIZE:CLASS_SPACE_SIZE + IMAGENET_SIZE].view(np.int64),
+                              np.tile(dense.view(np.int64), (2, 1)))
+        got = descriptor_to_bytes(odf_descriptor(recs, 4, cfg))
+        want = descriptor_to_bytes(multi_moment(FeatureBag(rows, [1, 1, 0, 0]), 2))
+        assert got == want
+
+
 class TestDescriptor:
     def test_single_detection_degenerate(self):
         cfg = OdfConfig(n_prime=2)
@@ -203,6 +238,13 @@ class TestBoxMatrix:
         for t, got in enumerate(bag.frames, start=1):
             want = [encode_box(r, tau, cfg) for r in recs if r.frame_index == t]
             assert np.array_equal(got, np.array(want).reshape(-1, cfg.dim))
+
+    def test_bag_keeps_the_box_matrix(self, monkeypatch):
+        encoded, encode = [], odf._encode_boxes
+        monkeypatch.setattr(odf, "_encode_boxes", lambda *a: encoded.append(encode(*a)) or encoded[0])
+        bag = detection_bag(self.records((1, 1, 2, 4, 4)), 4, OdfConfig())
+        assert np.shares_memory(bag.stacked(), encoded[0])
+        assert all(np.shares_memory(f, encoded[0]) for f in bag.frames if f.size)
 
     def test_first_bad_record_is_named(self):
         recs = self.records((2, 9, 0, 5))

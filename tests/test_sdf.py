@@ -16,7 +16,7 @@ from momhal.sdf import (
     sdf_descriptor,
     write_pgm,
 )
-from oracles import dense_multi_moment, pixel_loop_gradient_encoding
+from oracles import bag_of_frames, dense_multi_moment, pixel_loop_gradient_encoding
 
 CFG = SdfConfig()
 
@@ -210,10 +210,19 @@ class TestStackedEncode:
     def test_16_bit_frames(self, monkeypatch):
         self.assert_frame_by_frame(monkeypatch, self.frames(30, [(48, 64), (20, 26)], 65535, 3))
 
+    def test_bag_keeps_the_encoded_matrix(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(sdf, "FeatureBag",
+                            lambda data, counts: made.append(data) or FeatureBag(data, counts))
+        monkeypatch.setattr(sdf, "multi_moment", lambda bag, n: bag)
+        bag = sdf_descriptor(self.frames(7, [(24, 32), (20, 26)]), CFG, 3)
+        assert np.shares_memory(bag.stacked(), made[0])
+        assert bag.counts.tolist() == [1] * 7
+
     def test_descriptor_equals_per_frame_bag(self):
         frames = self.frames(50, [(24, 32), (36, 48)], seed=4)
         rows = [encode_frame(f, CFG).reshape(1, -1) for f in frames]
-        want = multi_moment(FeatureBag(dim=CFG.dim, frames=rows), 3).flat()
+        want = multi_moment(bag_of_frames(CFG.dim, rows), 3).flat()
         assert np.array_equal(sdf_descriptor(frames, CFG, 3).flat(), want)
 
     def test_stacked_parts_equal_one_frame_calls(self):

@@ -53,6 +53,21 @@ class TestGeneration:
         pgms = list((root / "saliency").glob("*.pgm"))
         assert len(pgms) == SMALL.n_videos * len(SAL_STREAMS) * SMALL.tau
 
+    def test_interrupted_run_over_a_dataset_does_not_load(self, tmp_path, monkeypatch):
+        generate_dataset(tmp_path, SMALL)
+        written = []
+
+        def write_pgm(path, frame):
+            if written:
+                raise KeyboardInterrupt
+            written.append(path)
+
+        monkeypatch.setattr(synthgen, "write_pgm", write_pgm)
+        with pytest.raises(KeyboardInterrupt):
+            generate_dataset(tmp_path, SMALL)
+        with pytest.raises(FileNotFoundError, match=r"dataset\.cfg"):
+            load_dataset(tmp_path, sketch_dim=16, streams=())
+
     def test_config_roundtrip(self, tmp_path):
         generate_dataset(tmp_path / "d", SMALL)
         meta = read_dataset_config(tmp_path / "d")
