@@ -31,7 +31,7 @@ from .halluc import (
     train,
     video_arrays,
 )
-from .keyvalue import field_parser, format_key_values, parse_bool, read_key_values, read_lines
+from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .moments import descriptor_to_bytes
 from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig
@@ -161,61 +161,32 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_TRAIN_KEYS = {
-    "alpha": float, "learning_rate": float, "epochs": int, "seed": int,
-    "backbone_dim": int, "pre_sketch_dim": int, "sketch_dim": int,
-    "batch_size": int, "val_fraction": float, "rho": float,
-    "warmup_epochs": int, "ridge_l2": float, "init_scale": float,
-    "multi_label": parse_bool, "tie_sketches": parse_bool,
-}
 _CONFIG_KEYS = {   # a value TrainConfig or PnConfig refuses is refused at its line
-    **{key: field_parser(TrainConfig, key, parse) for key, parse in _TRAIN_KEYS.items()},
-    "data_dir": str, "out_dir": str,
-    "streams": field_parser(TrainConfig, "streams",
-                            lambda s: tuple(name for name in s.split(",") if name)),
-    "pn_eta": field_parser(PnConfig, "eta", float),
-    "pn_epsilon": field_parser(PnConfig, "epsilon", float),
+    "data_dir": str, "out_dir": str, **config_parsers(TrainConfig),
+    **{f"pn_{key}": parse for key, parse in config_parsers(PnConfig).items()},
 }
 
 
 def _build_train_config(args) -> tuple[TrainConfig, str, str]:
     values = read_key_values(args.config, _CONFIG_KEYS) if args.config else {}
-    for key in ("data_dir", "out_dir"):
-        flag = getattr(args, key.replace("_dir", ""), None)
-        if flag:
-            values[key] = flag
-    for key in ("epochs", "seed", "learning_rate"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    flags = {"data_dir": args.data or None, "out_dir": args.out or None, "epochs": args.epochs,
+             "seed": args.seed, "learning_rate": args.learning_rate}
+    values.update((key, flag) for key, flag in flags.items() if flag is not None)
     if args.streams is not None:   # --streams "" trains the pass-through unit alone
         values["streams"] = _CONFIG_KEYS["streams"](args.streams)
     if "data_dir" not in values:
         raise ValueError("data_dir required (config key data_dir or --data)")
+    data_dir, out_dir = values.pop("data_dir"), values.pop("out_dir", "run")
     if "backbone_dim" not in values:
-        values["backbone_dim"] = read_dataset_config(values["data_dir"]).backbone_dim
-
-    kwargs = {key: values[key] for key in (*_TRAIN_KEYS, "streams") if key in values}
-    pn_kwargs = {key[3:]: values[key] for key in ("pn_eta", "pn_epsilon") if key in values}
-    if pn_kwargs:
-        kwargs["pn"] = PnConfig(**pn_kwargs)
-    return TrainConfig(**kwargs), values["data_dir"], values.get("out_dir", "run")
-
-
-def _resolved_config_values(cfg: TrainConfig, data_dir: str, out_dir: str) -> list[tuple]:
-    return [
-        ("data_dir", data_dir),
-        ("out_dir", out_dir),
-        ("streams", ",".join(cfg.ordered_streams())),
-        *((key, getattr(cfg, key)) for key in _TRAIN_KEYS),
-        ("pn_eta", cfg.pn.eta),
-        ("pn_epsilon", cfg.pn.epsilon),
-    ]
+        values["backbone_dim"] = read_dataset_config(data_dir).backbone_dim
+    values["pn"] = PnConfig(**{key[3:]: values.pop(key) for key in list(values)
+                               if key.startswith("pn_")})
+    return TrainConfig(**values), data_dir, out_dir
 
 
 def cmd_train(args) -> int:
     cfg, data_dir, out_dir = _build_train_config(args)
-    videos, _ = load_dataset(data_dir, cfg.sketch_dim, cfg.pn, cfg.ordered_streams())
+    videos, _ = load_dataset(data_dir, cfg.sketch_dim, cfg.pn, cfg.streams)
     if not videos:
         print("empty dataset", file=sys.stderr)
         return EXIT_EMPTY
@@ -223,9 +194,10 @@ def cmd_train(args) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.hal")
-    write_atomic(out / "metrics.csv", metrics_to_csv(metrics, cfg.ordered_streams()).encode())
-    write_atomic(out / "config.cfg",
-                 format_key_values(_resolved_config_values(cfg, data_dir, out_dir)).encode())
+    write_atomic(out / "metrics.csv", metrics_to_csv(metrics, cfg.streams).encode())
+    resolved = [("data_dir", data_dir), ("out_dir", out_dir), *config_pairs(cfg),
+                *((f"pn_{key}", value) for key, value in config_pairs(cfg.pn))]
+    write_atomic(out / "config.cfg", format_key_values(resolved).encode())
     final = metrics[-1]["val_acc"] if metrics else float("nan")
     print(f"trained {cfg.epochs} epochs; final val accuracy {final:.4f}")
     print(f"checkpoint: {out / 'checkpoint.hal'}")
@@ -307,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search-beta", help="golden-section search over the pooling exponent")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--iters", type=int, default=20)
+    p.add_argument("--iters", type=_positive_int, default=20)
     p.set_defaults(func=cmd_search_beta)
 
     p = sub.add_parser("verify", help="run property suites")

@@ -60,7 +60,7 @@ class TrainConfig:
     backbone_dim: int = 64
     pre_sketch_dim: int = 128
     sketch_dim: int = 128
-    streams: tuple[str, ...] = STREAM_ORDER
+    streams: tuple[str, ...] = STREAM_ORDER   # kept in STREAM_ORDER, without repeats
     batch_size: int = 32
     val_fraction: float = 0.25
     rho: float = 0.1
@@ -89,15 +89,13 @@ class TrainConfig:
             raise ValueError(f"val_fraction must be >= 0, got {self.val_fraction}")
         if not self.val_fraction < 1:
             raise ValueError(f"val_fraction {self.val_fraction} leaves no training videos")
-        for name in ("epochs", "warmup_epochs"):
+        for name in ("epochs", "seed", "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         unknown = [s for s in self.streams if s not in STREAM_ORDER]
         if unknown:
             raise ValueError(f"unknown streams {unknown}; valid: {STREAM_ORDER}")
-
-    def ordered_streams(self) -> tuple[str, ...]:
-        return tuple(s for s in STREAM_ORDER if s in self.streams)
+        object.__setattr__(self, "streams", tuple(s for s in STREAM_ORDER if s in self.streams))
 
 
 @dataclass
@@ -154,9 +152,9 @@ class Model:
     n_classes: int
 
     def __post_init__(self):
-        if (self.spec.streams, self.spec.rho) != (self.config.ordered_streams(), self.config.rho):
+        if (self.spec.streams, self.spec.rho) != (self.config.streams, self.config.rho):
             raise ValueError(f"a fusion spec of streams {self.spec.streams} at rho {self.spec.rho}, "
-                             f"but the config has {self.config.ordered_streams()} at {self.config.rho}")
+                             f"but the config has {self.config.streams} at {self.config.rho}")
         got = (len(self.sketches.sketches), self.sketches.input_dim, self.sketches.output_dim)
         want = (len(self.streams) + 1, self.weight.shape[1], self.config.sketch_dim)
         if got != want:
@@ -371,8 +369,7 @@ def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
 def init_model(cfg: TrainConfig, n_classes: int) -> Model:
     """Build a model at its deterministic initialization (no training)."""
     rng = np.random.default_rng((cfg.seed, 0xC0))
-    streams = cfg.ordered_streams()
-    units = (*streams, HAF_ID)
+    units = (*cfg.streams, HAF_ID)
     # one draw of U+1 (m, b) blocks gives the bits of U+1 draws in unit order
     weight = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.backbone_dim),
                         size=(len(units), cfg.pre_sketch_dim, cfg.backbone_dim))
@@ -385,7 +382,7 @@ def init_model(cfg: TrainConfig, n_classes: int) -> Model:
     wp = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.sketch_dim),
                     size=(n_classes, cfg.sketch_dim))
     return Model(cfg, weight, np.zeros(weight.shape[:2]), sketches,
-                 PredNet(wp, np.zeros(n_classes)), FusionSpec(streams, rho=cfg.rho), n_classes)
+                 PredNet(wp, np.zeros(n_classes)), FusionSpec(cfg.streams, rho=cfg.rho), n_classes)
 
 
 def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -485,7 +482,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     per-stream MSE, classification loss, validation accuracy, and the
     exponent bracket.
     """
-    data = video_arrays(dataset, cfg, cfg.ordered_streams())
+    data = video_arrays(dataset, cfg, cfg.streams)
     if cfg.multi_label and data.labels.ndim != 2:
         raise ValueError("multi_label = true needs multi-hot label vectors, "
                          "but the labels are class ids")

@@ -1,8 +1,10 @@
 """The one line reader of every text input, and the ``key = value`` format
-of training configs, dataset metadata (``dataset.cfg``) and fusion specs."""
+of training configs, dataset metadata (``dataset.cfg``) and fusion specs.
+A config dataclass is the only list of its document's keys: its fields."""
 
 from __future__ import annotations
 
+from dataclasses import fields
 from functools import partial
 from typing import Callable, Iterable
 
@@ -50,19 +52,6 @@ def read_key_values(path, parsers: dict[str, Callable[[str], object]]) -> dict[s
     return values
 
 
-def field_parser(cls, name: str, parse: Callable[[str], object]) -> Callable[[str], object]:
-    """``parse``, then the checks that config class ``cls`` makes of field
-    ``name`` with the other fields at their defaults, so that a document
-    refuses a bad value at its own line."""
-
-    def value(text: str) -> object:
-        result = parse(text)
-        cls(**{name: result})
-        return result
-
-    return value
-
-
 def parse_bool(value: str) -> bool:
     """``1/true/yes`` or ``0/false/no``, in any case; anything else is an error."""
     try:
@@ -74,3 +63,31 @@ def parse_bool(value: str) -> bool:
 def format_key_values(pairs: Iterable[tuple[str, object]]) -> str:
     """One ``key = value`` line per pair, in order."""
     return "".join(f"{key} = {value}\n" for key, value in pairs)
+
+
+# A config field whose default is of one of these types is plain: it has a
+# parser, and a tuple of names is written as a comma list.
+_PARSERS = {int: int, float: float, bool: parse_bool,
+            tuple: lambda value: tuple(name for name in value.split(",") if name)}
+
+
+def _checked(cls, name: str, parse: Callable[[str], object], text: str) -> object:
+    value = parse(text)
+    cls(**{name: value})
+    return value
+
+
+def config_parsers(cls) -> dict[str, Callable[[str], object]]:
+    """{field: parser} for each plain field of config dataclass ``cls``.  A
+    parser reads the text as the default's type, then makes the checks that
+    ``cls`` makes of that field with the others at their defaults, so that a
+    document refuses a bad value at its own line."""
+    return {f.name: partial(_checked, cls, f.name, _PARSERS[type(f.default)])
+            for f in fields(cls) if type(f.default) in _PARSERS}
+
+
+def config_pairs(cfg) -> list[tuple[str, object]]:
+    """(field, value) for each plain field of ``cfg``, in field order, as
+    ``config_parsers`` reads them back."""
+    pairs = ((key, getattr(cfg, key)) for key in config_parsers(type(cfg)))
+    return [(key, ",".join(value) if isinstance(value, tuple) else value) for key, value in pairs]

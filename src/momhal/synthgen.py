@@ -36,7 +36,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
@@ -45,7 +46,7 @@ import numpy as np
 from .atomic import write_atomic
 from .fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
 from .halluc import SyntheticVideo
-from .keyvalue import field_parser, format_key_values, read_key_values, read_lines
+from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .odf import OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig, sigme
 from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
@@ -73,10 +74,13 @@ class SynthConfig:
     noise_scale: float = 1.0
 
     def __post_init__(self):
-        if self.n_videos < 1 or self.n_classes < 2:
-            raise ValueError("need at least 1 video and 2 classes")
-        if self.tau < 2:
-            raise ValueError("tau must be >= 2")
+        for name, low in (("n_videos", 1), ("n_classes", 2), ("seed", 0), ("backbone_dim", 1),
+                          ("tau", 2), ("sal_width", 2), ("sal_height", 2), ("aux_dim", 1)):
+            if (value := getattr(self, name)) < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
+        for name in ("class_scale", "latent_scale", "noise_scale"):
+            if not (math.isfinite(value := getattr(self, name)) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _video_id(i: int) -> str:
@@ -250,17 +254,14 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
     with open(out / "manifest.txt", "w", encoding="utf-8") as fp:
         fp.write("\n".join(manifest_lines) + "\n")
 
-    write_atomic(out / "dataset.cfg", format_key_values(
-        (f.name, getattr(cfg, f.name)) for f in fields(cfg)).encode("utf-8"))
+    write_atomic(out / "dataset.cfg", format_key_values(config_pairs(cfg)).encode("utf-8"))
 
 
 def read_dataset_config(data_dir) -> SynthConfig:
     path = Path(data_dir) / "dataset.cfg"
-    parsers = {f.name: field_parser(SynthConfig, f.name, type(f.default))   # int or float
-               for f in fields(SynthConfig)}
+    parsers = config_parsers(SynthConfig)
     kwargs = read_key_values(path, parsers)
-    missing = [key for key in parsers if key not in kwargs]
-    if missing:
+    if missing := [key for key in parsers if key not in kwargs]:
         raise ValueError(f"{path}: missing key {missing[0]!r}")
     return SynthConfig(**kwargs)
 
@@ -286,7 +287,7 @@ def load_dataset(
     pn = pn or PnConfig()
     wanted = streams if streams is not None else AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
-    feats = _load_rows(data_dir / "features.npy", meta.n_videos)
+    feats = _load_rows(data_dir / "features.npy", meta, ("backbone_dim", "tau"))
     labels = _read_labels(data_dir / "labels.csv", meta.n_videos, meta.n_classes)
     targets = _stream_targets(data_dir, meta, wanted, sketch_dim, pn)
     videos = [
@@ -296,12 +297,15 @@ def load_dataset(
     return videos, meta.n_classes
 
 
-def _load_rows(path: Path, n_videos: int) -> np.ndarray:
-    """An ``.npy`` array with one row per video."""
+def _load_rows(path: Path, meta: SynthConfig, dims: tuple[str, ...]) -> np.ndarray:
+    """An ``.npy`` array of one row per video, of the shape the ``dims`` fields give."""
     arr = np.load(path)
     rows = arr.shape[0] if arr.ndim else 0
-    if rows != n_videos:
-        raise ValueError(f"{path}: {rows} rows, but dataset.cfg has n_videos = {n_videos}")
+    if rows != meta.n_videos:
+        raise ValueError(f"{path}: {rows} rows, but dataset.cfg has n_videos = {meta.n_videos}")
+    if arr.shape[1:] != tuple(getattr(meta, name) for name in dims):
+        given = ", ".join(f"{name} = {getattr(meta, name)}" for name in dims)
+        raise ValueError(f"{path}: rows of shape {arr.shape[1:]}, but dataset.cfg has {given}")
     return arr
 
 
@@ -440,7 +444,7 @@ def _encode_targets(
     for name in streams:
         if name in AUX_STREAMS:
             raw_dim = meta.aux_dim
-            psis = _load_rows(data_dir / f"aux_{name}.npy", meta.n_videos)
+            psis = _load_rows(data_dir / f"aux_{name}.npy", meta, ("aux_dim",))
         else:
             raw_dim = (odf_cfg.dim if name in DET_STREAMS else sdf_cfg.dim) * (4 + n_prime)
             psis = (descriptor(_video_id(i), name) for i in range(meta.n_videos))

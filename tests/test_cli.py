@@ -13,10 +13,11 @@ from momhal.atomic import write_atomic
 from momhal.cli import main
 from momhal.fusion import effective_coefficients, ridge_accuracy
 from momhal.halluc import TrainConfig, init_model, load_checkpoint
+from momhal.keyvalue import config_parsers
 from momhal.pn import PnConfig
 from momhal.moments import descriptor_from_bytes
 from momhal.sdf import write_pgm
-from momhal.synthgen import load_dataset
+from momhal.synthgen import SynthConfig, load_dataset
 from oracles import unit_outputs
 
 
@@ -297,6 +298,23 @@ class TestSynthTrainEval:
             assert code == 0
         assert tree_digest(tmp_path / "a") == tree_digest(tmp_path / "b")
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bad_backbone_dim_is_refused_before_any_output(self, tmp_path, capsys, value):
+        out = tmp_path / "data"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--backbone-dim", value)
+        assert code == 1
+        assert f"error: backbone_dim must be >= 1, got {value}" in err
+        assert not out.exists()
+
+    def test_fewer_than_one_search_iteration_is_refused_when_parsed(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("loaded"))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search-beta", "--model", str(tmp_path / "m.hal"), "--data", str(tmp_path),
+                  "--iters", "0"])
+        assert exit_info.value.code == 2
+        assert "--iters: must be at least 1, got 0" in capsys.readouterr().err
+
     def test_train_eval_search(self, tmp_path, capsys):
         data = tmp_path / "data"
         code, _, _ = run(capsys, "synth", "--out", str(data), "--videos", "16",
@@ -426,9 +444,10 @@ class TestConfigDocuments:
     @pytest.mark.parametrize("line", [
         "learning_rat = 9", "multi_label = ture", "batch_size = 0", "streams = fv1,bogus",
         "pn_eta = -1", "ridge_l2 = nan", "alpha = nan", "init_scale = -1", "val_fraction = nan",
-        "rho = 5",
+        "rho = 5", "seed = -1",
     ], ids=["unknown_key", "bad_bool", "batch_size_0", "unknown_stream", "pn_eta_negative",
-            "ridge_l2_nan", "alpha_nan", "init_scale_negative", "val_fraction_nan", "rho_5"])
+            "ridge_l2_nan", "alpha_nan", "init_scale_negative", "val_fraction_nan", "rho_5",
+            "seed_negative"])
     def test_train_config_is_refused(self, tmp_path, data, capsys, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"data_dir = {data}\nepochs = 1\n{line}\n")
@@ -471,13 +490,22 @@ class TestConfigDocuments:
         assert run(capsys, "train", "--config", str(resolved))[0] == 0
         assert seen == [cfg, cfg]
 
+    def test_every_config_field_has_a_parser(self):
+        # TrainConfig.pn is read as the pn_ keys, so no field can become unreadable
+        for cls in (TrainConfig, PnConfig, SynthConfig):
+            assert config_parsers(cls).keys() == {f.name for f in fields(cls)} - {"pn"}
+        assert cli._CONFIG_KEYS.keys() == {"data_dir", "out_dir", *config_parsers(TrainConfig),
+                                           *(f"pn_{f.name}" for f in fields(PnConfig))}
+
     @pytest.mark.parametrize("old, new", [("seed = 1", "sed = 1"),
                                           ("n_videos = 8", "n_videos = 16.7"),
                                           ("n_videos = 8", "n_videos = 0"),
                                           ("n_classes = 2", "n_classes = 1"),
-                                          ("tau = 3", "tau = 1")],
+                                          ("tau = 3", "tau = 1"),
+                                          ("aux_dim = 96", "aux_dim = 0"),
+                                          ("noise_scale = 1.0", "noise_scale = -1")],
                              ids=["unknown_key", "fractional_int", "no_videos", "one_class",
-                                  "tau_1"])
+                                  "tau_1", "aux_dim_0", "negative_noise_scale"])
     def test_dataset_config_is_refused(self, tmp_path, data, capsys, old, new):
         path = data / "dataset.cfg"
         lines = path.read_text().splitlines()

@@ -289,7 +289,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("val_fraction", -0.1), ("val_fraction", 1.5),
         ("learning_rate", 0.0), ("backbone_dim", 0), ("pre_sketch_dim", 0),
-        ("sketch_dim", 0), ("warmup_epochs", -1),
+        ("sketch_dim", 0), ("warmup_epochs", -1), ("seed", -1),
         ("alpha", float("nan")), ("alpha", float("inf")), ("learning_rate", float("inf")),
         ("ridge_l2", float("nan")), ("ridge_l2", -1.0), ("init_scale", float("inf")),
         ("init_scale", -1.0), ("rho", 5.0), ("rho", 0.0), ("rho", float("nan")),
@@ -297,6 +297,10 @@ class TestTrainConfig:
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    def test_streams_are_kept_in_stream_order(self):
+        assert TrainConfig(streams=("sal1", "fv1")) == TrainConfig(streams=("fv1", "sal1"))
+        assert TrainConfig(streams=["sal1", "fv1", "sal1"]).streams == ("fv1", "sal1")
 
 
 class TestInference:

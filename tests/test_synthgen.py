@@ -1,6 +1,7 @@
 import hashlib
 import os
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,25 @@ class TestGeneration:
             SynthConfig(n_classes=1)
         with pytest.raises(ValueError):
             SynthConfig(tau=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("backbone_dim", 0), ("backbone_dim", -3), ("aux_dim", 0),
+        ("sal_width", 1), ("sal_height", 1), ("class_scale", float("nan")),
+        ("latent_scale", float("inf")), ("noise_scale", -1.0),
+    ])
+    def test_out_of_range_field_is_named(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be "):
+            SynthConfig(**{field: value})
+
+    def test_every_field_survives_dataset_cfg(self, tmp_path):
+        changed = dict(n_videos=3, n_classes=3, seed=4, backbone_dim=5, tau=3, sal_width=9,
+                       sal_height=8, aux_dim=6, class_scale=0.5, latent_scale=1.5,
+                       noise_scale=0.25)
+        assert changed.keys() == {f.name for f in fields(SynthConfig)}
+        cfg = SynthConfig(**changed)
+        assert [k for k in changed if getattr(cfg, k) == getattr(SynthConfig(), k)] == []
+        generate_dataset(tmp_path, cfg)
+        assert read_dataset_config(tmp_path) == cfg
 
 
 class TestLoading:
@@ -323,4 +343,14 @@ class TestLoadErrors:
     def test_row_count_mismatch(self, data, name, streams):
         np.save(data / name, np.load(data / name)[:-1])
         with pytest.raises(ValueError, match=rf"{name}: 11 rows, but dataset\.cfg has n_videos = 12"):
+            load_dataset(data, sketch_dim=16, streams=streams)
+
+    @pytest.mark.parametrize("name, streams, cut, given", [
+        ("features.npy", (), np.s_[:, :-1], r"\(15, 4\), but .* backbone_dim = 16, tau = 4"),
+        ("features.npy", (), np.s_[:, :, :-1], r"\(16, 3\), but .* backbone_dim = 16, tau = 4"),
+        ("aux_off.npy", ("off",), np.s_[:, :50], r"\(50,\), but dataset\.cfg has aux_dim = 96"),
+    ], ids=["backbone_dim", "tau", "aux_dim"])
+    def test_row_shape_mismatch(self, data, name, streams, cut, given):
+        np.save(data / name, np.load(data / name)[cut])
+        with pytest.raises(ValueError, match=rf"{name}: rows of shape {given}"):
             load_dataset(data, sketch_dim=16, streams=streams)
