@@ -20,7 +20,7 @@ from .kernel import FeatureMapConfig, feature_map, kernel_approx_constant
 from .moments import FeatureBag, MultiMomentDescriptor, assemble_upsilon, multi_moment
 from .odf import DetectionRecord, OdfConfig, encode_box, odf_descriptor
 from .pn import PnConfig, maxexp, sigme, sigme_grad
-from .sdf import SaliencyFrame, SdfConfig, encode_frame, gradients, sdf_descriptor
+from .sdf import SaliencyFrame, encode_frame, gradients, sdf_descriptor
 from .sketch import CountSketch, project, sketch_new, unbiasedness_check
 from .fusion import FusionSpec, eq9_weights, golden_section_max
 from .halluc import Model, SyntheticVideo, TrainConfig, infer, objective, train
@@ -31,7 +31,7 @@ __all__ = [
     "CountSketch", "sketch_new", "project", "unbiasedness_check",
     "FeatureBag", "MultiMomentDescriptor", "assemble_upsilon", "multi_moment",
     "DetectionRecord", "OdfConfig", "encode_box", "odf_descriptor",
-    "SaliencyFrame", "SdfConfig", "gradients", "encode_frame", "sdf_descriptor",
+    "SaliencyFrame", "gradients", "encode_frame", "sdf_descriptor",
     "FusionSpec", "eq9_weights", "golden_section_max",
     "TrainConfig", "SyntheticVideo", "Model", "objective", "train", "infer",
 ]

@@ -35,7 +35,7 @@ from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_
 from .moments import descriptor_to_bytes
 from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig
-from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor
+from .sdf import read_pgm, read_saliency_manifest, sdf_descriptor
 from .synthgen import SynthConfig, generate_dataset, load_dataset, read_dataset_config
 from .verify import run_suite
 
@@ -128,14 +128,13 @@ def cmd_encode_sdf(args) -> int:
     if not groups:
         print("no frames", file=sys.stderr)
         return EXIT_EMPTY
-    cfg = SdfConfig()
     out = Path(args.out)
     paths = _output_paths(out, groups)
     out.mkdir(parents=True, exist_ok=True)
 
     def job(item):
         (video, source), frame_paths = item
-        desc = sdf_descriptor([read_pgm(p) for p in frame_paths], cfg, args.n_dagger)
+        desc = sdf_descriptor([read_pgm(p) for p in frame_paths], args.n_dagger)
         return video, source, len(frame_paths), desc
 
     results = _run_largest_first(job, sorted(groups.items()), lambda item: len(item[1]),
@@ -177,8 +176,10 @@ def _build_train_config(args) -> tuple[TrainConfig, str, str]:
     if "data_dir" not in values:
         raise ValueError("data_dir required (config key data_dir or --data)")
     data_dir, out_dir = values.pop("data_dir"), values.pop("out_dir", "run")
-    if "backbone_dim" not in values:
-        values["backbone_dim"] = read_dataset_config(data_dir).backbone_dim
+    given = read_dataset_config(data_dir).backbone_dim   # before any stream is encoded
+    if values.setdefault("backbone_dim", given) != given:   # only a config sets the key
+        raise ValueError(f"{args.config}: backbone_dim = {values['backbone_dim']}, but "
+                         f"{Path(data_dir) / 'dataset.cfg'} has backbone_dim = {given}")
     values["pn"] = PnConfig(**{key[3:]: values.pop(key) for key in list(values)
                                if key.startswith("pn_")})
     return TrainConfig(**values), data_dir, out_dir
@@ -297,10 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     except EmptyDetectorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

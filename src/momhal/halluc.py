@@ -117,18 +117,6 @@ def _row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _chain(
-    weight: np.ndarray, bias: np.ndarray, sketches: SketchStack, pn: PnConfig, z: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Affine map, SigmE and count sketch of every stacked unit on the rows
-    of ``z``: (S, n, m) pre-activations, (S, n, m) SigmE outputs and
-    (S, n, d') sketched outputs.  numpy's matmul runs one GEMM per unit."""
-    acts = np.matmul(z, weight.transpose(0, 2, 1))
-    acts += bias[:, None, :]
-    pres = sigme(acts, pn)
-    return acts, pres, sketches.project(pres)
-
-
 @dataclass
 class PredNet:
     weight: np.ndarray  # (classes, d')
@@ -173,7 +161,13 @@ class Model:
         return self.spec.tot_scale
 
     def chain(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return _chain(self.weight, self.bias, self.sketches, self.config.pn, z)
+        """Affine map, SigmE and count sketch of every stacked unit on the rows
+        of ``z``: (S, n, m) pre-activations, (S, n, m) SigmE outputs and
+        (S, n, d') sketched outputs.  numpy's matmul runs one GEMM per unit."""
+        acts = np.matmul(z, self.weight.transpose(0, 2, 1))
+        acts += self.bias[:, None, :]
+        pres = sigme(acts, self.config.pn)
+        return acts, pres, self.sketches.project(pres)
 
     def outputs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Every unit's sketched outputs (U+1, n, d') of the rows of ``z``,

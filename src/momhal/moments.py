@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAGIC = b"MMD1"
+GUARD = 1e-12   # floor of every norm, variance and mass a descriptor divides by
 
 
 class EmptyBagError(ValueError):
@@ -97,7 +98,7 @@ def _fix_sign(u: np.ndarray) -> np.ndarray:
     return -u if u[j] < 0 else u
 
 
-def rank_tolerance(lam2: np.ndarray, d: int, n: int, eps: float = 1e-12) -> float:
+def rank_tolerance(lam2: np.ndarray, d: int, n: int) -> float:
     """Singular-value cutoff below which a direction counts as rank noise,
     given the squared singular values ``lam2`` (descending, nonnegative).
 
@@ -107,12 +108,10 @@ def rank_tolerance(lam2: np.ndarray, d: int, n: int, eps: float = 1e-12) -> floa
     separate true rank from noise.
     """
     s_max = float(np.sqrt(lam2[0]))
-    return max(eps, s_max * np.sqrt(max(d, n) * np.finfo(np.float64).eps))
+    return max(GUARD, s_max * np.sqrt(max(d, n) * np.finfo(np.float64).eps))
 
 
-def _leading_subspace(
-    upsilon: np.ndarray, n_prime: int, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _leading_subspace(upsilon: np.ndarray, n_prime: int) -> tuple[np.ndarray, np.ndarray]:
     """The n_prime leading left singular vectors of the d x N matrix (N >= 1)
     as sign-fixed rows, and all of its squared singular values, descending.
 
@@ -127,7 +126,7 @@ def _leading_subspace(
     order = np.argsort(w)[::-1]
     lam2 = np.clip(w[order], 0.0, None)
     sv = np.sqrt(lam2[:n_prime])
-    kept = int(np.count_nonzero(sv > rank_tolerance(lam2, d, n, eps)))
+    kept = int(np.count_nonzero(sv > rank_tolerance(lam2, d, n)))
     lead = v[:, order[:kept]]
     if n < d:
         lead = (upsilon @ lead) / sv[:kept]
@@ -137,16 +136,16 @@ def _leading_subspace(
     return vecs, lam2
 
 
-def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMomentDescriptor:
+def multi_moment(bag: FeatureBag, n_prime: int) -> MultiMomentDescriptor:
     """Compute the multi-moment descriptor of a bag.
 
     Skewness and kurtosis are the element-wise cumulant ratios
     kappa3 / kappa2^1.5 and kappa4 / kappa2^2 over the plain (unweighted)
     centered vectors, not the 1/(J*K_j) frame weighting of the singular
     subspace.  The subspace and spectrum come from a single eigendecomposition
-    (``_leading_subspace``), cut once at ``rank_tolerance(..., eps)``.
+    (``_leading_subspace``), cut once at ``rank_tolerance``.
     Degenerate quantities (zero mean, deficient rank, zero variance) come out
-    as exact zeros via the eps guard.
+    as exact zeros via ``GUARD``.
     """
     if n_prime < 1:
         raise ValueError(f"n_prime must be >= 1, got {n_prime}")
@@ -160,22 +159,22 @@ def multi_moment(bag: FeatureBag, n_prime: int, eps: float = 1e-12) -> MultiMome
     d = bag.dim
     mu = data.mean(axis=0)
     mu_norm = float(np.linalg.norm(mu))
-    mean_dir = mu / mu_norm if mu_norm >= eps else np.zeros(d)
+    mean_dir = mu / mu_norm if mu_norm >= GUARD else np.zeros(d)
 
-    eigvecs, lam2 = _leading_subspace(assemble_upsilon(bag, mu), n_prime, eps)
+    eigvecs, lam2 = _leading_subspace(assemble_upsilon(bag, mu), n_prime)
 
     centered = data - mu    # formed only once upsilon is released
     sq = centered * centered
     k2 = sq.mean(axis=0)
     k3 = np.multiply(centered, sq, out=centered).mean(axis=0)
     k4 = np.multiply(sq, sq, out=sq).mean(axis=0)
-    guard = np.maximum(k2, eps)
+    guard = np.maximum(k2, GUARD)
     skewness = k3 / guard**1.5
     kurtosis = k4 / guard**2
 
     spectrum = np.zeros(d)
     spectrum[: lam2.size] = lam2
-    spectrum /= max(float(spectrum.sum()), eps)
+    spectrum /= max(float(spectrum.sum()), GUARD)
 
     return MultiMomentDescriptor(mean_dir, eigvecs, skewness, kurtosis, spectrum, n_prime)
 
@@ -194,11 +193,15 @@ def descriptor_to_bytes(desc: MultiMomentDescriptor) -> bytes:
 
 
 def descriptor_from_bytes(data: bytes) -> MultiMomentDescriptor:
+    """Parse what ``descriptor_to_bytes`` writes; any other input raises a
+    ValueError starting ``MMD1:``."""
     if data[:4] != MAGIC:
-        raise ValueError("bad descriptor magic")
+        raise ValueError("MMD1: bad magic")
     if len(data) < 12:
         raise ValueError(f"MMD1: expected at least 12 bytes, got {len(data)}")
     d, n_prime = (int(v) for v in np.frombuffer(data, "<u4", 2, 4))
+    if n_prime < 1:
+        raise ValueError(f"MMD1: n' must be at least 1, got {n_prime}")
     if len(data) != 12 + 4 * d * (4 + n_prime):
         raise ValueError(f"MMD1: expected {12 + 4 * d * (4 + n_prime)} bytes, got {len(data)}")
     body = np.frombuffer(data, "<f4", d * (4 + n_prime), 12).astype(np.float64)

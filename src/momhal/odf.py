@@ -5,9 +5,9 @@ Each bounding box becomes a per-box vector: a one-hot over the joint
 92..171 from the AVA-style space at offset +91), the 1001-dim l1-normalized
 ImageNet score vector, and Gaussian feature maps of six scalars
 (confidence, four box coordinates, normalized frame position).  With the
-default 7-pivot maps the vector has 171 + 1001 + 6*7 = 1214 entries; with
-raw scalars instead of maps, 1178.  All boxes of a video, grouped by
-frame, are summarized by the multi-moment descriptor.
+7-pivot maps of ``SCALAR_MAP`` the vector has 171 + 1001 + 6*7 = 1214
+entries; with raw scalars instead of maps, 1178.  All boxes of a video,
+grouped by frame, are summarized by the multi-moment descriptor.
 
 Detections arrive as JSON Lines, one object per detection:
 {"video": str, "detector": str, "frame": int, "tau": int, "class": int,
@@ -19,7 +19,7 @@ Detections arrive as JSON Lines, one object per detection:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ AVA_CLASSES = 80
 CLASS_SPACE_SIZE = COCO_CLASSES + AVA_CLASSES  # 171
 IMAGENET_SIZE = 1001
 SCORE_SUM_TOL = 1e-6
+SCALAR_MAP = FeatureMapConfig(7, 0.5, INTERVAL_UNIT)   # map of each of the six box scalars
 
 DETECTOR_SLOTS = ("det1", "det2", "det3", "det4")
 
@@ -120,15 +121,14 @@ class DetectionRecord:
 
 @dataclass(frozen=True)
 class OdfConfig:
+    """The two encoder settings ``encode-odf`` takes: --no-rbf and --n-prime."""
+
     use_rbf_embedding: bool = True
-    scalar_map: FeatureMapConfig = field(
-        default_factory=lambda: FeatureMapConfig(7, 0.5, INTERVAL_UNIT)
-    )
     n_prime: int = 3
 
     @property
     def dim(self) -> int:
-        per_scalar = self.scalar_map.pivot_count if self.use_rbf_embedding else 1
+        per_scalar = SCALAR_MAP.pivot_count if self.use_rbf_embedding else 1
         return CLASS_SPACE_SIZE + IMAGENET_SIZE + 6 * per_scalar
 
 
@@ -151,7 +151,7 @@ def _encode_boxes(records: list[DetectionRecord], frames: np.ndarray, tau: int,
                          (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0)
                         for rec in records])
     if cfg.use_rbf_embedding:   # a DetectionRecord keeps every scalar in [0, 1]
-        scalars = feature_map_batch(scalars, cfg.scalar_map).reshape(n, -1)
+        scalars = feature_map_batch(scalars, SCALAR_MAP).reshape(n, -1)
     out[:, scores_end:] = scalars
     return out
 

@@ -66,13 +66,11 @@ def sigme_vjp(psi: np.ndarray, g: np.ndarray, upstream: np.ndarray, cfg: PnConfi
     sech2 = 1.0 - g * g
     half_eta = 0.5 * cfg.eta
     direct = half_eta * sech2 * upstream / n
-    # Norm term: d(psi_i/n)/dpsi_j has -psi_i*psi_j/(n^2*norm); zero subgradient at psi = 0.
+    # Norm term: d(psi_i/n)/dpsi_j has -psi_i*psi_j/(n^2*norm).  A zero norm
+    # means psi = 0 up to underflow, so guarding it by 1 gives that row's term 0.
     inner = (upstream * sech2 * psi).sum(axis=-1, keepdims=True)
-    if np.all(norm > 0.0):   # skip the two full-size np.where passes below
-        return direct - half_eta * inner * psi / (n * n * norm)
     safe_norm = np.where(norm > 0.0, norm, 1.0)
-    norm_term = np.where(norm > 0.0, half_eta * inner * psi / (n * n * safe_norm), 0.0)
-    return direct - norm_term
+    return direct - half_eta * inner * psi / (n * n * safe_norm)
 
 
 def maxexp(psi: np.ndarray, eta: float) -> np.ndarray:

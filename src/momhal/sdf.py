@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,12 @@ from .moments import FeatureBag, MultiMomentDescriptor, multi_moment
 
 SALIENCY_SLOTS = ("sal1", "sal2")
 _PIXEL_BUDGET = 1 << 14   # pixels per stacked encode: (F, H, W, 12) temporaries of 1.5 MB
+ANGULAR_MAP = FeatureMapConfig(12, 0.5, RING_UNIT)      # orientation pivots
+SPATIAL_MAP = FeatureMapConfig(5, 0.5, INTERVAL_UNIT)   # x- and y-position pivots
+GIST_SIZE = 16
+NORM_GUARD = 1e-12   # floor of the block norms a frame is divided by
+GRADIENT_DIM = ANGULAR_MAP.pivot_count * SPATIAL_MAP.pivot_count**2   # 300
+FRAME_DIM = GRADIENT_DIM + GIST_SIZE**2                               # 556
 
 
 @dataclass
@@ -45,26 +51,6 @@ class SaliencyFrame:
             raise ValueError("frame contains non-finite values")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
             raise ValueError("frame values must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class SdfConfig:
-    angular_map: FeatureMapConfig = field(
-        default_factory=lambda: FeatureMapConfig(12, 0.5, RING_UNIT)
-    )
-    spatial_map: FeatureMapConfig = field(
-        default_factory=lambda: FeatureMapConfig(5, 0.5, INTERVAL_UNIT)
-    )
-    gist_size: int = 16
-    eps: float = 1e-12
-
-    @property
-    def gradient_dim(self) -> int:
-        return self.angular_map.pivot_count * self.spatial_map.pivot_count**2
-
-    @property
-    def dim(self) -> int:
-        return self.gradient_dim + self.gist_size**2
 
 
 def gradients(frames: SaliencyFrame | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -93,9 +79,7 @@ def gradients(frames: SaliencyFrame | np.ndarray) -> tuple[np.ndarray, np.ndarra
     return amplitude, orientation
 
 
-def encode_gradient_field(
-    amplitude: np.ndarray, orientation: np.ndarray, cfg: SdfConfig
-) -> np.ndarray:
+def encode_gradient_field(amplitude: np.ndarray, orientation: np.ndarray) -> np.ndarray:
     """Amplitude-weighted sum over pixels of
     phi_ring(orientation) (x) phi(x position) (x) phi(y position), for one
     (H, W) map pair or a (..., H, W) stack; returns (..., 300)."""
@@ -104,11 +88,11 @@ def encode_gradient_field(
     if amplitude.shape != orientation.shape or amplitude.ndim < 2:
         raise ValueError("amplitude and orientation must be equal-shape (..., H, W) maps")
     *stack, h, w = amplitude.shape
-    ang = feature_map_batch(orientation, cfg.angular_map)               # (..., H, W, A)
-    phi_x = feature_map_batch(np.arange(w) / (w - 1), cfg.spatial_map)  # (W, X)
-    phi_y = feature_map_batch(np.arange(h) / (h - 1), cfg.spatial_map)  # (H, Y)
+    ang = feature_map_batch(orientation, ANGULAR_MAP)               # (..., H, W, A)
+    phi_x = feature_map_batch(np.arange(w) / (w - 1), SPATIAL_MAP)  # (W, X)
+    phi_y = feature_map_batch(np.arange(h) / (h - 1), SPATIAL_MAP)  # (H, Y)
     ang *= amplitude[..., None]
-    weighted = ang.swapaxes(-1, -2) @ phi_x                             # (..., H, A, X)
+    weighted = ang.swapaxes(-1, -2) @ phi_x                         # (..., H, A, X)
     # Contract H as one (A*X, H) @ (H, Y) product per frame: (..., A, X, Y).
     flat = weighted.reshape(*stack, h, -1).swapaxes(-1, -2) @ phi_y
     return flat.reshape(*stack, -1)
@@ -140,33 +124,31 @@ def gist(values: np.ndarray, size: int) -> np.ndarray:
     return (rows @ values @ cols.T).reshape(*stack, -1)
 
 
-def encode_frame(frames: SaliencyFrame | np.ndarray, cfg: SdfConfig) -> np.ndarray:
-    """Per-frame feature [gradient block / max(l2, eps); gist / max(l1, eps)]:
-    (dim,) for one SaliencyFrame, (F, dim) for stacked (F, H, W) values."""
+def encode_frame(frames: SaliencyFrame | np.ndarray) -> np.ndarray:
+    """Per-frame feature [gradient block / max(l2, guard); gist / max(l1, guard)]:
+    (556,) for one SaliencyFrame, (F, 556) for stacked (F, H, W) values."""
     if isinstance(frames, SaliencyFrame):
-        return encode_frame(frames.values[None], cfg)[0]
-    grad = encode_gradient_field(*gradients(frames), cfg)
-    pooled = gist(frames, cfg.gist_size)
+        return encode_frame(frames.values[None])[0]
+    grad = encode_gradient_field(*gradients(frames))
+    pooled = gist(frames, GIST_SIZE)
     for g, p in zip(grad, pooled):   # one 1-d reduce per frame, as for a lone frame
-        g /= max(float(np.linalg.norm(g)), cfg.eps)
-        p /= max(float(np.abs(p).sum()), cfg.eps)
+        g /= max(float(np.linalg.norm(g)), NORM_GUARD)
+        p /= max(float(np.abs(p).sum()), NORM_GUARD)
     return np.concatenate([grad, pooled], axis=1)
 
 
-def sdf_descriptor(
-    frames: list[SaliencyFrame], cfg: SdfConfig, n_dagger: int = 3
-) -> MultiMomentDescriptor:
+def sdf_descriptor(frames: list[SaliencyFrame], n_dagger: int = 3) -> MultiMomentDescriptor:
     """Multi-moment descriptor over per-frame features (one group per frame),
     encoded in stacks of one frame size and at most ``_PIXEL_BUDGET`` pixels."""
     if not frames:
         raise ValueError("no saliency frames")
-    encoded = np.empty((len(frames), cfg.dim))
+    encoded = np.empty((len(frames), FRAME_DIM))
     for h, w in dict.fromkeys(frame.values.shape for frame in frames):
         index = [i for i, frame in enumerate(frames) if frame.values.shape == (h, w)]
         step = max(1, _PIXEL_BUDGET // (h * w))
         for lo in range(0, len(index), step):
             chunk = index[lo:lo + step]
-            encoded[chunk] = encode_frame(np.stack([frames[i].values for i in chunk]), cfg)
+            encoded[chunk] = encode_frame(np.stack([frames[i].values for i in chunk]))
     return multi_moment(FeatureBag(encoded, [1] * len(frames)), n_dagger)
 
 
@@ -174,8 +156,8 @@ _TOKEN = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\S+)")
 
 
 def read_pgm(path) -> SaliencyFrame:
-    """Read a binary (P5) PGM; values are rescaled to [0, 1] by maxval.
-    16-bit samples are big-endian per the PNM convention."""
+    """Read a binary (P5) PGM that ends with its raster; values are rescaled
+    to [0, 1] by maxval.  16-bit samples are big-endian per the PNM convention."""
     data = Path(path).read_bytes()
     try:
         pos = 0
@@ -196,8 +178,9 @@ def read_pgm(path) -> SaliencyFrame:
         pos += 1  # single whitespace byte separates header from raster
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
         count = width * height
-        if len(data) - pos < count * dtype.itemsize:
-            raise ValueError("truncated raster")
+        extra = len(data) - pos - count * dtype.itemsize
+        if extra:
+            raise ValueError("truncated raster" if extra < 0 else f"{extra} bytes after the raster")
         raster = np.frombuffer(data, dtype, count, pos)
         values = raster.reshape(height, width).astype(np.float64) / maxval
         return SaliencyFrame(np.clip(values, 0.0, 1.0))

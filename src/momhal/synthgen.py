@@ -21,12 +21,12 @@ dataset directory and runs the encoders only for streams it does not find
 there.  The key is a blake2b digest of the bytes of every input the
 stream's targets read (dataset.cfg, plus aux_<stream>.npy, or
 detections.jsonl, or manifest.txt and every PGM it lists), the stream
-name, sketch_dim, the PnConfig, the encoder configs, and the source of the
-modules that compute a target, so no change to an input or to the encoder
-arithmetic can return stale targets.  Entries are written atomically; an
-unreadable entry, or one of the wrong shape or dtype, is rebuilt.  Writing
-a stream's entry deletes that stream's other entries, so cache/ holds at
-most one entry per stream.
+name, sketch_dim, the PnConfig, and the source of the modules that
+compute a target, which holds the fixed encoder settings, so no change to
+an input or to the encoder arithmetic can return stale targets.  Entries
+are written atomically; an unreadable entry, or one of the wrong shape or
+dtype, is rebuilt.  Writing a stream's entry deletes that stream's other
+entries, so cache/ holds at most one entry per stream.
 Deleting cache/ is always safe, and a directory that cannot be written
 still loads, uncached.
 """
@@ -49,7 +49,7 @@ from .halluc import SyntheticVideo
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .odf import OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig, sigme
-from .sdf import SdfConfig, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
+from .sdf import FRAME_DIM, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
 from .sketch import derive_stream_seed, project, sketch_new
 
 LATENT_DIM = 8
@@ -299,7 +299,10 @@ def load_dataset(
 
 def _load_rows(path: Path, meta: SynthConfig, dims: tuple[str, ...]) -> np.ndarray:
     """An ``.npy`` array of one row per video, of the shape the ``dims`` fields give."""
-    arr = np.load(path)
+    try:
+        arr = np.load(path)
+    except (ValueError, EOFError) as exc:   # a damaged file; a missing one raises OSError
+        raise ValueError(f"{path}: {exc}") from exc
     rows = arr.shape[0] if arr.ndim else 0
     if rows != meta.n_videos:
         raise ValueError(f"{path}: {rows} rows, but dataset.cfg has n_videos = {meta.n_videos}")
@@ -353,7 +356,6 @@ def _cache_names(
             digests[path] = hashlib.blake2b(path.read_bytes(), digest_size=16).digest()
         return digests[path]
 
-    odf_cfg = OdfConfig()
     common = [_source_digest(), digest(data_dir / "dataset.cfg")]
     names = {}
     for name in wanted:
@@ -363,8 +365,7 @@ def _cache_names(
             inputs = [data_dir / "detections.jsonl"]
         else:
             inputs = [data_dir / "manifest.txt", *frame_paths]
-        settings = (name, sketch_dim, pn_cfg, odf_cfg, SdfConfig(), odf_cfg.n_prime)
-        h = hashlib.blake2b(repr(settings).encode() + b"\0", digest_size=16)
+        h = hashlib.blake2b(repr((name, sketch_dim, pn_cfg)).encode() + b"\0", digest_size=16)
         for part in common + [digest(path) for path in inputs]:
             h.update(part)
         names[name] = f"{name}-{h.hexdigest()}.npy"
@@ -375,7 +376,7 @@ def _read_entry(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
     """A cached target matrix, or None if it is absent or unreadable or has
     the wrong shape or dtype."""
     try:
-        arr = np.load(path, allow_pickle=False)
+        arr = np.load(path)
     except (OSError, ValueError, EOFError):
         return None
     return arr if arr.shape == shape and arr.dtype == np.float64 else None
@@ -425,7 +426,6 @@ def _encode_targets(
     ``streams``, one row per video."""
     odf_cfg = OdfConfig()
     n_prime = odf_cfg.n_prime   # the SDF descriptors use the same count
-    sdf_cfg = SdfConfig()
     det_path, manifest = data_dir / "detections.jsonl", data_dir / "manifest.txt"
     det_groups = read_detections(det_path) if any(s in streams for s in DET_STREAMS) else {}
 
@@ -438,7 +438,7 @@ def _encode_targets(
         if det:
             tau, recs = groups[video, name]
             return odf_descriptor(recs, tau, odf_cfg).flat()
-        return sdf_descriptor([read_pgm(p) for p in groups[video, name]], sdf_cfg, n_prime).flat()
+        return sdf_descriptor([read_pgm(p) for p in groups[video, name]], n_prime).flat()
 
     targets = {}
     for name in streams:
@@ -446,7 +446,7 @@ def _encode_targets(
             raw_dim = meta.aux_dim
             psis = _load_rows(data_dir / f"aux_{name}.npy", meta, ("aux_dim",))
         else:
-            raw_dim = (odf_cfg.dim if name in DET_STREAMS else sdf_cfg.dim) * (4 + n_prime)
+            raw_dim = (odf_cfg.dim if name in DET_STREAMS else FRAME_DIM) * (4 + n_prime)
             psis = (descriptor(_video_id(i), name) for i in range(meta.n_videos))
         sk = sketch_new(raw_dim, sketch_dim, derive_stream_seed(meta.seed, name, "gt"))
         targets[name] = np.array([project(sk, sigme(psi, pn_cfg)) for psi in psis])

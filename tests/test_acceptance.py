@@ -24,7 +24,7 @@ from momhal.kernel import FeatureMapConfig, kernel_approx_error
 from momhal.moments import multi_moment
 from momhal.odf import OdfConfig, encode_box, odf_descriptor
 from momhal.pn import PnConfig
-from momhal.sdf import SaliencyFrame, SdfConfig, encode_frame, sdf_descriptor
+from momhal.sdf import SaliencyFrame, encode_frame, sdf_descriptor
 from momhal.sketch import unbiasedness_check
 from momhal.synthgen import SynthConfig, generate_dataset, load_dataset
 from oracles import bag_of_frames, dense_multi_moment
@@ -46,9 +46,9 @@ class TestCriterion1Dims:
         rbf = encode_box(make_record(), 3, OdfConfig())
         raw = encode_box(make_record(), 3, OdfConfig(use_rbf_embedding=False))
         rng = np.random.default_rng(0)
-        frame_vec = encode_frame(SaliencyFrame(rng.uniform(0, 1, (24, 32))), SdfConfig())
+        frame_vec = encode_frame(SaliencyFrame(rng.uniform(0, 1, (24, 32))))
         desc = odf_descriptor([make_record()], 3, OdfConfig(n_prime=3))
-        sdesc = sdf_descriptor([SaliencyFrame(rng.uniform(0, 1, (24, 32)))], SdfConfig(), 3)
+        sdesc = sdf_descriptor([SaliencyFrame(rng.uniform(0, 1, (24, 32)))], 3)
         elapsed = time.time() - t0
         ok = (
             rbf.shape == (1214,)

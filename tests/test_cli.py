@@ -434,6 +434,23 @@ class TestSynthTrainEval:
             (tmp_path / "r2" / "metrics.csv").read_bytes()
 
 
+class TestOsErrors:
+    """An OSError other than a missing file is reported, not raised."""
+
+    def test_model_that_is_a_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, "eval", "--model", str(tmp_path), "--data", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and "Is a directory" in err and str(tmp_path) in err
+
+    def test_data_that_is_a_file(self, tmp_path, capsys):
+        path = tmp_path / "labels"
+        path.write_text("v0000,0\n")
+        code, _, err = run(capsys, "train", "--data", str(path), "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err.startswith("error: ") and "Not a directory" in err and str(path) in err
+        assert not (tmp_path / "run").exists()
+
+
 class TestConfigDocuments:
     @pytest.fixture
     def data(self, tmp_path, capsys):
@@ -457,6 +474,18 @@ class TestConfigDocuments:
         assert f"{cfgfile}: line 3: " in err
         assert not (tmp_path / "run").exists()
 
+    def test_backbone_dim_other_than_the_dataset_is_refused_before_encoding(self, tmp_path, data,
+                                                                             capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data_dir = {data}\nepochs = 1\nbackbone_dim = 12\n")
+        code, _, err = run(capsys, "train", "--config", str(cfgfile),
+                           "--out", str(tmp_path / "run"))
+        assert code == 1
+        assert err == (f"error: {cfgfile}: backbone_dim = 12, but {data / 'dataset.cfg'} "
+                       "has backbone_dim = 8\n")
+        assert not (data / "cache").exists()
+        assert not (tmp_path / "run").exists()
+
     def test_multi_label_on_class_ids_is_refused(self, tmp_path, data, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"data_dir = {data}\nepochs = 1\nmulti_label = true\n")
@@ -477,6 +506,7 @@ class TestConfigDocuments:
         assert [k for k in changed if getattr(cfg, k) == getattr(TrainConfig(), k)] == []
         # the first run's config.cfg is read back by the second; neither trains
         seen = []
+        monkeypatch.setattr(cli, "read_dataset_config", lambda path: SynthConfig(backbone_dim=8))
         monkeypatch.setattr(cli, "load_dataset", lambda *args: ([None], None))
         monkeypatch.setattr(cli, "train", lambda videos, c: (seen.append(c), (init_model(c, 2), []))[1])
         first = tmp_path / "first.cfg"

@@ -2,7 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from fuzz import damaged
 from momhal.moments import (
     EmptyBagError,
     FeatureBag,
@@ -218,8 +220,23 @@ class TestSerialization:
         np.testing.assert_allclose(back.flat(), desc.flat(), atol=1e-6)
 
     def test_bad_magic(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^MMD1: bad magic$"):
             descriptor_from_bytes(b"ZZZZ" + bytes(16))
+
+    def test_no_leading_direction_is_refused(self):
+        blob = b"MMD1" + np.array([2, 0], "<u4").tobytes() + bytes(4 * 2 * 4)
+        with pytest.raises(ValueError, match="^MMD1: n' must be at least 1, got 0$"):
+            descriptor_from_bytes(blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(damaged(descriptor_to_bytes(multi_moment(bag_of_frames(3, [np.eye(3)]), 2))))
+    def test_damaged_file_loads_or_names_the_format(self, blob):
+        try:
+            desc = descriptor_from_bytes(blob)
+        except ValueError as exc:
+            assert str(exc).startswith("MMD1: "), exc
+        else:
+            assert desc.n_prime >= 1 and len(descriptor_to_bytes(desc)) == len(blob)
 
     def test_exact_length(self):
         blob = descriptor_to_bytes(multi_moment(bag_of_frames(2, [np.eye(2)]), 1))

@@ -46,7 +46,7 @@ class TestEncodeBox:
         out = encode_box(rec, tau=2, cfg=cfg)
         one_hot = out[:CLASS_SPACE_SIZE]
         assert one_hot[0] == 1.0 and one_hot[1:].sum() == 0.0
-        phi0 = feature_map(0.0, cfg.scalar_map)
+        phi0 = feature_map(0.0, odf.SCALAR_MAP)
         for block in range(6):
             start = CLASS_SPACE_SIZE + IMAGENET_SIZE + 7 * block
             np.testing.assert_allclose(out[start : start + 7], phi0)
@@ -62,7 +62,7 @@ class TestEncodeBox:
         cfg = OdfConfig()
         out = encode_box(make_record(frame=frame, conf=conf, box=box), tau=tau, cfg=cfg)
         frame_pos = (frame - 1) / (tau - 1) if tau > 1 else 0.0
-        want = [feature_map(v, cfg.scalar_map) for v in (conf, *box, frame_pos)]
+        want = [feature_map(v, odf.SCALAR_MAP) for v in (conf, *box, frame_pos)]
         np.testing.assert_array_equal(out[CLASS_SPACE_SIZE + IMAGENET_SIZE :],
                                       np.concatenate(want))
 

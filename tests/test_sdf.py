@@ -1,11 +1,15 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fuzz import damaged
 from momhal import sdf
 from momhal.moments import FeatureBag, multi_moment
 from momhal.sdf import (
     SaliencyFrame,
-    SdfConfig,
     _pool_weights,
     encode_frame,
     encode_gradient_field,
@@ -18,7 +22,9 @@ from momhal.sdf import (
 )
 from oracles import bag_of_frames, dense_multi_moment, pixel_loop_gradient_encoding
 
-CFG = SdfConfig()
+
+PGM_8BIT = b"P5\n# a comment\n4 3\n255\n" + bytes(range(0, 240, 20))
+PGM_16BIT = b"P5 3 2 65535\n" + np.arange(6, dtype=">u2").tobytes()
 
 
 def random_frame(rng, h=24, w=32):
@@ -63,23 +69,23 @@ class TestGradients:
 class TestEncodeFrame:
     def test_length_556(self):
         rng = np.random.default_rng(0)
-        assert encode_frame(random_frame(rng), CFG).shape == (556,)
-        assert CFG.dim == 556 and CFG.gradient_dim == 300
+        assert encode_frame(random_frame(rng)).shape == (556,)
+        assert sdf.FRAME_DIM == 556 and sdf.GRADIENT_DIM == 300
 
     def test_constant_frame_blocks(self):
-        out = encode_frame(SaliencyFrame(np.full((8, 10), 0.5)), CFG)
+        out = encode_frame(SaliencyFrame(np.full((8, 10), 0.5)))
         np.testing.assert_array_equal(out[:300], 0.0)
         gist_block = out[300:]
         np.testing.assert_allclose(gist_block, 1.0 / 256, atol=1e-12)
         assert gist_block.sum() == pytest.approx(1.0)
 
     def test_zero_frame_gist_stays_zero(self):
-        out = encode_frame(SaliencyFrame(np.zeros((8, 10))), CFG)
+        out = encode_frame(SaliencyFrame(np.zeros((8, 10))))
         np.testing.assert_array_equal(out, 0.0)
 
     def test_block_norms(self):
         rng = np.random.default_rng(1)
-        out = encode_frame(random_frame(rng), CFG)
+        out = encode_frame(random_frame(rng))
         assert np.linalg.norm(out[:300]) == pytest.approx(1.0)
         assert np.abs(out[300:]).sum() == pytest.approx(1.0)
 
@@ -88,7 +94,7 @@ class TestEncodeFrame:
         rng = np.random.default_rng(9)
         frame = random_frame(rng, h, w)
         amp, ori = gradients(frame)
-        got = encode_gradient_field(amp, ori, CFG)
+        got = encode_gradient_field(amp, ori)
         want = pixel_loop_gradient_encoding(amp, ori)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
@@ -96,15 +102,15 @@ class TestEncodeFrame:
         rng = np.random.default_rng(2)
         amp = rng.uniform(0.1, 1.0, size=(6, 8))
         ori = rng.uniform(0.0, 1.0, size=(6, 8))
-        base = encode_gradient_field(amp, ori, CFG).reshape(12, 5, 5)
-        rotated = encode_gradient_field(amp, (ori + 1.0 / 12) % 1.0, CFG).reshape(12, 5, 5)
+        base = encode_gradient_field(amp, ori).reshape(12, 5, 5)
+        rotated = encode_gradient_field(amp, (ori + 1.0 / 12) % 1.0).reshape(12, 5, 5)
         np.testing.assert_allclose(rotated, np.roll(base, 1, axis=0), atol=1e-10)
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(5)
         vals = rng.uniform(0.1, 0.6, size=(12, 14))
-        a = encode_frame(SaliencyFrame(vals), CFG)
-        b = encode_frame(SaliencyFrame(vals + 0.3), CFG)
+        a = encode_frame(SaliencyFrame(vals))
+        b = encode_frame(SaliencyFrame(vals + 0.3))
         np.testing.assert_allclose(a[:300], b[:300], atol=1e-9)
         assert not np.allclose(a[300:], b[300:])
 
@@ -143,35 +149,35 @@ class TestDescriptor:
     def test_single_frame_degenerate(self):
         rng = np.random.default_rng(0)
         frame = random_frame(rng)
-        desc = sdf_descriptor([frame], CFG, 3)
-        v = encode_frame(frame, CFG)
+        desc = sdf_descriptor([frame], 3)
+        v = encode_frame(frame)
         np.testing.assert_allclose(desc.mean_dir, v / np.linalg.norm(v), atol=1e-12)
         np.testing.assert_allclose(desc.eigvecs, 0.0, atol=1e-12)
 
     def test_repeated_frames_zero_spectrum(self):
         rng = np.random.default_rng(1)
         frame = random_frame(rng)
-        single = sdf_descriptor([frame], CFG, 2)
-        repeated = sdf_descriptor([SaliencyFrame(frame.values.copy()) for _ in range(4)], CFG, 2)
+        single = sdf_descriptor([frame], 2)
+        repeated = sdf_descriptor([SaliencyFrame(frame.values.copy()) for _ in range(4)], 2)
         np.testing.assert_allclose(repeated.mean_dir, single.mean_dir, atol=1e-10)
         np.testing.assert_allclose(repeated.eig_spectrum, 0.0, atol=1e-10)
 
     def test_flat_length(self):
         rng = np.random.default_rng(2)
-        desc = sdf_descriptor([random_frame(rng) for _ in range(3)], CFG, 3)
+        desc = sdf_descriptor([random_frame(rng) for _ in range(3)], 3)
         assert desc.flat().shape == (556 * 7,)
 
     def test_matches_moments_oracle(self):
         rng = np.random.default_rng(6)
         frames = [random_frame(rng, 16, 20) for _ in range(5)]
-        got = sdf_descriptor(frames, CFG, 3).flat()
-        encoded = [encode_frame(f, CFG).reshape(1, -1) for f in frames]
+        got = sdf_descriptor(frames, 3).flat()
+        encoded = [encode_frame(f).reshape(1, -1) for f in frames]
         want = dense_multi_moment(encoded, 3)
         np.testing.assert_allclose(got, want, atol=1e-8)
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            sdf_descriptor([], CFG, 3)
+            sdf_descriptor([], 3)
 
 
 class TestStackedEncode:
@@ -188,10 +194,10 @@ class TestStackedEncode:
     def bag_rows(monkeypatch, frames):
         """The per-frame features sdf_descriptor hands to multi_moment."""
         monkeypatch.setattr(sdf, "multi_moment", lambda bag, n: bag)
-        return sdf_descriptor(frames, CFG, 3).stacked()
+        return sdf_descriptor(frames, 3).stacked()
 
     def assert_frame_by_frame(self, monkeypatch, frames):
-        want = np.array([encode_frame(f, CFG) for f in frames])
+        want = np.array([encode_frame(f) for f in frames])
         assert np.array_equal(self.bag_rows(monkeypatch, frames), want)
 
     @pytest.mark.parametrize("offset", [None, -1, 0, 1])
@@ -215,25 +221,25 @@ class TestStackedEncode:
         monkeypatch.setattr(sdf, "FeatureBag",
                             lambda data, counts: made.append(data) or FeatureBag(data, counts))
         monkeypatch.setattr(sdf, "multi_moment", lambda bag, n: bag)
-        bag = sdf_descriptor(self.frames(7, [(24, 32), (20, 26)]), CFG, 3)
+        bag = sdf_descriptor(self.frames(7, [(24, 32), (20, 26)]), 3)
         assert np.shares_memory(bag.stacked(), made[0])
         assert bag.counts.tolist() == [1] * 7
 
     def test_descriptor_equals_per_frame_bag(self):
         frames = self.frames(50, [(24, 32), (36, 48)], seed=4)
-        rows = [encode_frame(f, CFG).reshape(1, -1) for f in frames]
-        want = multi_moment(bag_of_frames(CFG.dim, rows), 3).flat()
-        assert np.array_equal(sdf_descriptor(frames, CFG, 3).flat(), want)
+        rows = [encode_frame(f).reshape(1, -1) for f in frames]
+        want = multi_moment(bag_of_frames(sdf.FRAME_DIM, rows), 3).flat()
+        assert np.array_equal(sdf_descriptor(frames, 3).flat(), want)
 
     def test_stacked_parts_equal_one_frame_calls(self):
         values = np.stack([f.values for f in self.frames(5, [(20, 26)], seed=5)])
         amp, ori = gradients(values)
-        grad = encode_gradient_field(amp, ori, CFG)
+        grad = encode_gradient_field(amp, ori)
         pooled = gist(values, 16)
         for i, v in enumerate(values):
             a, o = gradients(SaliencyFrame(v))
             assert np.array_equal(amp[i], a) and np.array_equal(ori[i], o)
-            assert np.array_equal(grad[i], encode_gradient_field(a, o, CFG))
+            assert np.array_equal(grad[i], encode_gradient_field(a, o))
             assert np.array_equal(pooled[i], gist(v, 16))
 
 
@@ -271,6 +277,30 @@ class TestPgm:
         path.write_bytes(b"P5\n4 3\n255\n" + bytes(5))
         with pytest.raises(ValueError, match="truncated"):
             read_pgm(path)
+
+    def test_bytes_after_the_raster_are_refused(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        write_pgm(path, np.full((24, 32), 0.5))
+        path.write_bytes(path.read_bytes() + b"garbage")
+        want = f"^{re.escape(str(path))}: corrupt PGM: 7 bytes after the raster$"
+        with pytest.raises(ValueError, match=want):
+            read_pgm(path)
+
+    @pytest.fixture(scope="class")
+    def tmp_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("damaged")
+
+    @settings(max_examples=300, deadline=None)
+    @given(blob=st.one_of(damaged(PGM_8BIT), damaged(PGM_16BIT)))
+    def test_damaged_file_loads_or_names_the_file(self, tmp_dir, blob):
+        path = tmp_dir / "damaged.pgm"
+        path.write_bytes(blob)
+        try:
+            frame = read_pgm(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: corrupt PGM: "), exc
+        else:   # only a changed byte can load: a cut or appended raster is refused
+            assert len(blob) in (len(PGM_8BIT), len(PGM_16BIT)) and frame.values.size >= 4
 
 
 class TestManifest:

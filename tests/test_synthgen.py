@@ -1,5 +1,6 @@
 import hashlib
 import os
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -344,6 +345,13 @@ class TestLoadErrors:
         np.save(data / name, np.load(data / name)[:-1])
         with pytest.raises(ValueError, match=rf"{name}: 11 rows, but dataset\.cfg has n_videos = 12"):
             load_dataset(data, sketch_dim=16, streams=streams)
+
+    @pytest.mark.parametrize("size", [0, 5, 100])
+    def test_damaged_npy_names_the_file(self, data, size):
+        path = data / "features.npy"
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_dataset(data, sketch_dim=16, streams=())
 
     @pytest.mark.parametrize("name, streams, cut, given", [
         ("features.npy", (), np.s_[:, :-1], r"\(15, 4\), but .* backbone_dim = 16, tau = 4"),
