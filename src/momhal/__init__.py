@@ -3,7 +3,7 @@
 Submodules:
   kernel   - Gaussian feature maps over fixed pivots
   pn       - power normalization (SigmE, MaxExp)
-  sketch   - count sketches and their statistics
+  sketch   - count sketches
   moments  - multi-moment bag descriptors
   odf      - object detection features
   sdf      - saliency detection features
@@ -12,23 +12,22 @@ Submodules:
   synthgen - deterministic synthetic datasets and the target cache
   atomic   - atomic file writes
   keyvalue - the one line reader of every text input; the key = value format
-  verify   - runnable property suites
   cli      - command-line interface
 """
 
-from .kernel import FeatureMapConfig, feature_map, kernel_approx_constant
+from .kernel import FeatureMapConfig, feature_map
 from .moments import FeatureBag, MultiMomentDescriptor, assemble_upsilon, multi_moment
 from .odf import DetectionRecord, OdfConfig, encode_box, odf_descriptor
 from .pn import PnConfig, maxexp, sigme, sigme_grad
 from .sdf import SaliencyFrame, encode_frame, gradients, sdf_descriptor
-from .sketch import CountSketch, project, sketch_new, unbiasedness_check
+from .sketch import CountSketch, project, sketch_new
 from .fusion import FusionSpec, eq9_weights, golden_section_max
 from .halluc import Model, SyntheticVideo, TrainConfig, infer, objective, train
 
 __all__ = [
-    "FeatureMapConfig", "feature_map", "kernel_approx_constant",
+    "FeatureMapConfig", "feature_map",
     "PnConfig", "sigme", "sigme_grad", "maxexp",
-    "CountSketch", "sketch_new", "project", "unbiasedness_check",
+    "CountSketch", "sketch_new", "project",
     "FeatureBag", "MultiMomentDescriptor", "assemble_upsilon", "multi_moment",
     "DetectionRecord", "OdfConfig", "encode_box", "odf_descriptor",
     "SaliencyFrame", "gradients", "encode_frame", "sdf_descriptor",

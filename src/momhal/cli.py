@@ -37,7 +37,6 @@ from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
 from .pn import PnConfig
 from .sdf import read_pgm, read_saliency_manifest, sdf_descriptor
 from .synthgen import SynthConfig, generate_dataset, load_dataset, read_dataset_config
-from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -225,12 +224,6 @@ def cmd_search_beta(args) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args) -> int:
-    ok = run_suite(args.suite)
-    print("verification " + ("passed" if ok else "FAILED"))
-    return EXIT_OK if ok else EXIT_ERROR
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="momhal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -282,10 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--iters", type=_positive_int, default=20)
     p.set_defaults(func=cmd_search_beta)
-
-    p = sub.add_parser("verify", help="run property suites")
-    p.add_argument("--suite", default="all")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

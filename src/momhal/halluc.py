@@ -65,7 +65,6 @@ class TrainConfig:
     val_fraction: float = 0.25
     rho: float = 0.1
     pn: PnConfig = field(default_factory=PnConfig)
-    multi_label: bool = False
     tie_sketches: bool = False
     warmup_epochs: int = 10          # epochs at beta = 0 before the golden-section search
     ridge_l2: float = 1e-3
@@ -105,7 +104,7 @@ class SyntheticVideo:
 
     backbone_features: np.ndarray          # (b, t)
     ground_truth: dict[str, np.ndarray]    # stream id -> (d',)
-    label: int | np.ndarray                # class id, or multi-hot vector
+    label: int                             # class id
 
 
 def _row_blocks(n: int) -> list[tuple[int, int]]:
@@ -189,7 +188,7 @@ class VideoArrays:
 
     z: np.ndarray         # (N, b)
     targets: np.ndarray   # (U, N, d'), one contiguous (N, d') slab per requested stream
-    labels: np.ndarray    # (N,) class ids, or (N, classes) multi-hot
+    labels: np.ndarray    # (N,) class ids
 
     def take(self, idx: np.ndarray) -> VideoArrays:
         return VideoArrays(self.z[idx], self.targets[:, idx], self.labels[idx])
@@ -221,8 +220,7 @@ def video_arrays(
         raise ValueError(f"video lacks ground truth for enabled stream {exc.args[0]!r}") from None
     if not streams:
         targets = targets.reshape(0, len(videos), cfg.sketch_dim)
-    labels = np.array([np.asarray(v.label, dtype=np.float64) if cfg.multi_label else int(v.label)
-                       for v in videos])
+    labels = np.array([int(v.label) for v in videos])
     return VideoArrays(_pool_features(videos, cfg.backbone_dim), targets, labels)
 
 
@@ -265,17 +263,10 @@ def _forward(
     return _Pass(acts, pres, outs, pooled, scores)
 
 
-def _class_loss_and_grad(
-    scores: np.ndarray, y: np.ndarray, multi_label: bool
-) -> tuple[float, np.ndarray]:
-    """Mean classification loss over the batch and d(loss)/d(scores)."""
+def _class_loss_and_grad(scores: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy over the batch against one-hot ``y``, and
+    d(loss)/d(scores)."""
     b = scores.shape[0]
-    if multi_label:
-        # sigmoid BCE, mean over batch and classes
-        m = np.maximum(scores, 0.0)
-        loss = float((m - scores * y + np.log1p(np.exp(-np.abs(scores)))).mean())
-        prob = 1.0 / (1.0 + np.exp(-scores))
-        return loss, (prob - y) / y.size
     shifted = scores - scores.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     logp = shifted - logz
@@ -292,9 +283,8 @@ def _losses(
     on ``rows``, from a forward pass's scores and the (U, n) squared norms of
     its residuals outs - targets on all rows of ``data``."""
     cfg = model.config
-    labels = data.labels[rows]
-    y = labels if cfg.multi_label else np.eye(model.n_classes)[labels]
-    class_loss, d_scores = _class_loss_and_grad(scores[rows], y, cfg.multi_label)
+    y = np.eye(model.n_classes)[data.labels[rows]]
+    class_loss, d_scores = _class_loss_and_grad(scores[rows], y)
     # one 1-D mean per stream: a 2-D mean along axis 1 sums in another order
     per_stream_mse = {name: float(sq.mean()) for name, sq in zip(model.streams, sq_norms[:, rows])}
     n_units = len(model.streams)
@@ -391,9 +381,7 @@ def predict_scores(model: Model, videos: list[SyntheticVideo]) -> np.ndarray:
     return _forward(model, _pool_features(videos, model.config.backbone_dim)).scores
 
 
-def _accuracy(model: Model, scores: np.ndarray, labels: np.ndarray) -> float:
-    if model.config.multi_label:
-        return float(((scores > 0.0) == (labels > 0.5)).mean())
+def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
     return float((scores.argmax(axis=1) == labels).mean())
 
 
@@ -402,7 +390,7 @@ def evaluate(model: Model, videos: list[SyntheticVideo]) -> float:
     if not videos:
         return 0.0
     data = video_arrays(videos, model.config)
-    return _accuracy(model, _forward(model, data.z).scores, data.labels)
+    return _accuracy(_forward(model, data.z).scores, data.labels)
 
 
 def _split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -419,8 +407,8 @@ def beta_objective(model: Model, data: VideoArrays) -> Callable[[float], float]:
     One forward pass over ``data``; then a candidate beta (applied to every
     group) scores the ridge validation accuracy of the pooled vector
     tot_scale * sum_i c_i(beta) out_i on the trainer's split, with the
-    model's ``ridge_l2``.  Multi-label models, and splits without
-    validation videos, score every beta as 0.
+    model's ``ridge_l2``.  A split without validation videos scores every
+    beta as 0.
     """
     return _beta_score(model, _forward(model, data.z).outs, data.labels)
 
@@ -430,7 +418,7 @@ def _beta_score(model: Model, outs: np.ndarray, labels: np.ndarray) -> Callable[
     over all videos."""
     cfg = model.config
     val_idx, train_idx = _split(len(labels), cfg)
-    if cfg.multi_label or not len(val_idx):
+    if not len(val_idx):
         return lambda _beta: 0.0
 
     def score(beta: float) -> float:
@@ -451,7 +439,7 @@ def _initial_weights(
 ) -> None:
     """Set raw stream weights from the validation accuracy of a linear
     classifier trained on each stream's ground-truth descriptors."""
-    if model.config.multi_label or len(train_idx) == 0 or len(val_idx) == 0:
+    if len(train_idx) == 0 or len(val_idx) == 0:
         return  # keep the uniform defaults
     y = data.labels
 
@@ -477,11 +465,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     exponent bracket.
     """
     data = video_arrays(dataset, cfg, cfg.streams)
-    if cfg.multi_label and data.labels.ndim != 2:
-        raise ValueError("multi_label = true needs multi-hot label vectors, "
-                         "but the labels are class ids")
-    n_classes = data.labels.shape[1] if cfg.multi_label else int(data.labels.max()) + 1
-    model = init_model(cfg, n_classes)
+    model = init_model(cfg, int(data.labels.max()) + 1)
 
     val_idx, train_idx = _split(len(dataset), cfg)
     if not len(train_idx):
@@ -536,7 +520,7 @@ def _epoch_end(
     fwd = _forward(model, data.z, out=outs)
     sq_norms = _squared_residuals(outs, data.targets)
     loss, per_mse, class_loss, _ = _losses(model, sq_norms, fwd.scores, data, train_idx)
-    val_acc = (_accuracy(model, fwd.scores[val_idx], data.labels[val_idx])
+    val_acc = (_accuracy(fwd.scores[val_idx], data.labels[val_idx])
                if len(val_idx) else 0.0)
     return loss, per_mse, class_loss, val_acc
 
@@ -595,7 +579,7 @@ def save_checkpoint(model: Model, path) -> None:
         buf.write(np.uint32(v).tobytes())
     for v in (cfg.pn.eta, cfg.pn.epsilon, cfg.alpha, model.tot_scale):
         buf.write(np.float64(v).tobytes())
-    buf.write(np.uint8(1 if cfg.multi_label else 0).tobytes())
+    buf.write(np.uint8(0).tobytes())   # the multi_label flag of format v1, always 0
 
     buf.write(np.uint32(len(model.weight)).tobytes())
     units = zip((*model.streams, HAF_ID), model.weight, model.bias, model.sketches.sketches)
@@ -640,7 +624,9 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
     seed = int(r.array("<u8")[0])
     b, m, d_prime, n_classes = (int(v) for v in r.array("<u4", 4))
     eta, eps, alpha, tot_scale = (float(v) for v in r.array("<f8", 4))   # tot_scale at byte 56
-    multi_label = bool(r.array("u1")[0])
+    if (multi_label := int(r.array("u1")[0])) != 0:
+        raise ValueError(f"HAL1: byte 64: multi_label flag {multi_label}, "
+                         "but only single-label models exist")
 
     n_units = int(r.array("<u4")[0])
     # a unit block holds at least its f32 arrays, two lengths and a CSK1 header
@@ -675,6 +661,6 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
 
     cfg = TrainConfig(alpha=alpha, seed=seed, backbone_dim=b, pre_sketch_dim=m,
                       sketch_dim=d_prime, streams=streams, rho=spec.rho,
-                      pn=PnConfig(eta=eta, epsilon=eps), multi_label=multi_label)
+                      pn=PnConfig(eta=eta, epsilon=eps))
     return Model(cfg, weight[order], bias[order], SketchStack([sketches[k] for k in order]),
                  PredNet(wp, bp), spec, n_classes)

@@ -82,48 +82,3 @@ def feature_map_batch(xs: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
     np.negative(d, out=d)
     d /= cfg.sigma * cfg.sigma
     return np.exp(d, out=d)
-
-
-def _domain_grid(cfg: FeatureMapConfig, grid_size: int) -> np.ndarray:
-    if cfg.domain == RING_UNIT:
-        return np.arange(grid_size) / grid_size
-    return np.linspace(0.0, 1.0, grid_size)
-
-
-def kernel_gram(xs: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
-    """Target RBF kernel matrix G_sigma(x - x') over a set of scalars,
-    using the wrap-around distance on the ring."""
-    d = np.abs(xs[:, None] - xs[None, :])
-    if cfg.domain == RING_UNIT:
-        d = np.minimum(d, 1.0 - d)
-    return np.exp(-(d * d) / (2.0 * cfg.sigma * cfg.sigma))
-
-
-def kernel_approx_constant(cfg: FeatureMapConfig, grid_size: int) -> float:
-    """Least-squares scale c such that c * <phi(x), phi(x')> best matches
-    the RBF kernel G_sigma(x - x') over a uniform grid of pairs.
-
-    The closed-form minimizer of sum((c*k - g)^2) is sum(k*g)/sum(k*k).
-    """
-    if grid_size < 2:
-        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
-    xs = _domain_grid(cfg, grid_size)
-    feats = feature_map_batch(xs, cfg)
-    k = feats @ feats.T
-    denom = float((k * k).sum())
-    if denom <= 0.0 or not np.isfinite(denom):
-        raise ValueError("degenerate feature inner products; cannot fit scale")
-    g = kernel_gram(xs, cfg)
-    return float((k * g).sum() / denom)
-
-
-def kernel_approx_error(cfg: FeatureMapConfig, grid_size: int) -> tuple[float, float]:
-    """Fitted scale c and the relative RMS error of c * <phi, phi> against
-    the RBF kernel over the grid: ||c*K - G||_F / ||G||_F."""
-    c = kernel_approx_constant(cfg, grid_size)
-    xs = _domain_grid(cfg, grid_size)
-    feats = feature_map_batch(xs, cfg)
-    k = feats @ feats.T
-    g = kernel_gram(xs, cfg)
-    err = float(np.sqrt(((c * k - g) ** 2).mean()) / np.sqrt((g * g).mean()))
-    return c, err

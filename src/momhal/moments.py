@@ -152,6 +152,8 @@ def multi_moment(bag: FeatureBag, n_prime: int) -> MultiMomentDescriptor:
     n = bag.total
     if n == 0:
         raise EmptyBagError("bag holds no vectors")
+    if bag.dim == 0:
+        raise ValueError("bag vectors have no coordinates")
     data = bag.stacked()
     if not np.all(np.isfinite(data)):
         raise ValueError("bag contains non-finite values")
@@ -200,6 +202,8 @@ def descriptor_from_bytes(data: bytes) -> MultiMomentDescriptor:
     if len(data) < 12:
         raise ValueError(f"MMD1: expected at least 12 bytes, got {len(data)}")
     d, n_prime = (int(v) for v in np.frombuffer(data, "<u4", 2, 4))
+    if d < 1:
+        raise ValueError(f"MMD1: d must be at least 1, got {d}")
     if n_prime < 1:
         raise ValueError(f"MMD1: n' must be at least 1, got {n_prime}")
     if len(data) != 12 + 4 * d * (4 + n_prime):

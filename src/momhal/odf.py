@@ -62,7 +62,7 @@ class DetectionRecord:
                   scores[keep])
         for name, value in zip(self.__dataclass_fields__, values):   # the fields, in order
             object.__setattr__(self, name, value)
-        self.validate()
+        self.validate(scores)
 
     @property
     def imagenet_scores(self) -> np.ndarray:
@@ -71,7 +71,9 @@ class DetectionRecord:
         scores.flags.writeable = False
         return scores
 
-    def validate(self) -> None:
+    def validate(self, scores: np.ndarray | None = None) -> None:
+        """Check every field.  ``scores`` is the dense vector the record was
+        built from, if at hand; otherwise ``imagenet_scores`` rebuilds it."""
         if not 1 <= self.class_label <= CLASS_SPACE_SIZE:
             raise ValueError(f"class label {self.class_label} outside [1, {CLASS_SPACE_SIZE}]")
         if not 0.0 <= self.confidence <= 1.0:
@@ -83,7 +85,8 @@ class DetectionRecord:
             raise ValueError(f"box coordinates {self.box} outside [0, 1]")
         if v1 > v3 or v2 > v4:
             raise ValueError(f"box {self.box} violates top-left <= bottom-right")
-        scores = self.imagenet_scores
+        if scores is None:
+            scores = self.imagenet_scores
         if not np.isfinite(scores).all():
             raise ValueError("imagenet_scores holds non-finite values")
         if scores.min() < 0.0:

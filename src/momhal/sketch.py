@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -145,49 +144,6 @@ class SketchStack:
         out = np.take(vs, self._flat_index(vs.shape[1]))
         out *= self.signs[:, None, :]
         return out
-
-
-class UnbiasednessReport(NamedTuple):
-    mean_error: float
-    empirical_variance: float
-    variance_bound: float
-
-
-def unbiasedness_check(d: int, d_prime: int, trials: int, seed: int) -> UnbiasednessReport:
-    """Monte-Carlo check of the sketched inner-product estimator.
-
-    Draws ``trials`` independent sketches, estimates <P psi, P psi'> for a
-    fixed seeded pair (psi, psi'), and reports |mean - <psi, psi'>|, the
-    empirical variance, and the analytic bound
-    (1/d')(<psi, psi'>^2 + ||psi||^2 ||psi'||^2).
-    """
-    if d < 1 or d_prime < 1:
-        raise ValueError("dimensions must be >= 1")
-    if trials < 1000:
-        raise ValueError(f"trials must be >= 1000, got {trials}")
-    rng = np.random.default_rng(seed)
-    psi = rng.normal(size=d)
-    psi2 = rng.normal(size=d)
-    exact = float(psi @ psi2)
-
-    # One splitmix substream per trial, identical to sketch_new(d, d', seed_k).
-    z = splitmix64(splitmix64(seed, trials), 2 * d)
-    h0 = (z[:, :d] % np.uint64(d_prime)).astype(np.int64)
-    s = (z[:, d:] >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
-
-    a = np.zeros((trials, d_prime))
-    b = np.zeros((trials, d_prime))
-    rows = np.repeat(np.arange(trials), d)
-    np.add.at(a, (rows, h0.ravel()), (s * psi).ravel())
-    np.add.at(b, (rows, h0.ravel()), (s * psi2).ravel())
-    est = (a * b).sum(axis=1)
-
-    bound = (exact * exact + float(psi @ psi) * float(psi2 @ psi2)) / d_prime
-    return UnbiasednessReport(
-        mean_error=abs(float(est.mean()) - exact),
-        empirical_variance=float(est.var(ddof=1)),
-        variance_bound=bound,
-    )
 
 
 def sketch_to_bytes(sk: CountSketch) -> bytes:

@@ -5,14 +5,22 @@ eigendecompositions instead of the Gram shortcut, per-pixel loops instead
 of einsum, explicit sums instead of vectorized cumulants, one unit and one
 sketched vector at a time instead of the stacked units, pooling level by
 level instead of the flattened coefficients.
+
+It also holds the statistics of the kernel and the count sketch that
+criteria 2 and 3 measure: the relative RMS error of a feature map's scaled
+inner product against the RBF kernel, and a Monte-Carlo estimate of the
+sketched inner product's bias and variance.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from momhal.fusion import GROUP_DET, GROUP_SAL, GROUP_TOP, HAF_ID, eq9_ratios
+from momhal.kernel import RING_UNIT, FeatureMapConfig, feature_map_batch
 from momhal.moments import FeatureBag
 from momhal.pn import sigme
-from momhal.sketch import project
+from momhal.sketch import project, splitmix64
 
 
 def bag_of_frames(dim, frames):
@@ -175,3 +183,91 @@ def pooled_total(streams, spec):
     if spec.groups[GROUP_SAL]:
         combined["sal"] = pooled(streams, spec, GROUP_SAL)
     return pooled(combined, spec, GROUP_TOP)
+
+
+def _domain_grid(cfg: FeatureMapConfig, grid_size: int) -> np.ndarray:
+    if cfg.domain == RING_UNIT:
+        return np.arange(grid_size) / grid_size
+    return np.linspace(0.0, 1.0, grid_size)
+
+
+def kernel_gram(xs: np.ndarray, cfg: FeatureMapConfig) -> np.ndarray:
+    """Target RBF kernel matrix G_sigma(x - x') over a set of scalars,
+    using the wrap-around distance on the ring."""
+    d = np.abs(xs[:, None] - xs[None, :])
+    if cfg.domain == RING_UNIT:
+        d = np.minimum(d, 1.0 - d)
+    return np.exp(-(d * d) / (2.0 * cfg.sigma * cfg.sigma))
+
+
+def kernel_approx_constant(cfg: FeatureMapConfig, grid_size: int) -> float:
+    """Least-squares scale c such that c * <phi(x), phi(x')> best matches
+    the RBF kernel G_sigma(x - x') over a uniform grid of pairs.
+
+    The closed-form minimizer of sum((c*k - g)^2) is sum(k*g)/sum(k*k).
+    """
+    if grid_size < 2:
+        raise ValueError(f"grid_size must be >= 2, got {grid_size}")
+    xs = _domain_grid(cfg, grid_size)
+    feats = feature_map_batch(xs, cfg)
+    k = feats @ feats.T
+    denom = float((k * k).sum())
+    if denom <= 0.0 or not np.isfinite(denom):
+        raise ValueError("degenerate feature inner products; cannot fit scale")
+    g = kernel_gram(xs, cfg)
+    return float((k * g).sum() / denom)
+
+
+def kernel_approx_error(cfg: FeatureMapConfig, grid_size: int) -> tuple[float, float]:
+    """Fitted scale c and the relative RMS error of c * <phi, phi> against
+    the RBF kernel over the grid: ||c*K - G||_F / ||G||_F."""
+    c = kernel_approx_constant(cfg, grid_size)
+    xs = _domain_grid(cfg, grid_size)
+    feats = feature_map_batch(xs, cfg)
+    k = feats @ feats.T
+    g = kernel_gram(xs, cfg)
+    err = float(np.sqrt(((c * k - g) ** 2).mean()) / np.sqrt((g * g).mean()))
+    return c, err
+
+
+class UnbiasednessReport(NamedTuple):
+    mean_error: float
+    empirical_variance: float
+    variance_bound: float
+
+
+def unbiasedness_check(d: int, d_prime: int, trials: int, seed: int) -> UnbiasednessReport:
+    """Monte-Carlo check of the sketched inner-product estimator.
+
+    Draws ``trials`` independent sketches, estimates <P psi, P psi'> for a
+    fixed seeded pair (psi, psi'), and reports |mean - <psi, psi'>|, the
+    empirical variance, and the analytic bound
+    (1/d')(<psi, psi'>^2 + ||psi||^2 ||psi'||^2).
+    """
+    if d < 1 or d_prime < 1:
+        raise ValueError("dimensions must be >= 1")
+    if trials < 1000:
+        raise ValueError(f"trials must be >= 1000, got {trials}")
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=d)
+    psi2 = rng.normal(size=d)
+    exact = float(psi @ psi2)
+
+    # One splitmix substream per trial, identical to sketch_new(d, d', seed_k).
+    z = splitmix64(splitmix64(seed, trials), 2 * d)
+    h0 = (z[:, :d] % np.uint64(d_prime)).astype(np.int64)
+    s = (z[:, d:] >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
+
+    a = np.zeros((trials, d_prime))
+    b = np.zeros((trials, d_prime))
+    rows = np.repeat(np.arange(trials), d)
+    np.add.at(a, (rows, h0.ravel()), (s * psi).ravel())
+    np.add.at(b, (rows, h0.ravel()), (s * psi2).ravel())
+    est = (a * b).sum(axis=1)
+
+    bound = (exact * exact + float(psi @ psi) * float(psi2 @ psi2)) / d_prime
+    return UnbiasednessReport(
+        mean_error=abs(float(est.mean()) - exact),
+        empirical_variance=float(est.var(ddof=1)),
+        variance_bound=bound,
+    )

@@ -20,14 +20,13 @@ from momhal.halluc import (
     objective,
     train,
 )
-from momhal.kernel import FeatureMapConfig, kernel_approx_error
+from momhal.kernel import FeatureMapConfig
 from momhal.moments import multi_moment
 from momhal.odf import OdfConfig, encode_box, odf_descriptor
 from momhal.pn import PnConfig
 from momhal.sdf import SaliencyFrame, encode_frame, sdf_descriptor
-from momhal.sketch import unbiasedness_check
 from momhal.synthgen import SynthConfig, generate_dataset, load_dataset
-from oracles import bag_of_frames, dense_multi_moment
+from oracles import bag_of_frames, dense_multi_moment, kernel_approx_error, unbiasedness_check
 from test_odf import make_record
 
 # Frozen grid-oracle figures for the RBF linearization (sigma = 0.5,

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -459,12 +460,12 @@ class TestConfigDocuments:
         return tmp_path / "data"
 
     @pytest.mark.parametrize("line", [
-        "learning_rat = 9", "multi_label = ture", "batch_size = 0", "streams = fv1,bogus",
+        "learning_rat = 9", "tie_sketches = ture", "batch_size = 0", "streams = fv1,bogus",
         "pn_eta = -1", "ridge_l2 = nan", "alpha = nan", "init_scale = -1", "val_fraction = nan",
-        "rho = 5", "seed = -1",
+        "rho = 5", "seed = -1", "multi_label = false",
     ], ids=["unknown_key", "bad_bool", "batch_size_0", "unknown_stream", "pn_eta_negative",
             "ridge_l2_nan", "alpha_nan", "init_scale_negative", "val_fraction_nan", "rho_5",
-            "seed_negative"])
+            "seed_negative", "removed_multi_label"])
     def test_train_config_is_refused(self, tmp_path, data, capsys, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"data_dir = {data}\nepochs = 1\n{line}\n")
@@ -486,21 +487,11 @@ class TestConfigDocuments:
         assert not (data / "cache").exists()
         assert not (tmp_path / "run").exists()
 
-    def test_multi_label_on_class_ids_is_refused(self, tmp_path, data, capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"data_dir = {data}\nepochs = 1\nmulti_label = true\n")
-        code, _, err = run(capsys, "train", "--config", str(cfgfile),
-                           "--out", str(tmp_path / "run"))
-        assert code == 1
-        assert err.startswith("error: multi_label")
-        assert "class ids" in err
-
     def test_every_train_config_field_survives_config_cfg(self, tmp_path, capsys, monkeypatch):
         changed = dict(alpha=0.5, learning_rate=0.01, epochs=3, seed=9, backbone_dim=8,
                        pre_sketch_dim=12, sketch_dim=6, streams=("fv2", "det3", "sal1"),
                        batch_size=5, val_fraction=0.3, rho=0.3, pn=PnConfig(eta=3.0, epsilon=1e-4),
-                       multi_label=True, tie_sketches=True, warmup_epochs=4, ridge_l2=0.01,
-                       init_scale=0.3)
+                       tie_sketches=True, warmup_epochs=4, ridge_l2=0.01, init_scale=0.3)
         assert changed.keys() == {f.name for f in fields(TrainConfig)}
         cfg = TrainConfig(**changed)
         assert [k for k in changed if getattr(cfg, k) == getattr(TrainConfig(), k)] == []
@@ -602,18 +593,10 @@ class TestAtomicWrites:
         assert target.read_bytes() == b"old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
-class TestVerify:
-    def test_kernel_suite_passes(self, capsys):
-        code, stdout, _ = run(capsys, "verify", "--suite", "kernel")
-        assert code == 0
-        assert "[PASS]" in stdout
 
-    def test_moments_suite_passes(self, capsys):
-        code, stdout, _ = run(capsys, "verify", "--suite", "moments")
-        assert code == 0
-        assert "[PASS] moments vs dense reference" in stdout
-
-    def test_unknown_suite_errors(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "bogus")
-        assert code == 1
-        assert "unknown suite" in err
+def test_readme_cli_block_names_the_parser_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    documented = set(re.findall(r"^momhal ([\w-]+)", block, re.M))
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == set(sub.choices)

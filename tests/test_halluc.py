@@ -171,34 +171,6 @@ class TestGradients:
         for seed in (0, 1, 2):
             assert finite_difference_check(small_cfg(seed=seed), seed + 10) < 1e-4
 
-    def test_finite_differences_multi_label(self):
-        cfg = small_cfg(multi_label=True)
-        rng = np.random.default_rng(40)
-        model = init_model(cfg, 3)
-        batch = [
-            SyntheticVideo(rng.normal(size=(5, 7)),
-                           {s: rng.normal(size=4) for s in cfg.streams},
-                           (rng.uniform(size=3) > 0.5).astype(float))
-            for _ in range(3)
-        ]
-        _, grads = batch_grads(batch, model)
-
-        def loss():
-            return objective(model, batch)[0]
-
-        arr, grad = model.prednet.weight, grads.prednet[0]
-        fd = np.zeros_like(arr)
-        flat, fd_flat = arr.ravel(), fd.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + 1e-5
-            hi = loss()
-            flat[i] = orig - 1e-5
-            lo = loss()
-            flat[i] = orig
-            fd_flat[i] = (hi - lo) / 2e-5
-        assert norm_rel_err(fd, grad) < 1e-4
-
 
 class TestTrain:
     def make_dataset(self, seed=0, n=24, n_classes=3):
@@ -618,13 +590,17 @@ class TestCheckpointFuzz:
         with pytest.raises(ValueError, match=f"HAL1: byte {at}: text is not UTF-8"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("at, value", [(32, float("inf")), (40, float("nan")),
-                                           (48, float("nan")), (48, float("-inf"))],
-                             ids=["eta_inf", "epsilon_nan", "alpha_nan", "alpha_-inf"])
-    def test_non_finite_header_setting_names_the_format(self, tmp_dir, blob, at, value):
+    @pytest.mark.parametrize("at, raw, message", [
+        (32, np.float64(np.inf).tobytes(), r"byte \d+: \w+ must be finite"),
+        (40, np.float64(np.nan).tobytes(), r"byte \d+: \w+ must be finite"),
+        (48, np.float64(np.nan).tobytes(), r"byte \d+: \w+ must be finite"),
+        (48, np.float64(-np.inf).tobytes(), r"byte \d+: \w+ must be finite"),
+        (64, b"\x01", "byte 64: multi_label flag 1, but only single-label models exist"),
+    ], ids=["eta_inf", "epsilon_nan", "alpha_nan", "alpha_-inf", "multi_label_1"])
+    def test_non_finite_header_setting_names_the_format(self, tmp_dir, blob, at, raw, message):
         path = tmp_dir / "bad-setting.hal"
-        path.write_bytes(blob[:at] + np.float64(value).tobytes() + blob[at + 8:])
-        with pytest.raises(ValueError, match=r"^HAL1: byte \d+: \w+ must be finite"):
+        path.write_bytes(blob[:at] + raw + blob[at + len(raw):])
+        with pytest.raises(ValueError, match=f"^HAL1: {message}"):
             load_checkpoint(path)
 
     @settings(max_examples=300, deadline=None)

@@ -9,9 +9,8 @@ from momhal.kernel import (
     FeatureMapConfig,
     feature_map,
     feature_map_batch,
-    kernel_approx_constant,
-    kernel_approx_error,
 )
+from oracles import kernel_approx_constant, kernel_approx_error
 
 # Frozen grid-oracle figures (sigma = 0.5, 101-point grid, interval):
 # relative RMS of the least-squares-scaled inner product against the RBF

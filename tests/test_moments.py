@@ -196,6 +196,8 @@ class TestMultiMoment:
             multi_moment(bag_of_frames(2, [np.array([[1.0, np.nan]])]), 1)
         with pytest.raises(ValueError):
             multi_moment(bag_of_frames(2, [np.ones((1, 2))]), 0)
+        with pytest.raises(ValueError, match="no coordinates"):
+            multi_moment(FeatureBag(np.zeros((2, 0)), [2]), 3)
 
 
 class TestSerialization:
@@ -226,6 +228,12 @@ class TestSerialization:
     def test_no_leading_direction_is_refused(self):
         blob = b"MMD1" + np.array([2, 0], "<u4").tobytes() + bytes(4 * 2 * 4)
         with pytest.raises(ValueError, match="^MMD1: n' must be at least 1, got 0$"):
+            descriptor_from_bytes(blob)
+
+    def test_zero_dimensional_descriptor_is_refused(self):
+        # 12 bytes that d = 0 would make complete; the writer never produces them
+        blob = b"MMD1" + np.array([0, 3], "<u4").tobytes()
+        with pytest.raises(ValueError, match="^MMD1: d must be at least 1, got 0$"):
             descriptor_from_bytes(blob)
 
     @settings(max_examples=300, deadline=None)

@@ -296,7 +296,7 @@ class TestJsonl:
         path.write_text("".join(self.line(frame=i % 4 + 1) + "\n" for i in range(6)))
         checked, validate = [], DetectionRecord.validate
         monkeypatch.setattr(DetectionRecord, "validate",
-                            lambda rec: checked.append(rec) or validate(rec))
+                            lambda rec, *args: checked.append(rec) or validate(rec, *args))
         for strict in (True, False):
             checked.clear()
             ((tau, recs),) = read_detections(path, strict=strict).values()

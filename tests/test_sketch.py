@@ -15,8 +15,8 @@ from momhal.sketch import (
     sketch_new,
     sketch_to_bytes,
     splitmix64,
-    unbiasedness_check,
 )
+from oracles import unbiasedness_check
 
 
 class TestConstruction:
