@@ -18,7 +18,7 @@ Submodules:
 from .kernel import FeatureMapConfig, feature_map
 from .moments import FeatureBag, MultiMomentDescriptor, assemble_upsilon, multi_moment
 from .odf import DetectionRecord, OdfConfig, encode_box, odf_descriptor
-from .pn import PnConfig, maxexp, sigme, sigme_grad
+from .pn import maxexp, sigme, sigme_grad
 from .sdf import SaliencyFrame, encode_frame, gradients, sdf_descriptor
 from .sketch import CountSketch, project, sketch_new
 from .fusion import FusionSpec, eq9_weights, golden_section_max
@@ -26,7 +26,7 @@ from .halluc import Model, SyntheticVideo, TrainConfig, infer, objective, train
 
 __all__ = [
     "FeatureMapConfig", "feature_map",
-    "PnConfig", "sigme", "sigme_grad", "maxexp",
+    "sigme", "sigme_grad", "maxexp",
     "CountSketch", "sketch_new", "project",
     "FeatureBag", "MultiMomentDescriptor", "assemble_upsilon", "multi_moment",
     "DetectionRecord", "OdfConfig", "encode_box", "odf_descriptor",

@@ -34,9 +34,8 @@ from .halluc import (
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .moments import descriptor_to_bytes
 from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
-from .pn import PnConfig
 from .sdf import read_pgm, read_saliency_manifest, sdf_descriptor
-from .synthgen import SynthConfig, generate_dataset, load_dataset, read_dataset_config
+from .synthgen import SynthConfig, generate_dataset, load_dataset
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -159,10 +158,7 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-_CONFIG_KEYS = {   # a value TrainConfig or PnConfig refuses is refused at its line
-    "data_dir": str, "out_dir": str, **config_parsers(TrainConfig),
-    **{f"pn_{key}": parse for key, parse in config_parsers(PnConfig).items()},
-}
+_CONFIG_KEYS = {"data_dir": str, "out_dir": str, **config_parsers(TrainConfig)}
 
 
 def _build_train_config(args) -> tuple[TrainConfig, str, str]:
@@ -175,18 +171,12 @@ def _build_train_config(args) -> tuple[TrainConfig, str, str]:
     if "data_dir" not in values:
         raise ValueError("data_dir required (config key data_dir or --data)")
     data_dir, out_dir = values.pop("data_dir"), values.pop("out_dir", "run")
-    given = read_dataset_config(data_dir).backbone_dim   # before any stream is encoded
-    if values.setdefault("backbone_dim", given) != given:   # only a config sets the key
-        raise ValueError(f"{args.config}: backbone_dim = {values['backbone_dim']}, but "
-                         f"{Path(data_dir) / 'dataset.cfg'} has backbone_dim = {given}")
-    values["pn"] = PnConfig(**{key[3:]: values.pop(key) for key in list(values)
-                               if key.startswith("pn_")})
     return TrainConfig(**values), data_dir, out_dir
 
 
 def cmd_train(args) -> int:
     cfg, data_dir, out_dir = _build_train_config(args)
-    videos, _ = load_dataset(data_dir, cfg.sketch_dim, cfg.pn, cfg.streams)
+    videos, _ = load_dataset(data_dir, cfg.sketch_dim, cfg.eta, cfg.streams)
     if not videos:
         print("empty dataset", file=sys.stderr)
         return EXIT_EMPTY
@@ -195,8 +185,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.hal")
     write_atomic(out / "metrics.csv", metrics_to_csv(metrics, cfg.streams).encode())
-    resolved = [("data_dir", data_dir), ("out_dir", out_dir), *config_pairs(cfg),
-                *((f"pn_{key}", value) for key, value in config_pairs(cfg.pn))]
+    resolved = [("data_dir", data_dir), ("out_dir", out_dir), *config_pairs(cfg)]
     write_atomic(out / "config.cfg", format_key_values(resolved).encode())
     final = metrics[-1]["val_acc"] if metrics else float("nan")
     print(f"trained {cfg.epochs} epochs; final val accuracy {final:.4f}")
@@ -206,7 +195,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
-    videos, _ = load_dataset(args.data, model.config.sketch_dim, model.config.pn, ())
+    videos, _ = load_dataset(args.data, model.config.sketch_dim, streams=())
     acc = evaluate(model, videos)
     print(f"accuracy {acc:.4f} over {len(videos)} videos")
     return EXIT_OK
@@ -214,7 +203,7 @@ def cmd_eval(args) -> int:
 
 def cmd_search_beta(args) -> int:
     model = load_checkpoint(args.model)
-    videos, _ = load_dataset(args.data, model.config.sketch_dim, model.config.pn, ())
+    videos, _ = load_dataset(args.data, model.config.sketch_dim, streams=())
     score = beta_objective(model, video_arrays(videos, model.config))
     result = golden_section_max(score, *BETA_BRACKET, args.iters)
     for i, width in enumerate(result.widths):

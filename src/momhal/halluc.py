@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,7 +34,7 @@ from .fusion import (
     spec_from_text,
     spec_to_text,
 )
-from .pn import PnConfig, sigme, sigme_vjp
+from .pn import ETA, EPSILON, sigme, sigme_vjp
 from .sketch import (
     SketchStack,
     derive_stream_seed,
@@ -45,6 +45,7 @@ from .sketch import (
 
 CHECKPOINT_MAGIC = b"HAL1"
 _BLOCK_ROWS = 32   # rows per block of a forward pass that keeps no backward state
+INIT_SCALE = 0.2   # the initial weights' standard deviation times sqrt(fan-in)
 
 
 class TrainingDivergedError(RuntimeError):
@@ -57,31 +58,29 @@ class TrainConfig:
     learning_rate: float = 0.05
     epochs: int = 30
     seed: int = 0
-    backbone_dim: int = 64
     pre_sketch_dim: int = 128
     sketch_dim: int = 128
     streams: tuple[str, ...] = STREAM_ORDER   # kept in STREAM_ORDER, without repeats
     batch_size: int = 32
     val_fraction: float = 0.25
     rho: float = 0.1
-    pn: PnConfig = field(default_factory=PnConfig)
-    tie_sketches: bool = False
+    eta: float = ETA                 # SigmE slope eta'
     warmup_epochs: int = 10          # epochs at beta = 0 before the golden-section search
     ridge_l2: float = 1e-3
-    init_scale: float = 0.2
 
     def __post_init__(self):
-        for name in ("alpha", "learning_rate", "val_fraction", "ridge_l2", "init_scale"):
+        for name in ("alpha", "learning_rate", "val_fraction", "ridge_l2", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("alpha", "ridge_l2", "init_scale"):
+        for name in ("alpha", "ridge_l2"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 < self.rho <= 1.0:
             raise ValueError(f"rho must lie in (0, 1], got {self.rho}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
-        for name in ("backbone_dim", "pre_sketch_dim", "sketch_dim", "batch_size"):
+        for name in ("learning_rate", "eta"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("pre_sketch_dim", "sketch_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.val_fraction < 0:
@@ -125,7 +124,8 @@ class PredNet:
 @dataclass
 class Model:
     """Every unit as stacked arrays, pass-through unit last: one (U+1, m, b)
-    ``weight`` and one (U+1, m) ``bias`` slab and one ``SketchStack``.  No
+    ``weight`` and one (U+1, m) ``bias`` slab and one ``SketchStack``.  The
+    backbone width b is the weight's, so the features set it.  No
     other object holds a unit, so passes and checkpoints read whatever the
     slabs hold, whether written in place or rebound.  The U hallucination
     streams are the spec's, which must be the config's."""
@@ -139,6 +139,8 @@ class Model:
     n_classes: int
 
     def __post_init__(self):
+        if self.weight.shape[2] < 1:
+            raise ValueError(f"backbone_dim must be >= 1, got {self.weight.shape[2]}")
         if (self.spec.streams, self.spec.rho) != (self.config.streams, self.config.rho):
             raise ValueError(f"a fusion spec of streams {self.spec.streams} at rho {self.spec.rho}, "
                              f"but the config has {self.config.streams} at {self.config.rho}")
@@ -165,7 +167,7 @@ class Model:
         (S, n, d') sketched outputs.  numpy's matmul runs one GEMM per unit."""
         acts = np.matmul(z, self.weight.transpose(0, 2, 1))
         acts += self.bias[:, None, :]
-        pres = sigme(acts, self.config.pn)
+        pres = sigme(acts, self.config.eta)
         return acts, pres, self.sketches.project(pres)
 
     def outputs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -194,16 +196,12 @@ class VideoArrays:
         return VideoArrays(self.z[idx], self.targets[:, idx], self.labels[idx])
 
 
-def _time_pool(features: list[np.ndarray], backbone_dim: int) -> np.ndarray:
+def _time_pool(features: list[np.ndarray]) -> np.ndarray:
     """Time-pooled (N, b) features of N videos' (b, t) backbone features."""
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 3 or feats.shape[1] != backbone_dim:
-        raise ValueError(f"expected ({backbone_dim}, t) features, got {feats.shape[1:]}")
+    if feats.ndim != 3:
+        raise ValueError(f"expected (b, t) features, got {feats.shape[1:]}")
     return feats.mean(axis=2)
-
-
-def _pool_features(videos: list[SyntheticVideo], backbone_dim: int) -> np.ndarray:
-    return _time_pool([v.backbone_features for v in videos], backbone_dim)
 
 
 def video_arrays(
@@ -221,7 +219,7 @@ def video_arrays(
     if not streams:
         targets = targets.reshape(0, len(videos), cfg.sketch_dim)
     labels = np.array([int(v.label) for v in videos])
-    return VideoArrays(_pool_features(videos, cfg.backbone_dim), targets, labels)
+    return VideoArrays(_time_pool([v.backbone_features for v in videos]), targets, labels)
 
 
 def _pool(spec: FusionSpec, outs: np.ndarray) -> np.ndarray:
@@ -253,6 +251,8 @@ def _forward(
     """The forward pass over the rows of ``z``.  ``backward`` keeps the
     activations the gradients need; otherwise the pass runs in row blocks
     and writes the sketched outputs into ``out`` if given."""
+    if z.shape[1] != (width := model.weight.shape[2]):
+        raise ValueError(f"features of width {z.shape[1]}, but the model reads width {width}")
     if backward:
         acts, pres, outs = model.chain(z)
     else:
@@ -333,14 +333,9 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     if n_units:
         d_out[:n_units] += np.multiply((cfg.alpha / n_units) * (2.0 / b), resids, out=resids)
     d_pre = model.sketches.transpose(d_out)
-    d_a = sigme_vjp(fwd.acts, fwd.pres, d_pre, cfg.pn)
+    d_a = sigme_vjp(fwd.acts, fwd.pres, d_pre, cfg.eta)
     weight = np.matmul(d_a.transpose(0, 2, 1), data.z)
     return loss, _Grads(weight, d_a.sum(axis=1), (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
-
-
-def batch_grads(batch: list[SyntheticVideo], model: Model) -> tuple[float, _Grads]:
-    """Loss and hand-derived parameter gradients for one batch of videos."""
-    return _loss_and_grads(model, video_arrays(batch, model.config, model.streams))
 
 
 def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
@@ -350,20 +345,20 @@ def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
         layer.bias -= np.multiply(lr, db, out=db)
 
 
-def init_model(cfg: TrainConfig, n_classes: int) -> Model:
-    """Build a model at its deterministic initialization (no training)."""
+def init_model(cfg: TrainConfig, n_classes: int, backbone_dim: int) -> Model:
+    """Build a model at its deterministic initialization (no training) that
+    reads backbone features of width ``backbone_dim``."""
+    if backbone_dim < 1:
+        raise ValueError(f"backbone_dim must be >= 1, got {backbone_dim}")
     rng = np.random.default_rng((cfg.seed, 0xC0))
     units = (*cfg.streams, HAF_ID)
     # one draw of U+1 (m, b) blocks gives the bits of U+1 draws in unit order
-    weight = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.backbone_dim),
-                        size=(len(units), cfg.pre_sketch_dim, cfg.backbone_dim))
-    # tie_sketches reuses the ground-truth seed role: a stream's sketch is then its
-    # target sketch, bit for bit, when the dims and the dataset/train seeds agree
-    role = "gt" if cfg.tie_sketches else "stream"
+    weight = rng.normal(0.0, INIT_SCALE / np.sqrt(backbone_dim),
+                        size=(len(units), cfg.pre_sketch_dim, backbone_dim))
     sketches = SketchStack([sketch_new(cfg.pre_sketch_dim, cfg.sketch_dim,
-                                       derive_stream_seed(cfg.seed, name, role))
+                                       derive_stream_seed(cfg.seed, name, "stream"))
                             for name in units])
-    wp = rng.normal(0.0, cfg.init_scale / np.sqrt(cfg.sketch_dim),
+    wp = rng.normal(0.0, INIT_SCALE / np.sqrt(cfg.sketch_dim),
                     size=(n_classes, cfg.sketch_dim))
     return Model(cfg, weight, np.zeros(weight.shape[:2]), sketches,
                  PredNet(wp, np.zeros(n_classes)), FusionSpec(cfg.streams, rho=cfg.rho), n_classes)
@@ -372,13 +367,13 @@ def init_model(cfg: TrainConfig, n_classes: int) -> Model:
 def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Test-time pass on raw backbone features only: hallucinate every
     stream, pool, and score.  No ground-truth descriptors are consumed."""
-    fwd = _forward(model, _time_pool([video_features], model.config.backbone_dim))
+    fwd = _forward(model, _time_pool([video_features]))
     return fwd.scores[0], {name: out[0] for name, out in zip(model.streams, fwd.outs)}
 
 
 def predict_scores(model: Model, videos: list[SyntheticVideo]) -> np.ndarray:
     """Batched inference scores; reads only features, never ground truth."""
-    return _forward(model, _pool_features(videos, model.config.backbone_dim)).scores
+    return _forward(model, _time_pool([v.backbone_features for v in videos])).scores
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -465,7 +460,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     exponent bracket.
     """
     data = video_arrays(dataset, cfg, cfg.streams)
-    model = init_model(cfg, int(data.labels.max()) + 1)
+    model = init_model(cfg, int(data.labels.max()) + 1, data.z.shape[1])
 
     val_idx, train_idx = _split(len(dataset), cfg)
     if not len(train_idx):
@@ -575,9 +570,9 @@ def save_checkpoint(model: Model, path) -> None:
     buf.write(CHECKPOINT_MAGIC)
     buf.write(np.uint32(1).tobytes())
     buf.write(np.uint64(cfg.seed & ((1 << 64) - 1)).tobytes())
-    for v in (cfg.backbone_dim, cfg.pre_sketch_dim, cfg.sketch_dim, model.n_classes):
+    for v in (model.weight.shape[2], cfg.pre_sketch_dim, cfg.sketch_dim, model.n_classes):
         buf.write(np.uint32(v).tobytes())
-    for v in (cfg.pn.eta, cfg.pn.epsilon, cfg.alpha, model.tot_scale):
+    for v in (cfg.eta, EPSILON, cfg.alpha, model.tot_scale):
         buf.write(np.float64(v).tobytes())
     buf.write(np.uint8(0).tobytes())   # the multi_label flag of format v1, always 0
 
@@ -624,6 +619,8 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
     seed = int(r.array("<u8")[0])
     b, m, d_prime, n_classes = (int(v) for v in r.array("<u4", 4))
     eta, eps, alpha, tot_scale = (float(v) for v in r.array("<f8", 4))   # tot_scale at byte 56
+    if eps != EPSILON:
+        raise ValueError(f"HAL1: byte 40: SigmE norm guard {eps!r}, but it is fixed at {EPSILON!r}")
     if (multi_label := int(r.array("u1")[0])) != 0:
         raise ValueError(f"HAL1: byte 64: multi_label flag {multi_label}, "
                          "but only single-label models exist")
@@ -659,8 +656,7 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
         raise ValueError(f"HAL1: byte 56: tot_scale {tot_scale!r}, but the fusion spec "
                          f"gives {spec.tot_scale!r}")
 
-    cfg = TrainConfig(alpha=alpha, seed=seed, backbone_dim=b, pre_sketch_dim=m,
-                      sketch_dim=d_prime, streams=streams, rho=spec.rho,
-                      pn=PnConfig(eta=eta, epsilon=eps))
+    cfg = TrainConfig(alpha=alpha, seed=seed, pre_sketch_dim=m, sketch_dim=d_prime,
+                      streams=streams, rho=spec.rho, eta=eta)
     return Model(cfg, weight[order], bias[order], SketchStack([sketches[k] for k in order]),
                  PredNet(wp, bp), spec, n_classes)

@@ -8,8 +8,6 @@ from dataclasses import fields
 from functools import partial
 from typing import Callable, Iterable
 
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 
 def read_lines(lines: Iterable[bytes], origin: str, apply: Callable[[str], None]) -> None:
     """``apply(line)`` for each line that is not blank, in order, decoded as
@@ -52,22 +50,14 @@ def read_key_values(path, parsers: dict[str, Callable[[str], object]]) -> dict[s
     return values
 
 
-def parse_bool(value: str) -> bool:
-    """``1/true/yes`` or ``0/false/no``, in any case; anything else is an error."""
-    try:
-        return _BOOLS[value.lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean (true/false), got {value!r}") from None
-
-
 def format_key_values(pairs: Iterable[tuple[str, object]]) -> str:
     """One ``key = value`` line per pair, in order."""
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
-# A config field whose default is of one of these types is plain: it has a
-# parser, and a tuple of names is written as a comma list.
-_PARSERS = {int: int, float: float, bool: parse_bool,
+# The parser of a config field by the type of its default; a tuple of names
+# is written as a comma list.
+_PARSERS = {int: int, float: float,
             tuple: lambda value: tuple(name for name in value.split(",") if name)}
 
 
@@ -78,16 +68,16 @@ def _checked(cls, name: str, parse: Callable[[str], object], text: str) -> objec
 
 
 def config_parsers(cls) -> dict[str, Callable[[str], object]]:
-    """{field: parser} for each plain field of config dataclass ``cls``.  A
+    """{field: parser} for each field of config dataclass ``cls``.  A
     parser reads the text as the default's type, then makes the checks that
     ``cls`` makes of that field with the others at their defaults, so that a
     document refuses a bad value at its own line."""
     return {f.name: partial(_checked, cls, f.name, _PARSERS[type(f.default)])
-            for f in fields(cls) if type(f.default) in _PARSERS}
+            for f in fields(cls)}
 
 
 def config_pairs(cfg) -> list[tuple[str, object]]:
-    """(field, value) for each plain field of ``cfg``, in field order, as
+    """(field, value) for each field of ``cfg``, in field order, as
     ``config_parsers`` reads them back."""
     pairs = ((key, getattr(cfg, key)) for key in config_parsers(type(cfg)))
     return [(key, ",".join(value) if isinstance(value, tuple) else value) for key, value in pairs]

@@ -54,10 +54,6 @@ class FeatureBag:
         """Frame j's (K_j, dim) rows, as views of the matrix."""
         return np.split(self.data, np.cumsum(self.counts[:-1]))
 
-    def stacked(self) -> np.ndarray:
-        """The (N, dim) matrix itself, not a copy."""
-        return self.data
-
 
 @dataclass
 class MultiMomentDescriptor:
@@ -154,7 +150,7 @@ def multi_moment(bag: FeatureBag, n_prime: int) -> MultiMomentDescriptor:
         raise EmptyBagError("bag holds no vectors")
     if bag.dim == 0:
         raise ValueError("bag vectors have no coordinates")
-    data = bag.stacked()
+    data = bag.data
     if not np.all(np.isfinite(data)):
         raise ValueError("bag contains non-finite values")
 

@@ -3,33 +3,19 @@
 MaxExp pools a count-like vector in [0, 1] via g = 1 - (1 - psi)^eta.
 SigmE is its smooth, sign-preserving extension for real-valued inputs:
 g = 2 / (1 + exp(-eta * psi / (||psi||_2 + eps))) - 1, which equals
-tanh(eta * psi / (2 * (||psi||_2 + eps))).
+tanh(eta * psi / (2 * (||psi||_2 + eps))).  The slope eta' is a setting
+(default ETA); the norm guard eps' is the constant EPSILON.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass(frozen=True)
-class PnConfig:
-    eta: float = 20.0          # SigmE slope eta'
-    epsilon: float = 1e-12     # norm guard eps'
-
-    def __post_init__(self):
-        for name in ("eta", "epsilon"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.eta > 0:
-            raise ValueError(f"eta must be > 0, got {self.eta}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+ETA = 20.0         # the default SigmE slope eta'
+EPSILON = 1e-12    # the norm guard eps'
 
 
-def sigme(psi: np.ndarray, cfg: PnConfig) -> np.ndarray:
+def sigme(psi: np.ndarray, eta: float) -> np.ndarray:
     """SigmE normalization along the last axis.
 
     For the all-zero vector the denominator is eps and the output is
@@ -40,7 +26,7 @@ def sigme(psi: np.ndarray, cfg: PnConfig) -> np.ndarray:
     # a non-finite entry makes its row norm non-finite, so only then scan psi
     if not np.all(np.isfinite(norm)) and not np.all(np.isfinite(psi)):
         raise ValueError("sigme input must be finite")
-    return np.tanh(cfg.eta * psi / (2.0 * (norm + cfg.epsilon)))
+    return np.tanh(eta * psi / (2.0 * (norm + EPSILON)))
 
 
 def _row_norm(psi: np.ndarray) -> np.ndarray:
@@ -49,22 +35,22 @@ def _row_norm(psi: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(psi * psi, axis=-1, keepdims=True))
 
 
-def sigme_grad(psi: np.ndarray, upstream: np.ndarray, cfg: PnConfig) -> np.ndarray:
+def sigme_grad(psi: np.ndarray, upstream: np.ndarray, eta: float) -> np.ndarray:
     """Vector-Jacobian product of :func:`sigme`, including the dependence
     of the normalizing ||psi||_2 on psi. Batched along leading axes."""
     psi = np.asarray(psi, dtype=np.float64)
-    return sigme_vjp(psi, sigme(psi, cfg), np.asarray(upstream, dtype=np.float64), cfg)
+    return sigme_vjp(psi, sigme(psi, eta), np.asarray(upstream, dtype=np.float64), eta)
 
 
-def sigme_vjp(psi: np.ndarray, g: np.ndarray, upstream: np.ndarray, cfg: PnConfig) -> np.ndarray:
-    """:func:`sigme_grad` given the forward output g = sigme(psi, cfg), so a
+def sigme_vjp(psi: np.ndarray, g: np.ndarray, upstream: np.ndarray, eta: float) -> np.ndarray:
+    """:func:`sigme_grad` given the forward output g = sigme(psi, eta), so a
     backward pass that kept g skips the tanh: d tanh = 1 - g^2."""
     if psi.shape != upstream.shape or g.shape != psi.shape:
         raise ValueError(f"shape mismatch: psi {psi.shape}, g {g.shape}, upstream {upstream.shape}")
     norm = _row_norm(psi)
-    n = norm + cfg.epsilon
+    n = norm + EPSILON
     sech2 = 1.0 - g * g
-    half_eta = 0.5 * cfg.eta
+    half_eta = 0.5 * eta
     direct = half_eta * sech2 * upstream / n
     # Norm term: d(psi_i/n)/dpsi_j has -psi_i*psi_j/(n^2*norm).  A zero norm
     # means psi = 0 up to underflow, so guarding it by 1 gives that row's term 0.

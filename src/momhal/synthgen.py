@@ -21,7 +21,7 @@ dataset directory and runs the encoders only for streams it does not find
 there.  The key is a blake2b digest of the bytes of every input the
 stream's targets read (dataset.cfg, plus aux_<stream>.npy, or
 detections.jsonl, or manifest.txt and every PGM it lists), the stream
-name, sketch_dim, the PnConfig, and the source of the modules that
+name, sketch_dim, the SigmE slope eta, and the source of the modules that
 compute a target, which holds the fixed encoder settings, so no change to
 an input or to the encoder arithmetic can return stale targets.  Entries
 are written atomically; an unreadable entry, or one of the wrong shape or
@@ -45,10 +45,10 @@ import numpy as np
 
 from .atomic import write_atomic
 from .fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
-from .halluc import SyntheticVideo
+from .halluc import SyntheticVideo, TrainConfig
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .odf import OdfConfig, odf_descriptor, read_detections
-from .pn import PnConfig, sigme
+from .pn import ETA, sigme
 from .sdf import FRAME_DIM, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
 from .sketch import derive_stream_seed, project, sketch_new
 
@@ -269,7 +269,7 @@ def read_dataset_config(data_dir) -> SynthConfig:
 def load_dataset(
     data_dir,
     sketch_dim: int,
-    pn: PnConfig | None = None,
+    eta: float | None = None,
     streams: tuple[str, ...] | None = None,
 ) -> tuple[list[SyntheticVideo], int]:
     """Load a dataset directory into training samples.
@@ -277,19 +277,21 @@ def load_dataset(
     Ground-truth descriptor targets are built here: the real ODF/SDF
     encoders run over the stored records and frames, raw auxiliary vectors
     are taken as-is, and everything is SigmE-normalized then sketched to
-    ``sketch_dim`` with per-modality sketches seeded from the dataset seed.
+    ``sketch_dim`` with per-modality sketches seeded from the dataset seed;
+    SigmE uses the slope ``eta`` (default ``pn.ETA``), checked as
+    ``TrainConfig`` checks its own.
     Each stream's targets are kept in the target cache (module docstring)
     and rebuilt only when its key is not there.  ``streams=()`` reads no
     target input at all.
     """
+    eta = TrainConfig(eta=ETA if eta is None else float(eta)).eta
     data_dir = Path(data_dir)
     meta = read_dataset_config(data_dir)
-    pn = pn or PnConfig()
     wanted = streams if streams is not None else AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
     feats = _load_rows(data_dir / "features.npy", meta, ("backbone_dim", "tau"))
     labels = _read_labels(data_dir / "labels.csv", meta.n_videos, meta.n_classes)
-    targets = _stream_targets(data_dir, meta, wanted, sketch_dim, pn)
+    targets = _stream_targets(data_dir, meta, wanted, sketch_dim, eta)
     videos = [
         SyntheticVideo(feats[i], {name: targets[name][i] for name in wanted}, labels[i])
         for i in range(meta.n_videos)
@@ -344,7 +346,7 @@ def _source_digest() -> bytes:
 
 
 def _cache_names(
-    data_dir: Path, wanted: tuple[str, ...], sketch_dim: int, pn_cfg: PnConfig,
+    data_dir: Path, wanted: tuple[str, ...], sketch_dim: int, eta: float,
     frame_paths: list[Path],
 ) -> dict[str, str]:
     """``<stream>-<32 hex>.npy`` per stream, keyed by everything its targets
@@ -365,7 +367,7 @@ def _cache_names(
             inputs = [data_dir / "detections.jsonl"]
         else:
             inputs = [data_dir / "manifest.txt", *frame_paths]
-        h = hashlib.blake2b(repr((name, sketch_dim, pn_cfg)).encode() + b"\0", digest_size=16)
+        h = hashlib.blake2b(repr((name, sketch_dim, eta)).encode() + b"\0", digest_size=16)
         for part in common + [digest(path) for path in inputs]:
             h.update(part)
         names[name] = f"{name}-{h.hexdigest()}.npy"
@@ -384,7 +386,7 @@ def _read_entry(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
 
 def _stream_targets(
     data_dir: Path, meta: SynthConfig, wanted: tuple[str, ...], sketch_dim: int,
-    pn_cfg: PnConfig,
+    eta: float,
 ) -> dict[str, np.ndarray]:
     """The (n_videos, sketch_dim) target matrix of each wanted stream, from
     the cache where it holds one; the others are encoded and cached."""
@@ -397,13 +399,13 @@ def _stream_targets(
     )
     frame_paths = [path for paths in sal_groups.values() for path in paths]
     cache = data_dir / CACHE_DIR
-    names = _cache_names(data_dir, wanted, sketch_dim, pn_cfg, frame_paths)
+    names = _cache_names(data_dir, wanted, sketch_dim, eta, frame_paths)
     targets = {name: _read_entry(cache / names[name], (meta.n_videos, sketch_dim))
                for name in wanted}
     missing = [name for name, arr in targets.items() if arr is None]
     if not missing:
         return targets
-    targets.update(_encode_targets(data_dir, meta, missing, sketch_dim, pn_cfg, sal_groups))
+    targets.update(_encode_targets(data_dir, meta, missing, sketch_dim, eta, sal_groups))
     try:
         cache.mkdir(exist_ok=True)
         for name in missing:
@@ -420,7 +422,7 @@ def _stream_targets(
 
 def _encode_targets(
     data_dir: Path, meta: SynthConfig, streams: list[str], sketch_dim: int,
-    pn_cfg: PnConfig, sal_groups: dict[tuple[str, str], list[Path]],
+    eta: float, sal_groups: dict[tuple[str, str], list[Path]],
 ) -> dict[str, np.ndarray]:
     """Run the encoders: the sketched, SigmE-normalized targets of
     ``streams``, one row per video."""
@@ -449,5 +451,5 @@ def _encode_targets(
             raw_dim = (odf_cfg.dim if name in DET_STREAMS else FRAME_DIM) * (4 + n_prime)
             psis = (descriptor(_video_id(i), name) for i in range(meta.n_videos))
         sk = sketch_new(raw_dim, sketch_dim, derive_stream_seed(meta.seed, name, "gt"))
-        targets[name] = np.array([project(sk, sigme(psi, pn_cfg)) for psi in psis])
+        targets[name] = np.array([project(sk, sigme(psi, eta)) for psi in psis])
     return targets

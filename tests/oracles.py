@@ -127,7 +127,7 @@ def unit_chain_rows(model, k, z):
     one unit and, for the sketch, one row at a time: the affine map, SigmE
     and count sketch that the stacked pass must match bit for bit.  Returns
     (SigmE outputs, sketched outputs)."""
-    pre = sigme(z @ model.weight[k].T + model.bias[k], model.config.pn)
+    pre = sigme(z @ model.weight[k].T + model.bias[k], model.config.eta)
     return pre, np.array([project(model.sketches.sketches[k], row) for row in pre])
 
 

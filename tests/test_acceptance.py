@@ -13,17 +13,17 @@ from momhal.fusion import INV_PHI, eq9_ratios, golden_section_max
 from momhal.halluc import (
     SyntheticVideo,
     TrainConfig,
-    batch_grads,
     evaluate,
     infer,
     init_model,
     objective,
     train,
+    video_arrays,
 )
+from momhal.halluc import _loss_and_grads
 from momhal.kernel import FeatureMapConfig
 from momhal.moments import multi_moment
 from momhal.odf import OdfConfig, encode_box, odf_descriptor
-from momhal.pn import PnConfig
 from momhal.sdf import SaliencyFrame, encode_frame, sdf_descriptor
 from momhal.synthgen import SynthConfig, generate_dataset, load_dataset
 from oracles import bag_of_frames, dense_multi_moment, kernel_approx_error, unbiasedness_check
@@ -146,18 +146,18 @@ class TestCriterion5Gradients:
             cfg = TrainConfig(
                 seed=seed,
                 alpha=float(rng.uniform(0.2, 2.0)),
-                backbone_dim=4, pre_sketch_dim=6, sketch_dim=4,
+                pre_sketch_dim=6, sketch_dim=4,
                 streams=("fv1", "det1", "sal1"),
-                pn=PnConfig(eta=float(rng.uniform(2.0, 8.0))),
+                eta=float(rng.uniform(2.0, 8.0)),
             )
-            model = init_model(cfg, 3)
+            model = init_model(cfg, 3, 4)
             batch = [
                 SyntheticVideo(rng.normal(size=(4, 7)),
                                {s: rng.normal(size=4) for s in cfg.streams},
                                int(rng.integers(0, 3)))
                 for _ in range(3)
             ]
-            _, grads = batch_grads(batch, model)
+            _, grads = _loss_and_grads(model, video_arrays(batch, model.config, model.streams))
 
             def loss():
                 return objective(model, batch)[0]
@@ -241,7 +241,7 @@ class TestCriterion8EndToEnd:
     def test_hallucination_beats_passthrough(self, default_dataset):
         t0 = time.time()
         cfg = TrainConfig(epochs=200, seed=0)
-        videos, _ = load_dataset(default_dataset, cfg.sketch_dim, cfg.pn)
+        videos, _ = load_dataset(default_dataset, cfg.sketch_dim, cfg.eta)
         model_all, metrics_all = train(videos, cfg)
         cfg_haf = TrainConfig(epochs=200, seed=0, streams=())
         model_haf, metrics_haf = train(videos, cfg_haf)

@@ -15,7 +15,6 @@ from momhal.cli import main
 from momhal.fusion import effective_coefficients, ridge_accuracy
 from momhal.halluc import TrainConfig, init_model, load_checkpoint
 from momhal.keyvalue import config_parsers
-from momhal.pn import PnConfig
 from momhal.moments import descriptor_from_bytes
 from momhal.sdf import write_pgm
 from momhal.synthgen import SynthConfig, load_dataset
@@ -329,7 +328,6 @@ class TestSynthTrainEval:
             f"out_dir = {tmp_path / 'run'}\n"
             "epochs = 3\n"
             "seed = 2\n"
-            "backbone_dim = 8\n"
             "pre_sketch_dim = 12\n"
             "sketch_dim = 8\n"
             "batch_size = 4\n"
@@ -344,6 +342,11 @@ class TestSynthTrainEval:
         header = (run_dir / "metrics.csv").read_text().splitlines()[0]
         assert header.startswith("epoch,loss,class_loss,mse_fv1")
         assert header.endswith("val_acc,beta_lo,beta_hi")
+        # the HAL1 header's backbone width (u32 at byte 16) is the dataset's
+        assert np.frombuffer((run_dir / "checkpoint.hal").read_bytes(), "<u4", 1, 16)[0] == 8
+        keys = [line.partition(" = ")[0] for line in
+                (run_dir / "config.cfg").read_text().splitlines()]
+        assert keys == ["data_dir", "out_dir", *(f.name for f in fields(TrainConfig))]
 
         code, stdout, _ = run(capsys, "eval", "--model", str(run_dir / "checkpoint.hal"),
                               "--data", str(data))
@@ -389,7 +392,7 @@ class TestSynthTrainEval:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
             f"data_dir = {data}\nout_dir = {tmp_path / 'r1'}\n"
-            "epochs = 5\nseed = 2\nbackbone_dim = 8\n"
+            "epochs = 5\nseed = 2\n"
             "pre_sketch_dim = 8\nsketch_dim = 8\nbatch_size = 4\n"
         )
         code, _, _ = run(capsys, "train", "--config", str(cfgfile),
@@ -460,12 +463,14 @@ class TestConfigDocuments:
         return tmp_path / "data"
 
     @pytest.mark.parametrize("line", [
-        "learning_rat = 9", "tie_sketches = ture", "batch_size = 0", "streams = fv1,bogus",
-        "pn_eta = -1", "ridge_l2 = nan", "alpha = nan", "init_scale = -1", "val_fraction = nan",
-        "rho = 5", "seed = -1", "multi_label = false",
-    ], ids=["unknown_key", "bad_bool", "batch_size_0", "unknown_stream", "pn_eta_negative",
-            "ridge_l2_nan", "alpha_nan", "init_scale_negative", "val_fraction_nan", "rho_5",
-            "seed_negative", "removed_multi_label"])
+        "learning_rat = 9", "batch_size = 0", "streams = fv1,bogus", "eta = -1",
+        "ridge_l2 = nan", "alpha = nan", "val_fraction = nan", "rho = 5", "seed = -1",
+        "multi_label = false", "backbone_dim = 8", "tie_sketches = False", "init_scale = 0.2",
+        "pn_eta = 20.0", "pn_epsilon = 1e-12",
+    ], ids=["unknown_key", "batch_size_0", "unknown_stream", "eta_negative", "ridge_l2_nan",
+            "alpha_nan", "val_fraction_nan", "rho_5", "seed_negative", "removed_multi_label",
+            "removed_backbone_dim", "removed_tie_sketches", "removed_init_scale",
+            "removed_pn_eta", "removed_pn_epsilon"])
     def test_train_config_is_refused(self, tmp_path, data, capsys, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"data_dir = {data}\nepochs = 1\n{line}\n")
@@ -475,35 +480,33 @@ class TestConfigDocuments:
         assert f"{cfgfile}: line 3: " in err
         assert not (tmp_path / "run").exists()
 
-    def test_backbone_dim_other_than_the_dataset_is_refused_before_encoding(self, tmp_path, data,
-                                                                             capsys):
-        cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text(f"data_dir = {data}\nepochs = 1\nbackbone_dim = 12\n")
-        code, _, err = run(capsys, "train", "--config", str(cfgfile),
-                           "--out", str(tmp_path / "run"))
-        assert code == 1
-        assert err == (f"error: {cfgfile}: backbone_dim = 12, but {data / 'dataset.cfg'} "
-                       "has backbone_dim = 8\n")
-        assert not (data / "cache").exists()
-        assert not (tmp_path / "run").exists()
+    def test_model_is_refused_on_data_of_another_backbone_width(self, tmp_path, data, capsys):
+        run_dir, wide = tmp_path / "run", tmp_path / "wide"
+        assert run(capsys, "train", "--data", str(data), "--out", str(run_dir),
+                   "--epochs", "1")[0] == 0
+        run(capsys, "synth", "--out", str(wide), "--videos", "8", "--classes", "2",
+            "--seed", "1", "--backbone-dim", "16", "--tau", "3")
+        for command in ("eval", "search-beta"):
+            code, out, err = run(capsys, command, "--model", str(run_dir / "checkpoint.hal"),
+                                 "--data", str(wide))
+            assert (code, out) == (1, "")
+            assert err == "error: features of width 16, but the model reads width 8\n"
 
     def test_every_train_config_field_survives_config_cfg(self, tmp_path, capsys, monkeypatch):
-        changed = dict(alpha=0.5, learning_rate=0.01, epochs=3, seed=9, backbone_dim=8,
+        changed = dict(alpha=0.5, learning_rate=0.01, epochs=3, seed=9,
                        pre_sketch_dim=12, sketch_dim=6, streams=("fv2", "det3", "sal1"),
-                       batch_size=5, val_fraction=0.3, rho=0.3, pn=PnConfig(eta=3.0, epsilon=1e-4),
-                       tie_sketches=True, warmup_epochs=4, ridge_l2=0.01, init_scale=0.3)
+                       batch_size=5, val_fraction=0.3, rho=0.3, eta=3.0,
+                       warmup_epochs=4, ridge_l2=0.01)
         assert changed.keys() == {f.name for f in fields(TrainConfig)}
         cfg = TrainConfig(**changed)
         assert [k for k in changed if getattr(cfg, k) == getattr(TrainConfig(), k)] == []
         # the first run's config.cfg is read back by the second; neither trains
         seen = []
-        monkeypatch.setattr(cli, "read_dataset_config", lambda path: SynthConfig(backbone_dim=8))
         monkeypatch.setattr(cli, "load_dataset", lambda *args: ([None], None))
-        monkeypatch.setattr(cli, "train", lambda videos, c: (seen.append(c), (init_model(c, 2), []))[1])
+        monkeypatch.setattr(cli, "train", lambda videos, c: (seen.append(c), (init_model(c, 2, 8), []))[1])
         first = tmp_path / "first.cfg"
         first.write_text("".join(f"{k} = {v}\n" for k, v in {
-            **{k: v for k, v in changed.items() if k not in ("streams", "pn")},
-            "streams": "fv2,det3,sal1", "pn_eta": 3.0, "pn_epsilon": 1e-4,
+            **changed, "streams": "fv2,det3,sal1",
             "data_dir": tmp_path / "data", "out_dir": tmp_path / "r1"}.items()))
         assert run(capsys, "train", "--config", str(first))[0] == 0
         resolved = tmp_path / "r1" / "config.cfg"
@@ -512,11 +515,8 @@ class TestConfigDocuments:
         assert seen == [cfg, cfg]
 
     def test_every_config_field_has_a_parser(self):
-        # TrainConfig.pn is read as the pn_ keys, so no field can become unreadable
-        for cls in (TrainConfig, PnConfig, SynthConfig):
-            assert config_parsers(cls).keys() == {f.name for f in fields(cls)} - {"pn"}
-        assert cli._CONFIG_KEYS.keys() == {"data_dir", "out_dir", *config_parsers(TrainConfig),
-                                           *(f"pn_{f.name}" for f in fields(PnConfig))}
+        assert list(config_parsers(TrainConfig)) == [f.name for f in fields(TrainConfig)]
+        assert list(config_parsers(SynthConfig)) == [f.name for f in fields(SynthConfig)]
 
     @pytest.mark.parametrize("old, new", [("seed = 1", "sed = 1"),
                                           ("n_videos = 8", "n_videos = 16.7"),
@@ -600,3 +600,9 @@ def test_readme_cli_block_names_the_parser_commands():
     documented = set(re.findall(r"^momhal ([\w-]+)", block, re.M))
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert documented == set(sub.choices)
+
+
+def test_readme_names_the_training_config_keys_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"^Training config keys(.*?) These are", readme, re.S | re.M).group(1)
+    assert re.findall(r"`([a-z]\w*)`", listed) == list(cli._CONFIG_KEYS)

@@ -15,7 +15,6 @@ from momhal.halluc import (
     SyntheticVideo,
     TrainConfig,
     TrainingDivergedError,
-    batch_grads,
     evaluate,
     infer,
     init_model,
@@ -28,22 +27,23 @@ from momhal.halluc import (
     video_arrays,
 )
 from momhal.halluc import _apply_grads, _forward, _loss_and_grads
-from momhal.pn import PnConfig
-from momhal.sketch import CountSketch, SketchStack, sketch_new
+from momhal.sketch import CountSketch, SketchStack, derive_stream_seed, sketch_new
+
+B = 5   # the backbone width of the small models
 
 
 def small_cfg(**kw):
-    base = dict(seed=1, backbone_dim=5, pre_sketch_dim=7, sketch_dim=4,
-                streams=("fv1", "det1", "sal1"), pn=PnConfig(eta=4.0),
+    base = dict(seed=1, pre_sketch_dim=7, sketch_dim=4,
+                streams=("fv1", "det1", "sal1"), eta=4.0,
                 epochs=3, batch_size=4, val_fraction=0.25)
     base.update(kw)
     return TrainConfig(**base)
 
 
-def make_batch(rng, cfg, n=4, n_classes=3):
+def make_batch(rng, cfg, n=4, n_classes=3, b=B):
     return [
         SyntheticVideo(
-            rng.normal(size=(cfg.backbone_dim, 7)),
+            rng.normal(size=(b, 7)),
             {s: rng.normal(size=cfg.sketch_dim) for s in cfg.streams},
             int(rng.integers(0, n_classes)),
         )
@@ -53,16 +53,16 @@ def make_batch(rng, cfg, n=4, n_classes=3):
 
 class TestStreamForward:
     def test_zero_input_zero_bias(self):
-        model = init_model(small_cfg(), 3)   # every bias starts at zero
-        fwd = _forward(model, np.zeros((1, model.config.backbone_dim)), backward=True)
+        model = init_model(small_cfg(), 3, B)   # every bias starts at zero
+        fwd = _forward(model, np.zeros((1, model.weight.shape[2])), backward=True)
         np.testing.assert_array_equal(fwd.pres, 0.0)
         np.testing.assert_array_equal(fwd.outs, 0.0)
 
     def test_doubling_weights_is_not_linear(self):
         rng = np.random.default_rng(2)
-        model = init_model(small_cfg(), 3)
+        model = init_model(small_cfg(), 3, B)
         model.weight[...] = rng.normal(size=model.weight.shape)
-        x = rng.normal(size=(model.config.backbone_dim, 7))
+        x = rng.normal(size=(model.weight.shape[2], 7))
         a = infer(model, x)[1]
         model.weight *= 2.0
         b = infer(model, x)[1]
@@ -73,15 +73,15 @@ class TestStreamForward:
         rng = np.random.default_rng(3)
         perm = np.array([2, 3, 1], dtype=np.uint32)
         sk = CountSketch(3, 3, perm, np.ones(3, dtype=np.int8), 0)
-        model = init_model(small_cfg(pre_sketch_dim=3, sketch_dim=3), 3)
+        model = init_model(small_cfg(pre_sketch_dim=3, sketch_dim=3), 3, B)
         model = replace(model, sketches=SketchStack([sk] * len(model.weight)))
         model.bias[...] = rng.normal(size=model.bias.shape)
-        fwd = _forward(model, rng.normal(size=(1, model.config.backbone_dim)), backward=True)
+        fwd = _forward(model, rng.normal(size=(1, model.weight.shape[2])), backward=True)
         for pre, out in zip(fwd.pres, fwd.outs):
             assert sorted(out[0].tolist()) == sorted(pre[0].tolist())
 
     def test_shape_validation(self):
-        model = init_model(small_cfg(), 3)   # 5 -> 7 -> 4, four units
+        model = init_model(small_cfg(), 3, B)   # 5 -> 7 -> 4, four units
         with pytest.raises(ValueError):
             infer(model, np.zeros((6, 7)))
         for units, d, d_prime in ((4, 5, 4), (4, 7, 5), (3, 7, 4)):
@@ -92,7 +92,7 @@ class TestStreamForward:
 class TestObjective:
     def test_alpha_zero_is_pure_class_loss(self):
         cfg = small_cfg(alpha=0.0)
-        model = init_model(cfg, 3)
+        model = init_model(cfg, 3, B)
         batch = make_batch(np.random.default_rng(5), cfg)
         loss, per_mse, class_loss = objective(model, batch)
         assert loss == class_loss
@@ -100,7 +100,7 @@ class TestObjective:
 
     def test_perfect_streams_zero_mse(self):
         cfg = small_cfg()
-        model = init_model(cfg, 3)
+        model = init_model(cfg, 3, B)
         rng = np.random.default_rng(6)
         batch = make_batch(rng, cfg)
         # inject the model's own outputs as targets
@@ -113,14 +113,14 @@ class TestObjective:
 
     def test_decomposition_identity(self):
         cfg = small_cfg(alpha=1.7)
-        model = init_model(cfg, 3)
+        model = init_model(cfg, 3, B)
         batch = make_batch(np.random.default_rng(7), cfg)
         loss, per_mse, class_loss = objective(model, batch)
         assert loss == (cfg.alpha / len(model.streams)) * sum(per_mse.values()) + class_loss
 
     def test_missing_target_error(self):
         cfg = small_cfg()
-        model = init_model(cfg, 3)
+        model = init_model(cfg, 3, B)
         batch = make_batch(np.random.default_rng(8), cfg)
         del batch[0].ground_truth["det1"]
         with pytest.raises(ValueError, match="det1"):
@@ -135,9 +135,9 @@ def norm_rel_err(a, b):
 def finite_difference_check(cfg, seed, n_classes=3):
     """Central finite differences over every parameter block."""
     rng = np.random.default_rng(seed)
-    model = init_model(cfg, n_classes)
+    model = init_model(cfg, n_classes, B)
     batch = make_batch(rng, cfg, n=4, n_classes=n_classes)
-    _, grads = batch_grads(batch, model)
+    _, grads = _loss_and_grads(model, video_arrays(batch, cfg, model.streams))
 
     def loss():
         return objective(model, batch)[0]
@@ -182,7 +182,7 @@ class TestTrain:
         data, cfg = self.make_dataset()
         cfg = small_cfg(epochs=0)
         model, metrics = train(data, cfg)
-        ref = init_model(cfg, 3)
+        ref = init_model(cfg, 3, B)
         assert metrics == []
         np.testing.assert_array_equal(model.weight, ref.weight)
         np.testing.assert_array_equal(model.prednet.weight, ref.prednet.weight)
@@ -234,10 +234,10 @@ class TestTrain:
         # training and validation rows; that is only sound when each row's
         # bits do not depend on how many rows the pass holds.
         b, m, d_prime = dims
-        cfg = small_cfg(backbone_dim=b, pre_sketch_dim=m, sketch_dim=d_prime,
+        cfg = small_cfg(pre_sketch_dim=m, sketch_dim=d_prime,
                         streams=("fv1", "bow", "det1", "det2", "sal1"),
                         epochs=3, warmup_epochs=1)
-        data = make_batch(np.random.default_rng(21), cfg, n=48, n_classes=4)
+        data = make_batch(np.random.default_rng(21), cfg, n=48, n_classes=4, b=b)
         model, metrics = train(data, cfg)
         perm = np.random.default_rng((cfg.seed, 0x5E)).permutation(len(data))
         n_val = int(round(cfg.val_fraction * len(data)))
@@ -260,11 +260,12 @@ class TestTrain:
 class TestTrainConfig:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("val_fraction", -0.1), ("val_fraction", 1.5),
-        ("learning_rate", 0.0), ("backbone_dim", 0), ("pre_sketch_dim", 0),
+        ("learning_rate", 0.0), ("pre_sketch_dim", 0),
         ("sketch_dim", 0), ("warmup_epochs", -1), ("seed", -1),
         ("alpha", float("nan")), ("alpha", float("inf")), ("learning_rate", float("inf")),
-        ("ridge_l2", float("nan")), ("ridge_l2", -1.0), ("init_scale", float("inf")),
-        ("init_scale", -1.0), ("rho", 5.0), ("rho", 0.0), ("rho", float("nan")),
+        ("ridge_l2", float("nan")), ("ridge_l2", -1.0), ("eta", -1.0), ("eta", 0.0),
+        ("eta", float("nan")), ("eta", float("inf")), ("rho", 5.0), ("rho", 0.0),
+        ("rho", float("nan")),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -368,7 +369,7 @@ class TestInference:
 class TestStackedUnits:
     def model(self):
         cfg = TrainConfig(seed=3, epochs=0)   # all 12 streams, 64 -> 128 -> 128
-        model = init_model(cfg, 4)
+        model = init_model(cfg, 4, 64)
         model.bias[...] = np.random.default_rng(4).normal(scale=0.1, size=model.bias.shape)
         model.spec = replace(model.spec, beta=2.5)
         return model
@@ -376,7 +377,7 @@ class TestStackedUnits:
     @pytest.mark.parametrize("rows", [1, 32, 70, 256])
     def test_forward_equals_unit_by_unit_chain(self, rows):
         model = self.model()
-        z = np.random.default_rng(rows).normal(size=(rows, model.config.backbone_dim))
+        z = np.random.default_rng(rows).normal(size=(rows, model.weight.shape[2]))
         names = (*model.streams, HAF_ID)
         want = [unit_chain_rows(model, k, z) for k in range(len(names))]
         coeffs = effective_coefficients(model.spec)
@@ -411,7 +412,7 @@ class TestStackedUnits:
 
     def test_in_place_write_is_read(self):
         model = self.model()
-        videos = make_batch(np.random.default_rng(14), model.config, n=3)
+        videos = make_batch(np.random.default_rng(14), model.config, n=3, b=64)
         before = predict_scores(model, videos)
         k = model.streams.index("det1")
         model.weight[k] *= 2.0
@@ -429,7 +430,7 @@ class TestStackedUnits:
 
     def test_rebound_slab_is_read(self):
         model = self.model()
-        x = make_batch(np.random.default_rng(15), model.config, n=1)[0].backbone_features
+        x = make_batch(np.random.default_rng(15), model.config, n=1, b=64)[0].backbone_features
         before = infer(model, x)[1]["fv1"]
         model.weight = 3.0 * model.weight
         assert not np.array_equal(infer(model, x)[1]["fv1"], before)
@@ -476,9 +477,9 @@ class TestCheckpoint:
     def test_repeated_unit_is_refused(self, tmp_path, which):
         cfg = small_cfg()
         path = tmp_path / "model.hal"
-        save_checkpoint(init_model(cfg, 3), path)
+        save_checkpoint(init_model(cfg, 3, B), path)
         blob = path.read_bytes()
-        start, end = unit_blocks(blob, cfg.pre_sketch_dim, cfg.backbone_dim)[which]
+        start, end = unit_blocks(blob, cfg.pre_sketch_dim, B)[which]
         n_units = int(np.frombuffer(blob, "<u4", 1, UNIT_COUNT_AT)[0])
         path.write_bytes(blob[:UNIT_COUNT_AT] + np.uint32(n_units + 1).tobytes()
                          + blob[UNIT_COUNT_AT + 4 : end] + blob[start:end] + blob[end:])
@@ -490,7 +491,7 @@ class TestCheckpoint:
     def test_sketch_shape_must_match_header(self, tmp_path):
         cfg = small_cfg()   # 5 -> 7 -> 4
         path = tmp_path / "model.hal"
-        save_checkpoint(init_model(cfg, 3), path)
+        save_checkpoint(init_model(cfg, 3, B), path)
         blob = bytearray(path.read_bytes())
         sketch_at = [end - (20 + 5 * 7) for _, end in unit_blocks(blob, 7, 5)]
         for at in sketch_at:   # every CSK1 d', past its magic and d
@@ -502,7 +503,7 @@ class TestCheckpoint:
 
     def test_other_pass_through_name_is_refused(self, tmp_path):
         path = tmp_path / "model.hal"
-        save_checkpoint(init_model(small_cfg(), 3), path)
+        save_checkpoint(init_model(small_cfg(), 3, B), path)
         path.write_bytes(path.read_bytes().replace(b"haf_id = haf", b"haf_id = hag"))
         with pytest.raises(ValueError, match=r"HAL1: byte \d+: .*: line 3: haf_id = hag"):
             load_checkpoint(path)
@@ -517,7 +518,7 @@ class TestCheckpoint:
     def test_spec_other_than_the_units_give_is_refused(self, tmp_path, old, new, line):
         cfg = small_cfg(streams=("fv1", "det1", "det2", "sal1"))
         path = tmp_path / "model.hal"
-        save_checkpoint(init_model(cfg, 3), path)
+        save_checkpoint(init_model(cfg, 3, B), path)
         blob = path.read_bytes()
         at = blob.rindex(b"rho = ")   # the spec text ends the file, after its u32 length
         text = re.sub(old, new, blob[at:], count=1)
@@ -536,7 +537,7 @@ class TestCheckpoint:
 
     def test_tot_scale_must_match_the_spec(self, tmp_path):
         path = tmp_path / "model.hal"
-        save_checkpoint(init_model(small_cfg(), 3), path)
+        save_checkpoint(init_model(small_cfg(), 3, B), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:56] + np.float64(2.5).tobytes() + blob[64:])
         with pytest.raises(ValueError, match=r"^HAL1: byte 56: tot_scale 2\.5, but the fusion spec"):
@@ -544,7 +545,7 @@ class TestCheckpoint:
 
     def test_unit_count_past_the_end_is_refused_before_allocating(self, tmp_path):
         path = tmp_path / "model.hal"
-        save_checkpoint(init_model(small_cfg(), 3), path)
+        save_checkpoint(init_model(small_cfg(), 3, B), path)
         blob = path.read_bytes()
         path.write_bytes(blob[:UNIT_COUNT_AT] + np.uint32(2**32 - 1).tobytes()
                          + blob[UNIT_COUNT_AT + 4 :])
@@ -559,7 +560,7 @@ class TestCheckpoint:
 
     def test_exact_length(self, tmp_path):
         path = tmp_path / "model.hal"
-        save_checkpoint(init_model(small_cfg(), 3), path)
+        save_checkpoint(init_model(small_cfg(), 3, B), path)
         blob = path.read_bytes()
         n = len(blob)
         path.write_bytes(blob + b"\0")
@@ -578,9 +579,9 @@ class TestCheckpointFuzz:
     @pytest.fixture(scope="class")
     def blob(self, tmp_dir):
         """A small valid HAL1 v1 file: two streams, 2 -> 3 -> 2 dims."""
-        cfg = small_cfg(streams=("fv1", "sal2"), backbone_dim=2, pre_sketch_dim=3, sketch_dim=2)
+        cfg = small_cfg(streams=("fv1", "sal2"), pre_sketch_dim=3, sketch_dim=2)
         path = tmp_dir / "small.hal"
-        save_checkpoint(init_model(cfg, 2), path)
+        save_checkpoint(init_model(cfg, 2, 2), path)
         return path.read_bytes()
 
     def test_corrupted_name_names_format_and_offset(self, tmp_dir, blob):
@@ -592,11 +593,12 @@ class TestCheckpointFuzz:
 
     @pytest.mark.parametrize("at, raw, message", [
         (32, np.float64(np.inf).tobytes(), r"byte \d+: \w+ must be finite"),
-        (40, np.float64(np.nan).tobytes(), r"byte \d+: \w+ must be finite"),
+        (40, np.float64(np.nan).tobytes(), "byte 40: SigmE norm guard nan, but it is fixed at 1e-12"),
+        (40, np.float64(1e-4).tobytes(), "byte 40: SigmE norm guard 0.0001, but it is fixed at 1e-12"),
         (48, np.float64(np.nan).tobytes(), r"byte \d+: \w+ must be finite"),
         (48, np.float64(-np.inf).tobytes(), r"byte \d+: \w+ must be finite"),
         (64, b"\x01", "byte 64: multi_label flag 1, but only single-label models exist"),
-    ], ids=["eta_inf", "epsilon_nan", "alpha_nan", "alpha_-inf", "multi_label_1"])
+    ], ids=["eta_inf", "epsilon_nan", "epsilon_1e-4", "alpha_nan", "alpha_-inf", "multi_label_1"])
     def test_non_finite_header_setting_names_the_format(self, tmp_dir, blob, at, raw, message):
         path = tmp_dir / "bad-setting.hal"
         path.write_bytes(blob[:at] + raw + blob[at + len(raw):])
@@ -616,25 +618,40 @@ class TestCheckpointFuzz:
             assert str(exc).startswith("HAL1: "), exc
             return
         try:
-            infer(model, np.ones((model.config.backbone_dim, 3)))
+            infer(model, np.ones((model.weight.shape[2], 3)))
         except ValueError:
             pass
 
 
-class TestTiedSketches:
-    def test_tie_reuses_ground_truth_seed_role(self):
-        from momhal.sketch import derive_stream_seed, sketch_new
-
-        cfg = small_cfg(tie_sketches=True)
-        model = init_model(cfg, 3)
-        for name, sketch in zip(model.streams, model.sketches.sketches):
+class TestInitModel:
+    def test_unit_sketches_use_the_stream_seed_role(self):
+        cfg = small_cfg()
+        model = init_model(cfg, 3, B)
+        for name, sketch in zip((*model.streams, HAF_ID), model.sketches.sketches):
             ref = sketch_new(cfg.pre_sketch_dim, cfg.sketch_dim,
-                             derive_stream_seed(cfg.seed, name, "gt"))
+                             derive_stream_seed(cfg.seed, name, "stream"))
             np.testing.assert_array_equal(sketch.h, ref.h)
             np.testing.assert_array_equal(sketch.s, ref.s)
-        untied = init_model(small_cfg(tie_sketches=False), 3)
-        assert model.streams[0] == untied.streams[0] == "fv1"
-        assert not np.array_equal(untied.sketches.sketches[0].h, model.sketches.sketches[0].h)
+
+    def test_backbone_width_is_the_features(self):
+        cfg = small_cfg(epochs=1)
+        model, _ = train(make_batch(np.random.default_rng(17), cfg, n=8, b=6), cfg)
+        assert model.weight.shape[2] == 6
+        with pytest.raises(ValueError, match="backbone_dim must be >= 1, got 0"):
+            init_model(cfg, 3, 0)
+        with pytest.raises(ValueError, match="backbone_dim must be >= 1, got 0"):
+            replace(model, weight=model.weight[:, :, :0])
+
+    def test_features_of_another_width_are_refused(self):
+        cfg = small_cfg()
+        model = init_model(cfg, 3, B)
+        other = make_batch(np.random.default_rng(18), cfg, n=2, b=B + 1)
+        message = f"features of width {B + 1}, but the model reads width {B}"
+        for call in (lambda: infer(model, other[0].backbone_features),
+                     lambda: evaluate(model, other), lambda: predict_scores(model, other),
+                     lambda: objective(model, other)):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestMetricsCsv:

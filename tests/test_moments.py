@@ -38,7 +38,7 @@ class TestBag:
     def test_frames_are_views_of_the_matrix(self):
         data = np.arange(12.0).reshape(6, 2)
         bag = FeatureBag(data, [2, 0, 4])
-        assert bag.stacked() is data
+        assert bag.data is data
         assert [f.shape for f in bag.frames] == [(2, 2), (0, 2), (4, 2)]
         assert all(np.shares_memory(f, data) for f in bag.frames if f.size)
 
@@ -70,7 +70,7 @@ class TestAssembleUpsilon:
         rng = np.random.default_rng(7)
         for _ in range(20):
             bag = random_bag(rng)
-            mu = bag.stacked().mean(axis=0)
+            mu = bag.data.mean(axis=0)
             ups = assemble_upsilon(bag, mu)
             want = per_frame_upsilon(bag.frames, mu)
             assert ups.flags.c_contiguous and ups.shape == want.shape
@@ -161,7 +161,7 @@ class TestMultiMoment:
             frames = [rng.normal(size=(n, d))]
             bag = bag_of_frames(d, frames)
             desc = multi_moment(bag, 3)
-            ups = assemble_upsilon(bag, bag.stacked().mean(axis=0))
+            ups = assemble_upsilon(bag, bag.data.mean(axis=0))
             u, s, _ = np.linalg.svd(ups, full_matrices=False)
             for i in range(min(3, len(s))):
                 if s[i] > 1e-12:
@@ -181,7 +181,7 @@ class TestMultiMoment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * bag.stacked().nbytes
+        assert peak < 2.5 * bag.data.nbytes
 
     def test_flat_length(self):
         rng = np.random.default_rng(1)

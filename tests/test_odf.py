@@ -243,7 +243,7 @@ class TestBoxMatrix:
         encoded, encode = [], odf._encode_boxes
         monkeypatch.setattr(odf, "_encode_boxes", lambda *a: encoded.append(encode(*a)) or encoded[0])
         bag = detection_bag(self.records((1, 1, 2, 4, 4)), 4, OdfConfig())
-        assert np.shares_memory(bag.stacked(), encoded[0])
+        assert np.shares_memory(bag.data, encoded[0])
         assert all(np.shares_memory(f, encoded[0]) for f in bag.frames if f.size)
 
     def test_first_bad_record_is_named(self):

@@ -194,7 +194,7 @@ class TestStackedEncode:
     def bag_rows(monkeypatch, frames):
         """The per-frame features sdf_descriptor hands to multi_moment."""
         monkeypatch.setattr(sdf, "multi_moment", lambda bag, n: bag)
-        return sdf_descriptor(frames, 3).stacked()
+        return sdf_descriptor(frames, 3).data
 
     def assert_frame_by_frame(self, monkeypatch, frames):
         want = np.array([encode_frame(f) for f in frames])
@@ -222,7 +222,7 @@ class TestStackedEncode:
                             lambda data, counts: made.append(data) or FeatureBag(data, counts))
         monkeypatch.setattr(sdf, "multi_moment", lambda bag, n: bag)
         bag = sdf_descriptor(self.frames(7, [(24, 32), (20, 26)]), 3)
-        assert np.shares_memory(bag.stacked(), made[0])
+        assert np.shares_memory(bag.data, made[0])
         assert bag.counts.tolist() == [1] * 7
 
     def test_descriptor_equals_per_frame_bag(self):

@@ -10,7 +10,6 @@ import pytest
 
 from momhal import synthgen
 from momhal.fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
-from momhal.pn import PnConfig
 from momhal.synthgen import (
     CACHE_DIR,
     SynthConfig,
@@ -239,8 +238,7 @@ class TestTargetCache:
         load_dataset(data, sketch_dim=16)
         assert {name.split("-")[0] for name in cache_entries(data) - before} == missed
 
-    @pytest.mark.parametrize("kwargs", [{"sketch_dim": 12}, {"pn": PnConfig(eta=3.0)}],
-                             ids=["sketch_dim", "pn_eta"])
+    @pytest.mark.parametrize("kwargs", [{"sketch_dim": 12}, {"eta": 3.0}], ids=["sketch_dim", "eta"])
     def test_changed_setting_misses(self, data, kwargs, monkeypatch):
         load_dataset(data, sketch_dim=16, streams=("fv1", "det1", "sal1"))
         before = cache_entries(data)
@@ -325,6 +323,12 @@ class TestLoadErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"labels\.csv: line 3: .*'one'"):
             load_dataset(data, sketch_dim=16, streams=())
+
+    @pytest.mark.parametrize("eta", [-1.0, 0.0, float("nan")])
+    def test_bad_eta_is_refused_before_any_target(self, data, eta):
+        with pytest.raises(ValueError, match="^eta must be"):
+            load_dataset(data, 16, eta, ("fv1",))
+        assert not (data / CACHE_DIR).exists()
 
     @pytest.mark.parametrize("label", ["3", "-1"])
     def test_label_outside_the_classes(self, data, label):

@@ -28,7 +28,7 @@ def detection(video="v1", detector="det1", frame=1, tau=3):
 JSONL = "".join(detection(frame=f) + "\n" for f in (1, 3)) + detection(detector="det2") + "\n"
 MANIFEST = "# video source frame\nv1 sal1 f/a.pgm\nv1 sal1 f/b.pgm\n\nv2 sal2 f/c.pgm\n"
 TAUS = "# video tau\nv1 5\n\nv2 3\n"
-TRAIN_CFG = ("epochs = 2\nbatch_size = 4\nstreams = fv1,det1\n# a comment\npn_eta = 3.5\n"
+TRAIN_CFG = ("epochs = 2\nbatch_size = 4\nstreams = fv1,det1\n# a comment\neta = 3.5\n"
              "ridge_l2 = 0.01\nval_fraction = 0.25\n")
 
 
