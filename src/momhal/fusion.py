@@ -177,6 +177,22 @@ class Bracket:
         return self.lo + 0.5 * self.width
 
 
+def golden_points(bracket: Bracket) -> tuple[float, float]:
+    """The interior points c < d that one golden-section step scores."""
+    w_next = INV_PHI * bracket.width
+    return bracket.lo + (bracket.width - w_next), bracket.lo + w_next
+
+
+def golden_pick(bracket: Bracket, fc: float, fd: float) -> Bracket:
+    """The bracket that keeps the better of the scores fc and fd at
+    ``golden_points(bracket)``; ties keep the left interval."""
+    c, d = golden_points(bracket)
+    if not (math.isfinite(fc) and math.isfinite(fd)):
+        raise ValueError(f"non-finite objective at {c} or {d}")
+    w_next = INV_PHI * bracket.width
+    return Bracket(bracket.lo, w_next) if fc >= fd else Bracket(c, w_next)
+
+
 def golden_step(f: Callable[[float], float], bracket: Bracket) -> Bracket:
     """One interior-point elimination maximizing f; shrinks the width by the
     inverse golden ratio regardless of tie-breaking.
@@ -185,15 +201,9 @@ def golden_step(f: Callable[[float], float], bracket: Bracket) -> Bracket:
     losing weight hits the floor, so plateaus extend to the right and the
     peak (or the smallest exponent attaining it) lies leftward.
     """
-    w_next = INV_PHI * bracket.width
-    c = bracket.lo + (bracket.width - w_next)
-    d = bracket.lo + w_next
+    c, d = golden_points(bracket)
     fc, fd = float(f(c)), float(f(d))
-    if not (math.isfinite(fc) and math.isfinite(fd)):
-        raise ValueError(f"non-finite objective at {c} or {d}")
-    if fc >= fd:
-        return Bracket(bracket.lo, w_next)
-    return Bracket(c, w_next)
+    return golden_pick(bracket, fc, fd)
 
 
 class GoldenResult(NamedTuple):

@@ -16,8 +16,15 @@ from __future__ import annotations
 
 import io
 import math
+import mmap
+import os
+import select
+import signal
+import threading
+import time
+import traceback
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -29,12 +36,13 @@ from .fusion import (
     STREAM_ORDER,
     Bracket,
     FusionSpec,
-    golden_step,
+    golden_pick,
+    golden_points,
     ridge_accuracy,
     spec_from_text,
     spec_to_text,
 )
-from .pn import ETA, EPSILON, sigme, sigme_vjp
+from .pn import ETA, EPSILON, row_norm, sigme, sigme_vjp
 from .sketch import (
     SketchStack,
     derive_stream_seed,
@@ -44,6 +52,7 @@ from .sketch import (
 )
 
 CHECKPOINT_MAGIC = b"HAL1"
+_POLL_S = 2e-3     # how long a wait on the other training process polls before it sleeps
 _BLOCK_ROWS = 32   # rows per block of a forward pass that keeps no backward state
 INIT_SCALE = 0.2   # the initial weights' standard deviation times sqrt(fan-in)
 
@@ -161,26 +170,35 @@ class Model:
         SGD conditioning independent of how many streams are enabled."""
         return self.spec.tot_scale
 
-    def chain(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Affine map, SigmE and count sketch of every stacked unit on the rows
-        of ``z``: (S, n, m) pre-activations, (S, n, m) SigmE outputs and
-        (S, n, d') sketched outputs.  numpy's matmul runs one GEMM per unit."""
-        acts = np.matmul(z, self.weight.transpose(0, 2, 1))
-        acts += self.bias[:, None, :]
-        pres = sigme(acts, self.config.eta)
-        return acts, pres, self.sketches.project(pres)
+    def chain(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``_chain`` of every unit."""
+        return _chain(self.weight, self.bias, self.sketches, self.config.eta, z)
 
-    def outputs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Every unit's sketched outputs (U+1, n, d') of the rows of ``z``,
-        into ``out`` if given, a row block at a time."""
+    def outputs(self, z: np.ndarray) -> np.ndarray:
+        """Every unit's sketched outputs (U+1, n, d') of the rows of ``z``, a
+        row block at a time."""
         blocks = _row_blocks(z.shape[0])
-        if out is None:
-            if len(blocks) == 1:
-                return self.chain(z)[2]
-            out = np.empty((len(self.weight), z.shape[0], self.sketches.output_dim))
+        if len(blocks) == 1:
+            return self.chain(z)[3]
+        out = np.empty((len(self.weight), z.shape[0], self.sketches.output_dim))
         for lo, hi in blocks:
-            out[:, lo:hi] = self.chain(z[lo:hi])[2]
+            out[:, lo:hi] = self.chain(z[lo:hi])[3]
         return out
+
+
+def _chain(
+    weight: np.ndarray, bias: np.ndarray, sketches: SketchStack, eta: float, z: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Affine map, SigmE and count sketch of stacked units on the rows of
+    ``z``: (S, n, m) pre-activations, their (S, n, 1) row norms, (S, n, m)
+    SigmE outputs and (S, n, d') sketched outputs.  numpy's matmul runs one
+    GEMM per unit, SigmE works row by row and each unit has its own buckets,
+    so a unit's bits do not depend on which units share the stack."""
+    acts = np.matmul(z, weight.transpose(0, 2, 1))
+    acts += bias[:, None, :]
+    norms = row_norm(acts)
+    pres = sigme(acts, eta, norms)
+    return acts, norms, pres, sketches.project(pres)
 
 
 @dataclass
@@ -233,34 +251,28 @@ def _pool(spec: FusionSpec, outs: np.ndarray) -> np.ndarray:
     return pooled
 
 
+def _head(model: Model, outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pooled head input and the scores of every unit's outputs."""
+    pooled = _pool(model.spec, outs)
+    return pooled, pooled @ model.prednet.weight.T + model.prednet.bias
+
+
 @dataclass
 class _Pass:
-    """One forward pass over a batch of time-pooled features.  The unit
-    axis of the stacked arrays follows ``Model.weight``: pass-through last."""
+    """One forward pass over time-pooled features.  The unit axis of the
+    stacked outputs follows ``Model.weight``: pass-through last."""
 
-    acts: np.ndarray | None       # (U+1, n, m) affine pre-activations, kept for the backward pass
-    pres: np.ndarray | None       # (U+1, n, m) SigmE outputs, kept for the backward pass
     outs: np.ndarray              # (U+1, n, d') sketched outputs
     pooled: np.ndarray            # tot_scale * sum_i c_i out_i, the head's input
     scores: np.ndarray
 
 
-def _forward(
-    model: Model, z: np.ndarray, backward: bool = False, out: np.ndarray | None = None,
-) -> _Pass:
-    """The forward pass over the rows of ``z``.  ``backward`` keeps the
-    activations the gradients need; otherwise the pass runs in row blocks
-    and writes the sketched outputs into ``out`` if given."""
+def _forward(model: Model, z: np.ndarray) -> _Pass:
+    """The forward pass over the rows of ``z``, in row blocks."""
     if z.shape[1] != (width := model.weight.shape[2]):
         raise ValueError(f"features of width {z.shape[1]}, but the model reads width {width}")
-    if backward:
-        acts, pres, outs = model.chain(z)
-    else:
-        acts = pres = None
-        outs = model.outputs(z, out)
-    pooled = _pool(model.spec, outs)
-    scores = pooled @ model.prednet.weight.T + model.prednet.bias
-    return _Pass(acts, pres, outs, pooled, scores)
+    outs = model.outputs(z)
+    return _Pass(outs, *_head(model, outs))
 
 
 def _class_loss_and_grad(scores: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -276,17 +288,18 @@ def _class_loss_and_grad(scores: np.ndarray, y: np.ndarray) -> tuple[float, np.n
 
 
 def _losses(
-    model: Model, sq_norms: np.ndarray, scores: np.ndarray, data: VideoArrays,
-    rows: slice | np.ndarray = slice(None),
+    model: Model, sq_norms: np.ndarray, scores: np.ndarray, labels: np.ndarray,
 ) -> tuple[float, dict[str, float], float, np.ndarray]:
     """Total loss, per-stream MSE, classification loss and d(class loss)/d(scores)
-    on ``rows``, from a forward pass's scores and the (U, n) squared norms of
-    its residuals outs - targets on all rows of ``data``."""
+    of n rows, from their scores, the (U, n) squared norms of their residuals
+    outs - targets and their labels."""
     cfg = model.config
-    y = np.eye(model.n_classes)[data.labels[rows]]
-    class_loss, d_scores = _class_loss_and_grad(scores[rows], y)
-    # one 1-D mean per stream: a 2-D mean along axis 1 sums in another order
-    per_stream_mse = {name: float(sq.mean()) for name, sq in zip(model.streams, sq_norms[:, rows])}
+    y = np.eye(model.n_classes)[labels]
+    class_loss, d_scores = _class_loss_and_grad(scores, y)
+    # One 1-D sum per stream, then the division np.mean makes, without its
+    # call overhead; a 2-D mean along axis 1 sums in another order.
+    per_stream_mse = {name: float(np.add.reduce(sq)) / len(sq)
+                      for name, sq in zip(model.streams, sq_norms)}
     n_units = len(model.streams)
     mse_term = (cfg.alpha / n_units) * sum(per_stream_mse.values()) if n_units else 0.0
     return mse_term + class_loss, per_stream_mse, class_loss, d_scores
@@ -309,40 +322,7 @@ def objective(model: Model, batch: list[SyntheticVideo]) -> tuple[float, dict[st
     sum of per-stream MSE plus the classification loss, exactly."""
     data = video_arrays(batch, model.config, model.streams)
     fwd = _forward(model, data.z)
-    return _losses(model, _squared_residuals(fwd.outs, data.targets), fwd.scores, data)[:3]
-
-
-@dataclass
-class _Grads:
-    weight: np.ndarray        # (U+1, m, b), laid out as Model.weight
-    bias: np.ndarray          # (U+1, m)
-    prednet: tuple[np.ndarray, np.ndarray]
-
-
-def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
-    """Loss and hand-derived parameter gradients, back through the cached
-    forward pass, for all units at once."""
-    cfg = model.config
-    fwd = _forward(model, data.z, backward=True)
-    n_units, b = len(model.streams), data.z.shape[0]
-    resids = fwd.outs[:n_units] - data.targets
-    loss, _, _, d_scores = _losses(model, (resids ** 2).sum(axis=2), fwd.scores, data)
-    d_tot = model.tot_scale * (d_scores @ model.prednet.weight)
-    coeffs = np.array([model.spec.coefficients[name] for name in (*model.streams, HAF_ID)])
-    d_out = coeffs[:, None, None] * d_tot
-    if n_units:
-        d_out[:n_units] += np.multiply((cfg.alpha / n_units) * (2.0 / b), resids, out=resids)
-    d_pre = model.sketches.transpose(d_out)
-    d_a = sigme_vjp(fwd.acts, fwd.pres, d_pre, cfg.eta)
-    weight = np.matmul(d_a.transpose(0, 2, 1), data.z)
-    return loss, _Grads(weight, d_a.sum(axis=1), (d_scores.T @ fwd.pooled, d_scores.sum(axis=0)))
-
-
-def _apply_grads(model: Model, grads: _Grads, lr: float) -> None:
-    """One SGD step; scales the gradient arrays in place."""
-    for layer, dw, db in [(model, grads.weight, grads.bias), (model.prednet, *grads.prednet)]:
-        layer.weight -= np.multiply(lr, dw, out=dw)
-        layer.bias -= np.multiply(lr, db, out=db)
+    return _losses(model, _squared_residuals(fwd.outs, data.targets), fwd.scores, data.labels)[:3]
 
 
 def init_model(cfg: TrainConfig, n_classes: int, backbone_dim: int) -> Model:
@@ -451,9 +431,293 @@ def _initial_weights(
     model.spec = replace(model.spec, raw_weights=accs)
 
 
+def _fork_pays(n_units: int) -> bool:
+    """Whether ``train`` forks a worker for half of ``n_units`` units: fork
+    exists, the affinity mask holds two CPUs, no other thread is alive (a
+    fork copies only the calling thread, so locks that another holds would
+    stay held in the child), and there are two units to split."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1 and n_units >= 2
+
+
+def _shared_array(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A zeroed array in an anonymous shared mapping: made before a fork,
+    parent and child read and write the same memory."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, count).reshape(shape)
+
+
+def _sgd(weight: np.ndarray, bias: np.ndarray, dw: np.ndarray, db: np.ndarray, lr: float) -> None:
+    """One SGD step of a layer, in place; scales the gradient arrays in place."""
+    weight -= np.multiply(lr, dw, out=dw)
+    bias -= np.multiply(lr, db, out=db)
+
+
+class _Shared:
+    """The arrays that both processes of a split ``train`` read and write,
+    made by ``alloc(shape, dtype)`` for a batch size and the data."""
+
+    def __init__(self, alloc, n_units: int, batch: int, data: VideoArrays):
+        n_streams, n, d = data.targets.shape
+        self.rows = alloc((1 + batch,), np.int64)     # a batch's row count, then its rows
+        self.outs = alloc((n_units, batch, d))        # the batch's sketched outputs
+        self.sq_norms = alloc((n_streams, batch))     # the batch's squared residual norms
+        self.d_pooled = alloc((batch, d))             # d(loss)/d(pooled head input)
+        self.coeffs = alloc((n_units,))               # the pooling coefficients, in unit order
+        self.all_outs = alloc((n_units, n, d))        # every row's outputs at an epoch's end
+        self.all_sq_norms = alloc((n_streams, n))     # and their squared residual norms
+        self.beta = alloc((2,))                       # the worker's beta point, then its score
+
+
+class _Half:
+    """Units [lo, hi) of a model in training, pass-through last when hi = S,
+    and the work one process does on them, each step on the arrays of a
+    ``_Shared``: a batch's forward pass and squared residual norms, then its
+    backward pass and SGD step; every row's outputs at an epoch's end; and a
+    beta score."""
+
+    def __init__(self, model: Model, lo: int, hi: int, data: VideoArrays, shared: _Shared):
+        self.model, self.data, self.shared = model, data, shared
+        self.units = slice(lo, hi)
+        self.n_streams = max(0, min(hi, len(model.streams)) - lo)
+        self.streams = slice(lo, lo + self.n_streams)
+        self.sketches = SketchStack(list(model.sketches.sketches[lo:hi]))
+        self.kept: tuple[np.ndarray, ...] = ()   # what the backward pass reads
+
+    def chain(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        model = self.model
+        return _chain(model.weight[self.units], model.bias[self.units], self.sketches,
+                      model.config.eta, z)
+
+    def forward(self) -> None:
+        rows = self.shared.rows[1 : 1 + self.shared.rows[0]]
+        z = self.data.z[rows]
+        acts, norms, pres, outs = self.chain(z)
+        self.shared.outs[self.units, : len(rows)] = outs
+        resids = outs[: self.n_streams] - self.data.targets[self.streams][:, rows]
+        self.shared.sq_norms[self.streams, : len(rows)] = (resids ** 2).sum(axis=2)
+        self.kept = z, acts, norms, pres, resids
+
+    def grads(self) -> tuple[np.ndarray, np.ndarray]:
+        """The hand-derived gradients of the units' weight and bias slabs,
+        back through the kept forward pass."""
+        z, acts, norms, pres, resids = self.kept
+        cfg = self.model.config
+        d_out = self.shared.coeffs[self.units, None, None] * self.shared.d_pooled[: len(z)]
+        if self.n_streams:
+            scale = (cfg.alpha / len(self.model.streams)) * (2.0 / len(z))
+            d_out[: self.n_streams] += np.multiply(scale, resids, out=resids)
+        d_a = sigme_vjp(acts, norms, pres, self.sketches.transpose(d_out), cfg.eta)
+        return np.matmul(d_a.transpose(0, 2, 1), z), d_a.sum(axis=1)
+
+    def step(self) -> None:
+        model = self.model
+        _sgd(model.weight[self.units], model.bias[self.units], *self.grads(),
+             model.config.learning_rate)
+
+    def epoch_end(self) -> None:
+        out = self.shared.all_outs[self.units]
+        for lo, hi in _row_blocks(len(self.data.z)):
+            out[:, lo:hi] = self.chain(self.data.z[lo:hi])[3]
+        self.shared.all_sq_norms[self.streams] = _squared_residuals(
+            out, self.data.targets[self.streams])
+
+    def score(self) -> None:
+        self.shared.beta[1] = _beta_score(self.model, self.shared.all_outs,
+                                          self.data.labels)(self.shared.beta[0])
+
+
+def _read_byte(fd: int) -> bytes:
+    """One byte from the non-blocking pipe end ``fd``, or b"" at end of
+    file.  Polls for up to _POLL_S before it sleeps in ``poll`` (which,
+    unlike ``select``, takes any descriptor number): most waits on the
+    other process are shorter, and on a 2-core x86_64 VM a round trip to a
+    process that slept took 45-63 us against 9-10 us to one that polled
+    (notes/decisions.md, "Two processes do")."""
+    end = time.perf_counter() + _POLL_S
+    while True:
+        try:
+            return os.read(fd, 1)
+        except BlockingIOError:
+            if time.perf_counter() > end:
+                sleeper = select.poll()
+                sleeper.register(fd, select.POLLIN)
+                sleeper.poll()
+
+
+def _serve(half: _Half, commands: int, replies: int, unused: tuple[int, ...]) -> NoReturn:
+    """The worker process: closes the pipe ends it does not use, then runs
+    each one-byte command on ``half`` and answers it, until end of file.
+    Leaves by ``os._exit`` on every path, so nothing unwinds into the
+    parent's frames that the fork copied."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends the worker
+        for fd in unused:
+            os.close(fd)
+        run = {b"F": half.forward, b"B": half.step, b"E": half.epoch_end, b"G": half.score}
+        while command := _read_byte(commands):
+            run[command]()
+            os.write(replies, b".")
+        code = 0
+    except BaseException:   # reported; the process then ends
+        os.write(2, f"momhal training worker {os.getpid()}:\n{traceback.format_exc()}".encode())
+    finally:
+        os._exit(code)
+
+
+class _Worker:
+    """A forked process that runs one ``_Half``, and the two pipes that
+    carry its commands and answers."""
+
+    def __init__(self, half: _Half):
+        commands, self.commands = os.pipe()
+        self.replies, replies = os.pipe()
+        for fd in (commands, self.replies):   # the ends that _read_byte reads
+            os.set_blocking(fd, False)
+        try:
+            self.pid: int | None = os.fork()
+        except OSError:
+            for fd in (commands, self.commands, self.replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            _serve(half, commands, replies, unused=(self.commands, self.replies))
+        os.close(commands)
+        os.close(replies)
+
+    def send(self, command: bytes) -> None:
+        try:
+            os.write(self.commands, command)
+        except BrokenPipeError:
+            self._died()
+
+    def wait(self) -> None:
+        if _read_byte(self.replies) != b".":
+            self._died()
+
+    def _died(self) -> NoReturn:
+        pid, status = self.pid, self._reap()
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exited with code {code}" if code >= 0 else f"was killed by signal {-code}"
+        raise RuntimeError(f"the training worker (pid {pid}) {how}")
+
+    def _reap(self) -> int:
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        return status
+
+    def close(self, kill: bool) -> None:
+        """End of file on the commands, SIGKILL too if ``kill``; then reap."""
+        os.close(self.commands)
+        try:
+            if self.pid is not None:
+                if kill:
+                    os.kill(self.pid, signal.SIGKILL)
+                self._reap()
+        finally:
+            os.close(self.replies)
+
+
+class _Trainer:
+    """A model's unit stack in training.  With ``fork``, the weight and bias
+    slabs and a ``_Shared`` go into shared memory and a forked worker runs
+    units [S // 2, S), pass-through included, while this process runs
+    [0, S // 2) and the serial work; otherwise this process runs every unit.
+    Each step returns when both halves are done (notes/decisions.md, "Two
+    processes do").  Leaving the context ends the worker on every path and
+    gives the model private slabs again."""
+
+    def __init__(self, model: Model, data: VideoArrays, batch: int, fork: bool):
+        n_units = len(model.weight)
+        alloc = _shared_array if fork else np.zeros
+        if fork:
+            for name in ("weight", "bias"):
+                slab = alloc(getattr(model, name).shape)
+                slab[...] = getattr(model, name)
+                setattr(model, name, slab)
+        self.model, self.data = model, data
+        self.shared = _Shared(alloc, n_units, batch, data)
+        split = n_units // 2 if fork else n_units
+        self.half = _Half(model, 0, split, data, self.shared)
+        self.worker = _Worker(_Half(model, split, n_units, data, self.shared)) if fork else None
+
+    def __enter__(self) -> _Trainer:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self.worker is not None:
+            self.worker.close(kill=exc_type is not None)
+            self.model.weight, self.model.bias = self.model.weight.copy(), self.model.bias.copy()
+
+    def _run(self, command: bytes, *own: Callable[[], None]) -> None:
+        """``command`` in the worker while this process runs ``own``."""
+        if self.worker is not None:
+            self.worker.send(command)
+        for step in own:
+            step()
+        if self.worker is not None:
+            self.worker.wait()
+
+    def batch(self, rows: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+        """The forward pass over ``rows`` of the data: the loss and the
+        head's gradients; d(loss)/d(pooled) goes to the shared arrays."""
+        model, shared, n = self.model, self.shared, len(rows)
+        shared.coeffs[:] = [model.spec.coefficients[name] for name in (*model.streams, HAF_ID)]
+        shared.rows[0], shared.rows[1 : 1 + n] = n, rows
+        self._run(b"F", self.half.forward)
+        pooled, scores = _head(model, shared.outs[:, :n])
+        loss, _, _, d_scores = _losses(model, shared.sq_norms[:, :n], scores, self.data.labels[rows])
+        shared.d_pooled[:n] = model.tot_scale * (d_scores @ model.prednet.weight)
+        return loss, (d_scores.T @ pooled, d_scores.sum(axis=0))
+
+    def step(self, head_grads: tuple[np.ndarray, np.ndarray]) -> None:
+        """The SGD step of every unit and of the head, after ``batch``."""
+        prednet, lr = self.model.prednet, self.model.config.learning_rate
+        self._run(b"B", self.half.step,
+                  lambda: _sgd(prednet.weight, prednet.bias, *head_grads, lr))
+
+    def epoch_end(self) -> None:
+        """Every row's outputs into ``shared.all_outs``, and the streams'
+        squared residual norms into ``shared.all_sq_norms``."""
+        self._run(b"E", self.half.epoch_end)
+
+    def golden_step(self, bracket: Bracket) -> Bracket:
+        """``fusion.golden_step`` of the beta score on ``shared.all_outs``,
+        with the worker scoring the right-hand point."""
+        c, d = golden_points(bracket)
+        score = _beta_score(self.model, self.shared.all_outs, self.data.labels)
+        if self.worker is None:
+            return golden_pick(bracket, score(c), score(d))
+        self.shared.beta[0] = d
+        self.worker.send(b"G")
+        fc = score(c)
+        self.worker.wait()
+        return golden_pick(bracket, fc, float(self.shared.beta[1]))
+
+
+@dataclass
+class _Grads:
+    weight: np.ndarray        # (U+1, m, b), laid out as Model.weight
+    bias: np.ndarray          # (U+1, m)
+    prednet: tuple[np.ndarray, np.ndarray]
+
+
+def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
+    """The loss and hand-derived gradients of a training step over every
+    row of ``data``, all units in this process, without the step."""
+    n = len(data.labels)
+    with _Trainer(model, data, n, fork=False) as stack:
+        loss, head = stack.batch(np.arange(n))
+        return loss, _Grads(*stack.half.grads(), head)
+
+
 def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[dict]]:
     """Gradient-descent training with the warmup-then-search exponent
-    schedule.  Deterministic for a fixed seed (single-threaded numpy).
+    schedule.  Deterministic for a fixed seed (single-threaded numpy),
+    with or without the worker process (see ``_fork_pays``).
 
     Returns the trained model and one metrics row per epoch: loss,
     per-stream MSE, classification loss, validation accuracy, and the
@@ -465,57 +729,56 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     val_idx, train_idx = _split(len(dataset), cfg)
     if not len(train_idx):
         raise ValueError(f"val_fraction {cfg.val_fraction} leaves no training videos")
-    train_data = data.take(train_idx)
     _initial_weights(model, data, train_idx, val_idx)
 
     metrics: list[dict] = []
     bracket = Bracket(BETA_BRACKET[0], BETA_BRACKET[1] - BETA_BRACKET[0])
-    # every unit's sketched outputs over all videos at the current weights,
-    # rewritten by each epoch's end
-    outs = np.empty((len(model.weight), len(dataset), cfg.sketch_dim))
-    for epoch in range(1, cfg.epochs + 1):
-        if epoch <= cfg.warmup_epochs:   # the spec starts at beta = 0
-            beta_lo = beta_hi = 0.0
-        else:
-            if epoch == 1:   # no epoch has ended yet
-                _forward(model, data.z, out=outs)
-            bracket = golden_step(_beta_score(model, outs, data.labels), bracket)
-            model.spec = replace(model.spec, beta=bracket.mid)
-            beta_lo, beta_hi = bracket.lo, bracket.hi
+    batch = min(cfg.batch_size, len(train_idx))
+    with _Trainer(model, data, batch, _fork_pays(len(model.weight))) as stack:
+        for epoch in range(1, cfg.epochs + 1):
+            if epoch <= cfg.warmup_epochs:   # the spec starts at beta = 0
+                beta_lo = beta_hi = 0.0
+            else:
+                if epoch == 1:   # no epoch has ended yet
+                    stack.epoch_end()
+                bracket = stack.golden_step(bracket)
+                model.spec = replace(model.spec, beta=bracket.mid)
+                beta_lo, beta_hi = bracket.lo, bracket.hi
 
-        order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_idx))
-        for start in range(0, len(order), cfg.batch_size):
-            batch = train_data.take(order[start : start + cfg.batch_size])
-            loss, grads = _loss_and_grads(model, batch)
+            order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_idx))
+            for start in range(0, len(order), batch):
+                loss, head_grads = stack.batch(train_idx[order[start : start + batch]])
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch offset {start}"
+                    )
+                stack.step(head_grads)
+
+            stack.epoch_end()
+            loss, per_mse, class_loss, val_acc = _epoch_metrics(
+                model, data, train_idx, val_idx, stack.shared)
             if not np.isfinite(loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch offset {start}"
-                )
-            _apply_grads(model, grads, cfg.learning_rate)
-
-        loss, per_mse, class_loss, val_acc = _epoch_end(model, data, train_idx, val_idx, outs)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss after epoch {epoch}")
-        row = {"epoch": epoch, "loss": loss, "class_loss": class_loss}
-        row.update({f"mse_{name}": per_mse[name] for name in model.streams})
-        row.update({"val_acc": val_acc, "beta_lo": beta_lo, "beta_hi": beta_hi})
-        metrics.append(row)
+                raise TrainingDivergedError(f"non-finite loss after epoch {epoch}")
+            row = {"epoch": epoch, "loss": loss, "class_loss": class_loss}
+            row.update({f"mse_{name}": per_mse[name] for name in model.streams})
+            row.update({"val_acc": val_acc, "beta_lo": beta_lo, "beta_hi": beta_hi})
+            metrics.append(row)
     return model, metrics
 
 
-def _epoch_end(
+def _epoch_metrics(
     model: Model, data: VideoArrays, train_idx: np.ndarray, val_idx: np.ndarray,
-    outs: np.ndarray,
+    shared: _Shared,
 ) -> tuple[float, dict[str, float], float, float]:
-    """One forward pass over all videos: its sketched outputs go into
-    ``outs`` (for the next beta search); returns the loss terms of the
-    training rows and the validation accuracy.  The slices equal separate
-    passes over the splits only while BLAS gives a row the same bits at any
-    row count (notes/decisions.md, "One forward pass at the end of each epoch")."""
-    fwd = _forward(model, data.z, out=outs)
-    sq_norms = _squared_residuals(outs, data.targets)
-    loss, per_mse, class_loss, _ = _losses(model, sq_norms, fwd.scores, data, train_idx)
-    val_acc = (_accuracy(fwd.scores[val_idx], data.labels[val_idx])
+    """The loss terms of the training rows and the validation accuracy,
+    from every row's outputs and squared residual norms at an epoch's end.
+    The slices equal separate passes over the splits only while BLAS gives
+    a row the same bits at any row count (notes/decisions.md, "One forward
+    pass at the end of each epoch")."""
+    scores = _head(model, shared.all_outs)[1]
+    loss, per_mse, class_loss, _ = _losses(model, shared.all_sq_norms[:, train_idx],
+                                           scores[train_idx], data.labels[train_idx])
+    val_acc = (_accuracy(scores[val_idx], data.labels[val_idx])
                if len(val_idx) else 0.0)
     return loss, per_mse, class_loss, val_acc
 

@@ -15,21 +15,23 @@ ETA = 20.0         # the default SigmE slope eta'
 EPSILON = 1e-12    # the norm guard eps'
 
 
-def sigme(psi: np.ndarray, eta: float) -> np.ndarray:
-    """SigmE normalization along the last axis.
+def sigme(psi: np.ndarray, eta: float, norm: np.ndarray | None = None) -> np.ndarray:
+    """SigmE normalization along the last axis.  ``norm`` is ``row_norm(psi)``
+    when the caller keeps it for the backward pass.
 
     For the all-zero vector the denominator is eps and the output is
     exactly zero by odd symmetry; no special-casing needed.
     """
     psi = np.asarray(psi, dtype=np.float64)
-    norm = _row_norm(psi)
+    if norm is None:
+        norm = row_norm(psi)
     # a non-finite entry makes its row norm non-finite, so only then scan psi
     if not np.all(np.isfinite(norm)) and not np.all(np.isfinite(psi)):
         raise ValueError("sigme input must be finite")
     return np.tanh(eta * psi / (2.0 * (norm + EPSILON)))
 
 
-def _row_norm(psi: np.ndarray) -> np.ndarray:
+def row_norm(psi: np.ndarray) -> np.ndarray:
     """||psi||_2 along the last axis, kept as a length-1 axis; the same bits
     as np.linalg.norm, without its conj() copy of a real array."""
     return np.sqrt(np.add.reduce(psi * psi, axis=-1, keepdims=True))
@@ -39,15 +41,19 @@ def sigme_grad(psi: np.ndarray, upstream: np.ndarray, eta: float) -> np.ndarray:
     """Vector-Jacobian product of :func:`sigme`, including the dependence
     of the normalizing ||psi||_2 on psi. Batched along leading axes."""
     psi = np.asarray(psi, dtype=np.float64)
-    return sigme_vjp(psi, sigme(psi, eta), np.asarray(upstream, dtype=np.float64), eta)
+    norm = row_norm(psi)
+    return sigme_vjp(psi, norm, sigme(psi, eta, norm), np.asarray(upstream, dtype=np.float64), eta)
 
 
-def sigme_vjp(psi: np.ndarray, g: np.ndarray, upstream: np.ndarray, eta: float) -> np.ndarray:
-    """:func:`sigme_grad` given the forward output g = sigme(psi, eta), so a
-    backward pass that kept g skips the tanh: d tanh = 1 - g^2."""
-    if psi.shape != upstream.shape or g.shape != psi.shape:
-        raise ValueError(f"shape mismatch: psi {psi.shape}, g {g.shape}, upstream {upstream.shape}")
-    norm = _row_norm(psi)
+def sigme_vjp(
+    psi: np.ndarray, norm: np.ndarray, g: np.ndarray, upstream: np.ndarray, eta: float,
+) -> np.ndarray:
+    """:func:`sigme_grad` given the forward pass's row norms ``row_norm(psi)``
+    and output g = sigme(psi, eta), so a backward pass that kept them skips
+    the norms and the tanh: d tanh = 1 - g^2."""
+    if psi.shape != upstream.shape or g.shape != psi.shape or norm.shape != psi.shape[:-1] + (1,):
+        raise ValueError(f"shape mismatch: psi {psi.shape}, norm {norm.shape}, g {g.shape}, "
+                         f"upstream {upstream.shape}")
     n = norm + EPSILON
     sech2 = 1.0 - g * g
     half_eta = 0.5 * eta

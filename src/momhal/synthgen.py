@@ -164,14 +164,16 @@ def _blob_anchor(label: int, phase: int, n_classes: int) -> tuple[float, float, 
 
 def _saliency_frame(
     rng: np.random.Generator,
-    cfg: SynthConfig,
+    grid: np.ndarray,
     center: tuple[float, float],
     radius: float,
     t: int,
     label: int,
 ) -> np.ndarray:
-    h, w = cfg.sal_height, cfg.sal_width
-    yy, xx = np.mgrid[0:h, 0:w]
+    """One (H, W) frame; ``grid`` is ``np.mgrid[0:H, 0:W]``, built once per
+    dataset."""
+    yy, xx = grid
+    h, w = yy.shape
     # class-determined temporal drift so the temporal cumulants carry the
     # class too, not just the mean
     px = center[0] * (w - 1) + 0.5 * t * np.cos(1.0 + label)
@@ -226,6 +228,7 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
             fp.write(f"{_video_id(i)},{int(labels[i])}\n")
 
     manifest_lines: list[str] = []
+    grid = np.mgrid[0 : cfg.sal_height, 0 : cfg.sal_width]
     with open(out / "detections.jsonl", "w", encoding="utf-8") as fp:
         for i in range(cfg.n_videos):
             video = _video_id(i)
@@ -246,7 +249,7 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
             for source in SAL_STREAMS:
                 cx, cy, rad = sal_blobs[source]
                 for t in range(1, cfg.tau + 1):
-                    frame = _saliency_frame(rng, cfg, (cx, cy), rad, t, label)
+                    frame = _saliency_frame(rng, grid, (cx, cy), rad, t, label)
                     rel = f"saliency/{video}_{source}_f{t}.pgm"
                     write_pgm(out / rel, frame)
                     manifest_lines.append(f"{video} {source} {rel}")

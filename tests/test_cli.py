@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from momhal import cli, synthgen
+from momhal import cli, halluc, synthgen
 from momhal.atomic import write_atomic
 from momhal.cli import main
 from momhal.fusion import effective_coefficients, ridge_accuracy
@@ -436,6 +436,26 @@ class TestSynthTrainEval:
             (tmp_path / "r2" / "checkpoint.hal").read_bytes()
         assert (tmp_path / "r1" / "metrics.csv").read_bytes() == \
             (tmp_path / "r2" / "metrics.csv").read_bytes()
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker process needs fork")
+    def test_train_writes_the_same_files_with_and_without_the_worker(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        data = tmp_path / "data"
+        run(capsys, "synth", "--out", str(data), "--videos", "24", "--classes", "3",
+            "--seed", "6", "--backbone-dim", "8", "--tau", "3")
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"data_dir = {data}\nepochs = 5\nwarmup_epochs = 2\n"
+                           "pre_sketch_dim = 12\nsketch_dim = 8\nbatch_size = 5\n")
+        files = {}
+        for name, pays in (("worker", True), ("in_process", False)):
+            monkeypatch.setattr(halluc, "_fork_pays", lambda n_units, pays=pays: pays)
+            code, _, err = run(capsys, "train", "--config", str(cfgfile),
+                               "--out", str(tmp_path / name))
+            assert code == 0, err
+            files[name] = [(tmp_path / name / f).read_bytes()
+                           for f in ("checkpoint.hal", "metrics.csv")]
+        assert files["worker"] == files["in_process"]
 
 
 class TestOsErrors:

@@ -21,6 +21,8 @@ from momhal.fusion import (
     effective_coefficients,
     eq9_ratios,
     eq9_weights,
+    golden_pick,
+    golden_points,
     golden_section_max,
     golden_step,
     ridge_accuracy,
@@ -285,6 +287,21 @@ class TestBetaSchedule:
         for k in range(1, 20):
             bracket = golden_step(lambda b: 0.0, bracket)
             assert bracket.width == pytest.approx(50.0 * INV_PHI**k, rel=1e-12)
+
+    @pytest.mark.parametrize("peak", [3.0, 19.1, 30.9, 47.0])
+    def test_points_and_pick_make_the_step(self, peak):
+        # train scores the two points in two processes and picks; search-beta
+        # steps.  Both must walk the same brackets.
+        def f(b):
+            return -abs(b - peak)
+
+        stepped = picked = Bracket(0.0, 50.0)
+        for _ in range(12):
+            c, d = golden_points(picked)
+            stepped, picked = golden_step(f, stepped), golden_pick(picked, f(c), f(d))
+            assert (picked.lo, picked.width) == (stepped.lo, stepped.width)
+        with pytest.raises(ValueError, match="non-finite objective"):
+            golden_pick(picked, 0.0, float("inf"))
 
 
 class TestRidge:

@@ -1,4 +1,7 @@
+import os
 import re
+import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import unit_chain_rows, unit_outputs
 
-from momhal.fusion import HAF_ID, FusionSpec, effective_coefficients
+from momhal import halluc
+from momhal.fusion import HAF_ID, STREAM_ORDER, FusionSpec, effective_coefficients
 from momhal.halluc import (
     Model,
     PredNet,
@@ -26,7 +30,7 @@ from momhal.halluc import (
     train,
     video_arrays,
 )
-from momhal.halluc import _apply_grads, _forward, _loss_and_grads
+from momhal.halluc import _forward, _Half, _loss_and_grads, _losses, _sgd
 from momhal.sketch import CountSketch, SketchStack, derive_stream_seed, sketch_new
 
 B = 5   # the backbone width of the small models
@@ -54,9 +58,9 @@ def make_batch(rng, cfg, n=4, n_classes=3, b=B):
 class TestStreamForward:
     def test_zero_input_zero_bias(self):
         model = init_model(small_cfg(), 3, B)   # every bias starts at zero
-        fwd = _forward(model, np.zeros((1, model.weight.shape[2])), backward=True)
-        np.testing.assert_array_equal(fwd.pres, 0.0)
-        np.testing.assert_array_equal(fwd.outs, 0.0)
+        _, _, pres, outs = model.chain(np.zeros((1, model.weight.shape[2])))
+        np.testing.assert_array_equal(pres, 0.0)
+        np.testing.assert_array_equal(outs, 0.0)
 
     def test_doubling_weights_is_not_linear(self):
         rng = np.random.default_rng(2)
@@ -76,8 +80,8 @@ class TestStreamForward:
         model = init_model(small_cfg(pre_sketch_dim=3, sketch_dim=3), 3, B)
         model = replace(model, sketches=SketchStack([sk] * len(model.weight)))
         model.bias[...] = rng.normal(size=model.bias.shape)
-        fwd = _forward(model, rng.normal(size=(1, model.weight.shape[2])), backward=True)
-        for pre, out in zip(fwd.pres, fwd.outs):
+        _, _, pres, outs = model.chain(rng.normal(size=(1, model.weight.shape[2])))
+        for pre, out in zip(pres, outs):
             assert sorted(out[0].tolist()) == sorted(pre[0].tolist())
 
     def test_shape_validation(self):
@@ -117,6 +121,16 @@ class TestObjective:
         batch = make_batch(np.random.default_rng(7), cfg)
         loss, per_mse, class_loss = objective(model, batch)
         assert loss == (cfg.alpha / len(model.streams)) * sum(per_mse.values()) + class_loss
+
+    def test_per_stream_mse_is_numpys_mean(self):
+        cfg = small_cfg()
+        model = init_model(cfg, 3, B)
+        rng = np.random.default_rng(19)
+        for n in (1, 7, 32, 191):
+            scale = 10.0 ** rng.uniform(-5, 5, size=(len(cfg.streams), 1))
+            sq = rng.random((len(cfg.streams), n)) * scale
+            per_mse = _losses(model, sq, np.zeros((n, 3)), np.zeros(n, dtype=int))[1]
+            assert list(per_mse.values()) == [float(row.mean()) for row in sq]
 
     def test_missing_target_error(self):
         cfg = small_cfg()
@@ -383,14 +397,28 @@ class TestStackedUnits:
         coeffs = effective_coefficients(model.spec)
         pooled = model.tot_scale * sum(c * want[names.index(name)][1] for name, c in coeffs.items())
         scores = pooled @ model.prednet.weight.T + model.prednet.bias
-        for backward in (False, True):
-            fwd = _forward(model, z, backward=backward)
-            for k, (pre, out) in enumerate(want):
-                assert np.array_equal(fwd.outs[k], out), names[k]
-                if backward:
-                    assert np.array_equal(fwd.pres[k], pre), names[k]
-            assert np.array_equal(fwd.pooled, pooled)
-            assert np.array_equal(fwd.scores, scores)
+        fwd = _forward(model, z)                  # in row blocks
+        _, _, pres, outs = model.chain(z)         # all rows at once
+        for k, (pre, out) in enumerate(want):
+            assert np.array_equal(fwd.outs[k], out), names[k]
+            assert np.array_equal(outs[k], out), names[k]
+            assert np.array_equal(pres[k], pre), names[k]
+        assert np.array_equal(fwd.pooled, pooled)
+        assert np.array_equal(fwd.scores, scores)
+
+    @pytest.mark.parametrize("rows", [1, 32, 70])
+    def test_every_split_equals_unit_by_unit_chain(self, rows):
+        # train runs the stack as two halves in two processes; each half must
+        # give its units the bits the whole stack gives them
+        model = self.model()
+        z = np.random.default_rng(rows).normal(size=(rows, model.weight.shape[2]))
+        want = [unit_chain_rows(model, k, z) for k in range(len(model.weight))]
+        for split in range(1, len(model.weight)):
+            for lo, hi in ((0, split), (split, len(model.weight))):
+                _, _, pres, outs = _Half(model, lo, hi, None, None).chain(z)
+                for k in range(lo, hi):
+                    assert np.array_equal(pres[k - lo], want[k][0]), (split, k)
+                    assert np.array_equal(outs[k - lo], want[k][1]), (split, k)
 
     def test_units_are_views_of_what_training_writes(self, tmp_path):
         cfg = small_cfg(epochs=2)
@@ -406,7 +434,8 @@ class TestStackedUnits:
         assert_checkpoint_holds_the_slabs()
         before = model.weight.copy()
         batch = video_arrays(make_batch(np.random.default_rng(13), cfg), cfg, model.streams)
-        _apply_grads(model, _loss_and_grads(model, batch)[1], 0.5)
+        grads = _loss_and_grads(model, batch)[1]
+        _sgd(model.weight, model.bias, grads.weight, grads.bias, 0.5)
         assert not np.array_equal(model.weight[0], before[0])
         assert_checkpoint_holds_the_slabs()
 
@@ -652,6 +681,129 @@ class TestInitModel:
                      lambda: objective(model, other)):
             with pytest.raises(ValueError, match=message):
                 call()
+
+
+def assert_same_training(got, want):
+    (model_a, rows_a), (model_b, rows_b) = got, want
+    assert rows_a == rows_b
+    for a, b in ((model_a.weight, model_b.weight), (model_a.bias, model_b.bias),
+                 (model_a.prednet.weight, model_b.prednet.weight),
+                 (model_a.prednet.bias, model_b.prednet.bias)):
+        assert np.array_equal(a, b)
+    assert model_a.spec == model_b.spec
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the worker process needs fork")
+class TestWorker:
+    """``train`` forks a worker for half of the unit stack where that pays;
+    it must give the bits of the in-process run and leave no process."""
+
+    def setup_data(self, n=24, **kw):
+        cfg = small_cfg(**{"epochs": 5, "warmup_epochs": 2, **kw})
+        return make_batch(np.random.default_rng(31), cfg, n=n, n_classes=3), cfg
+
+    def train_both_ways(self, monkeypatch, data, cfg):
+        """(split run, in-process run, forks of the split run)"""
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: n_units >= 2)
+        split = train(data, cfg)
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: False)
+        return split, train(data, cfg), len(forks)
+
+    @pytest.mark.parametrize("kw", [
+        {"streams": STREAM_ORDER},               # 11 units, 5 here and 6 in the worker
+        {},                                      # 3 streams
+        {"streams": ("det2",)},                  # one unit in each process
+        {"streams": ()},                         # the pass-through unit alone, no worker
+        {"batch_size": 5},                       # 18 training videos leave a batch of 3
+        {"val_fraction": 0.0},
+        {"warmup_epochs": 0},
+    ], ids=["all_streams", "three_streams", "one_stream", "no_streams", "remainder_batch",
+            "no_validation", "no_warmup"])
+    def test_worker_gives_the_in_process_bits(self, monkeypatch, kw):
+        data, cfg = self.setup_data(**kw)
+        split, whole, forks = self.train_both_ways(monkeypatch, data, cfg)
+        assert forks == (1 if cfg.streams else 0)
+        assert_same_training(split, whole)
+        assert split[0].weight.flags.owndata and split[0].bias.flags.owndata
+        assert_no_child_process()
+
+    def test_waits_that_sleep_give_the_same_bits(self, monkeypatch):
+        # with no polling every wait sleeps in poll() until the other side writes
+        monkeypatch.setattr(halluc, "_POLL_S", 0.0)
+        data, cfg = self.setup_data()
+        split, whole, forks = self.train_both_ways(monkeypatch, data, cfg)
+        assert forks == 1
+        assert_same_training(split, whole)
+
+    def test_divergence_leaves_no_process(self, monkeypatch):
+        data, _ = self.setup_data()
+        for video in data:
+            video.ground_truth["det1"] = np.full(4, 1e200)
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
+        with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
+            train(data, small_cfg(epochs=2, alpha=1e8))
+        assert_no_child_process()
+
+    def test_killed_worker_is_reported_in_bounded_time(self, monkeypatch):
+        data, cfg = self.setup_data()
+        parent, step = os.getpid(), halluc._Half.step
+        steps = []
+
+        def dying_step(half):
+            steps.append(None)
+            if os.getpid() != parent and len(steps) == 3:   # the worker's third batch
+                os.kill(os.getpid(), signal.SIGKILL)
+            step(half)
+
+        def hung(signum, frame):
+            raise TimeoutError("train waits on a dead worker")
+
+        monkeypatch.setattr(halluc._Half, "step", dying_step)
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError,
+                               match=r"training worker \(pid \d+\) was killed by signal 9"):
+                train(data, cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_process()
+
+    def test_second_thread_keeps_training_in_process(self, monkeypatch):
+        data, cfg = self.setup_data()
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: False)
+        want = train(data, cfg)
+        monkeypatch.undo()
+
+        def no_fork():
+            raise AssertionError("forked with a second thread alive")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert not halluc._fork_pays(len(cfg.streams) + 1)
+            got = train(data, cfg)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert_same_training(got, want)
 
 
 class TestMetricsCsv:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from momhal.pn import EPSILON, ETA, maxexp, sigme, sigme_grad, sigme_vjp
+from momhal.pn import EPSILON, ETA, maxexp, row_norm, sigme, sigme_grad, sigme_vjp
 
 
 class TestSigme:
@@ -100,7 +100,7 @@ class TestSigmeGrad:
             if rows > 1:
                 psi[1] = 1e-200     # nonzero, but its squared norm underflows to 0
             upstream = rng.normal(size=(rows, m))
-            got = sigme_vjp(psi, sigme(psi, eta), upstream, eta)
+            got = sigme_vjp(psi, row_norm(psi), sigme(psi, eta), upstream, eta)
             want = recomputed_sigme_grad(psi, upstream, eta)
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(sigme_grad(psi, upstream, eta), want)
@@ -109,9 +109,11 @@ class TestSigmeGrad:
     def test_saved_output_shape_mismatch(self):
         psi = np.ones((2, 3))
         with pytest.raises(ValueError):
-            sigme_vjp(psi, sigme(psi, ETA), np.ones((2, 4)), ETA)
+            sigme_vjp(psi, row_norm(psi), sigme(psi, ETA), np.ones((2, 4)), ETA)
         with pytest.raises(ValueError):
-            sigme_vjp(psi, np.ones((3, 3)), np.ones((2, 3)), ETA)
+            sigme_vjp(psi, row_norm(psi), np.ones((3, 3)), np.ones((2, 3)), ETA)
+        with pytest.raises(ValueError):
+            sigme_vjp(psi, np.ones((2, 3)), sigme(psi, ETA), np.ones((2, 3)), ETA)
 
 
 def formula_sigme(psi, eta):
@@ -147,7 +149,8 @@ class TestSameBitsAsFormulas:
             upstream = rng.normal(size=shape)
             g = sigme(psi, eta)
             assert np.array_equal(g, formula_sigme(psi, eta))
-            got = sigme_vjp(psi, g, upstream, eta)
+            assert np.array_equal(sigme(psi, eta, row_norm(psi)), g)
+            got = sigme_vjp(psi, row_norm(psi), g, upstream, eta)
             assert np.array_equal(got, formula_sigme_vjp(psi, g, upstream, eta))
 
     def test_all_zero_input(self):
@@ -155,7 +158,7 @@ class TestSameBitsAsFormulas:
         g = sigme(psi, ETA)
         upstream = np.ones((3, 6))
         assert np.array_equal(g, formula_sigme(psi, ETA))
-        assert np.array_equal(sigme_vjp(psi, g, upstream, ETA),
+        assert np.array_equal(sigme_vjp(psi, row_norm(psi), g, upstream, ETA),
                               formula_sigme_vjp(psi, g, upstream, ETA))
 
     def test_huge_finite_rows_still_accepted(self):
