@@ -177,9 +177,6 @@ def _build_train_config(args) -> tuple[TrainConfig, str, str]:
 def cmd_train(args) -> int:
     cfg, data_dir, out_dir = _build_train_config(args)
     videos, _ = load_dataset(data_dir, cfg.sketch_dim, cfg.eta, cfg.streams)
-    if not videos:
-        print("empty dataset", file=sys.stderr)
-        return EXIT_EMPTY
     model, metrics = train(videos, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

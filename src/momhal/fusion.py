@@ -84,6 +84,8 @@ class FusionSpec:
     pass-through weight 1/(|top members| + 1), the leaf ``coefficients`` and
     ``tot_scale`` (the inverse coefficient mass at beta = 0, which no raw
     weight moves) follow from the fields and are computed once, here.
+    ``tot_scale`` is the head's fixed input gain: it undoes the nested
+    1/|group| factors, so the head's inputs are O(1) whatever the stream count.
     """
 
     streams: tuple[str, ...]

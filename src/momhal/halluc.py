@@ -163,44 +163,6 @@ class Model:
     def streams(self) -> tuple[str, ...]:
         return self.spec.streams
 
-    @property
-    def tot_scale(self) -> float:
-        """The head's fixed input gain: dividing by the coefficient mass, whose
-        nested 1/|group| factors shrink the pooled vector, gives O(1) inputs and
-        SGD conditioning independent of how many streams are enabled."""
-        return self.spec.tot_scale
-
-    def chain(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
-        """``_chain`` of every unit."""
-        return _chain(self.weight, self.bias, self.sketches, self.config.eta, z)
-
-    def outputs(self, z: np.ndarray) -> np.ndarray:
-        """Every unit's sketched outputs (U+1, n, d') of the rows of ``z``, a
-        row block at a time."""
-        blocks = _row_blocks(z.shape[0])
-        if len(blocks) == 1:
-            return self.chain(z)[3]
-        out = np.empty((len(self.weight), z.shape[0], self.sketches.output_dim))
-        for lo, hi in blocks:
-            out[:, lo:hi] = self.chain(z[lo:hi])[3]
-        return out
-
-
-def _chain(
-    weight: np.ndarray, bias: np.ndarray, sketches: SketchStack, eta: float, z: np.ndarray,
-) -> tuple[np.ndarray, ...]:
-    """Affine map, SigmE and count sketch of stacked units on the rows of
-    ``z``: (S, n, m) pre-activations, their (S, n, 1) row norms, (S, n, m)
-    SigmE outputs and (S, n, d') sketched outputs.  numpy's matmul runs one
-    GEMM per unit, SigmE works row by row and each unit has its own buckets,
-    so a unit's bits do not depend on which units share the stack."""
-    acts = np.matmul(z, weight.transpose(0, 2, 1))
-    acts += bias[:, None, :]
-    norms = row_norm(acts)
-    pres = sigme(acts, eta, norms)
-    return acts, norms, pres, sketches.project(pres)
-
-
 @dataclass
 class VideoArrays:
     """Videos converted once for the array-level paths: time-pooled
@@ -209,9 +171,6 @@ class VideoArrays:
     z: np.ndarray         # (N, b)
     targets: np.ndarray   # (U, N, d'), one contiguous (N, d') slab per requested stream
     labels: np.ndarray    # (N,) class ids
-
-    def take(self, idx: np.ndarray) -> VideoArrays:
-        return VideoArrays(self.z[idx], self.targets[:, idx], self.labels[idx])
 
 
 def _time_pool(features: list[np.ndarray]) -> np.ndarray:
@@ -257,22 +216,11 @@ def _head(model: Model, outs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pooled, pooled @ model.prednet.weight.T + model.prednet.bias
 
 
-@dataclass
-class _Pass:
-    """One forward pass over time-pooled features.  The unit axis of the
-    stacked outputs follows ``Model.weight``: pass-through last."""
-
-    outs: np.ndarray              # (U+1, n, d') sketched outputs
-    pooled: np.ndarray            # tot_scale * sum_i c_i out_i, the head's input
-    scores: np.ndarray
-
-
-def _forward(model: Model, z: np.ndarray) -> _Pass:
-    """The forward pass over the rows of ``z``, in row blocks."""
-    if z.shape[1] != (width := model.weight.shape[2]):
-        raise ValueError(f"features of width {z.shape[1]}, but the model reads width {width}")
-    outs = model.outputs(z)
-    return _Pass(outs, *_head(model, outs))
+def _forward(model: Model, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every unit's sketched outputs (U+1, n, d') of the rows of ``z``, in
+    row blocks, pass-through last, and their scores."""
+    outs = _Units(model, 0, len(model.weight)).outputs(z)
+    return outs, _head(model, outs)[1]
 
 
 def _class_loss_and_grad(scores: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -321,8 +269,8 @@ def objective(model: Model, batch: list[SyntheticVideo]) -> tuple[float, dict[st
     squared error, classification loss) with total = (alpha / |streams|) *
     sum of per-stream MSE plus the classification loss, exactly."""
     data = video_arrays(batch, model.config, model.streams)
-    fwd = _forward(model, data.z)
-    return _losses(model, _squared_residuals(fwd.outs, data.targets), fwd.scores, data.labels)[:3]
+    n = len(data.labels)
+    return _Trainer(model, data, n, fork=False).batch(np.arange(n))[:3]
 
 
 def init_model(cfg: TrainConfig, n_classes: int, backbone_dim: int) -> Model:
@@ -347,13 +295,13 @@ def init_model(cfg: TrainConfig, n_classes: int, backbone_dim: int) -> Model:
 def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Test-time pass on raw backbone features only: hallucinate every
     stream, pool, and score.  No ground-truth descriptors are consumed."""
-    fwd = _forward(model, _time_pool([video_features]))
-    return fwd.scores[0], {name: out[0] for name, out in zip(model.streams, fwd.outs)}
+    outs, scores = _forward(model, _time_pool([video_features]))
+    return scores[0], {name: out[0] for name, out in zip(model.streams, outs)}
 
 
 def predict_scores(model: Model, videos: list[SyntheticVideo]) -> np.ndarray:
     """Batched inference scores; reads only features, never ground truth."""
-    return _forward(model, _time_pool([v.backbone_features for v in videos])).scores
+    return _forward(model, _time_pool([v.backbone_features for v in videos]))[1]
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -365,7 +313,7 @@ def evaluate(model: Model, videos: list[SyntheticVideo]) -> float:
     if not videos:
         return 0.0
     data = video_arrays(videos, model.config)
-    return _accuracy(_forward(model, data.z).scores, data.labels)
+    return _accuracy(_forward(model, data.z)[1], data.labels)
 
 
 def _split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -385,7 +333,7 @@ def beta_objective(model: Model, data: VideoArrays) -> Callable[[float], float]:
     model's ``ridge_l2``.  A split without validation videos scores every
     beta as 0.
     """
-    return _beta_score(model, _forward(model, data.z).outs, data.labels)
+    return _beta_score(model, _forward(model, data.z)[0], data.labels)
 
 
 def _beta_score(model: Model, outs: np.ndarray, labels: np.ndarray) -> Callable[[float], float]:
@@ -457,39 +405,66 @@ def _sgd(weight: np.ndarray, bias: np.ndarray, dw: np.ndarray, db: np.ndarray, l
 
 class _Shared:
     """The arrays that both processes of a split ``train`` read and write,
-    made by ``alloc(shape, dtype)`` for a batch size and the data."""
+    in shared memory, for a batch size and the data."""
 
-    def __init__(self, alloc, n_units: int, batch: int, data: VideoArrays):
+    def __init__(self, n_units: int, batch: int, data: VideoArrays):
         n_streams, n, d = data.targets.shape
-        self.rows = alloc((1 + batch,), np.int64)     # a batch's row count, then its rows
-        self.outs = alloc((n_units, batch, d))        # the batch's sketched outputs
-        self.sq_norms = alloc((n_streams, batch))     # the batch's squared residual norms
-        self.d_pooled = alloc((batch, d))             # d(loss)/d(pooled head input)
-        self.coeffs = alloc((n_units,))               # the pooling coefficients, in unit order
-        self.all_outs = alloc((n_units, n, d))        # every row's outputs at an epoch's end
-        self.all_sq_norms = alloc((n_streams, n))     # and their squared residual norms
-        self.beta = alloc((2,))                       # the worker's beta point, then its score
+        self.rows = _shared_array((1 + batch,), np.int64)   # a batch's row count, then its rows
+        self.outs = _shared_array((n_units, batch, d))      # the batch's sketched outputs
+        self.sq_norms = _shared_array((n_streams, batch))   # the batch's squared residual norms
+        self.d_pooled = _shared_array((batch, d))           # d(loss)/d(pooled head input)
+        self.coeffs = _shared_array((n_units,))             # the pooling coefficients by unit
+        self.all_outs = _shared_array((n_units, n, d))      # every row's outputs at an epoch's end
+        self.all_sq_norms = _shared_array((n_streams, n))   # and their squared residual norms
+        self.beta = _shared_array((2,))                     # the worker's beta point, its score
 
 
-class _Half:
-    """Units [lo, hi) of a model in training, pass-through last when hi = S,
-    and the work one process does on them, each step on the arrays of a
-    ``_Shared``: a batch's forward pass and squared residual norms, then its
-    backward pass and SGD step; every row's outputs at an epoch's end; and a
-    beta score."""
+class _Units:
+    """Units [lo, hi) of a model, pass-through last when hi = S: the one
+    code that runs the unit chain, for inference on all S units and for
+    either process of ``train``.  In training each step works on the arrays
+    of a ``_Shared``: a batch's forward pass and squared residual norms,
+    then its backward pass and SGD step; every row's outputs at an epoch's
+    end; and a beta score."""
 
-    def __init__(self, model: Model, lo: int, hi: int, data: VideoArrays, shared: _Shared):
+    def __init__(self, model: Model, lo: int, hi: int,
+                 data: VideoArrays | None = None, shared: _Shared | None = None):
         self.model, self.data, self.shared = model, data, shared
         self.units = slice(lo, hi)
         self.n_streams = max(0, min(hi, len(model.streams)) - lo)
         self.streams = slice(lo, lo + self.n_streams)
-        self.sketches = SketchStack(list(model.sketches.sketches[lo:hi]))
+        # all S units keep the model's stack, and so its per-row-count index cache
+        self.sketches = (model.sketches if (lo, hi) == (0, len(model.weight))
+                         else SketchStack(list(model.sketches.sketches[lo:hi])))
         self.kept: tuple[np.ndarray, ...] = ()   # what the backward pass reads
 
     def chain(self, z: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Affine map, SigmE and count sketch of the units on the rows of
+        ``z``: (S, n, m) pre-activations, their (S, n, 1) row norms, (S, n, m)
+        SigmE outputs and (S, n, d') sketched outputs.  numpy's matmul runs
+        one GEMM per unit, SigmE works row by row and each unit has its own
+        buckets, so a unit's bits do not depend on which units share the
+        stack."""
         model = self.model
-        return _chain(model.weight[self.units], model.bias[self.units], self.sketches,
-                      model.config.eta, z)
+        if z.shape[1] != (width := model.weight.shape[2]):
+            raise ValueError(f"features of width {z.shape[1]}, but the model reads width {width}")
+        acts = np.matmul(z, model.weight[self.units].transpose(0, 2, 1))
+        acts += model.bias[self.units, None, :]
+        norms = row_norm(acts)
+        pres = sigme(acts, model.config.eta, norms)
+        return acts, norms, pres, self.sketches.project(pres)
+
+    def outputs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The units' (hi - lo, n, d') sketched outputs of the rows of ``z``,
+        a row block at a time, into ``out`` if given."""
+        blocks = _row_blocks(len(z))
+        if out is None:
+            if len(blocks) == 1:
+                return self.chain(z)[3]
+            out = np.empty((len(self.sketches.sketches), len(z), self.sketches.output_dim))
+        for lo, hi in blocks:
+            out[:, lo:hi] = self.chain(z[lo:hi])[3]
+        return out
 
     def forward(self) -> None:
         rows = self.shared.rows[1 : 1 + self.shared.rows[0]]
@@ -518,9 +493,7 @@ class _Half:
              model.config.learning_rate)
 
     def epoch_end(self) -> None:
-        out = self.shared.all_outs[self.units]
-        for lo, hi in _row_blocks(len(self.data.z)):
-            out[:, lo:hi] = self.chain(self.data.z[lo:hi])[3]
+        out = self.outputs(self.data.z, self.shared.all_outs[self.units])
         self.shared.all_sq_norms[self.streams] = _squared_residuals(
             out, self.data.targets[self.streams])
 
@@ -547,9 +520,9 @@ def _read_byte(fd: int) -> bytes:
                 sleeper.poll()
 
 
-def _serve(half: _Half, commands: int, replies: int, unused: tuple[int, ...]) -> NoReturn:
+def _serve(units: _Units, commands: int, replies: int, unused: tuple[int, ...]) -> NoReturn:
     """The worker process: closes the pipe ends it does not use, then runs
-    each one-byte command on ``half`` and answers it, until end of file.
+    each one-byte command on ``units`` and answers it, until end of file.
     Leaves by ``os._exit`` on every path, so nothing unwinds into the
     parent's frames that the fork copied."""
     code = 1
@@ -557,7 +530,7 @@ def _serve(half: _Half, commands: int, replies: int, unused: tuple[int, ...]) ->
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends the worker
         for fd in unused:
             os.close(fd)
-        run = {b"F": half.forward, b"B": half.step, b"E": half.epoch_end, b"G": half.score}
+        run = {b"F": units.forward, b"B": units.step, b"E": units.epoch_end, b"G": units.score}
         while command := _read_byte(commands):
             run[command]()
             os.write(replies, b".")
@@ -569,10 +542,10 @@ def _serve(half: _Half, commands: int, replies: int, unused: tuple[int, ...]) ->
 
 
 class _Worker:
-    """A forked process that runs one ``_Half``, and the two pipes that
+    """A forked process that runs one ``_Units``, and the two pipes that
     carry its commands and answers."""
 
-    def __init__(self, half: _Half):
+    def __init__(self, units: _Units):
         commands, self.commands = os.pipe()
         self.replies, replies = os.pipe()
         for fd in (commands, self.replies):   # the ends that _read_byte reads
@@ -584,7 +557,7 @@ class _Worker:
                 os.close(fd)
             raise
         if self.pid == 0:
-            _serve(half, commands, replies, unused=(self.commands, self.replies))
+            _serve(units, commands, replies, unused=(self.commands, self.replies))
         os.close(commands)
         os.close(replies)
 
@@ -622,9 +595,9 @@ class _Worker:
 
 
 class _Trainer:
-    """A model's unit stack in training.  With ``fork``, the weight and bias
-    slabs and a ``_Shared`` go into shared memory and a forked worker runs
-    units [S // 2, S), pass-through included, while this process runs
+    """A model's unit stack in training, on the arrays of a ``_Shared``.
+    With ``fork``, the slabs go into shared memory too and a forked worker
+    runs units [S // 2, S), pass-through included, while this process runs
     [0, S // 2) and the serial work; otherwise this process runs every unit.
     Each step returns when both halves are done (notes/decisions.md, "Two
     processes do").  Leaving the context ends the worker on every path and
@@ -632,17 +605,16 @@ class _Trainer:
 
     def __init__(self, model: Model, data: VideoArrays, batch: int, fork: bool):
         n_units = len(model.weight)
-        alloc = _shared_array if fork else np.zeros
         if fork:
             for name in ("weight", "bias"):
-                slab = alloc(getattr(model, name).shape)
+                slab = _shared_array(getattr(model, name).shape)
                 slab[...] = getattr(model, name)
                 setattr(model, name, slab)
         self.model, self.data = model, data
-        self.shared = _Shared(alloc, n_units, batch, data)
+        self.shared = _Shared(n_units, batch, data)
         split = n_units // 2 if fork else n_units
-        self.half = _Half(model, 0, split, data, self.shared)
-        self.worker = _Worker(_Half(model, split, n_units, data, self.shared)) if fork else None
+        self.units = _Units(model, 0, split, data, self.shared)
+        self.worker = _Worker(_Units(model, split, n_units, data, self.shared)) if fork else None
 
     def __enter__(self) -> _Trainer:
         return self
@@ -661,28 +633,30 @@ class _Trainer:
         if self.worker is not None:
             self.worker.wait()
 
-    def batch(self, rows: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
-        """The forward pass over ``rows`` of the data: the loss and the
-        head's gradients; d(loss)/d(pooled) goes to the shared arrays."""
+    def batch(self, rows: np.ndarray) -> tuple[float, dict[str, float], float,
+                                               tuple[np.ndarray, np.ndarray]]:
+        """The forward pass over ``rows`` of the data: the ``_losses`` terms
+        and the head's gradients; d(loss)/d(pooled) goes to the shared arrays."""
         model, shared, n = self.model, self.shared, len(rows)
         shared.coeffs[:] = [model.spec.coefficients[name] for name in (*model.streams, HAF_ID)]
         shared.rows[0], shared.rows[1 : 1 + n] = n, rows
-        self._run(b"F", self.half.forward)
+        self._run(b"F", self.units.forward)
         pooled, scores = _head(model, shared.outs[:, :n])
-        loss, _, _, d_scores = _losses(model, shared.sq_norms[:, :n], scores, self.data.labels[rows])
-        shared.d_pooled[:n] = model.tot_scale * (d_scores @ model.prednet.weight)
-        return loss, (d_scores.T @ pooled, d_scores.sum(axis=0))
+        loss, per_mse, class_loss, d_scores = _losses(model, shared.sq_norms[:, :n], scores,
+                                                      self.data.labels[rows])
+        shared.d_pooled[:n] = model.spec.tot_scale * (d_scores @ model.prednet.weight)
+        return loss, per_mse, class_loss, (d_scores.T @ pooled, d_scores.sum(axis=0))
 
     def step(self, head_grads: tuple[np.ndarray, np.ndarray]) -> None:
         """The SGD step of every unit and of the head, after ``batch``."""
         prednet, lr = self.model.prednet, self.model.config.learning_rate
-        self._run(b"B", self.half.step,
+        self._run(b"B", self.units.step,
                   lambda: _sgd(prednet.weight, prednet.bias, *head_grads, lr))
 
     def epoch_end(self) -> None:
         """Every row's outputs into ``shared.all_outs``, and the streams'
         squared residual norms into ``shared.all_sq_norms``."""
-        self._run(b"E", self.half.epoch_end)
+        self._run(b"E", self.units.epoch_end)
 
     def golden_step(self, bracket: Bracket) -> Bracket:
         """``fusion.golden_step`` of the beta score on ``shared.all_outs``,
@@ -710,8 +684,8 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     row of ``data``, all units in this process, without the step."""
     n = len(data.labels)
     with _Trainer(model, data, n, fork=False) as stack:
-        loss, head = stack.batch(np.arange(n))
-        return loss, _Grads(*stack.half.grads(), head)
+        loss, _, _, head = stack.batch(np.arange(n))
+        return loss, _Grads(*stack.units.grads(), head)
 
 
 def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[dict]]:
@@ -734,7 +708,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     metrics: list[dict] = []
     bracket = Bracket(BETA_BRACKET[0], BETA_BRACKET[1] - BETA_BRACKET[0])
     batch = min(cfg.batch_size, len(train_idx))
-    with _Trainer(model, data, batch, _fork_pays(len(model.weight))) as stack:
+    with _Trainer(model, data, batch, cfg.epochs > 0 and _fork_pays(len(model.weight))) as stack:
         for epoch in range(1, cfg.epochs + 1):
             if epoch <= cfg.warmup_epochs:   # the spec starts at beta = 0
                 beta_lo = beta_hi = 0.0
@@ -747,7 +721,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
 
             order = np.random.default_rng((cfg.seed, epoch)).permutation(len(train_idx))
             for start in range(0, len(order), batch):
-                loss, head_grads = stack.batch(train_idx[order[start : start + batch]])
+                loss, _, _, head_grads = stack.batch(train_idx[order[start : start + batch]])
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(
                         f"non-finite loss at epoch {epoch}, batch offset {start}"
@@ -835,7 +809,7 @@ def save_checkpoint(model: Model, path) -> None:
     buf.write(np.uint64(cfg.seed & ((1 << 64) - 1)).tobytes())
     for v in (model.weight.shape[2], cfg.pre_sketch_dim, cfg.sketch_dim, model.n_classes):
         buf.write(np.uint32(v).tobytes())
-    for v in (cfg.eta, EPSILON, cfg.alpha, model.tot_scale):
+    for v in (cfg.eta, EPSILON, cfg.alpha, model.spec.tot_scale):
         buf.write(np.float64(v).tobytes())
     buf.write(np.uint8(0).tobytes())   # the multi_label flag of format v1, always 0
 

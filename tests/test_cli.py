@@ -379,8 +379,8 @@ class TestSynthTrainEval:
         val, tr = perm[: round(0.25 * n)], perm[round(0.25 * n):]
         spec = replace(model.spec, beta=float(m.group(1)))
         outs = unit_outputs(model, [v.backbone_features for v in videos])
-        pooled = model.tot_scale * sum(c * outs[name]
-                                       for name, c in effective_coefficients(spec).items())
+        pooled = model.spec.tot_scale * sum(c * outs[name]
+                                            for name, c in effective_coefficients(spec).items())
         y = np.array([v.label for v in videos])
         want = ridge_accuracy(pooled[tr], y[tr], pooled[val], y[val], model.n_classes, 1e-3)
         assert m.group(2) == f"{want:.4f}"

@@ -30,10 +30,15 @@ from momhal.halluc import (
     train,
     video_arrays,
 )
-from momhal.halluc import _forward, _Half, _loss_and_grads, _losses, _sgd
+from momhal.halluc import _forward, _loss_and_grads, _losses, _pool, _sgd, _Units
 from momhal.sketch import CountSketch, SketchStack, derive_stream_seed, sketch_new
 
 B = 5   # the backbone width of the small models
+
+
+def chain(model, z):
+    """The unit chain of every unit of ``model`` on the rows of ``z``."""
+    return _Units(model, 0, len(model.weight)).chain(z)
 
 
 def small_cfg(**kw):
@@ -58,7 +63,7 @@ def make_batch(rng, cfg, n=4, n_classes=3, b=B):
 class TestStreamForward:
     def test_zero_input_zero_bias(self):
         model = init_model(small_cfg(), 3, B)   # every bias starts at zero
-        _, _, pres, outs = model.chain(np.zeros((1, model.weight.shape[2])))
+        _, _, pres, outs = chain(model, np.zeros((1, model.weight.shape[2])))
         np.testing.assert_array_equal(pres, 0.0)
         np.testing.assert_array_equal(outs, 0.0)
 
@@ -80,7 +85,7 @@ class TestStreamForward:
         model = init_model(small_cfg(pre_sketch_dim=3, sketch_dim=3), 3, B)
         model = replace(model, sketches=SketchStack([sk] * len(model.weight)))
         model.bias[...] = rng.normal(size=model.bias.shape)
-        _, _, pres, outs = model.chain(rng.normal(size=(1, model.weight.shape[2])))
+        _, _, pres, outs = chain(model, rng.normal(size=(1, model.weight.shape[2])))
         for pre, out in zip(pres, outs):
             assert sorted(out[0].tolist()) == sorted(pre[0].tolist())
 
@@ -335,7 +340,7 @@ class TestInference:
         def fresh_scores():
             # pooled from each unit's own outputs with coefficients computed now
             outs = unit_outputs(model, [v.backbone_features for v in videos])
-            pooled = model.tot_scale * sum(
+            pooled = model.spec.tot_scale * sum(
                 c * outs[name] for name, c in effective_coefficients(model.spec).items())
             return pooled @ model.prednet.weight.T + model.prednet.bias
 
@@ -395,16 +400,19 @@ class TestStackedUnits:
         names = (*model.streams, HAF_ID)
         want = [unit_chain_rows(model, k, z) for k in range(len(names))]
         coeffs = effective_coefficients(model.spec)
-        pooled = model.tot_scale * sum(c * want[names.index(name)][1] for name, c in coeffs.items())
+        pooled = model.spec.tot_scale * sum(c * want[names.index(name)][1]
+                                            for name, c in coeffs.items())
         scores = pooled @ model.prednet.weight.T + model.prednet.bias
-        fwd = _forward(model, z)                  # in row blocks
-        _, _, pres, outs = model.chain(z)         # all rows at once
+        fwd_outs, fwd_scores = _forward(model, z)                   # in row blocks
+        blocked = _Units(model, 0, len(model.weight)).outputs(z)   # the same, without the head
+        _, _, pres, outs = chain(model, z)                          # all rows at once
         for k, (pre, out) in enumerate(want):
-            assert np.array_equal(fwd.outs[k], out), names[k]
+            assert np.array_equal(fwd_outs[k], out), names[k]
+            assert np.array_equal(blocked[k], out), names[k]
             assert np.array_equal(outs[k], out), names[k]
             assert np.array_equal(pres[k], pre), names[k]
-        assert np.array_equal(fwd.pooled, pooled)
-        assert np.array_equal(fwd.scores, scores)
+        assert np.array_equal(_pool(model.spec, fwd_outs), pooled)
+        assert np.array_equal(fwd_scores, scores)
 
     @pytest.mark.parametrize("rows", [1, 32, 70])
     def test_every_split_equals_unit_by_unit_chain(self, rows):
@@ -415,7 +423,7 @@ class TestStackedUnits:
         want = [unit_chain_rows(model, k, z) for k in range(len(model.weight))]
         for split in range(1, len(model.weight)):
             for lo, hi in ((0, split), (split, len(model.weight))):
-                _, _, pres, outs = _Half(model, lo, hi, None, None).chain(z)
+                _, _, pres, outs = _Units(model, lo, hi).chain(z)
                 for k in range(lo, hi):
                     assert np.array_equal(pres[k - lo], want[k][0]), (split, k)
                     assert np.array_equal(outs[k - lo], want[k][1]), (split, k)
@@ -452,7 +460,6 @@ class TestStackedUnits:
     def test_spec_must_follow_the_config(self):
         model = self.model()
         assert model.streams is model.spec.streams
-        assert model.tot_scale == model.spec.tot_scale
         for spec in (FusionSpec(("fv1", "det1")), replace(model.spec, rho=0.5)):
             with pytest.raises(ValueError, match="a fusion spec of streams"):
                 replace(model, spec=spec)
@@ -491,7 +498,7 @@ class TestCheckpoint:
         back = load_checkpoint(path)
 
         assert back.n_classes == model.n_classes
-        assert back.tot_scale == model.tot_scale
+        assert back.spec.tot_scale == model.spec.tot_scale
         assert back.streams == model.streams
         scores_a = predict_scores(model, data[:3])
         scores_b = predict_scores(back, data[:3])
@@ -758,19 +765,19 @@ class TestWorker:
 
     def test_killed_worker_is_reported_in_bounded_time(self, monkeypatch):
         data, cfg = self.setup_data()
-        parent, step = os.getpid(), halluc._Half.step
+        parent, step = os.getpid(), halluc._Units.step
         steps = []
 
-        def dying_step(half):
+        def dying_step(units):
             steps.append(None)
             if os.getpid() != parent and len(steps) == 3:   # the worker's third batch
                 os.kill(os.getpid(), signal.SIGKILL)
-            step(half)
+            step(units)
 
         def hung(signum, frame):
             raise TimeoutError("train waits on a dead worker")
 
-        monkeypatch.setattr(halluc._Half, "step", dying_step)
+        monkeypatch.setattr(halluc._Units, "step", dying_step)
         monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
@@ -804,6 +811,20 @@ class TestWorker:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert_same_training(got, want)
+
+    def test_zero_epochs_forks_no_worker(self, monkeypatch):
+        data, cfg = self.setup_data(epochs=0)
+
+        def no_fork():
+            raise AssertionError("forked a worker with no epoch to split")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
+        model, metrics = train(data, cfg)
+        ref = init_model(cfg, 3, B)
+        assert metrics == []
+        np.testing.assert_array_equal(model.weight, ref.weight)
+        np.testing.assert_array_equal(model.prednet.weight, ref.prednet.weight)
 
 
 class TestMetricsCsv:
