@@ -21,7 +21,7 @@ from .odf import DetectionRecord, OdfConfig, encode_box, odf_descriptor
 from .pn import maxexp, sigme, sigme_grad
 from .sdf import SaliencyFrame, encode_frame, gradients, sdf_descriptor
 from .sketch import CountSketch, project, sketch_new
-from .fusion import FusionSpec, eq9_weights, golden_section_max
+from .fusion import FusionSpec, golden_section_max
 from .halluc import Model, SyntheticVideo, TrainConfig, infer, objective, train
 
 __all__ = [
@@ -31,7 +31,7 @@ __all__ = [
     "FeatureBag", "MultiMomentDescriptor", "assemble_upsilon", "multi_moment",
     "DetectionRecord", "OdfConfig", "encode_box", "odf_descriptor",
     "SaliencyFrame", "gradients", "encode_frame", "sdf_descriptor",
-    "FusionSpec", "eq9_weights", "golden_section_max",
+    "FusionSpec", "golden_section_max",
     "TrainConfig", "SyntheticVideo", "Model", "objective", "train", "infer",
 ]
 

@@ -4,8 +4,7 @@ Streams are weighted by the ratios r_i = max(w'_i^beta, rho) / sum_j
 max(w'_j^beta, rho) where w' are raw per-stream scores normalized so the
 group maximum is 1, so each group pools to a convex weighted mean.
 beta = 0 equalizes the ratios at 1/|T|; large beta approaches
-winner-takes-all with losers held at the floor rho.  The paper's
-w_i = r_i / |T| form is kept as ``eq9_weights``.
+winner-takes-all with losers held at the floor rho.
 
 Pooling runs on three levels, fixed by the streams' kinds: detector
 streams pool into "det", saliency streams into "sal", and the top level
@@ -64,12 +63,6 @@ def eq9_ratios(w_prime: np.ndarray, beta: float, rho: float) -> np.ndarray:
         raise ValueError(f"beta must be >= 0, got {beta}")
     vals = np.maximum(np.power(w_prime, beta), rho)
     return vals / vals.sum()
-
-
-def eq9_weights(w_prime: np.ndarray, beta: float, rho: float) -> np.ndarray:
-    """Stream weights w_i = r_i / |T| (the ratios carry an extra 1/|T|)."""
-    r = eq9_ratios(w_prime, beta, rho)
-    return r / r.size
 
 
 @dataclass(frozen=True)

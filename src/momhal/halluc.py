@@ -253,24 +253,12 @@ def _losses(
     return mse_term + class_loss, per_stream_mse, class_loss, d_scores
 
 
-def _squared_residuals(outs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-row squared norms (U, n) of the residuals outs[:U] - targets, a
-    row block at a time."""
-    n_units, n = targets.shape[:2]
-    sq_norms = np.empty((n_units, n))
-    for lo, hi in _row_blocks(n):
-        resid = outs[:n_units, lo:hi] - targets[:, lo:hi]
-        sq_norms[:, lo:hi] = np.square(resid, out=resid).sum(axis=2)
-    return sq_norms
-
-
 def objective(model: Model, batch: list[SyntheticVideo]) -> tuple[float, dict[str, float], float]:
     """Combined loss of ``model`` on a batch: (total loss, per-stream mean
     squared error, classification loss) with total = (alpha / |streams|) *
     sum of per-stream MSE plus the classification loss, exactly."""
     data = video_arrays(batch, model.config, model.streams)
-    n = len(data.labels)
-    return _Trainer(model, data, n, fork=False).batch(np.arange(n))[:3]
+    return _Trainer(model, data, fork=False).batch(np.arange(len(data.labels)))[:3]
 
 
 def init_model(cfg: TrainConfig, n_classes: int, backbone_dim: int) -> Model:
@@ -404,28 +392,31 @@ def _sgd(weight: np.ndarray, bias: np.ndarray, dw: np.ndarray, db: np.ndarray, l
 
 
 class _Shared:
-    """The arrays that both processes of a split ``train`` read and write,
-    in shared memory, for a batch size and the data."""
+    """The arrays that the units of a training step read and write, sized
+    for all N rows of the data: in shared memory when a worker is forked
+    (``fork``), so that both processes see them, and private otherwise.  A
+    batch of n rows uses the first n slots of ``outs`` and ``sq_norms`` and
+    an epoch's end all N; the beta score reads them only between an epoch's
+    end and the next batch."""
 
-    def __init__(self, n_units: int, batch: int, data: VideoArrays):
+    def __init__(self, n_units: int, data: VideoArrays, fork: bool):
         n_streams, n, d = data.targets.shape
-        self.rows = _shared_array((1 + batch,), np.int64)   # a batch's row count, then its rows
-        self.outs = _shared_array((n_units, batch, d))      # the batch's sketched outputs
-        self.sq_norms = _shared_array((n_streams, batch))   # the batch's squared residual norms
-        self.d_pooled = _shared_array((batch, d))           # d(loss)/d(pooled head input)
-        self.coeffs = _shared_array((n_units,))             # the pooling coefficients by unit
-        self.all_outs = _shared_array((n_units, n, d))      # every row's outputs at an epoch's end
-        self.all_sq_norms = _shared_array((n_streams, n))   # and their squared residual norms
-        self.beta = _shared_array((2,))                     # the worker's beta point, its score
+        new = _shared_array if fork else np.zeros
+        self.rows = new((1 + n,), np.int64)   # a batch's row count, then its rows
+        self.outs = new((n_units, n, d))      # sketched outputs, by slot
+        self.sq_norms = new((n_streams, n))   # the streams' squared residual norms, by slot
+        self.d_pooled = new((n, d))           # d(loss)/d(pooled head input) of a batch
+        self.coeffs = new((n_units,))         # the pooling coefficients by unit
+        self.beta = new((4,))                 # the golden-section points c and d, their scores
 
 
 class _Units:
     """Units [lo, hi) of a model, pass-through last when hi = S: the one
     code that runs the unit chain, for inference on all S units and for
     either process of ``train``.  In training each step works on the arrays
-    of a ``_Shared``: a batch's forward pass and squared residual norms,
-    then its backward pass and SGD step; every row's outputs at an epoch's
-    end; and a beta score."""
+    of a ``_Shared``: a batch's pass and its backward pass with the SGD
+    step; every row's pass at an epoch's end; and the beta scores of the
+    golden-section points, c when lo = 0 and d when hi = S."""
 
     def __init__(self, model: Model, lo: int, hi: int,
                  data: VideoArrays | None = None, shared: _Shared | None = None):
@@ -454,26 +445,31 @@ class _Units:
         pres = sigme(acts, model.config.eta, norms)
         return acts, norms, pres, self.sketches.project(pres)
 
-    def outputs(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def outputs(self, z: np.ndarray) -> np.ndarray:
         """The units' (hi - lo, n, d') sketched outputs of the rows of ``z``,
-        a row block at a time, into ``out`` if given."""
+        a row block at a time."""
         blocks = _row_blocks(len(z))
-        if out is None:
-            if len(blocks) == 1:
-                return self.chain(z)[3]
-            out = np.empty((len(self.sketches.sketches), len(z), self.sketches.output_dim))
+        if len(blocks) == 1:
+            return self.chain(z)[3]
+        out = np.empty((len(self.sketches.sketches), len(z), self.sketches.output_dim))
         for lo, hi in blocks:
             out[:, lo:hi] = self.chain(z[lo:hi])[3]
         return out
 
-    def forward(self) -> None:
-        rows = self.shared.rows[1 : 1 + self.shared.rows[0]]
+    def write(self, rows: np.ndarray | slice, slots: slice) -> tuple[np.ndarray, ...]:
+        """The pass over ``rows`` of the data: their sketched outputs and
+        squared residual norms go to ``slots`` of the shared arrays, and
+        what the backward pass reads comes back."""
         z = self.data.z[rows]
         acts, norms, pres, outs = self.chain(z)
-        self.shared.outs[self.units, : len(rows)] = outs
+        self.shared.outs[self.units, slots] = outs
         resids = outs[: self.n_streams] - self.data.targets[self.streams][:, rows]
-        self.shared.sq_norms[self.streams, : len(rows)] = (resids ** 2).sum(axis=2)
-        self.kept = z, acts, norms, pres, resids
+        self.shared.sq_norms[self.streams, slots] = (resids ** 2).sum(axis=2)
+        return z, acts, norms, pres, resids
+
+    def forward(self) -> None:
+        rows = self.shared.rows[1 : 1 + self.shared.rows[0]]
+        self.kept = self.write(rows, slice(0, len(rows)))
 
     def grads(self) -> tuple[np.ndarray, np.ndarray]:
         """The hand-derived gradients of the units' weight and bias slabs,
@@ -493,13 +489,15 @@ class _Units:
              model.config.learning_rate)
 
     def epoch_end(self) -> None:
-        out = self.outputs(self.data.z, self.shared.all_outs[self.units])
-        self.shared.all_sq_norms[self.streams] = _squared_residuals(
-            out, self.data.targets[self.streams])
+        for lo, hi in _row_blocks(len(self.data.z)):
+            self.write(slice(lo, hi), slice(lo, hi))
 
     def score(self) -> None:
-        self.shared.beta[1] = _beta_score(self.model, self.shared.all_outs,
-                                          self.data.labels)(self.shared.beta[0])
+        beta, score = self.shared.beta, _beta_score(self.model, self.shared.outs, self.data.labels)
+        if self.units.start == 0:
+            beta[2] = score(float(beta[0]))
+        if self.units.stop == len(self.model.weight):
+            beta[3] = score(float(beta[1]))
 
 
 def _read_byte(fd: int) -> bytes:
@@ -596,14 +594,15 @@ class _Worker:
 
 class _Trainer:
     """A model's unit stack in training, on the arrays of a ``_Shared``.
-    With ``fork``, the slabs go into shared memory too and a forked worker
-    runs units [S // 2, S), pass-through included, while this process runs
-    [0, S // 2) and the serial work; otherwise this process runs every unit.
-    Each step returns when both halves are done (notes/decisions.md, "Two
-    processes do").  Leaving the context ends the worker on every path and
-    gives the model private slabs again."""
+    With ``fork``, those arrays and the slabs go into shared memory and a
+    forked worker runs units [S // 2, S), pass-through included, while this
+    process runs [0, S // 2) and the serial work; otherwise this process
+    runs every unit and maps nothing.  Every step, the golden-section one
+    included, is one ``_run`` and returns when both halves are done
+    (notes/decisions.md, "Two processes do").  Leaving the context ends the
+    worker on every path and gives the model private slabs again."""
 
-    def __init__(self, model: Model, data: VideoArrays, batch: int, fork: bool):
+    def __init__(self, model: Model, data: VideoArrays, fork: bool):
         n_units = len(model.weight)
         if fork:
             for name in ("weight", "bias"):
@@ -611,7 +610,7 @@ class _Trainer:
                 slab[...] = getattr(model, name)
                 setattr(model, name, slab)
         self.model, self.data = model, data
-        self.shared = _Shared(n_units, batch, data)
+        self.shared = _Shared(n_units, data, fork)
         split = n_units // 2 if fork else n_units
         self.units = _Units(model, 0, split, data, self.shared)
         self.worker = _Worker(_Units(model, split, n_units, data, self.shared)) if fork else None
@@ -654,22 +653,16 @@ class _Trainer:
                   lambda: _sgd(prednet.weight, prednet.bias, *head_grads, lr))
 
     def epoch_end(self) -> None:
-        """Every row's outputs into ``shared.all_outs``, and the streams'
-        squared residual norms into ``shared.all_sq_norms``."""
+        """Every row's outputs and the streams' squared residual norms, in
+        all N slots of ``shared.outs`` and ``shared.sq_norms``."""
         self._run(b"E", self.units.epoch_end)
 
     def golden_step(self, bracket: Bracket) -> Bracket:
-        """``fusion.golden_step`` of the beta score on ``shared.all_outs``,
-        with the worker scoring the right-hand point."""
-        c, d = golden_points(bracket)
-        score = _beta_score(self.model, self.shared.all_outs, self.data.labels)
-        if self.worker is None:
-            return golden_pick(bracket, score(c), score(d))
-        self.shared.beta[0] = d
-        self.worker.send(b"G")
-        fc = score(c)
-        self.worker.wait()
-        return golden_pick(bracket, fc, float(self.shared.beta[1]))
+        """``fusion.golden_step`` of the beta score on the epoch end's
+        ``shared.outs``; a worker scores the right-hand point."""
+        self.shared.beta[:2] = golden_points(bracket)
+        self._run(b"G", self.units.score)
+        return golden_pick(bracket, *self.shared.beta[2:])
 
 
 @dataclass
@@ -682,9 +675,8 @@ class _Grads:
 def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
     """The loss and hand-derived gradients of a training step over every
     row of ``data``, all units in this process, without the step."""
-    n = len(data.labels)
-    with _Trainer(model, data, n, fork=False) as stack:
-        loss, _, _, head = stack.batch(np.arange(n))
+    with _Trainer(model, data, fork=False) as stack:
+        loss, _, _, head = stack.batch(np.arange(len(data.labels)))
         return loss, _Grads(*stack.units.grads(), head)
 
 
@@ -708,7 +700,7 @@ def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[
     metrics: list[dict] = []
     bracket = Bracket(BETA_BRACKET[0], BETA_BRACKET[1] - BETA_BRACKET[0])
     batch = min(cfg.batch_size, len(train_idx))
-    with _Trainer(model, data, batch, cfg.epochs > 0 and _fork_pays(len(model.weight))) as stack:
+    with _Trainer(model, data, cfg.epochs > 0 and _fork_pays(len(model.weight))) as stack:
         for epoch in range(1, cfg.epochs + 1):
             if epoch <= cfg.warmup_epochs:   # the spec starts at beta = 0
                 beta_lo = beta_hi = 0.0
@@ -749,8 +741,8 @@ def _epoch_metrics(
     The slices equal separate passes over the splits only while BLAS gives
     a row the same bits at any row count (notes/decisions.md, "One forward
     pass at the end of each epoch")."""
-    scores = _head(model, shared.all_outs)[1]
-    loss, per_mse, class_loss, _ = _losses(model, shared.all_sq_norms[:, train_idx],
+    scores = _head(model, shared.outs)[1]
+    loss, per_mse, class_loss, _ = _losses(model, shared.sq_norms[:, train_idx],
                                            scores[train_idx], data.labels[train_idx])
     val_acc = (_accuracy(scores[val_idx], data.labels[val_idx])
                if len(val_idx) else 0.0)

@@ -24,11 +24,9 @@ _MIX2 = 0x94D049BB133111EB
 MAGIC = b"CSK1"
 
 
-def splitmix64(seeds: int | np.ndarray, count: int) -> np.ndarray:
-    """First ``count`` outputs of the splitmix64 stream of each seed: shape
-    ``(count,)`` for an int seed, ``seeds.shape + (count,)`` for an array."""
-    base = np.asarray(seeds & _MASK64 if isinstance(seeds, int) else seeds, dtype=np.uint64)
-    ks = np.add.outer(base, np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA))
+def splitmix64(seed: int, count: int) -> np.ndarray:
+    """First ``count`` outputs of the splitmix64 stream of ``seed``."""
+    ks = np.uint64(seed & _MASK64) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z = (ks ^ (ks >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))

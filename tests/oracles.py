@@ -254,7 +254,7 @@ def unbiasedness_check(d: int, d_prime: int, trials: int, seed: int) -> Unbiased
     exact = float(psi @ psi2)
 
     # One splitmix substream per trial, identical to sketch_new(d, d', seed_k).
-    z = splitmix64(splitmix64(seed, trials), 2 * d)
+    z = np.array([splitmix64(int(seed_k), 2 * d) for seed_k in splitmix64(seed, trials)])
     h0 = (z[:, :d] % np.uint64(d_prime)).astype(np.int64)
     s = (z[:, d:] >> np.uint64(63)).astype(np.float64) * 2.0 - 1.0
 

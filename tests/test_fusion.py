@@ -20,7 +20,6 @@ from momhal.fusion import (
     FusionSpec,
     effective_coefficients,
     eq9_ratios,
-    eq9_weights,
     golden_pick,
     golden_points,
     golden_section_max,
@@ -46,11 +45,6 @@ class TestEq9:
     def test_large_beta_floor_limit(self):
         r = eq9_ratios(np.array([1.0, 0.5, 0.25]), beta=200.0, rho=0.1)
         np.testing.assert_allclose(r, [1 / 1.2, 0.1 / 1.2, 0.1 / 1.2], atol=1e-6)
-
-    def test_weights_carry_group_size_factor(self):
-        w = eq9_weights(np.array([1.0, 0.5]), beta=2.0, rho=0.1)
-        r = eq9_ratios(np.array([1.0, 0.5]), beta=2.0, rho=0.1)
-        np.testing.assert_allclose(w, r / 2)
 
     @given(
         st.lists(st.floats(0.01, 1.0), min_size=2, max_size=8),

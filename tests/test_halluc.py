@@ -12,13 +12,21 @@ from hypothesis import strategies as st
 from oracles import unit_chain_rows, unit_outputs
 
 from momhal import halluc
-from momhal.fusion import HAF_ID, STREAM_ORDER, FusionSpec, effective_coefficients
+from momhal.fusion import (
+    HAF_ID,
+    STREAM_ORDER,
+    Bracket,
+    FusionSpec,
+    effective_coefficients,
+    golden_points,
+)
 from momhal.halluc import (
     Model,
     PredNet,
     SyntheticVideo,
     TrainConfig,
     TrainingDivergedError,
+    beta_objective,
     evaluate,
     infer,
     init_model,
@@ -269,6 +277,27 @@ class TestTrain:
         for name in cfg.streams:
             assert last[f"mse_{name}"] == per_mse[name]
         assert last["val_acc"] == evaluate(model, val)
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["in_process", "worker"])
+    def test_beta_step_reads_the_epoch_end_outputs(self, monkeypatch, worker):
+        # Batches write their rows into the first slots of the buffer that an
+        # epoch's end fills, so the next golden-section step must read it
+        # before the first batch: it scores the k-epoch model.
+        if worker and not hasattr(os, "fork"):
+            pytest.skip("the worker process needs fork")
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: worker)
+        cfg = small_cfg(epochs=6, warmup_epochs=0, batch_size=8, val_fraction=0.5)
+        data = make_batch(np.random.default_rng(2), cfg, n=64, n_classes=4)
+        rows = train(data, cfg)[1]
+        unequal = 0
+        for k in range(1, cfg.epochs):
+            score = beta_objective(train(data, replace(cfg, epochs=k))[0], video_arrays(data, cfg))
+            before, after = rows[k - 1], rows[k]
+            fc, fd = map(score, golden_points(
+                Bracket(before["beta_lo"], before["beta_hi"] - before["beta_lo"])))
+            assert (fc >= fd) == (after["beta_lo"] == before["beta_lo"]), f"step {k}"
+            unequal += fc != fd
+        assert unequal
 
     def test_split_without_training_videos(self):
         data, _ = self.make_dataset(n=8)
@@ -811,6 +840,25 @@ class TestWorker:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert_same_training(got, want)
+
+    def test_shared_memory_only_with_a_worker(self, monkeypatch):
+        data, cfg = self.setup_data()
+        shared_array, maps = halluc._shared_array, []
+
+        def no_map(*args):
+            raise AssertionError("mapped shared memory with no worker")
+
+        monkeypatch.setattr(halluc, "_shared_array", no_map)
+        model = init_model(cfg, 3, B)
+        objective(model, data)
+        _loss_and_grads(model, video_arrays(data, cfg, cfg.streams))
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: False)
+        train(data, cfg)
+        monkeypatch.setattr(halluc, "_shared_array",
+                            lambda *args: maps.append(args) or shared_array(*args))
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
+        train(data, cfg)
+        assert maps
 
     def test_zero_epochs_forks_no_worker(self, monkeypatch):
         data, cfg = self.setup_data(epochs=0)
