@@ -14,13 +14,12 @@ differences in the test suite.
 
 from __future__ import annotations
 
-import io
 import math
 import mmap
 import os
 import select
 import signal
-import threading
+import struct
 import time
 import traceback
 from dataclasses import dataclass, replace
@@ -52,6 +51,9 @@ from .sketch import (
 )
 
 CHECKPOINT_MAGIC = b"HAL1"
+# v1 header: magic, version, seed, backbone width b, m, d', classes, SigmE eta and
+# epsilon (byte 40), alpha, tot_scale (byte 56), multi-label flag (byte 64), units
+_HEADER = struct.Struct("<4sIQ4I4dBI")
 _POLL_S = 2e-3     # how long a wait on the other training process polls before it sleeps
 _BLOCK_ROWS = 32   # rows per block of a forward pass that keeps no backward state
 INIT_SCALE = 0.2   # the initial weights' standard deviation times sqrt(fan-in)
@@ -369,12 +371,18 @@ def _initial_weights(
 
 def _fork_pays(n_units: int) -> bool:
     """Whether ``train`` forks a worker for half of ``n_units`` units: fork
-    exists, the affinity mask holds two CPUs, no other thread is alive (a
-    fork copies only the calling thread, so locks that another holds would
-    stay held in the child), and there are two units to split."""
+    exists, the affinity mask holds two CPUs, the process runs one OS thread
+    (a fork copies only the calling thread, so locks that another holds would
+    stay held in the child, and a BLAS thread pool would contend with the
+    worker for the two CPUs), and there are two units to split.  Where the
+    threads cannot be listed, training runs in one process."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1 and n_units >= 2
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return False
+    return hasattr(os, "fork") and cpus >= 2 and threads == 1 and n_units >= 2
 
 
 def _shared_array(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -760,10 +768,6 @@ def metrics_to_csv(metrics: list[dict], stream_names: tuple[str, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_array(buf: io.BytesIO, arr: np.ndarray) -> None:
-    buf.write(arr.astype("<f4").tobytes())
-
-
 class _CheckpointReader:
     """Reads a HAL1 checkpoint front to back; reading past the end is an error."""
 
@@ -777,11 +781,8 @@ class _CheckpointReader:
         chunk, self.pos = self.data[self.pos : end], end
         return chunk
 
-    def array(self, dtype: str, count: int = 1) -> np.ndarray:
-        return np.frombuffer(self.take(np.dtype(dtype).itemsize * count), dtype, count)
-
     def floats(self, shape: tuple[int, ...]) -> np.ndarray:
-        return self.array("<f4", math.prod(shape)).astype(np.float64).reshape(shape)
+        return np.frombuffer(self.take(4 * math.prod(shape)), "<f4").astype(np.float64).reshape(shape)
 
     def text(self, n: int) -> str:
         start = self.pos
@@ -795,34 +796,19 @@ def save_checkpoint(model: Model, path) -> None:
     """Versioned binary checkpoint: all weights as little-endian f32 with
     the sketch tables and fusion spec embedded."""
     cfg = model.config
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(np.uint32(1).tobytes())
-    buf.write(np.uint64(cfg.seed & ((1 << 64) - 1)).tobytes())
-    for v in (model.weight.shape[2], cfg.pre_sketch_dim, cfg.sketch_dim, model.n_classes):
-        buf.write(np.uint32(v).tobytes())
-    for v in (cfg.eta, EPSILON, cfg.alpha, model.spec.tot_scale):
-        buf.write(np.float64(v).tobytes())
-    buf.write(np.uint8(0).tobytes())   # the multi_label flag of format v1, always 0
-
-    buf.write(np.uint32(len(model.weight)).tobytes())
+    buf = bytearray(_HEADER.pack(
+        CHECKPOINT_MAGIC, 1, cfg.seed & ((1 << 64) - 1), model.weight.shape[2], cfg.pre_sketch_dim,
+        cfg.sketch_dim, model.n_classes, cfg.eta, EPSILON, cfg.alpha, model.spec.tot_scale, 0,
+        len(model.weight)))
     units = zip((*model.streams, HAF_ID), model.weight, model.bias, model.sketches.sketches)
     for name, w, b, sketch in units:
-        raw = name.encode()
-        buf.write(np.uint16(len(raw)).tobytes())
-        buf.write(raw)
-        _write_array(buf, w)
-        _write_array(buf, b)
-        sk = sketch_to_bytes(sketch)
-        buf.write(np.uint32(len(sk)).tobytes())
-        buf.write(sk)
-    _write_array(buf, model.prednet.weight)
-    _write_array(buf, model.prednet.bias)
-
+        raw, sk = name.encode(), sketch_to_bytes(sketch)
+        buf += b"".join([len(raw).to_bytes(2, "little"), raw, w.astype("<f4").tobytes(),
+                         b.astype("<f4").tobytes(), len(sk).to_bytes(4, "little"), sk])
     raw = spec_to_text(model.spec).encode()
-    buf.write(np.uint32(len(raw)).tobytes())
-    buf.write(raw)
-    write_atomic(path, buf.getvalue())
+    buf += b"".join([model.prednet.weight.astype("<f4").tobytes(),
+                     model.prednet.bias.astype("<f4").tobytes(), len(raw).to_bytes(4, "little"), raw])
+    write_atomic(path, buf)
 
 
 def load_checkpoint(path) -> Model:
@@ -839,22 +825,20 @@ def load_checkpoint(path) -> Model:
 
 
 def _read_checkpoint(r: _CheckpointReader, path) -> Model:
-    if r.data[:4] != CHECKPOINT_MAGIC:
+    # a short file is zero-padded here, so that its magic and version are checked first
+    (magic, version, seed, b, m, d_prime, n_classes, eta, eps, alpha, tot_scale, multi_label,
+     n_units) = _HEADER.unpack(r.data[: _HEADER.size].ljust(_HEADER.size, b"\0"))
+    if magic != CHECKPOINT_MAGIC:
         raise ValueError("HAL1: bad magic")
-    r.take(4)
-    version = int(r.array("<u4")[0])
     if version != 1:
         raise ValueError(f"HAL1: unsupported version {version}")
-    seed = int(r.array("<u8")[0])
-    b, m, d_prime, n_classes = (int(v) for v in r.array("<u4", 4))
-    eta, eps, alpha, tot_scale = (float(v) for v in r.array("<f8", 4))   # tot_scale at byte 56
+    r.take(_HEADER.size)
     if eps != EPSILON:
         raise ValueError(f"HAL1: byte 40: SigmE norm guard {eps!r}, but it is fixed at {EPSILON!r}")
-    if (multi_label := int(r.array("u1")[0])) != 0:
+    if multi_label != 0:
         raise ValueError(f"HAL1: byte 64: multi_label flag {multi_label}, "
                          "but only single-label models exist")
 
-    n_units = int(r.array("<u4")[0])
     # a unit block holds at least its f32 arrays, two lengths and a CSK1 header
     least = r.pos + n_units * (4 * (m * b + m) + 26)
     if least > len(r.data):
@@ -862,13 +846,13 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
     names, sketches, weight, bias = [], [], np.empty((n_units, m, b)), np.empty((n_units, m))
     for k in range(n_units):
         at = r.pos + 2   # the name, after its u16 length
-        name = r.text(int(r.array("<u2")[0]))
+        name = r.text(int.from_bytes(r.take(2), "little"))
         if name in names:
             raise ValueError(f"HAL1: byte {at}: repeated unit {name!r}")
         names.append(name)
         weight[k], bias[k] = r.floats((m, b)), r.floats((m,))
         at = r.pos + 4
-        sk = sketch_from_bytes(r.take(int(r.array("<u4")[0])))
+        sk = sketch_from_bytes(r.take(int.from_bytes(r.take(4), "little")))
         if (sk.input_dim, sk.output_dim) != (m, d_prime):
             raise ValueError(f"HAL1: byte {at}: count sketch {sk.input_dim} -> {sk.output_dim}, "
                              f"but the header says {m} -> {d_prime}")
@@ -878,7 +862,7 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
     order = sorted(range(n_units), key=lambda k: names[k] == HAF_ID)   # pass-through last
     wp, bp = r.floats((n_classes, d_prime)), r.floats((n_classes,))
     streams = tuple(names[k] for k in order[:-1])
-    spec = spec_from_text(r.text(int(r.array("<u4")[0])), streams, origin=str(path))
+    spec = spec_from_text(r.text(int.from_bytes(r.take(4), "little")), streams, origin=str(path))
     if r.pos != len(r.data):
         raise ValueError(f"HAL1: expected {r.pos} bytes, got {len(r.data)}")
     if tot_scale != spec.tot_scale:

@@ -9,11 +9,13 @@ length of d * (4 + n_leading).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 MAGIC = b"MMD1"
+_HEADER = struct.Struct("<4sII")   # magic, d, n'; then the f32 body
 GUARD = 1e-12   # floor of every norm, variance and mass a descriptor divides by
 
 
@@ -180,31 +182,25 @@ def multi_moment(bag: FeatureBag, n_prime: int) -> MultiMomentDescriptor:
 def descriptor_to_bytes(desc: MultiMomentDescriptor) -> bytes:
     """Serialize: magic "MMD1", u32 d, u32 n', then the five blocks as
     little-endian f32 in flat() order."""
-    return b"".join(
-        [
-            MAGIC,
-            np.uint32(desc.dim).tobytes(),
-            np.uint32(desc.n_prime).tobytes(),
-            desc.flat().astype("<f4").tobytes(),
-        ]
-    )
+    return _HEADER.pack(MAGIC, desc.dim, desc.n_prime) + desc.flat().astype("<f4").tobytes()
 
 
 def descriptor_from_bytes(data: bytes) -> MultiMomentDescriptor:
     """Parse what ``descriptor_to_bytes`` writes; any other input raises a
     ValueError starting ``MMD1:``."""
-    if data[:4] != MAGIC:
+    if data[: len(MAGIC)] != MAGIC:
         raise ValueError("MMD1: bad magic")
-    if len(data) < 12:
-        raise ValueError(f"MMD1: expected at least 12 bytes, got {len(data)}")
-    d, n_prime = (int(v) for v in np.frombuffer(data, "<u4", 2, 4))
+    if len(data) < _HEADER.size:
+        raise ValueError(f"MMD1: expected at least {_HEADER.size} bytes, got {len(data)}")
+    _, d, n_prime = _HEADER.unpack_from(data)
     if d < 1:
         raise ValueError(f"MMD1: d must be at least 1, got {d}")
     if n_prime < 1:
         raise ValueError(f"MMD1: n' must be at least 1, got {n_prime}")
-    if len(data) != 12 + 4 * d * (4 + n_prime):
-        raise ValueError(f"MMD1: expected {12 + 4 * d * (4 + n_prime)} bytes, got {len(data)}")
-    body = np.frombuffer(data, "<f4", d * (4 + n_prime), 12).astype(np.float64)
+    size = _HEADER.size + 4 * d * (4 + n_prime)
+    if len(data) != size:
+        raise ValueError(f"MMD1: expected {size} bytes, got {len(data)}")
+    body = np.frombuffer(data, "<f4", d * (4 + n_prime), _HEADER.size).astype(np.float64)
     blocks = body.reshape(4 + n_prime, d)
     return MultiMomentDescriptor(
         mean_dir=blocks[0],

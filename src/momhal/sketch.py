@@ -12,6 +12,7 @@ Randomness comes from a fixed splitmix64 generator so that a given
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 MAGIC = b"CSK1"
+_HEADER = struct.Struct("<4sIIQ")   # magic, d, d', seed; then u32[d] h and i8[d] s
 
 
 def splitmix64(seed: int, count: int) -> np.ndarray:
@@ -53,11 +55,13 @@ class CountSketch:
     seed: int
 
     def __post_init__(self):
+        if self.input_dim < 1 or self.output_dim < 1:
+            raise ValueError(f"dimensions must be >= 1, got d={self.input_dim}, d'={self.output_dim}")
         if len(self.h) != self.input_dim or len(self.s) != self.input_dim:
             raise ValueError("h and s must have length input_dim")
-        if self.input_dim and (self.h.min() < 1 or self.h.max() > self.output_dim):
+        if self.h.min() < 1 or self.h.max() > self.output_dim:
             raise ValueError("h entries must lie in [1, output_dim]")
-        if self.input_dim and not np.all(np.abs(self.s.astype(np.int64)) == 1):
+        if not np.all(np.abs(self.s.astype(np.int64)) == 1):
             raise ValueError("s entries must be +-1")
 
     def dense(self) -> np.ndarray:
@@ -147,30 +151,21 @@ class SketchStack:
 def sketch_to_bytes(sk: CountSketch) -> bytes:
     """Serialize: magic "CSK1", u32 d, u32 d', u64 seed, u32[d] h, i8[d] s
     (all little-endian)."""
-    parts = [
-        MAGIC,
-        np.uint32(sk.input_dim).tobytes(),
-        np.uint32(sk.output_dim).tobytes(),
-        np.uint64(sk.seed).tobytes(),
-        sk.h.astype("<u4").tobytes(),
-        sk.s.astype("i1").tobytes(),
-    ]
-    return b"".join(parts)
+    header = _HEADER.pack(MAGIC, sk.input_dim, sk.output_dim, sk.seed)
+    return header + sk.h.astype("<u4").tobytes() + sk.s.astype("i1").tobytes()
 
 
 def sketch_from_bytes(data: bytes) -> CountSketch:
     """Parse a CSK1 sketch; any defect raises a ValueError starting ``CSK1:``."""
-    if data[:4] != MAGIC:
+    if data[: len(MAGIC)] != MAGIC:
         raise ValueError("CSK1: bad magic")
-    if len(data) < 20:
-        raise ValueError(f"CSK1: expected at least 20 bytes, got {len(data)}")
-    d, d_prime = (int(v) for v in np.frombuffer(data, "<u4", 2, 4))
-    if len(data) != 20 + 5 * d:
-        raise ValueError(f"CSK1: expected {20 + 5 * d} bytes, got {len(data)}")
-    seed = int(np.frombuffer(data, "<u8", 1, 12)[0])
-    off = 20
-    h = np.frombuffer(data, "<u4", d, off).astype(np.uint32)
-    s = np.frombuffer(data, "i1", d, off + 4 * d).astype(np.int8)
+    if len(data) < _HEADER.size:
+        raise ValueError(f"CSK1: expected at least {_HEADER.size} bytes, got {len(data)}")
+    _, d, d_prime, seed = _HEADER.unpack_from(data)
+    if len(data) != _HEADER.size + 5 * d:
+        raise ValueError(f"CSK1: expected {_HEADER.size + 5 * d} bytes, got {len(data)}")
+    h = np.frombuffer(data, "<u4", d, _HEADER.size).astype(np.uint32)
+    s = np.frombuffer(data, "i1", d, _HEADER.size + 4 * d).astype(np.int8)
     try:
         return CountSketch(d, d_prime, h, s, seed)
     except ValueError as exc:

@@ -1,6 +1,9 @@
 import os
+import pathlib
 import re
 import signal
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -39,6 +42,7 @@ from momhal.halluc import (
     video_arrays,
 )
 from momhal.halluc import _forward, _loss_and_grads, _losses, _pool, _sgd, _Units
+from momhal.pn import EPSILON
 from momhal.sketch import CountSketch, SketchStack, derive_stream_seed, sketch_new
 
 B = 5   # the backbone width of the small models
@@ -623,6 +627,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def test_header_layout(self, tmp_path):
+        """The fixed header as the README lays it out, field by field."""
+        cfg = small_cfg(seed=2**40 + 3, alpha=0.5)   # 5 -> 7 -> 4, 3 streams
+        model = init_model(cfg, 3, B)
+        save_checkpoint(model, tmp_path / "model.hal")
+        fields = [(1, "<u4"), (cfg.seed, "<u8"), (B, "<u4"), (7, "<u4"), (4, "<u4"), (3, "<u4"),
+                  (cfg.eta, "<f8"), (EPSILON, "<f8"), (cfg.alpha, "<f8"),
+                  (model.spec.tot_scale, "<f8"), (0, "u1"), (4, "<u4")]
+        header = b"HAL1" + b"".join(np.array(v, dtype).tobytes() for v, dtype in fields)
+        assert len(header) == UNIT_COUNT_AT + 4 == 69
+        assert (tmp_path / "model.hal").read_bytes()[:69] == header
+
     def test_exact_length(self, tmp_path):
         path = tmp_path / "model.hal"
         save_checkpoint(init_model(small_cfg(), 3, B), path)
@@ -840,6 +856,30 @@ class TestWorker:
             thread.join(timeout=10)
         assert not thread.is_alive()
         assert_same_training(got, want)
+
+    @staticmethod
+    def fork_pays_in_a_new_process(threads, patch=""):
+        """``_fork_pays`` for two units in a new interpreter whose BLAS thread
+        variables all read ``threads``, after running ``patch``."""
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(halluc.__file__).parents[1]),
+               **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                               threads)}
+        code = f"import os\nfrom momhal import halluc\n{patch}\nprint(halluc._fork_pays(2))"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        return {"True\n": True, "False\n": False}[out]
+
+    def test_blas_threads_keep_training_in_process(self):
+        assert self.fork_pays_in_a_new_process("2") is False
+
+    @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="the affinity mask holds fewer than two CPUs")
+    def test_one_blas_thread_forks(self):
+        assert self.fork_pays_in_a_new_process("1") is True
+
+    def test_unlisted_threads_keep_training_in_process(self):
+        patch = "def no_listing(path):\n    raise PermissionError(path)\nos.listdir = no_listing"
+        assert self.fork_pays_in_a_new_process("1", patch) is False
 
     def test_shared_memory_only_with_a_worker(self, monkeypatch):
         data, cfg = self.setup_data()

@@ -214,6 +214,13 @@ class TestSerialization:
         assert blob[:4] == b"MMD1"
         assert len(blob) == 4 + 4 + 4 + 4 * 2 * 5
 
+    def test_header_layout(self):
+        """The fixed header as the README lays it out, field by field."""
+        desc = multi_moment(bag_of_frames(3, [np.eye(3)]), 2)
+        header = b"MMD1" + np.array(3, "<u4").tobytes() + np.array(2, "<u4").tobytes()
+        assert len(header) == 12
+        assert descriptor_to_bytes(desc)[:12] == header
+
     def test_file_helpers(self, tmp_path):
         desc = multi_moment(bag_of_frames(2, [np.eye(2)]), 2)
         path = tmp_path / "desc.mmd"

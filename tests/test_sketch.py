@@ -177,6 +177,21 @@ class TestSerialization:
         assert blob[:4] == b"CSK1"
         assert len(blob) == 4 + 4 + 4 + 8 + 4 * 2 + 2
 
+    def test_header_layout(self):
+        """The fixed header as the README lays it out, field by field."""
+        seed = 2**40 + 5
+        header = (b"CSK1" + np.array(2, "<u4").tobytes() + np.array(3, "<u4").tobytes()
+                  + np.array(seed, "<u8").tobytes())
+        assert len(header) == 20
+        assert sketch_to_bytes(sketch_new(2, 3, seed))[:20] == header
+
+    @pytest.mark.parametrize("d_prime", [7, 0])
+    def test_zero_dimensional_sketch_is_refused(self, d_prime):
+        # 20 bytes that d = 0 would make complete; sketch_new never draws them
+        blob = b"CSK1" + np.array([0, d_prime], "<u4").tobytes() + np.array(9, "<u8").tobytes()
+        with pytest.raises(ValueError, match=f"^CSK1: dimensions must be >= 1, got d=0, d'={d_prime}$"):
+            sketch_from_bytes(blob)
+
     def test_file_helpers(self, tmp_path):
         sk = sketch_new(5, 4, 2)
         path = tmp_path / "sketch.csk"
