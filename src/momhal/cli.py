@@ -7,8 +7,8 @@ only runs per-video encoding jobs in parallel, largest bag first, and
 changes no output byte or order.  Every text input (detections,
 manifest, --tau-source, config document, dataset.cfg, labels.csv) goes
 through one line reader: a byte that is not UTF-8, a malformed line, an
-unknown key or a bad value is refused with ``file: line N: ...`` and
-exit code 1.
+unknown or repeated key or video, or a bad value is refused with
+``file: line N: ...`` and exit code 1.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def _output_paths(out: Path, keys) -> dict[tuple[str, str], Path]:
 
 
 def _read_taus(path) -> dict[str, int]:
-    """``video tau`` lines (blank lines and ``#`` comments skipped)."""
+    """``video tau`` lines (blank lines and ``#`` comments skipped), one per video."""
     taus = {}
 
     def entry(line: str) -> None:
@@ -69,6 +69,8 @@ def _read_taus(path) -> dict[str, int]:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError("expected 'video tau'")
+        if fields[0] in taus:
+            raise ValueError(f"repeated video {fields[0]!r}")
         if (tau := int(fields[1])) < 1:
             raise ValueError(f"tau must be >= 1, got {tau}")
         taus[fields[0]] = tau
@@ -102,6 +104,10 @@ def cmd_encode_odf(args) -> int:
     if args.tau_source != "records":
         taus = _read_taus(args.tau_source)
         groups = {key: (taus.get(key[0], tau), recs) for key, (tau, recs) in groups.items()}
+        for (video, detector), (tau, recs) in groups.items():
+            if (frame := max(rec.frame_index for rec in recs)) > tau:
+                raise ValueError(f"{args.tau_source}: video {video!r} has tau {tau}, but "
+                                 f"detector {detector!r} has a record at frame {frame}")
     cfg = OdfConfig(use_rbf_embedding=not args.no_rbf, n_prime=args.n_prime)
     out = Path(args.out)
     paths = _output_paths(out, groups)
@@ -190,17 +196,26 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
+def _model_and_data(args):
+    """The checkpoint at ``--model`` and the videos at ``--data``, which must
+    have the model's classes."""
     model = load_checkpoint(args.model)
-    videos, _ = load_dataset(args.data, model.config.sketch_dim, streams=())
+    videos, n_classes = load_dataset(args.data, model.config.sketch_dim, streams=())
+    if n_classes != model.n_classes:
+        raise ValueError(f"{Path(args.data) / 'dataset.cfg'}: n_classes = {n_classes}, "
+                         f"but the model has {model.n_classes} classes")
+    return model, videos
+
+
+def cmd_eval(args) -> int:
+    model, videos = _model_and_data(args)
     acc = evaluate(model, videos)
     print(f"accuracy {acc:.4f} over {len(videos)} videos")
     return EXIT_OK
 
 
 def cmd_search_beta(args) -> int:
-    model = load_checkpoint(args.model)
-    videos, _ = load_dataset(args.data, model.config.sketch_dim, streams=())
+    model, videos = _model_and_data(args)
     score = beta_objective(model, video_arrays(videos, model.config))
     result = golden_section_max(score, *BETA_BRACKET, args.iters)
     for i, width in enumerate(result.widths):

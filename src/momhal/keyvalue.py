@@ -37,12 +37,15 @@ def parse_key_values(text: str, origin: str, apply: Callable[[str, str], None]) 
 
 
 def read_key_values(path, parsers: dict[str, Callable[[str], object]]) -> dict[str, object]:
-    """{key: parsers[key](value)} of the ``key = value`` file at ``path``, streamed."""
+    """{key: parsers[key](value)} of the ``key = value`` file at ``path``,
+    streamed; an unknown or repeated key is refused at its line."""
     values = {}
 
     def setting(key: str, value: str) -> None:
         if key not in parsers:
             raise ValueError(f"unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"repeated key {key!r}")
         values[key] = parsers[key](value)
 
     with open(path, "rb") as fp:

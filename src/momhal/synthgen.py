@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -53,6 +52,10 @@ from .sdf import FRAME_DIM, read_pgm, read_saliency_manifest, sdf_descriptor, wr
 from .sketch import derive_stream_seed, project, sketch_new
 
 LATENT_DIM = 8
+SAL_WIDTH, SAL_HEIGHT = 32, 24   # saliency frame size in pixels
+AUX_DIM = 96   # width of each raw auxiliary descriptor
+# weights of the class, latent and noise terms of the backbone features
+CLASS_SCALE, LATENT_SCALE, NOISE_SCALE = 3.0, 2.5, 1.0
 CACHE_DIR = "cache"   # the target cache, inside the dataset directory
 # The modules a target's arithmetic runs through; their source is part of
 # every cache key, so a change to any of them can never return stale targets.
@@ -61,26 +64,19 @@ _TARGET_MODULES = ("kernel", "keyvalue", "moments", "odf", "pn", "sdf", "sketch"
 
 @dataclass(frozen=True)
 class SynthConfig:
+    """The five values ``momhal synth`` takes, one flag each."""
+
     n_videos: int = 512
     n_classes: int = 8
     seed: int = 0
     backbone_dim: int = 64
     tau: int = 7
-    sal_width: int = 32
-    sal_height: int = 24
-    aux_dim: int = 96
-    class_scale: float = 3.0
-    latent_scale: float = 2.5
-    noise_scale: float = 1.0
 
     def __post_init__(self):
         for name, low in (("n_videos", 1), ("n_classes", 2), ("seed", 0), ("backbone_dim", 1),
-                          ("tau", 2), ("sal_width", 2), ("sal_height", 2), ("aux_dim", 1)):
+                          ("tau", 2)):
             if (value := getattr(self, name)) < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        for name in ("class_scale", "latent_scale", "noise_scale"):
-            if not (math.isfinite(value := getattr(self, name)) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 def _video_id(i: int) -> str:
@@ -208,18 +204,18 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
     m_lat /= np.linalg.norm(m_lat, axis=0, keepdims=True)
 
     feats = (
-        cfg.class_scale * (phases[:, None] * m_cls[:, labels].T)[:, :, None]
-        + cfg.latent_scale * (latent @ m_lat.T)[:, :, None]
-        + cfg.noise_scale * rng.normal(size=(cfg.n_videos, cfg.backbone_dim, cfg.tau))
+        CLASS_SCALE * (phases[:, None] * m_cls[:, labels].T)[:, :, None]
+        + LATENT_SCALE * (latent @ m_lat.T)[:, :, None]
+        + NOISE_SCALE * rng.normal(size=(cfg.n_videos, cfg.backbone_dim, cfg.tau))
     )
     np.save(out / "features.npy", feats)
 
     aux_maps = {
-        name: rng.normal(size=(cfg.aux_dim, LATENT_DIM)) / np.sqrt(LATENT_DIM)
+        name: rng.normal(size=(AUX_DIM, LATENT_DIM)) / np.sqrt(LATENT_DIM)
         for name in AUX_STREAMS
     }
     for name in AUX_STREAMS:
-        raw = latent @ aux_maps[name].T + 0.1 * rng.normal(size=(cfg.n_videos, cfg.aux_dim))
+        raw = latent @ aux_maps[name].T + 0.1 * rng.normal(size=(cfg.n_videos, AUX_DIM))
         np.save(out / f"aux_{name}.npy", raw)
 
     with open(out / "labels.csv", "w", encoding="utf-8") as fp:
@@ -228,7 +224,7 @@ def generate_dataset(out_dir, cfg: SynthConfig) -> None:
             fp.write(f"{_video_id(i)},{int(labels[i])}\n")
 
     manifest_lines: list[str] = []
-    grid = np.mgrid[0 : cfg.sal_height, 0 : cfg.sal_width]
+    grid = np.mgrid[0:SAL_HEIGHT, 0:SAL_WIDTH]
     with open(out / "detections.jsonl", "w", encoding="utf-8") as fp:
         for i in range(cfg.n_videos):
             video = _video_id(i)
@@ -292,7 +288,8 @@ def load_dataset(
     meta = read_dataset_config(data_dir)
     wanted = streams if streams is not None else AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
-    feats = _load_rows(data_dir / "features.npy", meta, ("backbone_dim", "tau"))
+    feats = _load_rows(data_dir / "features.npy", meta.n_videos, (meta.backbone_dim, meta.tau),
+                       f"dataset.cfg has backbone_dim = {meta.backbone_dim}, tau = {meta.tau}")
     labels = _read_labels(data_dir / "labels.csv", meta.n_videos, meta.n_classes)
     targets = _stream_targets(data_dir, meta, wanted, sketch_dim, eta)
     videos = [
@@ -302,30 +299,37 @@ def load_dataset(
     return videos, meta.n_classes
 
 
-def _load_rows(path: Path, meta: SynthConfig, dims: tuple[str, ...]) -> np.ndarray:
-    """An ``.npy`` array of one row per video, of the shape the ``dims`` fields give."""
+def _load_rows(path: Path, n_videos: int, shape: tuple[int, ...], source: str) -> np.ndarray:
+    """An ``.npy`` array of ``n_videos`` rows of ``shape``; ``source`` says
+    where that shape comes from."""
     try:
         arr = np.load(path)
     except (ValueError, EOFError) as exc:   # a damaged file; a missing one raises OSError
         raise ValueError(f"{path}: {exc}") from exc
     rows = arr.shape[0] if arr.ndim else 0
-    if rows != meta.n_videos:
-        raise ValueError(f"{path}: {rows} rows, but dataset.cfg has n_videos = {meta.n_videos}")
-    if arr.shape[1:] != tuple(getattr(meta, name) for name in dims):
-        given = ", ".join(f"{name} = {getattr(meta, name)}" for name in dims)
-        raise ValueError(f"{path}: rows of shape {arr.shape[1:]}, but dataset.cfg has {given}")
+    if rows != n_videos:
+        raise ValueError(f"{path}: {rows} rows, but dataset.cfg has n_videos = {n_videos}")
+    if arr.shape[1:] != shape:
+        raise ValueError(f"{path}: rows of shape {arr.shape[1:]}, but {source}")
     return arr
 
 
 def _read_labels(path: Path, n_videos: int, n_classes: int) -> list[int]:
-    """The class id of each video, in video order, from ``video,label`` lines;
-    each id must lie in [0, n_classes)."""
+    """The class id of each video, in video order, from ``video,label``
+    lines; each video is one of v0000..v{n_videos-1} and is named once, and
+    each id lies in [0, n_classes)."""
+    videos = [_video_id(i) for i in range(n_videos)]
+    known = set(videos)
     labels: dict[str, int] = {}
 
     def label(line: str) -> None:
         video, sep, value = line.partition(",")
         if not sep:
             raise ValueError("expected 'video,label'")
+        if video not in known:
+            raise ValueError(f"video {video!r} outside {videos[0]}..{videos[-1]}")
+        if video in labels:
+            raise ValueError(f"repeated video {video!r}")
         labels[video] = int(value)
         if not 0 <= labels[video] < n_classes:
             raise ValueError(f"label {labels[video]} outside [0, {n_classes - 1}]")
@@ -333,7 +337,6 @@ def _read_labels(path: Path, n_videos: int, n_classes: int) -> list[int]:
     with open(path, "rb") as fp:
         fp.readline()   # the header: line 1, counted below as a blank line
         read_lines(chain([b""], fp), str(path), label)
-    videos = [_video_id(i) for i in range(n_videos)]
     missing = [video for video in videos if video not in labels]
     if missing:
         raise ValueError(f"{path}: no label for video {missing[0]!r}")
@@ -448,8 +451,9 @@ def _encode_targets(
     targets = {}
     for name in streams:
         if name in AUX_STREAMS:
-            raw_dim = meta.aux_dim
-            psis = _load_rows(data_dir / f"aux_{name}.npy", meta, ("aux_dim",))
+            raw_dim = AUX_DIM
+            psis = _load_rows(data_dir / f"aux_{name}.npy", meta.n_videos, (AUX_DIM,),
+                              f"synth writes rows of width AUX_DIM = {AUX_DIM}")
         else:
             raw_dim = (odf_cfg.dim if name in DET_STREAMS else FRAME_DIM) * (4 + n_prime)
             psis = (descriptor(_video_id(i), name) for i in range(meta.n_videos))

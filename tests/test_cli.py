@@ -100,7 +100,8 @@ class TestEncodeOdf:
     @pytest.mark.parametrize("text, message", [
         ("v1 9\nv1\n", "line 2: expected 'video tau'"),
         ("# video tau\nv1 0\n", "line 2: tau must be >= 1"),
-    ], ids=["malformed_line", "tau_below_one"])
+        ("v1 9\nv1 3\n", "line 2: repeated video 'v1'"),
+    ], ids=["malformed_line", "tau_below_one", "repeated_video"])
     def test_bad_tau_file_names_file_and_line(self, tmp_path, detections_file, capsys,
                                               text, message):
         taus = tmp_path / "taus.txt"
@@ -110,6 +111,16 @@ class TestEncodeOdf:
         assert code == 1
         assert f"{taus}: {message}" in err
 
+    def test_record_past_the_tau_file_names_video_detector_and_file(self, tmp_path,
+                                                                   detections_file, capsys):
+        taus, out = tmp_path / "taus.txt", tmp_path / "out"
+        taus.write_text("v1 2\n")
+        code, stdout, err = run(capsys, "encode-odf", "--input", str(detections_file),
+                                "--out", str(out), "--tau-source", str(taus))
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {taus}: video 'v1' has tau 2, but detector 'det1' has a "
+                       "record at frame 3\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("field, text", [("frame", "Infinity"), ("class", "1e999"),
                                              ("inet_sparse", "[[1e999, 1.0]]")])
@@ -486,11 +497,11 @@ class TestConfigDocuments:
         "learning_rat = 9", "batch_size = 0", "streams = fv1,bogus", "eta = -1",
         "ridge_l2 = nan", "alpha = nan", "val_fraction = nan", "rho = 5", "seed = -1",
         "multi_label = false", "backbone_dim = 8", "tie_sketches = False", "init_scale = 0.2",
-        "pn_eta = 20.0", "pn_epsilon = 1e-12",
+        "pn_eta = 20.0", "pn_epsilon = 1e-12", "epochs = 5",
     ], ids=["unknown_key", "batch_size_0", "unknown_stream", "eta_negative", "ridge_l2_nan",
             "alpha_nan", "val_fraction_nan", "rho_5", "seed_negative", "removed_multi_label",
             "removed_backbone_dim", "removed_tie_sketches", "removed_init_scale",
-            "removed_pn_eta", "removed_pn_epsilon"])
+            "removed_pn_eta", "removed_pn_epsilon", "repeated_key"])
     def test_train_config_is_refused(self, tmp_path, data, capsys, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"data_dir = {data}\nepochs = 1\n{line}\n")
@@ -511,6 +522,19 @@ class TestConfigDocuments:
                                  "--data", str(wide))
             assert (code, out) == (1, "")
             assert err == "error: features of width 16, but the model reads width 8\n"
+
+    @pytest.mark.parametrize("command", ["eval", "search-beta"])
+    def test_model_is_refused_on_data_of_other_classes(self, tmp_path, data, capsys, command):
+        run_dir, other = tmp_path / "run", tmp_path / "other"
+        assert run(capsys, "train", "--data", str(data), "--out", str(run_dir),
+                   "--epochs", "1")[0] == 0
+        run(capsys, "synth", "--out", str(other), "--videos", "8", "--classes", "4",
+            "--seed", "1", "--backbone-dim", "8", "--tau", "3")
+        code, out, err = run(capsys, command, "--model", str(run_dir / "checkpoint.hal"),
+                             "--data", str(other))
+        assert (code, out) == (1, "")
+        assert err == (f"error: {other / 'dataset.cfg'}: n_classes = 4, "
+                       "but the model has 2 classes\n")
 
     def test_every_train_config_field_survives_config_cfg(self, tmp_path, capsys, monkeypatch):
         changed = dict(alpha=0.5, learning_rate=0.01, epochs=3, seed=9,
@@ -542,11 +566,9 @@ class TestConfigDocuments:
                                           ("n_videos = 8", "n_videos = 16.7"),
                                           ("n_videos = 8", "n_videos = 0"),
                                           ("n_classes = 2", "n_classes = 1"),
-                                          ("tau = 3", "tau = 1"),
-                                          ("aux_dim = 96", "aux_dim = 0"),
-                                          ("noise_scale = 1.0", "noise_scale = -1")],
+                                          ("tau = 3", "tau = 1")],
                              ids=["unknown_key", "fractional_int", "no_videos", "one_class",
-                                  "tau_1", "aux_dim_0", "negative_noise_scale"])
+                                  "tau_1"])
     def test_dataset_config_is_refused(self, tmp_path, data, capsys, old, new):
         path = data / "dataset.cfg"
         lines = path.read_text().splitlines()
@@ -556,6 +578,36 @@ class TestConfigDocuments:
                            "--epochs", "1")
         assert code == 1
         assert f"{path}: line {lineno}: " in err
+
+    @pytest.mark.parametrize("lines, message", [
+        (["sal_width = 32", "sal_height = 24", "aux_dim = 96", "class_scale = 3.0",
+          "latent_scale = 2.5", "noise_scale = 1.0"], "unknown key 'sal_width'"),
+        (["aux_dim = 96"], "unknown key 'aux_dim'"),
+        (["noise_scale = 1.0"], "unknown key 'noise_scale'"),
+        (["seed = 1"], "repeated key 'seed'"),
+    ], ids=["eleven_keys", "removed_aux_dim", "removed_noise_scale", "repeated_key"])
+    def test_line_past_the_five_keys_is_refused(self, tmp_path, data, capsys, lines, message):
+        path = data / "dataset.cfg"
+        with open(path, "a") as fp:
+            fp.write("".join(line + "\n" for line in lines))
+        code, out, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                             "--epochs", "1")
+        assert (code, out, err) == (1, "", f"error: {path}: line 6: {message}\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_every_synth_flag_is_a_dataset_cfg_field(self, tmp_path, capsys):
+        """A generator setting is a flag and a field, or a constant."""
+        field_of = {"videos": "n_videos", "classes": "n_classes", "seed": "seed",
+                    "backbone_dim": "backbone_dim", "tau": "tau"}
+        values = {"videos": 3, "classes": 3, "seed": 4, "backbone_dim": 5, "tau": 3}
+        defaults = vars(cli.build_parser().parse_args(["synth", "--out", "x"]))
+        assert defaults.keys() - {"command", "func", "out"} == field_of.keys()
+        assert set(field_of.values()) == {f.name for f in fields(SynthConfig)}
+        assert [k for k in values if values[k] == defaults[k]] == []
+        argv = [arg for k, v in values.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
+        assert run(capsys, "synth", "--out", str(tmp_path), *argv)[0] == 0
+        written = (tmp_path / "dataset.cfg").read_text()
+        assert written == "".join(f"{field_of[k]} = {v}\n" for k, v in values.items())
 
 
 class TestTargetCache:

@@ -97,18 +97,14 @@ class TestGeneration:
             SynthConfig(tau=1)
 
     @pytest.mark.parametrize("field, value", [
-        ("seed", -1), ("backbone_dim", 0), ("backbone_dim", -3), ("aux_dim", 0),
-        ("sal_width", 1), ("sal_height", 1), ("class_scale", float("nan")),
-        ("latent_scale", float("inf")), ("noise_scale", -1.0),
+        ("seed", -1), ("backbone_dim", 0), ("backbone_dim", -3),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=rf"^{field} must be "):
             SynthConfig(**{field: value})
 
     def test_every_field_survives_dataset_cfg(self, tmp_path):
-        changed = dict(n_videos=3, n_classes=3, seed=4, backbone_dim=5, tau=3, sal_width=9,
-                       sal_height=8, aux_dim=6, class_scale=0.5, latent_scale=1.5,
-                       noise_scale=0.25)
+        changed = dict(n_videos=3, n_classes=3, seed=4, backbone_dim=5, tau=3)
         assert changed.keys() == {f.name for f in fields(SynthConfig)}
         cfg = SynthConfig(**changed)
         assert [k for k in changed if getattr(cfg, k) == getattr(SynthConfig(), k)] == []
@@ -339,6 +335,18 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match=rf"labels\.csv: line 5: label {label} outside \[0, 2\]"):
             load_dataset(data, sketch_dim=16, streams=())
 
+    @pytest.mark.parametrize("line, message", [
+        ("v0000,1", "repeated video 'v0000'"),
+        ("v0012,1", r"video 'v0012' outside v0000\.\.v0011"),
+        ("v9999,1", r"video 'v9999' outside v0000\.\.v0011"),
+    ], ids=["repeated", "past_the_last", "unknown"])
+    def test_label_of_a_video_not_in_the_dataset(self, data, line, message):
+        path = data / "labels.csv"
+        with open(path, "a") as fp:
+            fp.write(line + "\n")
+        with pytest.raises(ValueError, match=rf"labels\.csv: line 14: {message}$"):
+            load_dataset(data, sketch_dim=16, streams=())
+
     def test_video_missing_from_labels(self, data):
         self.drop_lines(data / "labels.csv", "v0005,")
         with pytest.raises(ValueError, match=r"labels\.csv: no label for video 'v0005'"):
@@ -360,7 +368,8 @@ class TestLoadErrors:
     @pytest.mark.parametrize("name, streams, cut, given", [
         ("features.npy", (), np.s_[:, :-1], r"\(15, 4\), but .* backbone_dim = 16, tau = 4"),
         ("features.npy", (), np.s_[:, :, :-1], r"\(16, 3\), but .* backbone_dim = 16, tau = 4"),
-        ("aux_off.npy", ("off",), np.s_[:, :50], r"\(50,\), but dataset\.cfg has aux_dim = 96"),
+        ("aux_off.npy", ("off",), np.s_[:, :50], r"\(50,\), but synth writes rows of width "
+                                                 r"AUX_DIM = 96"),
     ], ids=["backbone_dim", "tau", "aux_dim"])
     def test_row_shape_mismatch(self, data, name, streams, cut, given):
         np.save(data / name, np.load(data / name)[cut])

@@ -15,8 +15,7 @@ from momhal.odf import read_detections
 from momhal.sdf import read_saliency_manifest
 from momhal.synthgen import SynthConfig, generate_dataset, load_dataset, read_dataset_config
 
-TINY = SynthConfig(n_videos=4, n_classes=2, seed=3, backbone_dim=4, tau=2, sal_width=4,
-                   sal_height=4)
+TINY = SynthConfig(n_videos=4, n_classes=2, seed=3, backbone_dim=4, tau=2)
 
 
 def detection(video="v1", detector="det1", frame=1, tau=3):
