@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 runtime error, 2 empty or invalid input.
 Every command taking --seed is reproducible byte-for-byte in
-single-threaded mode; --threads (at least 1; default: the CPU count)
+single-threaded mode; --threads (at least 1; default: the usable CPUs)
 only runs per-video encoding jobs in parallel, largest bag first, and
 changes no output byte or order.  Every text input (detections,
 manifest, --tau-source, config document, dataset.cfg, labels.csv) goes
@@ -14,7 +14,6 @@ unknown or repeated key or video, or a bad value is refused with
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -29,6 +28,7 @@ from .halluc import (
     metrics_to_csv,
     save_checkpoint,
     train,
+    usable_cpus,
     video_arrays,
 )
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
@@ -59,8 +59,9 @@ def _output_paths(out: Path, keys) -> dict[tuple[str, str], Path]:
     return {key: path for path, key in owners.items()}
 
 
-def _read_taus(path) -> dict[str, int]:
-    """``video tau`` lines (blank lines and ``#`` comments skipped), one per video."""
+def _read_taus(path, videos) -> dict[str, int]:
+    """``video tau`` lines (blank lines and ``#`` comments skipped), one per
+    video, each a video of ``videos``."""
     taus = {}
 
     def entry(line: str) -> None:
@@ -69,6 +70,8 @@ def _read_taus(path) -> dict[str, int]:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError("expected 'video tau'")
+        if fields[0] not in videos:
+            raise ValueError(f"video {fields[0]!r} has no detection records")
         if fields[0] in taus:
             raise ValueError(f"repeated video {fields[0]!r}")
         if (tau := int(fields[1])) < 1:
@@ -102,7 +105,7 @@ def cmd_encode_odf(args) -> int:
         print("no records", file=sys.stderr)
         return EXIT_EMPTY
     if args.tau_source != "records":
-        taus = _read_taus(args.tau_source)
+        taus = _read_taus(args.tau_source, {video for video, _ in groups})
         groups = {key: (taus.get(key[0], tau), recs) for key, (tau, recs) in groups.items()}
         for (video, detector), (tau, recs) in groups.items():
             if (frame := max(rec.frame_index for rec in recs)) > tau:
@@ -182,7 +185,10 @@ def _build_train_config(args) -> tuple[TrainConfig, str, str]:
 
 def cmd_train(args) -> int:
     cfg, data_dir, out_dir = _build_train_config(args)
-    videos, _ = load_dataset(data_dir, cfg.sketch_dim, cfg.eta, cfg.streams)
+    videos, n_classes = load_dataset(data_dir, cfg.sketch_dim, cfg.eta, cfg.streams)
+    if (top := max(video.label for video in videos)) != n_classes - 1:   # train sizes by labels
+        raise ValueError(f"{Path(data_dir) / 'labels.csv'}: the largest label is {top}, but "
+                         f"{Path(data_dir) / 'dataset.cfg'} has n_classes = {n_classes}")
     model, metrics = train(videos, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,14 +243,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--tau-source", default="records",
                    help="'records' or a file of 'video tau' lines")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=usable_cpus())
     p.set_defaults(func=cmd_encode_odf)
 
     p = sub.add_parser("encode-sdf", help="saliency manifest -> per-(video,source) descriptors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-dagger", type=_positive_int, default=3)
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=_positive_int, default=usable_cpus())
     p.set_defaults(func=cmd_encode_sdf)
 
     p = sub.add_parser("synth", help="write a deterministic synthetic dataset")

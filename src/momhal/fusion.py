@@ -29,15 +29,13 @@ from typing import Callable, Mapping, NamedTuple
 import numpy as np
 
 from .keyvalue import format_key_values, parse_key_values
-from .odf import DETECTOR_SLOTS
-from .sdf import SALIENCY_SLOTS
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 BETA_BRACKET = (0.0, 50.0)   # the exponent range searched by train and search-beta
 
 AUX_STREAMS = ("fv1", "fv2", "bow", "off")
-DET_STREAMS = DETECTOR_SLOTS
-SAL_STREAMS = SALIENCY_SLOTS
+DET_STREAMS = ("det1", "det2", "det3", "det4")
+SAL_STREAMS = ("sal1", "sal2")
 STREAM_ORDER = AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
 GROUP_DET = "D"

@@ -147,7 +147,6 @@ class Model:
     sketches: SketchStack      # U+1 count sketches m -> d'
     prednet: PredNet
     spec: FusionSpec
-    n_classes: int
 
     def __post_init__(self):
         if self.weight.shape[2] < 1:
@@ -164,6 +163,10 @@ class Model:
     @property
     def streams(self) -> tuple[str, ...]:
         return self.spec.streams
+
+    @property
+    def n_classes(self) -> int:
+        return self.prednet.weight.shape[0]
 
 @dataclass
 class VideoArrays:
@@ -279,7 +282,7 @@ def init_model(cfg: TrainConfig, n_classes: int, backbone_dim: int) -> Model:
     wp = rng.normal(0.0, INIT_SCALE / np.sqrt(cfg.sketch_dim),
                     size=(n_classes, cfg.sketch_dim))
     return Model(cfg, weight, np.zeros(weight.shape[:2]), sketches,
-                 PredNet(wp, np.zeros(n_classes)), FusionSpec(cfg.streams, rho=cfg.rho), n_classes)
+                 PredNet(wp, np.zeros(n_classes)), FusionSpec(cfg.streams, rho=cfg.rho))
 
 
 def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -369,6 +372,11 @@ def _initial_weights(
     model.spec = replace(model.spec, raw_weights=accs)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS keeps one."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _fork_pays(n_units: int) -> bool:
     """Whether ``train`` forks a worker for half of ``n_units`` units: fork
     exists, the affinity mask holds two CPUs, the process runs one OS thread
@@ -376,13 +384,11 @@ def _fork_pays(n_units: int) -> bool:
     stay held in the child, and a BLAS thread pool would contend with the
     worker for the two CPUs), and there are two units to split.  Where the
     threads cannot be listed, training runs in one process."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
         return False
-    return hasattr(os, "fork") and cpus >= 2 and threads == 1 and n_units >= 2
+    return hasattr(os, "fork") and usable_cpus() >= 2 and threads == 1 and n_units >= 2
 
 
 def _shared_array(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -872,4 +878,4 @@ def _read_checkpoint(r: _CheckpointReader, path) -> Model:
     cfg = TrainConfig(alpha=alpha, seed=seed, pre_sketch_dim=m, sketch_dim=d_prime,
                       streams=streams, rho=spec.rho, eta=eta)
     return Model(cfg, weight[order], bias[order], SketchStack([sketches[k] for k in order]),
-                 PredNet(wp, bp), spec, n_classes)
+                 PredNet(wp, bp), spec)

@@ -34,8 +34,6 @@ IMAGENET_SIZE = 1001
 SCORE_SUM_TOL = 1e-6
 SCALAR_MAP = FeatureMapConfig(7, 0.5, INTERVAL_UNIT)   # map of each of the six box scalars
 
-DETECTOR_SLOTS = ("det1", "det2", "det3", "det4")
-
 
 @dataclass(frozen=True, init=False)
 class DetectionRecord:

@@ -24,7 +24,6 @@ from .kernel import INTERVAL_UNIT, RING_UNIT, FeatureMapConfig, feature_map_batc
 from .keyvalue import read_lines
 from .moments import FeatureBag, MultiMomentDescriptor, multi_moment
 
-SALIENCY_SLOTS = ("sal1", "sal2")
 _PIXEL_BUDGET = 1 << 14   # pixels per stacked encode: (F, H, W, 12) temporaries of 1.5 MB
 ANGULAR_MAP = FeatureMapConfig(12, 0.5, RING_UNIT)      # orientation pivots
 SPATIAL_MAP = FeatureMapConfig(5, 0.5, INTERVAL_UNIT)   # x- and y-position pivots

@@ -3,8 +3,11 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,15 +104,17 @@ class TestEncodeOdf:
         ("v1 9\nv1\n", "line 2: expected 'video tau'"),
         ("# video tau\nv1 0\n", "line 2: tau must be >= 1"),
         ("v1 9\nv1 3\n", "line 2: repeated video 'v1'"),
-    ], ids=["malformed_line", "tau_below_one", "repeated_video"])
+        ("v1 3\nv9 4\nv1x 2\n", "line 2: video 'v9' has no detection records"),
+    ], ids=["malformed_line", "tau_below_one", "repeated_video", "video_without_records"])
     def test_bad_tau_file_names_file_and_line(self, tmp_path, detections_file, capsys,
                                               text, message):
-        taus = tmp_path / "taus.txt"
+        taus, out = tmp_path / "taus.txt", tmp_path / "out"
         taus.write_text(text)
         code, _, err = run(capsys, "encode-odf", "--input", str(detections_file),
-                           "--out", str(tmp_path / "out"), "--tau-source", str(taus))
+                           "--out", str(out), "--tau-source", str(taus))
         assert code == 1
         assert f"{taus}: {message}" in err
+        assert not out.exists()
 
     def test_record_past_the_tau_file_names_video_detector_and_file(self, tmp_path,
                                                                    detections_file, capsys):
@@ -232,6 +237,21 @@ class TestThreads:
         two = self.outputs(capsys, [*argv, "--threads", "2"], tmp_path / "out")
         assert len(one[1]) == 4 and one == two
 
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no affinity masks")
+    def test_default_is_the_usable_cpus(self):
+        """Under a one-CPU affinity mask both encoders default to one thread,
+        the count that training's fork decision sees."""
+        code = ("import os\n"
+                "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+                "from momhal import cli, halluc\n"
+                "parse = cli.build_parser().parse_args\n"
+                "print(halluc.usable_cpus(), [parse([command, flag, 'in', '--out', 'out']).threads"
+                " for command, flag in (('encode-odf', '--input'), ('encode-sdf', '--manifest'))])")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "1 [1, 1]\n"
 
     @pytest.mark.parametrize("command, flag", [("encode-odf", "--input"),
                                                ("encode-sdf", "--manifest")])
@@ -511,6 +531,18 @@ class TestConfigDocuments:
         assert f"{cfgfile}: line 3: " in err
         assert not (tmp_path / "run").exists()
 
+    def test_train_refuses_labels_short_of_the_classes_before_any_output(self, tmp_path,
+                                                                         capsys):
+        data, run_dir = tmp_path / "six", tmp_path / "run"
+        assert run(capsys, "synth", "--out", str(data), "--videos", "6", "--classes", "8",
+                   "--backbone-dim", "8", "--tau", "3")[0] == 0
+        code, stdout, err = run(capsys, "train", "--data", str(data), "--out", str(run_dir),
+                                "--epochs", "1")
+        assert (code, stdout) == (1, "")
+        assert err == (f"error: {data / 'labels.csv'}: the largest label is 5, but "
+                       f"{data / 'dataset.cfg'} has n_classes = 8\n")
+        assert not run_dir.exists()
+
     def test_model_is_refused_on_data_of_another_backbone_width(self, tmp_path, data, capsys):
         run_dir, wide = tmp_path / "run", tmp_path / "wide"
         assert run(capsys, "train", "--data", str(data), "--out", str(run_dir),
@@ -546,7 +578,7 @@ class TestConfigDocuments:
         assert [k for k in changed if getattr(cfg, k) == getattr(TrainConfig(), k)] == []
         # the first run's config.cfg is read back by the second; neither trains
         seen = []
-        monkeypatch.setattr(cli, "load_dataset", lambda *args: ([None], None))
+        monkeypatch.setattr(cli, "load_dataset", lambda *args: ([SimpleNamespace(label=1)], 2))
         monkeypatch.setattr(cli, "train", lambda videos, c: (seen.append(c), (init_model(c, 2, 8), []))[1])
         first = tmp_path / "first.cfg"
         first.write_text("".join(f"{k} = {v}\n" for k, v in {

@@ -1,11 +1,19 @@
-"""Modules use each other's public names only."""
+"""Modules use each other's public names only, and the package's two halves,
+the encoders and the model, import nothing from each other."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "momhal"
+HALVES = {"encoders": {"kernel", "moments", "odf", "sdf"},
+          "model": {"pn", "sketch", "fusion", "halluc"}}
+SHARED = {"atomic", "keyvalue"}    # used by both halves
+JOINERS = {"synthgen", "cli"}      # the only modules that use both halves
 
 
 def is_private(name: str) -> bool:
@@ -40,3 +48,48 @@ def private_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_private_imports_across_modules(path):
     assert private_imports(path) == []
+
+
+def momhal_imports(path: Path) -> set[str]:
+    """The names of the momhal modules that one source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("momhal."))
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module == "momhal"
+                                                   or (node.module or "").startswith("momhal.")):
+            module = (node.module or "").removeprefix("momhal").lstrip(".")
+            found.update([module.split(".")[0]] if module else [a.name for a in node.names])
+    return found
+
+
+def test_every_module_has_one_side():
+    sides = [*HALVES.values(), SHARED, JOINERS]
+    assert sorted(m for side in sides for m in side) == sorted(
+        p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.stem not in JOINERS),
+                         ids=lambda p: p.name)
+def test_halves_import_nothing_of_each_other(path):
+    """A module of a half imports its own half and the shared modules, a
+    shared module only shared ones, and the package itself re-exports
+    nothing, so imports nothing."""
+    own = next((half for half in HALVES.values() if path.stem in half), set())
+    allowed = set() if path.stem == "__init__" else own | SHARED
+    assert momhal_imports(path) - allowed == set()
+
+
+@pytest.mark.parametrize("half", sorted(HALVES))
+def test_importing_a_half_loads_no_other_module(half):
+    """In a fresh interpreter, importing every module of one half (the model
+    half is what serving a checkpoint imports) loads no module of the other
+    half and neither joiner."""
+    code = ("import sys\n" + "".join(f"import momhal.{m}\n" for m in sorted(HALVES[half]))
+            + "print(' '.join(sorted(m for m in sys.modules if m.startswith('momhal.'))))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    loaded = {name.removeprefix("momhal.") for name in out.split()}
+    assert HALVES[half] <= loaded <= HALVES[half] | SHARED

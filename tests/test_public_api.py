@@ -4,8 +4,6 @@ import ast
 import importlib
 from pathlib import Path
 
-import momhal
-
 TRACER = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
 
 
@@ -23,7 +21,3 @@ def test_traced_names_resolve():
     missing = [f"{module}.{func}" for module, func in traced_names()
                if not callable(getattr(importlib.import_module(f"momhal.{module}"), func, None))]
     assert missing == []
-
-
-def test_package_exports_resolve():
-    assert [name for name in momhal.__all__ if not hasattr(momhal, name)] == []

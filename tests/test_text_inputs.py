@@ -136,7 +136,7 @@ class TestDamagedFiles:
         path = tmp_dir / "taus.txt"
         path.write_bytes(blob)
         try:
-            _read_taus(str(path))
+            _read_taus(str(path), {"v1", "v2"})
         except ValueError as exc:
             assert_names_file_and_line(exc, path, blob)
 
