@@ -116,11 +116,19 @@ def _leading_subspace(upsilon: np.ndarray, n_prime: int) -> tuple[np.ndarray, np
     One eigendecomposition of the smaller Gram matrix: upsilon^T upsilon
     when N < d, whose eigenvectors v map back to left vectors as
     upsilon v / s (only the kept ones are formed), else upsilon upsilon^T,
-    whose eigenvectors are the left vectors themselves.
+    whose eigenvectors are the left vectors themselves.  In that case the
+    eigen-solve needs only the d x d Gram matrix, so Υ is dropped before it:
+    callers pass Υ without keeping a reference, and its (d, N) buffer is
+    freed while ``eigh`` runs.
     Rows past the rank or at or below ``rank_tolerance`` are zero.
     """
     d, n = upsilon.shape
-    w, v = np.linalg.eigh(upsilon.T @ upsilon if n < d else upsilon @ upsilon.T)
+    if n < d:
+        gram = upsilon.T @ upsilon
+    else:
+        gram = upsilon @ upsilon.T
+        upsilon = None
+    w, v = np.linalg.eigh(gram)
     order = np.argsort(w)[::-1]
     lam2 = np.clip(w[order], 0.0, None)
     sv = np.sqrt(lam2[:n_prime])

@@ -46,9 +46,11 @@ class SaliencyFrame:
         h, w = self.values.shape
         if h < 2 or w < 2:
             raise ValueError(f"frame must be at least 2x2, got {h}x{w}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("frame contains non-finite values")
-        if self.values.min() < 0.0 or self.values.max() > 1.0:
+        # A NaN fails both comparisons, so only a frame that fails a bound is
+        # scanned for non-finite values.
+        if not (self.values.min() >= 0.0 and self.values.max() <= 1.0):
+            if not np.all(np.isfinite(self.values)):
+                raise ValueError("frame contains non-finite values")
             raise ValueError("frame values must lie in [0, 1]")
 
 
@@ -157,7 +159,8 @@ _TOKEN = re.compile(rb"\s*(?:#[^\n]*\n\s*)*(\S+)")
 def read_pgm(path) -> SaliencyFrame:
     """Read a binary (P5) PGM that ends with its raster; values are rescaled
     to [0, 1] by maxval.  16-bit samples are big-endian per the PNM convention."""
-    data = Path(path).read_bytes()
+    with open(path, "rb", buffering=0) as fp:   # unbuffered; readall sizes its read by fstat
+        data = fp.readall()
     try:
         pos = 0
         tokens = []
@@ -181,8 +184,10 @@ def read_pgm(path) -> SaliencyFrame:
         if extra:
             raise ValueError("truncated raster" if extra < 0 else f"{extra} bytes after the raster")
         raster = np.frombuffer(data, dtype, count, pos)
-        values = raster.reshape(height, width).astype(np.float64) / maxval
-        return SaliencyFrame(np.clip(values, 0.0, 1.0))
+        # One true divide gives the float64 quotients of the samples; they are
+        # at least +0.0, so only samples above maxval need clipping.
+        values = raster.reshape(height, width) / maxval
+        return SaliencyFrame(np.minimum(values, 1.0, out=values))
     except ValueError as exc:
         raise ValueError(f"{path}: corrupt PGM: {exc}") from exc
 

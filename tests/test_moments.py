@@ -183,6 +183,26 @@ class TestMultiMoment:
             tracemalloc.stop()
         assert peak < 2.5 * bag.data.nbytes
 
+    def test_rows_ge_d_eigen_solve_holds_the_gram_not_upsilon(self, monkeypatch):
+        """When N >= d, the (d, N) centered matrix is freed before ``eigh``."""
+        n, d = 600, 500
+        bag = FeatureBag(np.random.default_rng(4).normal(size=(n, d)), np.full(20, n // 20))
+        eigh = np.linalg.eigh
+        traced = []
+
+        def recording_eigh(a, *args, **kwargs):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        tracemalloc.start()
+        try:
+            multi_moment(bag, 3)
+        finally:
+            tracemalloc.stop()
+        assert len(traced) == 1
+        assert traced[0] < 8 * d * d + bag.data.nbytes / 4
+
     def test_flat_length(self):
         rng = np.random.default_rng(1)
         for n_prime in (1, 3, 5):

@@ -65,6 +65,20 @@ class TestGradients:
         with pytest.raises(ValueError):
             SaliencyFrame(np.full((4, 4), np.nan))
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+        (1.5, r"lie in \[0, 1\]"), (-1e-300, r"lie in \[0, 1\]"),
+    ])
+    def test_frame_validation_names_the_fault(self, bad, message):
+        values = np.full((4, 4), 0.5)
+        values[2, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            SaliencyFrame(values)
+        values[0, 0] = 2.0   # a value out of range does not hide a non-finite one
+        with pytest.raises(ValueError, match=message):
+            SaliencyFrame(values)
+        assert SaliencyFrame(np.full((2, 2), -0.0)).values.shape == (2, 2)
+
 
 class TestEncodeFrame:
     def test_length_556(self):
@@ -268,6 +282,21 @@ class TestPgm:
         frame = read_pgm(path)
         assert frame.values.shape == (3, 4)
         assert frame.values[0, 1] == pytest.approx(1 / 255)
+
+    @pytest.mark.parametrize("header, raster", [
+        (b"P5\n5 2\n100\n", np.array([0, 1, 99, 100, 101, 150, 200, 254, 255, 7], np.uint8)),
+        (b"P5 3 2 1000\n", np.array([0, 999, 1000, 1001, 40000, 65535], ">u2")),
+        (b"P5\n# made by hand\n3 2\n# samples follow\n255\n",
+         np.array([0, 1, 127, 128, 254, 255], np.uint8)),
+    ], ids=["8bit_above_maxval", "16bit_above_maxval", "commented_header"])
+    def test_decode_is_the_clipped_quotient_bit_for_bit(self, tmp_path, header, raster):
+        path = tmp_path / "d.pgm"
+        path.write_bytes(header + raster.tobytes())
+        maxval = int(header.split()[-1])
+        want = np.clip(raster.reshape(2, -1).astype(np.float64) / maxval, 0.0, 1.0)
+        got = read_pgm(path).values
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_corrupt_errors_mention_path(self, tmp_path):
         path = tmp_path / "bad.pgm"
