@@ -34,7 +34,7 @@ from .halluc import (
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .moments import descriptor_to_bytes
 from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
-from .sdf import read_pgm, read_saliency_manifest, sdf_descriptor
+from .sdf import N_DAGGER, read_pgm, read_saliency_manifest, sdf_descriptor
 from .synthgen import SynthConfig, generate_dataset, load_dataset
 
 EXIT_OK = 0
@@ -44,14 +44,14 @@ EXIT_EMPTY = 2
 
 def _output_paths(out: Path, keys) -> dict[tuple[str, str], Path]:
     """``out/{video}__{id}.mmd`` for each (video, id) key.  Refuses an id
-    that holds a path separator or starts with '.', and two keys that would
-    write the same file."""
+    that holds a path separator or a NUL byte or starts with '.', and two
+    keys that would write the same file."""
     owners: dict[Path, tuple[str, str]] = {}
     for key in keys:
         for part in key:
-            if "/" in part or "\\" in part or part.startswith("."):
+            if any(c in part for c in "/\\\0") or part.startswith("."):
                 raise ValueError(f"id {part!r} cannot name an output file: "
-                                 "it holds a path separator or starts with '.'")
+                                 "it holds a path separator or a NUL byte, or starts with '.'")
         path = out / f"{key[0]}__{key[1]}.mmd"
         if path in owners:
             raise ValueError(f"ids {owners[path]} and {key} both map to {path.name}")
@@ -155,13 +155,7 @@ def cmd_encode_sdf(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    cfg = SynthConfig(
-        n_videos=args.videos,
-        n_classes=args.classes,
-        seed=args.seed,
-        backbone_dim=args.backbone_dim,
-        tau=args.tau,
-    )
+    cfg = SynthConfig(**{key: getattr(args, key) for key in config_parsers(SynthConfig)})
     generate_dataset(args.out, cfg)
     print(f"wrote {cfg.n_videos} videos / {cfg.n_classes} classes to {args.out}")
     return EXIT_OK
@@ -239,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--no-rbf", action="store_true")
-    p.add_argument("--n-prime", type=_positive_int, default=3)
+    p.add_argument("--n-prime", type=_positive_int, default=OdfConfig.n_prime)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--tau-source", default="records",
                    help="'records' or a file of 'video tau' lines")
@@ -249,17 +243,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode-sdf", help="saliency manifest -> per-(video,source) descriptors")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-dagger", type=_positive_int, default=3)
+    p.add_argument("--n-dagger", type=_positive_int, default=N_DAGGER)
     p.add_argument("--threads", type=_positive_int, default=usable_cpus())
     p.set_defaults(func=cmd_encode_sdf)
 
     p = sub.add_parser("synth", help="write a deterministic synthetic dataset")
     p.add_argument("--out", required=True)
-    p.add_argument("--videos", type=int, default=512)
-    p.add_argument("--classes", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--backbone-dim", type=int, default=64)
-    p.add_argument("--tau", type=int, default=7)
+    for flag, key in (("--videos", "n_videos"), ("--classes", "n_classes"), ("--seed", "seed"),
+                      ("--backbone-dim", "backbone_dim"), ("--tau", "tau")):
+        p.add_argument(flag, dest=key, type=int, default=getattr(SynthConfig, key))
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the hallucination model")

@@ -101,6 +101,8 @@ class TrainConfig:
         for name in ("epochs", "seed", "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.seed >= 1 << 64:   # HAL1 stores it in 8 bytes
+            raise ValueError(f"seed must be < 2**64, got {self.seed}")
         unknown = [s for s in self.streams if s not in STREAM_ORDER]
         if unknown:
             raise ValueError(f"unknown streams {unknown}; valid: {STREAM_ORDER}")
@@ -174,8 +176,9 @@ class VideoArrays:
     backbone features, stacked ground-truth targets and labels."""
 
     z: np.ndarray         # (N, b)
-    targets: np.ndarray   # (U, N, d'), one contiguous (N, d') slab per requested stream
+    targets: np.ndarray   # (U, N, d'), one contiguous (N, d') slab per stream of ``streams``
     labels: np.ndarray    # (N,) class ids
+    streams: tuple[str, ...]   # the streams of ``targets``, in order
 
 
 def _time_pool(features: list[np.ndarray]) -> np.ndarray:
@@ -201,7 +204,8 @@ def video_arrays(
     if not streams:
         targets = targets.reshape(0, len(videos), cfg.sketch_dim)
     labels = np.array([int(v.label) for v in videos])
-    return VideoArrays(_time_pool([v.backbone_features for v in videos]), targets, labels)
+    return VideoArrays(_time_pool([v.backbone_features for v in videos]), targets, labels,
+                       tuple(streams))
 
 
 def _pool(spec: FusionSpec, outs: np.ndarray) -> np.ndarray:
@@ -258,11 +262,10 @@ def _losses(
     return mse_term + class_loss, per_stream_mse, class_loss, d_scores
 
 
-def objective(model: Model, batch: list[SyntheticVideo]) -> tuple[float, dict[str, float], float]:
-    """Combined loss of ``model`` on a batch: (total loss, per-stream mean
-    squared error, classification loss) with total = (alpha / |streams|) *
+def objective(model: Model, data: VideoArrays) -> tuple[float, dict[str, float], float]:
+    """Combined loss of ``model`` on the rows of ``data``: (total loss, per-stream
+    mean squared error, classification loss) with total = (alpha / |streams|) *
     sum of per-stream MSE plus the classification loss, exactly."""
-    data = video_arrays(batch, model.config, model.streams)
     return _Trainer(model, data, fork=False).batch(np.arange(len(data.labels)))[:3]
 
 
@@ -617,6 +620,8 @@ class _Trainer:
     worker on every path and gives the model private slabs again."""
 
     def __init__(self, model: Model, data: VideoArrays, fork: bool):
+        if data.streams != model.streams:
+            raise ValueError(f"targets of streams {data.streams}, but the model has {model.streams}")
         n_units = len(model.weight)
         if fork:
             for name in ("weight", "bias"):
@@ -803,7 +808,7 @@ def save_checkpoint(model: Model, path) -> None:
     the sketch tables and fusion spec embedded."""
     cfg = model.config
     buf = bytearray(_HEADER.pack(
-        CHECKPOINT_MAGIC, 1, cfg.seed & ((1 << 64) - 1), model.weight.shape[2], cfg.pre_sketch_dim,
+        CHECKPOINT_MAGIC, 1, cfg.seed, model.weight.shape[2], cfg.pre_sketch_dim,
         cfg.sketch_dim, model.n_classes, cfg.eta, EPSILON, cfg.alpha, model.spec.tot_scale, 0,
         len(model.weight)))
     units = zip((*model.streams, HAF_ID), model.weight, model.bias, model.sketches.sketches)

@@ -40,8 +40,7 @@ class DetectionRecord:
     """One bounding-box detection within a video.  Construction checks the
     fields once, so every record is valid; ``lenient`` repairs raw fields
     before it constructs one.  It keeps the ImageNet scores sparse, as the
-    entries whose bits are nonzero (so a -0.0 stays); ``imagenet_scores``
-    builds the dense vector again, read-only, each time it is read."""
+    entries whose bits are nonzero (so a -0.0 stays)."""
 
     frame_index: int          # t in [1, tau]
     class_label: int          # y in [1, 171]
@@ -62,16 +61,8 @@ class DetectionRecord:
             object.__setattr__(self, name, value)
         self.validate(scores)
 
-    @property
-    def imagenet_scores(self) -> np.ndarray:
-        scores = np.zeros(IMAGENET_SIZE)
-        scores[self.score_index] = self.score_values
-        scores.flags.writeable = False
-        return scores
-
-    def validate(self, scores: np.ndarray | None = None) -> None:
-        """Check every field.  ``scores`` is the dense vector the record was
-        built from, if at hand; otherwise ``imagenet_scores`` rebuilds it."""
+    def validate(self, scores: np.ndarray) -> None:
+        """Check every field; ``scores`` is the dense vector the record was built from."""
         if not 1 <= self.class_label <= CLASS_SPACE_SIZE:
             raise ValueError(f"class label {self.class_label} outside [1, {CLASS_SPACE_SIZE}]")
         if not 0.0 <= self.confidence <= 1.0:
@@ -83,8 +74,6 @@ class DetectionRecord:
             raise ValueError(f"box coordinates {self.box} outside [0, 1]")
         if v1 > v3 or v2 > v4:
             raise ValueError(f"box {self.box} violates top-left <= bottom-right")
-        if scores is None:
-            scores = self.imagenet_scores
         if not np.isfinite(scores).all():
             raise ValueError("imagenet_scores holds non-finite values")
         if scores.min() < 0.0:
@@ -185,35 +174,73 @@ def odf_descriptor(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> 
     return multi_moment(bag, cfg.n_prime)
 
 
+# The Python types json gives each JSON kind; true and false (bool) are neither integers nor numbers
+_JSON_TYPES = {"integer": {int}, "number": {int, float}, "string": {str}, "array": {list}}
+
+
+def _json(value, kind: str, name: str):
+    """``value``, refused unless it is a JSON ``kind`` of ``_JSON_TYPES``."""
+    if type(value) not in _JSON_TYPES[kind]:
+        raise ValueError(f"{name} must be a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _array(value, kind: str, name: str) -> list:
+    """``value``, refused unless it is a JSON array of ``kind`` values: one
+    ``map`` over its entries, with no Python step per entry."""
+    if type(value) is not list or not set(map(type, value)) <= _JSON_TYPES[kind]:
+        raise ValueError(f"{name} must be a JSON array of {kind}s")
+    return value
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's (key, value) pairs as a dict; a repeated key is refused."""
+    if len(obj := dict(pairs)) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _scores_from_obj(obj: dict) -> np.ndarray:
+    if ("inet" in obj) == ("inet_sparse" in obj):
+        raise ValueError("record needs exactly one of 'inet' and 'inet_sparse'")
     if "inet" in obj:
-        return np.asarray(obj["inet"], dtype=np.float64)
-    if "inet_sparse" in obj:
-        scores = np.zeros(IMAGENET_SIZE)
-        for idx, val in obj["inet_sparse"]:
-            idx = int(idx)
-            if not 0 <= idx < IMAGENET_SIZE:
-                raise ValueError(f"inet_sparse index {idx} outside [0, {IMAGENET_SIZE - 1}]")
-            scores[idx] += float(val)
-        return scores
-    raise ValueError("record needs 'inet' or 'inet_sparse'")
+        return np.asarray(_array(obj["inet"], "number", "'inet'"), dtype=np.float64)
+    scores = np.zeros(IMAGENET_SIZE)
+    for pair in _array(obj["inet_sparse"], "array", "'inet_sparse'"):
+        if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) not in _JSON_TYPES["number"]:
+            raise ValueError(f"an 'inet_sparse' entry must be an [integer, number] pair, "
+                             f"got {json.dumps(pair)}")
+        idx, val = pair
+        if not 0 <= idx < IMAGENET_SIZE:
+            raise ValueError(f"inet_sparse index {idx} outside [0, {IMAGENET_SIZE - 1}]")
+        scores[idx] += float(val)
+    return scores
 
 
 def parse_detection_line(line: str, strict: bool = True) -> tuple[str, str, int, DetectionRecord]:
-    """Parse one JSONL record into (video, detector, tau, record)."""
-    obj = json.loads(line)
+    """Parse one JSONL record into (video, detector, tau, record).  Each
+    value must have its JSON type, in lenient mode too."""
+    obj = _DECODER.decode(line)
+    if type(obj) is not dict:
+        raise ValueError("expected a JSON object")
     for key in ("video", "detector", "frame", "tau", "class", "conf", "box"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
-    fields = (int(obj["frame"]), int(obj["class"]), float(obj["conf"]),
-              tuple(float(v) for v in obj["box"]), _scores_from_obj(obj))
-    tau = int(obj["tau"])
+    video, detector = (_json(obj[key], "string", repr(key)) for key in ("video", "detector"))
+    tau = _json(obj["tau"], "integer", "'tau'")
+    fields = (_json(obj["frame"], "integer", "'frame'"), _json(obj["class"], "integer", "'class'"),
+              float(_json(obj["conf"], "number", "'conf'")),
+              tuple(float(v) for v in _array(obj["box"], "number", "'box'")), _scores_from_obj(obj))
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     rec = DetectionRecord(*fields) if strict else DetectionRecord.lenient(*fields, tau)
     if not 1 <= rec.frame_index <= tau:   # a lenient record has its frame index clamped
         raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
-    return str(obj["video"]), str(obj["detector"]), tau, rec
+    return video, detector, tau, rec
 
 
 def read_detections(

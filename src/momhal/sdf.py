@@ -31,6 +31,7 @@ GIST_SIZE = 16
 NORM_GUARD = 1e-12   # floor of the block norms a frame is divided by
 GRADIENT_DIM = ANGULAR_MAP.pivot_count * SPATIAL_MAP.pivot_count**2   # 300
 FRAME_DIM = GRADIENT_DIM + GIST_SIZE**2                               # 556
+N_DAGGER = 3   # leading eigenvectors a descriptor keeps: encode-sdf's default and synth's
 
 
 @dataclass
@@ -138,7 +139,7 @@ def encode_frame(frames: SaliencyFrame | np.ndarray) -> np.ndarray:
     return np.concatenate([grad, pooled], axis=1)
 
 
-def sdf_descriptor(frames: list[SaliencyFrame], n_dagger: int = 3) -> MultiMomentDescriptor:
+def sdf_descriptor(frames: list[SaliencyFrame], n_dagger: int = N_DAGGER) -> MultiMomentDescriptor:
     """Multi-moment descriptor over per-frame features (one group per frame),
     encoded in stacks of one frame size and at most ``_PIXEL_BUDGET`` pixels."""
     if not frames:

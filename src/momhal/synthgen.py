@@ -48,7 +48,7 @@ from .halluc import SyntheticVideo, TrainConfig
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .odf import OdfConfig, odf_descriptor, read_detections
 from .pn import ETA, sigme
-from .sdf import FRAME_DIM, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
+from .sdf import FRAME_DIM, N_DAGGER, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
 from .sketch import derive_stream_seed, project, sketch_new
 
 LATENT_DIM = 8
@@ -433,7 +433,6 @@ def _encode_targets(
     """Run the encoders: the sketched, SigmE-normalized targets of
     ``streams``, one row per video."""
     odf_cfg = OdfConfig()
-    n_prime = odf_cfg.n_prime   # the SDF descriptors use the same count
     det_path, manifest = data_dir / "detections.jsonl", data_dir / "manifest.txt"
     det_groups = read_detections(det_path) if any(s in streams for s in DET_STREAMS) else {}
 
@@ -446,7 +445,7 @@ def _encode_targets(
         if det:
             tau, recs = groups[video, name]
             return odf_descriptor(recs, tau, odf_cfg).flat()
-        return sdf_descriptor([read_pgm(p) for p in groups[video, name]], n_prime).flat()
+        return sdf_descriptor([read_pgm(p) for p in groups[video, name]], N_DAGGER).flat()
 
     targets = {}
     for name in streams:
@@ -455,7 +454,8 @@ def _encode_targets(
             psis = _load_rows(data_dir / f"aux_{name}.npy", meta.n_videos, (AUX_DIM,),
                               f"synth writes rows of width AUX_DIM = {AUX_DIM}")
         else:
-            raw_dim = (odf_cfg.dim if name in DET_STREAMS else FRAME_DIM) * (4 + n_prime)
+            raw_dim = (odf_cfg.dim * (4 + odf_cfg.n_prime) if name in DET_STREAMS
+                       else FRAME_DIM * (4 + N_DAGGER))
             psis = (descriptor(_video_id(i), name) for i in range(meta.n_videos))
         sk = sketch_new(raw_dim, sketch_dim, derive_stream_seed(meta.seed, name, "gt"))
         targets[name] = np.array([project(sk, sigme(psi, eta)) for psi in psis])

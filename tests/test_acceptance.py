@@ -157,10 +157,11 @@ class TestCriterion5Gradients:
                                int(rng.integers(0, 3)))
                 for _ in range(3)
             ]
-            _, grads = _loss_and_grads(model, video_arrays(batch, model.config, model.streams))
+            data = video_arrays(batch, model.config, model.streams)
+            _, grads = _loss_and_grads(model, data)
 
             def loss():
-                return objective(model, batch)[0]
+                return objective(model, data)[0]
 
             blocks = []
             for k in range(len(model.weight)):   # every stream unit, then the pass-through unit

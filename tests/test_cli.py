@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +19,8 @@ from momhal.fusion import effective_coefficients, ridge_accuracy
 from momhal.halluc import TrainConfig, init_model, load_checkpoint
 from momhal.keyvalue import config_parsers
 from momhal.moments import descriptor_from_bytes
-from momhal.sdf import write_pgm
+from momhal.odf import OdfConfig
+from momhal.sdf import N_DAGGER, write_pgm
 from momhal.synthgen import SynthConfig, load_dataset
 from oracles import unit_outputs
 
@@ -74,6 +75,17 @@ class TestEncodeOdf:
                            "--out", str(tmp_path / "o"))
         assert code == 2
         assert "no records" in err
+
+    @pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
+    def test_ids_that_are_not_strings_are_refused_before_any_output(self, tmp_path, capsys,
+                                                                    lenient):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(detection_line() + "\n" + detection_line(video=7, detector=None) + "\n")
+        code, out, err = run(capsys, "encode-odf", "--input", str(bad),
+                             "--out", str(tmp_path / "o"), *lenient)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: line 2: 'video' must be a JSON string, got 7\n"
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_line_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -133,8 +145,10 @@ class TestEncodeOdf:
         bad = tmp_path / "bad.jsonl"
         bad.write_text(detection_line(**{field: 12345}).replace("12345", text) + "\n")
         code, _, err = run(capsys, "encode-odf", "--input", str(bad), "--out", str(tmp_path / "o"))
+        message = (f"{field!r} must be a JSON integer, got Infinity" if field != "inet_sparse" else
+                   "an 'inet_sparse' entry must be an [integer, number] pair, got [Infinity, 1.0]")
         assert code == 1
-        assert err == f"error: {bad}: line 1: cannot convert float infinity to integer\n"
+        assert err == f"error: {bad}: line 1: {message}\n"
 
 
 class TestEncodeSdf:
@@ -308,6 +322,22 @@ class TestOutputNames:
                            "--threads", "1")
         assert code == 1
         assert "'a__b'" in err and "'b__c'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [("encode-odf", "--input"),
+                                               ("encode-sdf", "--manifest")])
+    def test_id_with_a_nul_byte_is_refused_before_any_output(self, tmp_path, capsys,
+                                                             command, flag):
+        write_pgm(tmp_path / "f.pgm", np.full((8, 8), 0.5))
+        (tmp_path / "dets.jsonl").write_text(detection_line(video="a") + "\n"
+                                             + detection_line(video="b\0c") + "\n")
+        (tmp_path / "m.txt").write_text("a sal1 f.pgm\nb\0c sal1 f.pgm\n")
+        source = tmp_path / ("dets.jsonl" if command == "encode-odf" else "m.txt")
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, flag, str(source), "--out", str(out),
+                                "--threads", "1")
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: id 'b\\x00c' cannot name an output file: ")
         assert not out.exists()
 
 
@@ -517,11 +547,11 @@ class TestConfigDocuments:
         "learning_rat = 9", "batch_size = 0", "streams = fv1,bogus", "eta = -1",
         "ridge_l2 = nan", "alpha = nan", "val_fraction = nan", "rho = 5", "seed = -1",
         "multi_label = false", "backbone_dim = 8", "tie_sketches = False", "init_scale = 0.2",
-        "pn_eta = 20.0", "pn_epsilon = 1e-12", "epochs = 5",
+        "pn_eta = 20.0", "pn_epsilon = 1e-12", "epochs = 5", f"seed = {2**64}",
     ], ids=["unknown_key", "batch_size_0", "unknown_stream", "eta_negative", "ridge_l2_nan",
             "alpha_nan", "val_fraction_nan", "rho_5", "seed_negative", "removed_multi_label",
             "removed_backbone_dim", "removed_tie_sketches", "removed_init_scale",
-            "removed_pn_eta", "removed_pn_epsilon", "repeated_key"])
+            "removed_pn_eta", "removed_pn_epsilon", "repeated_key", "seed_2_64"])
     def test_train_config_is_refused(self, tmp_path, data, capsys, line):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(f"data_dir = {data}\nepochs = 1\n{line}\n")
@@ -529,6 +559,12 @@ class TestConfigDocuments:
                            "--out", str(tmp_path / "run"))
         assert code == 1
         assert f"{cfgfile}: line 3: " in err
+        assert not (tmp_path / "run").exists()
+
+    def test_seed_flag_past_64_bits_is_refused_before_any_output(self, tmp_path, data, capsys):
+        code, out, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                             "--epochs", "1", "--seed", str(2**64 + 1))
+        assert (code, out, err) == (1, "", f"error: seed must be < 2**64, got {2**64 + 1}\n")
         assert not (tmp_path / "run").exists()
 
     def test_train_refuses_labels_short_of_the_classes_before_any_output(self, tmp_path,
@@ -628,18 +664,25 @@ class TestConfigDocuments:
         assert not (tmp_path / "run").exists()
 
     def test_every_synth_flag_is_a_dataset_cfg_field(self, tmp_path, capsys):
-        """A generator setting is a flag and a field, or a constant."""
-        field_of = {"videos": "n_videos", "classes": "n_classes", "seed": "seed",
-                    "backbone_dim": "backbone_dim", "tau": "tau"}
-        values = {"videos": 3, "classes": 3, "seed": 4, "backbone_dim": 5, "tau": 3}
-        defaults = vars(cli.build_parser().parse_args(["synth", "--out", "x"]))
-        assert defaults.keys() - {"command", "func", "out"} == field_of.keys()
-        assert set(field_of.values()) == {f.name for f in fields(SynthConfig)}
+        """A generator setting is a flag and a field, or a constant; every
+        synth and encoder default is its config's."""
+        parser = cli.build_parser()
+        defaults = vars(parser.parse_args(["synth", "--out", "x"]))
+        del defaults["command"], defaults["func"], defaults["out"]
+        assert defaults == asdict(SynthConfig())
+        odf_args = parser.parse_args(["encode-odf", "--input", "i", "--out", "o"])
+        sdf_args = parser.parse_args(["encode-sdf", "--manifest", "m", "--out", "o"])
+        assert (odf_args.n_prime, sdf_args.n_dagger) == (OdfConfig().n_prime, N_DAGGER)
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flag_of = {a.dest: a.option_strings[0] for a in sub.choices["synth"]._actions}
+        values = {"n_videos": 3, "n_classes": 3, "seed": 4, "backbone_dim": 5, "tau": 3}
+        assert [flag_of[k] for k in values] == ["--videos", "--classes", "--seed",
+                                                "--backbone-dim", "--tau"]
         assert [k for k in values if values[k] == defaults[k]] == []
-        argv = [arg for k, v in values.items() for arg in (f"--{k.replace('_', '-')}", str(v))]
+        argv = [arg for k, v in values.items() for arg in (flag_of[k], str(v))]
         assert run(capsys, "synth", "--out", str(tmp_path), *argv)[0] == 0
         written = (tmp_path / "dataset.cfg").read_text()
-        assert written == "".join(f"{field_of[k]} = {v}\n" for k, v in values.items())
+        assert written == "".join(f"{k} = {v}\n" for k, v in values.items())
 
 
 class TestTargetCache:

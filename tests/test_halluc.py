@@ -115,7 +115,7 @@ class TestObjective:
         cfg = small_cfg(alpha=0.0)
         model = init_model(cfg, 3, B)
         batch = make_batch(np.random.default_rng(5), cfg)
-        loss, per_mse, class_loss = objective(model, batch)
+        loss, per_mse, class_loss = objective(model, video_arrays(batch, cfg, model.streams))
         assert loss == class_loss
         assert all(v > 0 for v in per_mse.values())
 
@@ -129,14 +129,14 @@ class TestObjective:
         for name in model.streams:
             for video, out in zip(batch, outs[name]):
                 video.ground_truth[name] = out
-        _, per_mse, _ = objective(model, batch)
+        _, per_mse, _ = objective(model, video_arrays(batch, cfg, model.streams))
         assert all(v == pytest.approx(0.0, abs=1e-18) for v in per_mse.values())
 
     def test_decomposition_identity(self):
         cfg = small_cfg(alpha=1.7)
         model = init_model(cfg, 3, B)
         batch = make_batch(np.random.default_rng(7), cfg)
-        loss, per_mse, class_loss = objective(model, batch)
+        loss, per_mse, class_loss = objective(model, video_arrays(batch, cfg, model.streams))
         assert loss == (cfg.alpha / len(model.streams)) * sum(per_mse.values()) + class_loss
 
     def test_per_stream_mse_is_numpys_mean(self):
@@ -149,13 +149,23 @@ class TestObjective:
             per_mse = _losses(model, sq, np.zeros((n, 3)), np.zeros(n, dtype=int))[1]
             assert list(per_mse.values()) == [float(row.mean()) for row in sq]
 
+    def test_targets_of_other_streams_are_refused(self):
+        cfg, other = small_cfg(), small_cfg(streams=("fv2", "det2", "sal2"))
+        model = init_model(cfg, 3, B)
+        data = video_arrays(make_batch(np.random.default_rng(9), other), other, other.streams)
+        message = re.escape("targets of streams ('fv2', 'det2', 'sal2'), "
+                            "but the model has ('fv1', 'det1', 'sal1')")
+        for call in (objective, _loss_and_grads):
+            with pytest.raises(ValueError, match=message):
+                call(model, data)
+
     def test_missing_target_error(self):
         cfg = small_cfg()
         model = init_model(cfg, 3, B)
         batch = make_batch(np.random.default_rng(8), cfg)
         del batch[0].ground_truth["det1"]
         with pytest.raises(ValueError, match="det1"):
-            objective(model, batch)
+            objective(model, video_arrays(batch, cfg, model.streams))
 
 
 def norm_rel_err(a, b):
@@ -168,10 +178,11 @@ def finite_difference_check(cfg, seed, n_classes=3):
     rng = np.random.default_rng(seed)
     model = init_model(cfg, n_classes, B)
     batch = make_batch(rng, cfg, n=4, n_classes=n_classes)
-    _, grads = _loss_and_grads(model, video_arrays(batch, cfg, model.streams))
+    data = video_arrays(batch, cfg, model.streams)
+    _, grads = _loss_and_grads(model, data)
 
     def loss():
-        return objective(model, batch)[0]
+        return objective(model, data)[0]
 
     blocks = []
     for k in range(len(model.weight)):   # every stream unit, then the pass-through unit
@@ -274,7 +285,7 @@ class TestTrain:
         n_val = int(round(cfg.val_fraction * len(data)))
         val = [data[i] for i in perm[:n_val]]
         training = [data[i] for i in perm[n_val:]]
-        loss, per_mse, class_loss = objective(model, training)
+        loss, per_mse, class_loss = objective(model, video_arrays(training, cfg, cfg.streams))
         last = metrics[-1]
         assert last["loss"] == loss
         assert last["class_loss"] == class_loss
@@ -317,7 +328,7 @@ class TestTrainConfig:
         ("alpha", float("nan")), ("alpha", float("inf")), ("learning_rate", float("inf")),
         ("ridge_l2", float("nan")), ("ridge_l2", -1.0), ("eta", -1.0), ("eta", 0.0),
         ("eta", float("nan")), ("eta", float("inf")), ("rho", 5.0), ("rho", 0.0),
-        ("rho", float("nan")),
+        ("rho", float("nan")), ("seed", 2**64),
     ])
     def test_out_of_range_field_is_named(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -596,6 +607,11 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"^HAL1: byte \d+: .*: line {line}: .* is not supported"):
             load_checkpoint(path)
 
+    def test_largest_seed_survives_the_checkpoint(self, tmp_path):
+        cfg = small_cfg(seed=2**64 - 1)
+        save_checkpoint(init_model(cfg, 3, B), tmp_path / "model.hal")
+        assert load_checkpoint(tmp_path / "model.hal").config.seed == 2**64 - 1
+
     def test_rho_survives_the_checkpoint(self, tmp_path):
         cfg = small_cfg(rho=0.3, epochs=2)
         model, _ = train(make_batch(np.random.default_rng(16), cfg, n=12), cfg)
@@ -730,7 +746,7 @@ class TestInitModel:
         message = f"features of width {B + 1}, but the model reads width {B}"
         for call in (lambda: infer(model, other[0].backbone_features),
                      lambda: evaluate(model, other), lambda: predict_scores(model, other),
-                     lambda: objective(model, other)):
+                     lambda: objective(model, video_arrays(other, cfg, cfg.streams))):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -890,7 +906,7 @@ class TestWorker:
 
         monkeypatch.setattr(halluc, "_shared_array", no_map)
         model = init_model(cfg, 3, B)
-        objective(model, data)
+        objective(model, video_arrays(data, cfg, cfg.streams))
         _loss_and_grads(model, video_arrays(data, cfg, cfg.streams))
         monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: False)
         train(data, cfg)

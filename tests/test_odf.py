@@ -112,11 +112,10 @@ class TestEncodeBox:
     def test_lenient_sanitize(self):
         fixed = DetectionRecord.lenient(5, 5, 1.7, (0.9, 0.2, 0.3, -0.1),
                                         np.full(IMAGENET_SIZE, 3.0), tau=3)
-        fixed.validate()
         assert fixed.frame_index == 3
         assert fixed.confidence == 1.0
         assert fixed.box[0] <= fixed.box[2] and fixed.box[1] <= fixed.box[3]
-        assert fixed.imagenet_scores.sum() == pytest.approx(1.0)
+        assert fixed.score_values.sum() == pytest.approx(1.0)
 
 
 class TestSparseScores:
@@ -126,15 +125,16 @@ class TestSparseScores:
         rec = make_record(scores=scores)
         stored = [getattr(rec, f.name) for f in fields(rec)]
         assert sum(a.nbytes for a in stored if isinstance(a, np.ndarray)) < 1024
-        assert np.array_equal(rec.imagenet_scores, scores)
-        with pytest.raises(ValueError, match="read-only"):
-            rec.imagenet_scores[0] = 1.0
+        assert np.array_equal(rec.score_index, np.flatnonzero(scores))
+        assert np.array_equal(rec.score_values, scores[rec.score_index])
 
     def test_lenient_scores_are_divided_by_the_dense_total(self):
         scores = np.random.default_rng(2).dirichlet(np.ones(IMAGENET_SIZE)) * 3.7
         scores[::3] = 0.0
         rec = DetectionRecord.lenient(1, 1, 0.5, (0.1, 0.2, 0.3, 0.4), scores, tau=1)
-        assert np.array_equal(rec.imagenet_scores, scores / float(scores.sum()))
+        want = scores / float(scores.sum())
+        assert np.array_equal(rec.score_index, np.flatnonzero(want))
+        assert np.array_equal(rec.score_values, want[rec.score_index])
 
     def test_negative_zero_score_keeps_its_sign(self):
         """A dense "inet" -0.0 passes validation and stays -0.0 in the box
@@ -262,23 +262,22 @@ class TestJsonl:
             "inet_sparse": [[3, 0.5], [900, 0.5]],
         }
         obj.update(kw)
-        return json.dumps(obj)
+        return json.dumps({key: value for key, value in obj.items() if value is not None})
 
     def test_parse_sparse(self):
         video, det, tau, rec = parse_detection_line(self.line())
         assert (video, det, tau) == ("v1", "det1", 4)
-        assert rec.imagenet_scores[3] == 0.5
-        assert rec.imagenet_scores.sum() == pytest.approx(1.0)
+        assert (rec.score_index.tolist(), rec.score_values.tolist()) == ([3, 900], [0.5, 0.5])
 
     def test_parse_dense(self):
         dense = [0.0] * 1001
         dense[0] = 1.0
         _, _, _, rec = parse_detection_line(self.line(inet_sparse=None, inet=dense))
-        assert rec.imagenet_scores[0] == 1.0
+        assert (rec.score_index.tolist(), rec.score_values.tolist()) == ([0], [1.0])
 
     def test_sparse_duplicate_indices_accumulate(self):
         _, _, _, rec = parse_detection_line(self.line(inet_sparse=[[5, 0.5], [5, 0.5]]))
-        assert rec.imagenet_scores[5] == 1.0
+        assert (rec.score_index.tolist(), rec.score_values.tolist()) == ([5], [1.0])
 
     def test_strict_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -308,7 +307,7 @@ class TestJsonl:
         with pytest.raises(FrozenInstanceError):
             rec.confidence = 1.5
         with pytest.raises(ValueError, match="confidence 1.5"):
-            DetectionRecord(1, 7, 1.5, rec.box, rec.imagenet_scores)
+            DetectionRecord(1, 7, 1.5, rec.box, np.full(IMAGENET_SIZE, 1.0 / IMAGENET_SIZE))
 
     @pytest.mark.parametrize("field, value, message", [
         ("box", [0.1, 0.1, 0.5], "4 coordinates"),
@@ -334,6 +333,40 @@ class TestJsonl:
         path = tmp_path / "d.jsonl"
         path.write_text(self.line() + "\n" + self.line(**{field: value}) + "\n")
         with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line 2: "):
+            read_detections(path, strict=strict)
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    @pytest.mark.parametrize("old, new, message", [
+        ('"frame": 1', '"frame": 2.7', "'frame' must be a JSON integer, got 2.7"),
+        ('"tau": 4', '"tau": "3"', "'tau' must be a JSON integer, got \"3\""),
+        ('"tau": 4', '"tau": 3.9', "'tau' must be a JSON integer, got 3.9"),
+        ('"class": 7', '"class": true', "'class' must be a JSON integer, got true"),
+        ('"conf": 0.9', '"conf": "0.5"', "'conf' must be a JSON number, got \"0.5\""),
+        ('"box": [0.1', '"box": ["0.1"', "'box' must be a JSON array of numbers"),
+        ("[[3, 0.5]", "[[3.7, 0.5]",
+         "an 'inet_sparse' entry must be an [integer, number] pair, got [3.7, 0.5]"),
+        ("[900, 0.5]", '[900, "0.5"]',
+         "an 'inet_sparse' entry must be an [integer, number] pair, got [900, \"0.5\"]"),
+        ("[900, 0.5]", "[900, 0.5, 1]",
+         "an 'inet_sparse' entry must be an [integer, number] pair, got [900, 0.5, 1]"),
+        ("[900, 0.5]]", "900]", "'inet_sparse' must be a JSON array of arrays"),
+        ('"inet_sparse": [[3, 0.5], [900, 0.5]]', '"inet": [true' + ", 0.0" * 1000 + "]",
+         "'inet' must be a JSON array of numbers"),
+        ('"video": "v1"', '"video": 7', "'video' must be a JSON string, got 7"),
+        ('"detector": "det1"', '"detector": null', "'detector' must be a JSON string, got null"),
+        ('"frame": 1', '"frame": 1, "frame": 2', "repeated key 'frame'"),
+        ('"inet_sparse"', '"inet": [1.0], "inet_sparse"',
+         "record needs exactly one of 'inet' and 'inet_sparse'"),
+    ], ids=["fractional_frame", "string_tau", "fractional_tau", "bool_class", "string_conf",
+            "string_box", "fractional_index", "string_score", "triple_entry", "unpaired_index",
+            "bool_dense_score", "int_video", "null_detector", "repeated_frame",
+            "both_score_forms"])
+    def test_value_of_another_json_type_is_refused_with_its_line(self, tmp_path, strict, old,
+                                                                new, message):
+        path = tmp_path / "d.jsonl"
+        assert old in self.line()
+        path.write_text(self.line() + "\n" + self.line().replace(old, new, 1) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 2: {message}")):
             read_detections(path, strict=strict)
 
     def test_missing_field(self):
