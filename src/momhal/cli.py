@@ -22,18 +22,17 @@ from .atomic import write_atomic
 from .fusion import BETA_BRACKET, golden_section_max
 from .halluc import (
     TrainConfig,
+    accuracy,
     beta_objective,
-    evaluate,
     load_checkpoint,
     metrics_to_csv,
     save_checkpoint,
     train,
     usable_cpus,
-    video_arrays,
 )
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .moments import descriptor_to_bytes
-from .odf import EmptyDetectorError, OdfConfig, odf_descriptor, read_detections
+from .odf import EmptyDetectorError, OdfConfig, check_tau, odf_descriptor, read_detections
 from .sdf import N_DAGGER, read_pgm, read_saliency_manifest, sdf_descriptor
 from .synthgen import SynthConfig, generate_dataset, load_dataset
 
@@ -74,9 +73,7 @@ def _read_taus(path, videos) -> dict[str, int]:
             raise ValueError(f"video {fields[0]!r} has no detection records")
         if fields[0] in taus:
             raise ValueError(f"repeated video {fields[0]!r}")
-        if (tau := int(fields[1])) < 1:
-            raise ValueError(f"tau must be >= 1, got {tau}")
-        taus[fields[0]] = tau
+        taus[fields[0]] = check_tau(int(fields[1]))
 
     with open(path, "rb") as fp:
         read_lines(fp, str(path), entry)
@@ -179,11 +176,11 @@ def _build_train_config(args) -> tuple[TrainConfig, str, str]:
 
 def cmd_train(args) -> int:
     cfg, data_dir, out_dir = _build_train_config(args)
-    videos, n_classes = load_dataset(data_dir, cfg.sketch_dim, cfg.eta, cfg.streams)
-    if (top := max(video.label for video in videos)) != n_classes - 1:   # train sizes by labels
+    data, n_classes = load_dataset(data_dir, cfg.sketch_dim, cfg.eta, cfg.streams)
+    if (top := data.labels.max()) != n_classes - 1:   # train sizes by labels
         raise ValueError(f"{Path(data_dir) / 'labels.csv'}: the largest label is {top}, but "
                          f"{Path(data_dir) / 'dataset.cfg'} has n_classes = {n_classes}")
-    model, metrics = train(videos, cfg)
+    model, metrics = train(data, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_checkpoint(model, out / "checkpoint.hal")
@@ -197,26 +194,25 @@ def cmd_train(args) -> int:
 
 
 def _model_and_data(args):
-    """The checkpoint at ``--model`` and the videos at ``--data``, which must
-    have the model's classes."""
+    """The checkpoint at ``--model`` and the videos at ``--data``, without
+    targets, which must have the model's classes."""
     model = load_checkpoint(args.model)
-    videos, n_classes = load_dataset(args.data, model.config.sketch_dim, streams=())
+    data, n_classes = load_dataset(args.data, model.config.sketch_dim, streams=())
     if n_classes != model.n_classes:
         raise ValueError(f"{Path(args.data) / 'dataset.cfg'}: n_classes = {n_classes}, "
                          f"but the model has {model.n_classes} classes")
-    return model, videos
+    return model, data
 
 
 def cmd_eval(args) -> int:
-    model, videos = _model_and_data(args)
-    acc = evaluate(model, videos)
-    print(f"accuracy {acc:.4f} over {len(videos)} videos")
+    model, data = _model_and_data(args)
+    print(f"accuracy {accuracy(model, data):.4f} over {len(data.labels)} videos")
     return EXIT_OK
 
 
 def cmd_search_beta(args) -> int:
-    model, videos = _model_and_data(args)
-    score = beta_objective(model, video_arrays(videos, model.config))
+    model, data = _model_and_data(args)
+    score = beta_objective(model, data)
     result = golden_section_max(score, *BETA_BRACKET, args.iters)
     for i, width in enumerate(result.widths):
         print(f"iter {i}: bracket width {width:.6f}")

@@ -170,10 +170,11 @@ class Model:
     def n_classes(self) -> int:
         return self.prednet.weight.shape[0]
 
+
 @dataclass
 class VideoArrays:
-    """Videos converted once for the array-level paths: time-pooled
-    backbone features, stacked ground-truth targets and labels."""
+    """A dataset as ``load_dataset`` gives it and ``train`` takes it:
+    time-pooled backbone features, stacked ground-truth targets and labels."""
 
     z: np.ndarray         # (N, b)
     targets: np.ndarray   # (U, N, d'), one contiguous (N, d') slab per stream of ``streams``
@@ -181,31 +182,12 @@ class VideoArrays:
     streams: tuple[str, ...]   # the streams of ``targets``, in order
 
 
-def _time_pool(features: list[np.ndarray]) -> np.ndarray:
+def time_pool(features) -> np.ndarray:
     """Time-pooled (N, b) features of N videos' (b, t) backbone features."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 3:
         raise ValueError(f"expected (b, t) features, got {feats.shape[1:]}")
     return feats.mean(axis=2)
-
-
-def video_arrays(
-    videos: list[SyntheticVideo], cfg: TrainConfig, streams: tuple[str, ...] = ()
-) -> VideoArrays:
-    """Convert videos to arrays.  Only the targets of ``streams`` are read,
-    so inference (no streams) never touches the ground truth."""
-    if not videos:
-        raise ValueError("no videos")
-    try:
-        targets = np.array([[v.ground_truth[s] for v in videos] for s in streams],
-                           dtype=np.float64)
-    except KeyError as exc:
-        raise ValueError(f"video lacks ground truth for enabled stream {exc.args[0]!r}") from None
-    if not streams:
-        targets = targets.reshape(0, len(videos), cfg.sketch_dim)
-    labels = np.array([int(v.label) for v in videos])
-    return VideoArrays(_time_pool([v.backbone_features for v in videos]), targets, labels,
-                       tuple(streams))
 
 
 def _pool(spec: FusionSpec, outs: np.ndarray) -> np.ndarray:
@@ -291,13 +273,13 @@ def init_model(cfg: TrainConfig, n_classes: int, backbone_dim: int) -> Model:
 def infer(model: Model, video_features: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Test-time pass on raw backbone features only: hallucinate every
     stream, pool, and score.  No ground-truth descriptors are consumed."""
-    outs, scores = _forward(model, _time_pool([video_features]))
+    outs, scores = _forward(model, time_pool([video_features]))
     return scores[0], {name: out[0] for name, out in zip(model.streams, outs)}
 
 
 def predict_scores(model: Model, videos: list[SyntheticVideo]) -> np.ndarray:
     """Batched inference scores; reads only features, never ground truth."""
-    return _forward(model, _time_pool([v.backbone_features for v in videos]))[1]
+    return _forward(model, time_pool([v.backbone_features for v in videos]))[1]
 
 
 def _accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -308,7 +290,11 @@ def evaluate(model: Model, videos: list[SyntheticVideo]) -> float:
     """Classification accuracy under the inference path (no ground truth)."""
     if not videos:
         return 0.0
-    data = video_arrays(videos, model.config)
+    return _accuracy(predict_scores(model, videos), np.array([int(v.label) for v in videos]))
+
+
+def accuracy(model: Model, data: VideoArrays) -> float:
+    """``evaluate`` of the rows of ``data``; reads no targets."""
     return _accuracy(_forward(model, data.z)[1], data.labels)
 
 
@@ -699,19 +685,26 @@ def _loss_and_grads(model: Model, data: VideoArrays) -> tuple[float, _Grads]:
         return loss, _Grads(*stack.units.grads(), head)
 
 
-def train(dataset: list[SyntheticVideo], cfg: TrainConfig) -> tuple[Model, list[dict]]:
+def train(data: VideoArrays, cfg: TrainConfig) -> tuple[Model, list[dict]]:
     """Gradient-descent training with the warmup-then-search exponent
-    schedule.  Deterministic for a fixed seed (single-threaded numpy),
-    with or without the worker process (see ``_fork_pays``).
+    schedule on the targets of ``cfg.streams`` in ``data``, which may hold
+    more.  Deterministic for a fixed seed (single-threaded numpy), with or
+    without the worker process (see ``_fork_pays``).
 
     Returns the trained model and one metrics row per epoch: loss,
     per-stream MSE, classification loss, validation accuracy, and the
     exponent bracket.
     """
-    data = video_arrays(dataset, cfg, cfg.streams)
+    if missing := [name for name in cfg.streams if name not in data.streams]:
+        raise ValueError(f"no targets for stream {missing[0]!r}; the data has {data.streams}")
+    if data.streams != cfg.streams:
+        data = replace(data, targets=data.targets[[data.streams.index(s) for s in cfg.streams]],
+                       streams=cfg.streams)
+    if not len(data.labels):
+        raise ValueError("no videos")
     model = init_model(cfg, int(data.labels.max()) + 1, data.z.shape[1])
 
-    val_idx, train_idx = _split(len(dataset), cfg)
+    val_idx, train_idx = _split(len(data.labels), cfg)
     if not len(train_idx):
         raise ValueError(f"val_fraction {cfg.val_fraction} leaves no training videos")
     _initial_weights(model, data, train_idx, val_idx)

@@ -33,6 +33,18 @@ CLASS_SPACE_SIZE = COCO_CLASSES + AVA_CLASSES  # 171
 IMAGENET_SIZE = 1001
 SCORE_SUM_TOL = 1e-6
 SCALAR_MAP = FeatureMapConfig(7, 0.5, INTERVAL_UNIT)   # map of each of the six box scalars
+# The most frames a clip may have: a bag counts its boxes in a tau-long
+# int64 vector, 8 MB at this bound, allocated before any box is read.
+MAX_TAU = 1 << 20
+
+
+def check_tau(tau: int) -> int:
+    """``tau`` if it lies in [1, MAX_TAU]."""
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+    if tau > MAX_TAU:
+        raise ValueError(f"tau must be <= MAX_TAU = {MAX_TAU}, got {tau}")
+    return tau
 
 
 @dataclass(frozen=True, init=False)
@@ -126,8 +138,7 @@ def _encode_boxes(records: list[DetectionRecord], frames: np.ndarray, tau: int,
                   cfg: OdfConfig) -> np.ndarray:
     """(N, dim) matrix of per-box vectors, one row per record in order;
     ``frames`` holds the records' frame indices."""
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    check_tau(tau)
     bad = np.flatnonzero((frames < 1) | (frames > tau))
     if bad.size:
         raise ValueError(f"frame index {frames[bad[0]]} outside [1, {tau}]")
@@ -235,8 +246,7 @@ def parse_detection_line(line: str, strict: bool = True) -> tuple[str, str, int,
     fields = (_json(obj["frame"], "integer", "'frame'"), _json(obj["class"], "integer", "'class'"),
               float(_json(obj["conf"], "number", "'conf'")),
               tuple(float(v) for v in _array(obj["box"], "number", "'box'")), _scores_from_obj(obj))
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    check_tau(tau)
     rec = DetectionRecord(*fields) if strict else DetectionRecord.lenient(*fields, tau)
     if not 1 <= rec.frame_index <= tau:   # a lenient record has its frame index clamped
         raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")

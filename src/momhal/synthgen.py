@@ -43,10 +43,10 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import write_atomic
-from .fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
-from .halluc import SyntheticVideo, TrainConfig
+from .fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS, STREAM_ORDER
+from .halluc import TrainConfig, VideoArrays, time_pool
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
-from .odf import OdfConfig, odf_descriptor, read_detections
+from .odf import OdfConfig, check_tau, odf_descriptor, read_detections
 from .pn import ETA, sigme
 from .sdf import FRAME_DIM, N_DAGGER, read_pgm, read_saliency_manifest, sdf_descriptor, write_pgm
 from .sketch import derive_stream_seed, project, sketch_new
@@ -77,6 +77,7 @@ class SynthConfig:
                           ("tau", 2)):
             if (value := getattr(self, name)) < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+        check_tau(self.tau)   # the records it writes must load
 
 
 def _video_id(i: int) -> str:
@@ -270,33 +271,31 @@ def load_dataset(
     sketch_dim: int,
     eta: float | None = None,
     streams: tuple[str, ...] | None = None,
-) -> tuple[list[SyntheticVideo], int]:
-    """Load a dataset directory into training samples.
+) -> tuple[VideoArrays, int]:
+    """Load a dataset directory as arrays for training and inference.
 
     Ground-truth descriptor targets are built here: the real ODF/SDF
     encoders run over the stored records and frames, raw auxiliary vectors
     are taken as-is, and everything is SigmE-normalized then sketched to
     ``sketch_dim`` with per-modality sketches seeded from the dataset seed;
-    SigmE uses the slope ``eta`` (default ``pn.ETA``), checked as
-    ``TrainConfig`` checks its own.
+    SigmE uses the slope ``eta`` (default ``pn.ETA``), and ``streams``
+    (default: all) are checked and put in ``STREAM_ORDER`` as
+    ``TrainConfig`` does with its own.
     Each stream's targets are kept in the target cache (module docstring)
     and rebuilt only when its key is not there.  ``streams=()`` reads no
     target input at all.
     """
-    eta = TrainConfig(eta=ETA if eta is None else float(eta)).eta
+    checked = TrainConfig(eta=ETA if eta is None else float(eta),
+                          streams=STREAM_ORDER if streams is None else tuple(streams))
+    eta, wanted = checked.eta, checked.streams
     data_dir = Path(data_dir)
     meta = read_dataset_config(data_dir)
-    wanted = streams if streams is not None else AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
     feats = _load_rows(data_dir / "features.npy", meta.n_videos, (meta.backbone_dim, meta.tau),
                        f"dataset.cfg has backbone_dim = {meta.backbone_dim}, tau = {meta.tau}")
     labels = _read_labels(data_dir / "labels.csv", meta.n_videos, meta.n_classes)
     targets = _stream_targets(data_dir, meta, wanted, sketch_dim, eta)
-    videos = [
-        SyntheticVideo(feats[i], {name: targets[name][i] for name in wanted}, labels[i])
-        for i in range(meta.n_videos)
-    ]
-    return videos, meta.n_classes
+    return VideoArrays(time_pool(feats), targets, np.array(labels), wanted), meta.n_classes
 
 
 def _load_rows(path: Path, n_videos: int, shape: tuple[int, ...], source: str) -> np.ndarray:
@@ -393,11 +392,12 @@ def _read_entry(path: Path, shape: tuple[int, int]) -> np.ndarray | None:
 def _stream_targets(
     data_dir: Path, meta: SynthConfig, wanted: tuple[str, ...], sketch_dim: int,
     eta: float,
-) -> dict[str, np.ndarray]:
-    """The (n_videos, sketch_dim) target matrix of each wanted stream, from
-    the cache where it holds one; the others are encoded and cached."""
+) -> np.ndarray:
+    """The (n_videos, sketch_dim) target matrices of the wanted streams,
+    stacked in their order, from the cache where it holds one; the others
+    are encoded and cached."""
     if not wanted:
-        return {}
+        return np.zeros((0, meta.n_videos, sketch_dim))
     sal_groups = (
         read_saliency_manifest(data_dir / "manifest.txt")
         if any(s in wanted for s in SAL_STREAMS)
@@ -408,22 +408,20 @@ def _stream_targets(
     names = _cache_names(data_dir, wanted, sketch_dim, eta, frame_paths)
     targets = {name: _read_entry(cache / names[name], (meta.n_videos, sketch_dim))
                for name in wanted}
-    missing = [name for name, arr in targets.items() if arr is None]
-    if not missing:
-        return targets
-    targets.update(_encode_targets(data_dir, meta, missing, sketch_dim, eta, sal_groups))
-    try:
-        cache.mkdir(exist_ok=True)
-        for name in missing:
-            buf = io.BytesIO()
-            np.save(buf, targets[name])
-            write_atomic(cache / names[name], buf.getvalue())
-            for old in cache.glob(f"{name}-*.npy"):   # one entry per stream
-                if old.name != names[name]:
-                    old.unlink(missing_ok=True)
-    except OSError:
-        pass   # an unwritable data directory still loads; nothing is cached
-    return targets
+    if missing := [name for name, arr in targets.items() if arr is None]:
+        targets.update(_encode_targets(data_dir, meta, missing, sketch_dim, eta, sal_groups))
+        try:
+            cache.mkdir(exist_ok=True)
+            for name in missing:
+                buf = io.BytesIO()
+                np.save(buf, targets[name])
+                write_atomic(cache / names[name], buf.getvalue())
+                for old in cache.glob(f"{name}-*.npy"):   # one entry per stream
+                    if old.name != names[name]:
+                        old.unlink(missing_ok=True)
+        except OSError:
+            pass   # an unwritable data directory still loads; nothing is cached
+    return np.array([targets[name] for name in wanted])
 
 
 def _encode_targets(

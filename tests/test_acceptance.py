@@ -13,12 +13,13 @@ from momhal.fusion import INV_PHI, eq9_ratios, golden_section_max
 from momhal.halluc import (
     SyntheticVideo,
     TrainConfig,
+    VideoArrays,
+    accuracy,
     evaluate,
     infer,
     init_model,
     objective,
     train,
-    video_arrays,
 )
 from momhal.halluc import _loss_and_grads
 from momhal.kernel import FeatureMapConfig
@@ -28,6 +29,7 @@ from momhal.sdf import SaliencyFrame, encode_frame, sdf_descriptor
 from momhal.synthgen import SynthConfig, generate_dataset, load_dataset
 from oracles import bag_of_frames, dense_multi_moment, kernel_approx_error, unbiasedness_check
 from test_odf import make_record
+from videos import as_arrays
 
 # Frozen grid-oracle figures for the RBF linearization (sigma = 0.5,
 # 101-point grid, interval domain); see tests/test_kernel.py.
@@ -157,7 +159,7 @@ class TestCriterion5Gradients:
                                int(rng.integers(0, 3)))
                 for _ in range(3)
             ]
-            data = video_arrays(batch, model.config, model.streams)
+            data = as_arrays(batch, model.config)
             _, grads = _loss_and_grads(model, data)
 
             def loss():
@@ -242,15 +244,15 @@ class TestCriterion8EndToEnd:
     def test_hallucination_beats_passthrough(self, default_dataset):
         t0 = time.time()
         cfg = TrainConfig(epochs=200, seed=0)
-        videos, _ = load_dataset(default_dataset, cfg.sketch_dim, cfg.eta)
-        model_all, metrics_all = train(videos, cfg)
+        data, _ = load_dataset(default_dataset, cfg.sketch_dim, cfg.eta)
+        model_all, metrics_all = train(data, cfg)
         cfg_haf = TrainConfig(epochs=200, seed=0, streams=())
-        model_haf, metrics_haf = train(videos, cfg_haf)
+        model_haf, metrics_haf = train(data, cfg_haf)
         acc_all = metrics_all[-1]["val_acc"]
         acc_haf = metrics_haf[-1]["val_acc"]
         gap = acc_all - acc_haf
 
-        # inference consumes no ground truth: poisoned mapping + raw features
+        # inference consumes no ground truth: poisoned mapping and targets + raw features
         class Poisoned(dict):
             def __getitem__(self, key):
                 raise AssertionError("inference touched ground truth")
@@ -258,10 +260,20 @@ class TestCriterion8EndToEnd:
             def get(self, key, default=None):
                 raise AssertionError("inference touched ground truth")
 
-        poisoned = [SyntheticVideo(v.backbone_features, Poisoned(), v.label)
-                    for v in videos[:32]]
+        class PoisonedTargets:
+            def __getattr__(self, name):
+                raise AssertionError("inference touched ground truth")
+
+            def __getitem__(self, key):
+                raise AssertionError("inference touched ground truth")
+
+        feats = np.load(default_dataset / "features.npy")
+        poisoned = [SyntheticVideo(f, Poisoned(), int(y))
+                    for f, y in zip(feats[:32], data.labels[:32])]
         evaluate(model_all, poisoned)
-        scores, halls = infer(model_all, videos[0].backbone_features)
+        accuracy(model_all, VideoArrays(data.z[:32], PoisonedTargets(), data.labels[:32],
+                                        model_all.streams))
+        scores, halls = infer(model_all, feats[0])
         audit_ok = scores.shape == (8,) and set(halls) == set(model_all.streams)
 
         elapsed = time.time() - t0

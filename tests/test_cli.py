@@ -19,7 +19,7 @@ from momhal.fusion import effective_coefficients, ridge_accuracy
 from momhal.halluc import TrainConfig, init_model, load_checkpoint
 from momhal.keyvalue import config_parsers
 from momhal.moments import descriptor_from_bytes
-from momhal.odf import OdfConfig
+from momhal.odf import MAX_TAU, OdfConfig
 from momhal.sdf import N_DAGGER, write_pgm
 from momhal.synthgen import SynthConfig, load_dataset
 from oracles import unit_outputs
@@ -87,6 +87,16 @@ class TestEncodeOdf:
         assert err == f"error: {bad}: line 2: 'video' must be a JSON string, got 7\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("lenient", [[], ["--lenient"]], ids=["strict", "lenient"])
+    def test_tau_past_the_bound_is_refused_before_any_output(self, tmp_path, capsys, lenient):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(detection_line(tau=10**15) + "\n")
+        code, out, err = run(capsys, "encode-odf", "--input", str(bad),
+                             "--out", str(tmp_path / "o"), *lenient)
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}: line 1: tau must be <= MAX_TAU = {MAX_TAU}, got {10**15}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_line_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(detection_line() + "\n" + detection_line(conf=3.0) + "\n")
@@ -115,9 +125,11 @@ class TestEncodeOdf:
     @pytest.mark.parametrize("text, message", [
         ("v1 9\nv1\n", "line 2: expected 'video tau'"),
         ("# video tau\nv1 0\n", "line 2: tau must be >= 1"),
+        (f"v1 {MAX_TAU + 1}\n", f"line 1: tau must be <= MAX_TAU = {MAX_TAU}, got {MAX_TAU + 1}"),
         ("v1 9\nv1 3\n", "line 2: repeated video 'v1'"),
         ("v1 3\nv9 4\nv1x 2\n", "line 2: video 'v9' has no detection records"),
-    ], ids=["malformed_line", "tau_below_one", "repeated_video", "video_without_records"])
+    ], ids=["malformed_line", "tau_below_one", "tau_above_max", "repeated_video",
+            "video_without_records"])
     def test_bad_tau_file_names_file_and_line(self, tmp_path, detections_file, capsys,
                                               text, message):
         taus, out = tmp_path / "taus.txt", tmp_path / "out"
@@ -367,6 +379,13 @@ class TestSynthTrainEval:
         assert f"error: backbone_dim must be >= 1, got {value}" in err
         assert not out.exists()
 
+    def test_tau_past_the_bound_is_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        code, _, err = run(capsys, "synth", "--out", str(out), "--tau", str(MAX_TAU + 1))
+        assert code == 1
+        assert err == f"error: tau must be <= MAX_TAU = {MAX_TAU}, got {MAX_TAU + 1}\n"
+        assert not out.exists()
+
     def test_fewer_than_one_search_iteration_is_refused_when_parsed(self, tmp_path, capsys,
                                                                    monkeypatch):
         monkeypatch.setattr(cli, "load_checkpoint", lambda path: pytest.fail("loaded"))
@@ -434,15 +453,15 @@ class TestSynthTrainEval:
 
         # the trainer's split and its pooled, tot_scale-weighted head input
         model = load_checkpoint(run_dir / "checkpoint.hal")
-        videos, _ = load_dataset(data, model.config.sketch_dim, None, ())
-        n = len(videos)
+        loaded, _ = load_dataset(data, model.config.sketch_dim, None, ())
+        n = len(loaded.labels)
         perm = np.random.default_rng((2, 0x5E)).permutation(n)
         val, tr = perm[: round(0.25 * n)], perm[round(0.25 * n):]
         spec = replace(model.spec, beta=float(m.group(1)))
-        outs = unit_outputs(model, [v.backbone_features for v in videos])
+        outs = unit_outputs(model, list(np.load(data / "features.npy")))
         pooled = model.spec.tot_scale * sum(c * outs[name]
                                             for name, c in effective_coefficients(spec).items())
-        y = np.array([v.label for v in videos])
+        y = loaded.labels
         want = ridge_accuracy(pooled[tr], y[tr], pooled[val], y[val], model.n_classes, 1e-3)
         assert m.group(2) == f"{want:.4f}"
 
@@ -614,8 +633,9 @@ class TestConfigDocuments:
         assert [k for k in changed if getattr(cfg, k) == getattr(TrainConfig(), k)] == []
         # the first run's config.cfg is read back by the second; neither trains
         seen = []
-        monkeypatch.setattr(cli, "load_dataset", lambda *args: ([SimpleNamespace(label=1)], 2))
-        monkeypatch.setattr(cli, "train", lambda videos, c: (seen.append(c), (init_model(c, 2, 8), []))[1])
+        monkeypatch.setattr(cli, "load_dataset",
+                            lambda *args: (SimpleNamespace(labels=np.array([1])), 2))
+        monkeypatch.setattr(cli, "train", lambda data, c: (seen.append(c), (init_model(c, 2, 8), []))[1])
         first = tmp_path / "first.cfg"
         first.write_text("".join(f"{k} = {v}\n" for k, v in {
             **changed, "streams": "fv2,det3,sal1",

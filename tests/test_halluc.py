@@ -13,6 +13,7 @@ from fuzz import damaged
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import unit_chain_rows, unit_outputs
+from videos import as_arrays
 
 from momhal import halluc
 from momhal.fusion import (
@@ -29,6 +30,8 @@ from momhal.halluc import (
     SyntheticVideo,
     TrainConfig,
     TrainingDivergedError,
+    VideoArrays,
+    accuracy,
     beta_objective,
     evaluate,
     infer,
@@ -39,7 +42,6 @@ from momhal.halluc import (
     predict_scores,
     save_checkpoint,
     train,
-    video_arrays,
 )
 from momhal.halluc import _forward, _loss_and_grads, _losses, _pool, _sgd, _Units
 from momhal.pn import EPSILON
@@ -115,7 +117,7 @@ class TestObjective:
         cfg = small_cfg(alpha=0.0)
         model = init_model(cfg, 3, B)
         batch = make_batch(np.random.default_rng(5), cfg)
-        loss, per_mse, class_loss = objective(model, video_arrays(batch, cfg, model.streams))
+        loss, per_mse, class_loss = objective(model, as_arrays(batch, cfg))
         assert loss == class_loss
         assert all(v > 0 for v in per_mse.values())
 
@@ -129,14 +131,14 @@ class TestObjective:
         for name in model.streams:
             for video, out in zip(batch, outs[name]):
                 video.ground_truth[name] = out
-        _, per_mse, _ = objective(model, video_arrays(batch, cfg, model.streams))
+        _, per_mse, _ = objective(model, as_arrays(batch, cfg))
         assert all(v == pytest.approx(0.0, abs=1e-18) for v in per_mse.values())
 
     def test_decomposition_identity(self):
         cfg = small_cfg(alpha=1.7)
         model = init_model(cfg, 3, B)
         batch = make_batch(np.random.default_rng(7), cfg)
-        loss, per_mse, class_loss = objective(model, video_arrays(batch, cfg, model.streams))
+        loss, per_mse, class_loss = objective(model, as_arrays(batch, cfg))
         assert loss == (cfg.alpha / len(model.streams)) * sum(per_mse.values()) + class_loss
 
     def test_per_stream_mse_is_numpys_mean(self):
@@ -152,7 +154,7 @@ class TestObjective:
     def test_targets_of_other_streams_are_refused(self):
         cfg, other = small_cfg(), small_cfg(streams=("fv2", "det2", "sal2"))
         model = init_model(cfg, 3, B)
-        data = video_arrays(make_batch(np.random.default_rng(9), other), other, other.streams)
+        data = as_arrays(make_batch(np.random.default_rng(9), other), other)
         message = re.escape("targets of streams ('fv2', 'det2', 'sal2'), "
                             "but the model has ('fv1', 'det1', 'sal1')")
         for call in (objective, _loss_and_grads):
@@ -162,10 +164,9 @@ class TestObjective:
     def test_missing_target_error(self):
         cfg = small_cfg()
         model = init_model(cfg, 3, B)
-        batch = make_batch(np.random.default_rng(8), cfg)
-        del batch[0].ground_truth["det1"]
-        with pytest.raises(ValueError, match="det1"):
-            objective(model, video_arrays(batch, cfg, model.streams))
+        data = as_arrays(make_batch(np.random.default_rng(8), cfg), cfg, ("fv1", "sal1"))
+        with pytest.raises(ValueError, match=re.escape("targets of streams ('fv1', 'sal1'), but")):
+            objective(model, data)
 
 
 def norm_rel_err(a, b):
@@ -178,7 +179,7 @@ def finite_difference_check(cfg, seed, n_classes=3):
     rng = np.random.default_rng(seed)
     model = init_model(cfg, n_classes, B)
     batch = make_batch(rng, cfg, n=4, n_classes=n_classes)
-    data = video_arrays(batch, cfg, model.streams)
+    data = as_arrays(batch, cfg)
     _, grads = _loss_and_grads(model, data)
 
     def loss():
@@ -218,7 +219,7 @@ class TestTrain:
     def make_dataset(self, seed=0, n=24, n_classes=3):
         cfg = small_cfg(seed=seed)
         rng = np.random.default_rng(seed + 100)
-        return make_batch(rng, cfg, n=n, n_classes=n_classes), cfg
+        return as_arrays(make_batch(rng, cfg, n=n, n_classes=n_classes), cfg), cfg
 
     def test_zero_epochs_equals_init(self):
         data, cfg = self.make_dataset()
@@ -261,14 +262,43 @@ class TestTrain:
         # the bounded SigmE outputs keep ordinary runs finite; an overflowing
         # target is what actually drives the loss to inf
         data, cfg = self.make_dataset()
-        for video in data:
-            video.ground_truth["det1"] = np.full(cfg.sketch_dim, 1e200)
+        data.targets[data.streams.index("det1")] = 1e200
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
             train(data, small_cfg(epochs=2, alpha=1e8))
 
     def test_empty_dataset(self):
-        with pytest.raises(ValueError):
-            train([], small_cfg())
+        data, cfg = self.make_dataset()
+        empty = VideoArrays(data.z[:0], data.targets[:, :0], data.labels[:0], data.streams)
+        with pytest.raises(ValueError, match="no videos"):
+            train(empty, cfg)
+
+    def test_missing_stream_is_refused_before_any_weight(self, monkeypatch):
+        data, cfg = self.make_dataset()
+        monkeypatch.setattr(halluc, "init_model", None)   # refused before it is called
+        lacking = replace(data, targets=data.targets[::2], streams=data.streams[::2])
+        with pytest.raises(ValueError, match="no targets for stream 'det1'"):
+            train(lacking, cfg)
+
+    def test_superset_trains_the_same_bytes(self, tmp_path):
+        data, cfg = self.make_dataset()
+        slabs = dict(zip(data.streams, data.targets))
+        rng = np.random.default_rng(3)
+        slabs.update(fv2=rng.normal(size=data.targets.shape[1:]),
+                     bow=rng.normal(size=data.targets.shape[1:]))
+        order = ("sal1", "fv2", "det1", "bow", "fv1")   # not STREAM_ORDER
+        superset = replace(data, targets=np.array([slabs[s] for s in order]), streams=order)
+        runs = [train(superset, cfg), train(data, cfg)]
+        for k, (model, _) in enumerate(runs):
+            save_checkpoint(model, tmp_path / f"{k}.hal")
+        assert runs[0][1] == runs[1][1]
+        assert (tmp_path / "0.hal").read_bytes() == (tmp_path / "1.hal").read_bytes()
+
+    def test_exact_streams_are_not_copied(self, monkeypatch):
+        data, cfg = self.make_dataset()
+        seen = []
+        monkeypatch.setattr(halluc, "_initial_weights", lambda model, got, *idx: seen.append(got))
+        train(data, replace(cfg, epochs=0))
+        assert seen[0] is data
 
     @pytest.mark.parametrize("dims", [(5, 7, 4), (64, 128, 128)])
     def test_metrics_equal_separate_passes(self, dims):
@@ -280,12 +310,12 @@ class TestTrain:
                         streams=("fv1", "bow", "det1", "det2", "sal1"),
                         epochs=3, warmup_epochs=1)
         data = make_batch(np.random.default_rng(21), cfg, n=48, n_classes=4, b=b)
-        model, metrics = train(data, cfg)
+        model, metrics = train(as_arrays(data, cfg), cfg)
         perm = np.random.default_rng((cfg.seed, 0x5E)).permutation(len(data))
         n_val = int(round(cfg.val_fraction * len(data)))
         val = [data[i] for i in perm[:n_val]]
         training = [data[i] for i in perm[n_val:]]
-        loss, per_mse, class_loss = objective(model, video_arrays(training, cfg, cfg.streams))
+        loss, per_mse, class_loss = objective(model, as_arrays(training, cfg))
         last = metrics[-1]
         assert last["loss"] == loss
         assert last["class_loss"] == class_loss
@@ -302,11 +332,11 @@ class TestTrain:
             pytest.skip("the worker process needs fork")
         monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: worker)
         cfg = small_cfg(epochs=6, warmup_epochs=0, batch_size=8, val_fraction=0.5)
-        data = make_batch(np.random.default_rng(2), cfg, n=64, n_classes=4)
+        data = as_arrays(make_batch(np.random.default_rng(2), cfg, n=64, n_classes=4), cfg)
         rows = train(data, cfg)[1]
         unequal = 0
         for k in range(1, cfg.epochs):
-            score = beta_objective(train(data, replace(cfg, epochs=k))[0], video_arrays(data, cfg))
+            score = beta_objective(train(data, replace(cfg, epochs=k))[0], data)
             before, after = rows[k - 1], rows[k]
             fc, fd = map(score, golden_points(
                 Bracket(before["beta_lo"], before["beta_hi"] - before["beta_lo"])))
@@ -344,7 +374,7 @@ class TestInference:
         rng = np.random.default_rng(9)
         cfg = small_cfg(epochs=2)
         data = make_batch(rng, cfg, n=16)
-        model, _ = train(data, cfg)
+        model, _ = train(as_arrays(data, cfg), cfg)
         return model, data
 
     def test_batch_of_one_matches_batch_of_many(self):
@@ -400,6 +430,13 @@ class TestInference:
                                            rtol=0, atol=1e-12)
             assert np.abs(want - before).max() > 1e-6   # the change moved the scores
             before = want
+
+    def test_accuracy_equals_evaluate(self):
+        model, data = self.setup_model()
+        for videos in (data, data[:5], data[7:8]):
+            arrays = as_arrays(videos, model.config, streams=())
+            assert accuracy(model, arrays) == evaluate(model, videos)
+        assert evaluate(model, []) == 0.0
 
     def test_infer_shape_validation(self):
         model, _ = self.setup_model()
@@ -474,7 +511,7 @@ class TestStackedUnits:
 
     def test_units_are_views_of_what_training_writes(self, tmp_path):
         cfg = small_cfg(epochs=2)
-        model, _ = train(make_batch(np.random.default_rng(12), cfg, n=16), cfg)
+        model, _ = train(as_arrays(make_batch(np.random.default_rng(12), cfg, n=16), cfg), cfg)
 
         def assert_checkpoint_holds_the_slabs():
             save_checkpoint(model, tmp_path / "model.hal")
@@ -485,7 +522,7 @@ class TestStackedUnits:
 
         assert_checkpoint_holds_the_slabs()
         before = model.weight.copy()
-        batch = video_arrays(make_batch(np.random.default_rng(13), cfg), cfg, model.streams)
+        batch = as_arrays(make_batch(np.random.default_rng(13), cfg), cfg)
         grads = _loss_and_grads(model, batch)[1]
         _sgd(model.weight, model.bias, grads.weight, grads.bias, 0.5)
         assert not np.array_equal(model.weight[0], before[0])
@@ -536,7 +573,7 @@ class TestCheckpoint:
         rng = np.random.default_rng(11)
         cfg = small_cfg(epochs=2)
         data = make_batch(rng, cfg, n=12)
-        model, _ = train(data, cfg)
+        model, _ = train(as_arrays(data, cfg), cfg)
         path = tmp_path / "model.hal"
         save_checkpoint(model, path)
         back = load_checkpoint(path)
@@ -614,7 +651,7 @@ class TestCheckpoint:
 
     def test_rho_survives_the_checkpoint(self, tmp_path):
         cfg = small_cfg(rho=0.3, epochs=2)
-        model, _ = train(make_batch(np.random.default_rng(16), cfg, n=12), cfg)
+        model, _ = train(as_arrays(make_batch(np.random.default_rng(16), cfg, n=12), cfg), cfg)
         save_checkpoint(model, tmp_path / "model.hal")
         back = load_checkpoint(tmp_path / "model.hal")
         assert back.config.rho == 0.3
@@ -732,7 +769,7 @@ class TestInitModel:
 
     def test_backbone_width_is_the_features(self):
         cfg = small_cfg(epochs=1)
-        model, _ = train(make_batch(np.random.default_rng(17), cfg, n=8, b=6), cfg)
+        model, _ = train(as_arrays(make_batch(np.random.default_rng(17), cfg, n=8, b=6), cfg), cfg)
         assert model.weight.shape[2] == 6
         with pytest.raises(ValueError, match="backbone_dim must be >= 1, got 0"):
             init_model(cfg, 3, 0)
@@ -746,7 +783,8 @@ class TestInitModel:
         message = f"features of width {B + 1}, but the model reads width {B}"
         for call in (lambda: infer(model, other[0].backbone_features),
                      lambda: evaluate(model, other), lambda: predict_scores(model, other),
-                     lambda: objective(model, video_arrays(other, cfg, cfg.streams))):
+                     lambda: objective(model, as_arrays(other, cfg)),
+                     lambda: accuracy(model, as_arrays(other, cfg))):
             with pytest.raises(ValueError, match=message):
                 call()
 
@@ -773,7 +811,7 @@ class TestWorker:
 
     def setup_data(self, n=24, **kw):
         cfg = small_cfg(**{"epochs": 5, "warmup_epochs": 2, **kw})
-        return make_batch(np.random.default_rng(31), cfg, n=n, n_classes=3), cfg
+        return as_arrays(make_batch(np.random.default_rng(31), cfg, n=n, n_classes=3), cfg), cfg
 
     def train_both_ways(self, monkeypatch, data, cfg):
         """(split run, in-process run, forks of the split run)"""
@@ -817,8 +855,7 @@ class TestWorker:
 
     def test_divergence_leaves_no_process(self, monkeypatch):
         data, _ = self.setup_data()
-        for video in data:
-            video.ground_truth["det1"] = np.full(4, 1e200)
+        data.targets[data.streams.index("det1")] = 1e200
         monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
             train(data, small_cfg(epochs=2, alpha=1e8))
@@ -906,8 +943,8 @@ class TestWorker:
 
         monkeypatch.setattr(halluc, "_shared_array", no_map)
         model = init_model(cfg, 3, B)
-        objective(model, video_arrays(data, cfg, cfg.streams))
-        _loss_and_grads(model, video_arrays(data, cfg, cfg.streams))
+        objective(model, data)
+        _loss_and_grads(model, data)
         monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: False)
         train(data, cfg)
         monkeypatch.setattr(halluc, "_shared_array",

@@ -1,5 +1,6 @@
-"""Modules use each other's public names only, and the package's two halves,
-the encoders and the model, import nothing from each other."""
+"""Modules use each other's public names only, the package's two halves,
+the encoders and the model, import nothing from each other, and every
+command path runs on arrays."""
 
 import ast
 import os
@@ -93,3 +94,27 @@ def test_importing_a_half_loads_no_other_module(half):
                          text=True, check=True).stdout
     loaded = {name.removeprefix("momhal.") for name in out.split()}
     assert HALVES[half] <= loaded <= HALVES[half] | SHARED
+
+
+LIST_FORM = {"SyntheticVideo", "evaluate", "predict_scores"}   # kept in halluc for outside callers
+
+
+def names_used(path: Path) -> set[str]:
+    """Every name, attribute and imported name in one source file."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_command_paths_run_on_arrays(path):
+    """Only ``halluc`` names the per-video list form, and no module has a
+    function that turns a video list into training arrays."""
+    banned = {"video_arrays"} | (set() if path.stem == "halluc" else LIST_FORM)
+    assert names_used(path) & banned == set()

@@ -252,6 +252,8 @@ class TestBoxMatrix:
             detection_bag(recs, 3, OdfConfig())
         with pytest.raises(ValueError, match="tau must be >= 1, got 0"):
             detection_bag(recs, 0, OdfConfig())
+        with pytest.raises(ValueError, match=f"tau must be <= MAX_TAU = {odf.MAX_TAU}, got "):
+            detection_bag(recs, odf.MAX_TAU + 1, OdfConfig())
 
 
 class TestJsonl:
@@ -284,6 +286,12 @@ class TestJsonl:
             parse_detection_line(self.line(conf=1.5))
         with pytest.raises(ValueError):
             parse_detection_line(self.line(frame=9))
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+    def test_tau_bound(self, strict):
+        assert parse_detection_line(self.line(tau=odf.MAX_TAU), strict)[2] == odf.MAX_TAU
+        with pytest.raises(ValueError, match=f"^tau must be <= MAX_TAU = {odf.MAX_TAU}, got "):
+            parse_detection_line(self.line(tau=odf.MAX_TAU + 1), strict)
 
     def test_lenient_clamps(self):
         _, _, _, rec = parse_detection_line(self.line(conf=1.5, frame=9), strict=False)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from momhal import synthgen
-from momhal.fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS
+from momhal.fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS, STREAM_ORDER
+from momhal.odf import MAX_TAU
 from momhal.synthgen import (
     CACHE_DIR,
     SynthConfig,
@@ -96,6 +97,11 @@ class TestGeneration:
         with pytest.raises(ValueError):
             SynthConfig(tau=1)
 
+    def test_tau_that_no_loader_takes_is_refused(self):
+        assert SynthConfig(tau=MAX_TAU).tau == MAX_TAU
+        with pytest.raises(ValueError, match=f"^tau must be <= MAX_TAU = {MAX_TAU}, got "):
+            SynthConfig(tau=MAX_TAU + 1)
+
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("backbone_dim", 0), ("backbone_dim", -3),
     ])
@@ -115,23 +121,25 @@ class TestGeneration:
 class TestLoading:
     def test_shapes_and_labels(self, tmp_path):
         generate_dataset(tmp_path / "d", SMALL)
-        videos, n_classes = load_dataset(tmp_path / "d", sketch_dim=24)
+        data, n_classes = load_dataset(tmp_path / "d", sketch_dim=24)
         assert n_classes == 3
-        assert len(videos) == 12
-        for video in videos:
-            assert video.backbone_features.shape == (16, 4)
-            assert set(video.ground_truth) == set(AUX_STREAMS + DET_STREAMS + SAL_STREAMS)
-            for target in video.ground_truth.values():
-                assert target.shape == (24,)
-                assert np.all(np.isfinite(target))
-            assert 0 <= video.label < 3
-        labels = [v.label for v in videos]
-        assert sorted(set(labels)) == [0, 1, 2]
+        feats = np.load(tmp_path / "d" / "features.npy")
+        assert feats.shape == (12, 16, 4)
+        assert np.array_equal(data.z, feats.mean(axis=2))
+        assert data.streams == STREAM_ORDER
+        assert data.targets.shape == (len(STREAM_ORDER), 12, 24)
+        assert np.all(np.isfinite(data.targets))
+        assert data.labels.shape == (12,) and data.labels.dtype.kind == "i"
+        assert sorted(set(data.labels.tolist())) == [0, 1, 2]
 
     def test_stream_subset(self, tmp_path):
         generate_dataset(tmp_path / "d", SMALL)
-        videos, _ = load_dataset(tmp_path / "d", sketch_dim=8, streams=("fv1", "det1"))
-        assert set(videos[0].ground_truth) == {"fv1", "det1"}
+        data, _ = load_dataset(tmp_path / "d", sketch_dim=8, streams=("fv1", "det1"))
+        assert data.streams == ("fv1", "det1")
+        assert data.targets.shape == (2, 12, 8)
+        full, _ = load_dataset(tmp_path / "d", sketch_dim=8)
+        for k, name in enumerate(data.streams):
+            assert np.array_equal(data.targets[k], full.targets[STREAM_ORDER.index(name)])
 
     def test_deterministic_targets(self, tmp_path):
         # two directories, so both loads run the encoders
@@ -139,10 +147,8 @@ class TestLoading:
         generate_dataset(tmp_path / "e", SMALL)
         a, _ = load_dataset(tmp_path / "d", sketch_dim=16)
         b, _ = load_dataset(tmp_path / "e", sketch_dim=16)
-        for va, vb in zip(a, b):
-            for name in va.ground_truth:
-                np.testing.assert_array_equal(va.ground_truth[name],
-                                              vb.ground_truth[name])
+        assert a.streams == b.streams == STREAM_ORDER
+        np.testing.assert_array_equal(a.targets, b.targets)
 
     def test_class_signal_lives_in_det1_and_sal1(self, tmp_path):
         # targets of the signal streams separate classes; noise streams do not
@@ -150,12 +156,12 @@ class TestLoading:
 
         cfg = SynthConfig(n_videos=60, n_classes=3, seed=2, backbone_dim=16, tau=4)
         generate_dataset(tmp_path / "d", cfg)
-        videos, _ = load_dataset(tmp_path / "d", sketch_dim=48)
-        y = np.array([v.label for v in videos])
+        data, _ = load_dataset(tmp_path / "d", sketch_dim=48)
+        y = data.labels
         tr, val = np.arange(40), np.arange(40, 60)
 
         def acc(stream):
-            gt = np.stack([v.ground_truth[stream] for v in videos])
+            gt = data.targets[data.streams.index(stream)]
             return ridge_accuracy(gt[tr], y[tr], gt[val], y[val], 3)
 
         assert acc("det1") > 0.9
@@ -166,9 +172,8 @@ class TestLoading:
 ALL_STREAMS = AUX_STREAMS + DET_STREAMS + SAL_STREAMS
 
 
-def targets(videos):
-    return {name: np.stack([v.ground_truth[name] for v in videos])
-            for name in videos[0].ground_truth}
+def targets(data):
+    return dict(zip(data.streams, data.targets))
 
 
 def cache_entries(root):
@@ -238,10 +243,10 @@ class TestTargetCache:
     def test_changed_setting_misses(self, data, kwargs, monkeypatch):
         load_dataset(data, sketch_dim=16, streams=("fv1", "det1", "sal1"))
         before = cache_entries(data)
-        videos, _ = load_dataset(data, **{"sketch_dim": 16, **kwargs},
+        loaded, _ = load_dataset(data, **{"sketch_dim": 16, **kwargs},
                                  streams=("fv1", "det1", "sal1"))
         assert len(cache_entries(data) - before) == 3
-        assert videos[0].ground_truth["fv1"].shape == (kwargs.get("sketch_dim", 16),)
+        assert loaded.targets.shape == (3, SMALL.n_videos, kwargs.get("sketch_dim", 16))
 
     def test_one_entry_per_stream(self, data, monkeypatch):
         streams = ("fv1", "det1", "sal1")
@@ -280,13 +285,14 @@ class TestTargetCache:
             raise OSError("read-only file system")
 
         monkeypatch.setattr(os, "replace", fail)
-        videos, _ = load_dataset(data, sketch_dim=16, streams=("fv1", "sal2"))
-        assert set(videos[0].ground_truth) == {"fv1", "sal2"}
+        loaded, _ = load_dataset(data, sketch_dim=16, streams=("fv1", "sal2"))
+        assert loaded.streams == ("fv1", "sal2")
+        assert loaded.targets.shape == (2, SMALL.n_videos, 16)
         assert not any((data / CACHE_DIR).iterdir())   # no entries, no temporary files
 
     def test_no_streams_creates_no_cache(self, data):
-        videos, _ = load_dataset(data, sketch_dim=16, streams=())
-        assert videos[0].ground_truth == {}
+        loaded, _ = load_dataset(data, sketch_dim=16, streams=())
+        assert loaded.streams == () and loaded.targets.shape == (0, SMALL.n_videos, 16)
         assert not (data / CACHE_DIR).exists()
 
 
@@ -325,6 +331,19 @@ class TestLoadErrors:
         with pytest.raises(ValueError, match="^eta must be"):
             load_dataset(data, 16, eta, ("fv1",))
         assert not (data / CACHE_DIR).exists()
+
+    def test_unknown_stream_is_refused_before_any_input(self, data, tmp_path):
+        for where in (data, tmp_path / "no-such-dataset"):
+            with pytest.raises(ValueError, match=re.escape("unknown streams ['foo']; valid: (")):
+                load_dataset(where, 16, None, ("fv1", "foo"))
+        assert not (data / CACHE_DIR).exists()
+
+    def test_streams_come_back_in_stream_order(self, data):
+        loaded, _ = load_dataset(data, 16, None, ("sal1", "det1", "fv1", "det1"))
+        assert loaded.streams == ("fv1", "det1", "sal1")
+        full, _ = load_dataset(data, 16)
+        for k, name in enumerate(loaded.streams):
+            assert np.array_equal(loaded.targets[k], full.targets[STREAM_ORDER.index(name)])
 
     @pytest.mark.parametrize("label", ["3", "-1"])
     def test_label_outside_the_classes(self, data, label):
