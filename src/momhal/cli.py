@@ -103,9 +103,9 @@ def cmd_encode_odf(args) -> int:
         return EXIT_EMPTY
     if args.tau_source != "records":
         taus = _read_taus(args.tau_source, {video for video, _ in groups})
-        groups = {key: (taus.get(key[0], tau), recs) for key, (tau, recs) in groups.items()}
-        for (video, detector), (tau, recs) in groups.items():
-            if (frame := max(rec.frame_index for rec in recs)) > tau:
+        groups = {key: (taus.get(key[0], tau), dets) for key, (tau, dets) in groups.items()}
+        for (video, detector), (tau, dets) in groups.items():
+            if (frame := int(dets.columns().frame.max())) > tau:
                 raise ValueError(f"{args.tau_source}: video {video!r} has tau {tau}, but "
                                  f"detector {detector!r} has a record at frame {frame}")
     cfg = OdfConfig(use_rbf_embedding=not args.no_rbf, n_prime=args.n_prime)
@@ -114,8 +114,8 @@ def cmd_encode_odf(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     def job(item):
-        (video, detector), (tau, recs) = item
-        return video, detector, tau, len(recs), odf_descriptor(recs, tau, cfg)
+        (video, detector), (tau, dets) = item
+        return video, detector, tau, len(dets), odf_descriptor(dets, tau, cfg)
 
     results = _run_largest_first(job, sorted(groups.items()), lambda item: len(item[1][1]),
                                  args.threads)

@@ -13,13 +13,17 @@ Detections arrive as JSON Lines, one object per detection:
 {"video": str, "detector": str, "frame": int, "tau": int, "class": int,
  "conf": float, "box": [f, f, f, f], "inet": [1001 floats]}.
 "inet" may be replaced by "inet_sparse": [[index, value], ...] with
-0-based indices into the 1001-vector.
+0-based indices into the 1001-vector.  A file is read into typed columns
+(``Detections``), one row per box; no per-box object outlives its line.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,10 @@ AVA_CLASSES = 80
 CLASS_SPACE_SIZE = COCO_CLASSES + AVA_CLASSES  # 171
 IMAGENET_SIZE = 1001
 SCORE_SUM_TOL = 1e-6
+# How far math.fsum of scores in [0, 1] may lie from numpy's pairwise sum of
+# their dense vector: at most 1000 roundings of a total near 1, about
+# 1.1e-13.  A fsum inside the tolerance by more than 1e-12 passes both.
+_SUM_MARGIN = 1e-12
 SCALAR_MAP = FeatureMapConfig(7, 0.5, INTERVAL_UNIT)   # map of each of the six box scalars
 # The most frames a clip may have: a bag counts its boxes in a tau-long
 # int64 vector, 8 MB at this bound, allocated before any box is read.
@@ -47,59 +55,102 @@ def check_tau(tau: int) -> int:
     return tau
 
 
-@dataclass(frozen=True, init=False)
+def _check_dense_scores(scores: np.ndarray) -> None:
+    """Refuse a (1001,) score vector that is not finite, nonnegative and
+    summing to 1."""
+    if not np.isfinite(scores).all():
+        raise ValueError("imagenet_scores holds non-finite values")
+    if scores.min() < 0.0:
+        raise ValueError("imagenet_scores must be nonnegative")
+    if abs(float(scores.sum()) - 1.0) > SCORE_SUM_TOL:
+        raise ValueError("imagenet_scores must sum to 1")
+
+
+def _check_sparse_scores(scores: dict[int, float]) -> None:
+    """``_check_dense_scores`` of the vector that holds ``scores`` at their
+    indices and +0.0 elsewhere.  A clear pass needs no vector: scores in
+    [0, 1] whose ``math.fsum`` lies within the tolerance by more than
+    ``_SUM_MARGIN``; every other case is decided on the dense vector."""
+    values = scores.values()
+    if (all(0.0 <= v <= 1.0 for v in values)
+            and abs(math.fsum(values) - 1.0) < SCORE_SUM_TOL - _SUM_MARGIN):
+        return
+    _check_dense_scores(_dense(scores))
+
+
+def _dense(scores: dict[int, float]) -> np.ndarray:
+    """The (1001,) vector that holds ``scores`` at their indices."""
+    dense = np.zeros(IMAGENET_SIZE)
+    for idx, value in scores.items():
+        dense[idx] = value
+    return dense
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class DetectionRecord:
-    """One bounding-box detection within a video.  Construction checks the
-    fields once, so every record is valid; ``lenient`` repairs raw fields
-    before it constructs one.  It keeps the ImageNet scores sparse, as the
-    entries whose bits are nonzero (so a -0.0 stays)."""
+    """One bounding-box detection: what ``parse_detection_line`` makes of a
+    line, and one row of ``Detections``.  Construction checks the fields
+    once, so every record is valid; ``lenient`` repairs raw fields before it
+    constructs one.  It keeps the ImageNet scores sparse, as the entries
+    whose bits are nonzero (so a -0.0 stays), or flags the uniform 1/1001
+    vector of the lenient fallback."""
 
     frame_index: int          # t in [1, tau]
     class_label: int          # y in [1, 171]
     confidence: float         # in [0, 1]
     box: tuple[float, float, float, float]  # (v1, v2, v3, v4) normalized, top-left <= bottom-right
-    score_index: np.ndarray   # ascending positions of the nonzero ImageNet scores
-    score_values: np.ndarray  # their values; the dense vector is nonnegative and sums to 1
+    score_index: tuple[int, ...]     # ascending positions of the nonzero ImageNet scores
+    score_values: tuple[float, ...]  # their values; the dense vector is nonnegative and sums to 1
+    uniform: bool             # every score is 1/1001 (and score_index is empty)
 
     def __init__(self, frame_index: int, class_label: int, confidence: float, box,
                  imagenet_scores: np.ndarray):
+        """A record from a dense (1001,) score vector."""
         scores = np.asarray(imagenet_scores, dtype=np.float64)
         if scores.shape != (IMAGENET_SIZE,):
             raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
         keep = np.flatnonzero(scores.view(np.int64))
-        values = (frame_index, class_label, confidence, tuple(float(v) for v in box), keep,
-                  scores[keep])
+        self._fill(frame_index, class_label, confidence, box, keep.tolist(), scores[keep].tolist())
+        _check_dense_scores(scores)
+
+    @classmethod
+    def from_sparse(cls, frame_index: int, class_label: int, confidence: float, box,
+                    scores: dict[int, float]) -> DetectionRecord:
+        """A record from {index: value}, the entries an "inet_sparse" line
+        sets; it is refused exactly when the dense vector would be."""
+        rec = cls.__new__(cls)
+        keep = sorted(i for i, v in scores.items() if v != 0.0)   # a sum from +0.0 is never -0.0
+        rec._fill(frame_index, class_label, confidence, box, keep, [scores[i] for i in keep])
+        _check_sparse_scores(scores)
+        return rec
+
+    def _fill(self, frame_index, class_label, confidence, box, score_index, score_values,
+              uniform=False) -> None:
+        """Check all fields but the scores, then set them."""
+        box = tuple(map(float, box))
+        if not 1 <= class_label <= CLASS_SPACE_SIZE:
+            raise ValueError(f"class label {class_label} outside [1, {CLASS_SPACE_SIZE}]")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence {confidence} outside [0, 1]")
+        if len(box) != 4:
+            raise ValueError("box must have 4 coordinates")
+        v1, v2, v3, v4 = box
+        if not (0.0 <= v1 <= 1.0 and 0.0 <= v2 <= 1.0 and 0.0 <= v3 <= 1.0 and 0.0 <= v4 <= 1.0):
+            raise ValueError(f"box coordinates {box} outside [0, 1]")
+        if v1 > v3 or v2 > v4:
+            raise ValueError(f"box {box} violates top-left <= bottom-right")
+        values = (frame_index, class_label, confidence, box, tuple(score_index),
+                  tuple(score_values), uniform)
         for name, value in zip(self.__dataclass_fields__, values):   # the fields, in order
             object.__setattr__(self, name, value)
-        self.validate(scores)
-
-    def validate(self, scores: np.ndarray) -> None:
-        """Check every field; ``scores`` is the dense vector the record was built from."""
-        if not 1 <= self.class_label <= CLASS_SPACE_SIZE:
-            raise ValueError(f"class label {self.class_label} outside [1, {CLASS_SPACE_SIZE}]")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        if len(self.box) != 4:
-            raise ValueError("box must have 4 coordinates")
-        v1, v2, v3, v4 = self.box
-        if not all(0.0 <= v <= 1.0 for v in self.box):
-            raise ValueError(f"box coordinates {self.box} outside [0, 1]")
-        if v1 > v3 or v2 > v4:
-            raise ValueError(f"box {self.box} violates top-left <= bottom-right")
-        if not np.isfinite(scores).all():
-            raise ValueError("imagenet_scores holds non-finite values")
-        if scores.min() < 0.0:
-            raise ValueError("imagenet_scores must be nonnegative")
-        if abs(float(scores.sum()) - 1.0) > SCORE_SUM_TOL:
-            raise ValueError("imagenet_scores must sum to 1")
 
     @classmethod
     def lenient(cls, frame_index: int, class_label: int, confidence: float, box, imagenet_scores,
                 tau: int) -> DetectionRecord:
         """A record from raw fields: clamp the frame index into [1, tau] and
-        the other ranges, reorder corners, renormalize scores.  Structural
-        problems (label space, vector lengths, non-finite box or scores)
-        still raise."""
+        the other ranges, reorder corners, renormalize scores (all zero
+        after clamping: uniform).  Structural problems (label space, vector
+        lengths, non-finite box or scores) still raise."""
         v = np.asarray(box, dtype=np.float64)
         scores = np.asarray(imagenet_scores, dtype=np.float64)
         if v.shape != (4,):
@@ -111,14 +162,99 @@ class DetectionRecord:
                 raise ValueError(f"{name} holds non-finite values")
         v, scores = np.clip(v, 0.0, 1.0), np.clip(scores, 0.0, None)
         total = float(scores.sum())
-        return cls(
-            frame_index=min(max(frame_index, 1), tau),
-            class_label=class_label,
-            confidence=float(min(max(confidence, 0.0), 1.0)),
-            box=(min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3])),
-            imagenet_scores=(scores / total if total > 0
-                             else np.full(IMAGENET_SIZE, 1.0 / IMAGENET_SIZE)),
+        fields = (min(max(frame_index, 1), tau), class_label,
+                  float(min(max(confidence, 0.0), 1.0)),
+                  (min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3])))
+        if total > 0:
+            return cls(*fields, scores / total)
+        rec = cls.__new__(cls)
+        rec._fill(*fields, (), (), uniform=True)
+        return rec
+
+
+class DetectionColumns(NamedTuple):
+    """Typed columns of n boxes; row i is one box."""
+
+    frame: np.ndarray         # (n,) int64 frame index t
+    label: np.ndarray         # (n,) int16 class label in [1, 171]
+    confidence: np.ndarray    # (n,) f64
+    box: np.ndarray           # (n, 4) f64
+    uniform: np.ndarray       # (n,) bool: every score 1/1001, none listed
+    score_ptr: np.ndarray     # (n+1,) int64: row i's scores are entries [ptr[i], ptr[i+1])
+    score_index: np.ndarray   # int16 positions in the 1001-vector, ascending within a row
+    score_values: np.ndarray  # f64, nonzero bits
+
+
+class _ColumnBuilder:
+    """Columns that grow by one record at a time, 59 bytes a box and 10 a
+    score, with no Python object kept per box."""
+
+    def __init__(self):
+        self.frame, self.label, self.uniform = array("q"), array("h"), array("b")
+        self.confidence, self.box = array("d"), array("d")
+        self.score_count, self.score_index, self.score_values = array("q"), array("h"), array("d")
+
+    def append(self, rec: DetectionRecord) -> None:
+        self.frame.append(rec.frame_index)
+        self.label.append(rec.class_label)
+        self.uniform.append(rec.uniform)
+        self.confidence.append(rec.confidence)
+        self.box.extend(rec.box)
+        self.score_count.append(len(rec.score_index))
+        self.score_index.extend(rec.score_index)
+        self.score_values.extend(rec.score_values)
+
+    def columns(self, order: np.ndarray) -> DetectionColumns:
+        """The rows in ``order``, as exact-size arrays."""
+        counts = np.frombuffer(self.score_count, dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        counts = counts[order]
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        scores = np.repeat(starts[order] - ptr[:-1], counts) + np.arange(ptr[-1])
+        return DetectionColumns(
+            np.frombuffer(self.frame, dtype=np.int64)[order],
+            np.frombuffer(self.label, dtype=np.int16)[order],
+            np.frombuffer(self.confidence)[order],
+            np.frombuffer(self.box).reshape(-1, 4)[order],
+            np.frombuffer(self.uniform, dtype=np.bool_)[order],
+            ptr,
+            np.frombuffer(self.score_index, dtype=np.int16)[scores],
+            np.frombuffer(self.score_values)[scores],
         )
+
+
+class Detections:
+    """The rows [start, stop) of one ``DetectionColumns`` table, such as one
+    (video, detector) group of a file.  ``len`` is its box count and
+    ``columns()`` gives the run's own columns; holding a run costs no array
+    of its own."""
+
+    __slots__ = ("_table", "_start", "_stop")
+
+    def __init__(self, table: DetectionColumns, start: int = 0, stop: int | None = None):
+        self._table, self._start = table, start
+        self._stop = table.frame.size if stop is None else stop
+
+    @classmethod
+    def from_records(cls, records) -> Detections:
+        """The records as columns, in order."""
+        builder = _ColumnBuilder()
+        for rec in records:
+            builder.append(rec)
+        return cls(builder.columns(np.arange(len(builder.frame))))
+
+    def __len__(self) -> int:
+        return self._stop - self._start
+
+    def columns(self) -> DetectionColumns:
+        """The run's columns, as views of the table's, but ``score_ptr``,
+        which starts at 0."""
+        table, lo, hi = self._table, self._start, self._stop
+        ptr = table.score_ptr[lo:hi + 1]
+        scores = slice(ptr[0], ptr[-1])
+        return DetectionColumns(table.frame[lo:hi], table.label[lo:hi], table.confidence[lo:hi],
+                                table.box[lo:hi], table.uniform[lo:hi], ptr - ptr[0],
+                                table.score_index[scores], table.score_values[scores])
 
 
 @dataclass(frozen=True)
@@ -134,54 +270,54 @@ class OdfConfig:
         return CLASS_SPACE_SIZE + IMAGENET_SIZE + 6 * per_scalar
 
 
-def _encode_boxes(records: list[DetectionRecord], frames: np.ndarray, tau: int,
-                  cfg: OdfConfig) -> np.ndarray:
-    """(N, dim) matrix of per-box vectors, one row per record in order;
-    ``frames`` holds the records' frame indices."""
+def _encode_boxes(cols: DetectionColumns, tau: int, cfg: OdfConfig) -> np.ndarray:
+    """(N, dim) matrix of per-box vectors, one row per box in order."""
     check_tau(tau)
+    frames = cols.frame
     bad = np.flatnonzero((frames < 1) | (frames > tau))
     if bad.size:
         raise ValueError(f"frame index {frames[bad[0]]} outside [1, {tau}]")
-    n, scores_end = len(records), CLASS_SPACE_SIZE + IMAGENET_SIZE
+    n, scores_end = frames.size, CLASS_SPACE_SIZE + IMAGENET_SIZE
     out = np.zeros((n, cfg.dim))
-    out[np.arange(n), [rec.class_label - 1 for rec in records]] = 1.0
-    rows = np.repeat(np.arange(n), [rec.score_index.size for rec in records])
-    cols = CLASS_SPACE_SIZE + np.concatenate([rec.score_index for rec in records])
-    out[rows, cols] = np.concatenate([rec.score_values for rec in records])
-    scalars = np.array([(rec.confidence, *rec.box,
-                         (rec.frame_index - 1) / (tau - 1) if tau > 1 else 0.0)
-                        for rec in records])
+    out[np.arange(n), cols.label - 1] = 1.0
+    rows = np.repeat(np.arange(n), np.diff(cols.score_ptr))
+    out[rows, CLASS_SPACE_SIZE + cols.score_index] = cols.score_values
+    out[cols.uniform, CLASS_SPACE_SIZE:scores_end] = 1.0 / IMAGENET_SIZE
+    scalars = np.empty((n, 6))
+    scalars[:, 0], scalars[:, 1:5] = cols.confidence, cols.box
+    scalars[:, 5] = (frames - 1) / (tau - 1) if tau > 1 else 0.0
     if cfg.use_rbf_embedding:   # a DetectionRecord keeps every scalar in [0, 1]
         scalars = feature_map_batch(scalars, SCALAR_MAP).reshape(n, -1)
     out[:, scores_end:] = scalars
     return out
 
 
-def encode_box(rec: DetectionRecord, tau: int, cfg: OdfConfig) -> np.ndarray:
-    """Per-box vector: [one-hot(label); imagenet; phi(conf); phi(v1..v4);
-    phi(frame position)].  For a single-frame video the frame position is 0."""
-    return _encode_boxes([rec], np.array([rec.frame_index]), tau, cfg)[0]
+def encode_box(dets: Detections, tau: int, cfg: OdfConfig) -> np.ndarray:
+    """Per-box vectors, one row per box: [one-hot(label); imagenet;
+    phi(conf); phi(v1..v4); phi(frame position)].  For a single-frame video
+    the frame position is 0."""
+    return _encode_boxes(dets.columns(), tau, cfg)
 
 
 class EmptyDetectorError(ValueError):
     """Raised when a per-detector descriptor is requested with no records."""
 
 
-def detection_bag(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> FeatureBag:
+def detection_bag(dets: Detections, tau: int, cfg: OdfConfig) -> FeatureBag:
     """Group encoded boxes by frame into a bag with J = tau groups, keeping
-    the record order within a frame; frames without detections stay empty
+    the row order within a frame; frames without detections stay empty
     but still count."""
-    if not records:
+    if not len(dets):
         raise EmptyDetectorError("no detections for this video/detector")
-    frames = np.array([rec.frame_index for rec in records])
-    boxes = _encode_boxes(records, frames, tau, cfg)  # validates frame_index <= tau
-    if (np.diff(frames) < 0).any():   # records out of frame order
-        boxes = boxes[np.argsort(frames, kind="stable")]
-    return FeatureBag(boxes, np.bincount(frames - 1, minlength=tau))
+    cols = dets.columns()
+    boxes = _encode_boxes(cols, tau, cfg)  # validates frame <= tau
+    if (np.diff(cols.frame) < 0).any():   # rows out of frame order
+        boxes = boxes[np.argsort(cols.frame, kind="stable")]
+    return FeatureBag(boxes, np.bincount(cols.frame - 1, minlength=tau))
 
 
-def odf_descriptor(records: list[DetectionRecord], tau: int, cfg: OdfConfig) -> MultiMomentDescriptor:
-    bag = detection_bag(records, tau, cfg)
+def odf_descriptor(dets: Detections, tau: int, cfg: OdfConfig) -> MultiMomentDescriptor:
+    bag = detection_bag(dets, tau, cfg)
     return multi_moment(bag, cfg.n_prime)
 
 
@@ -215,20 +351,18 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _scores_from_obj(obj: dict) -> np.ndarray:
-    if ("inet" in obj) == ("inet_sparse" in obj):
-        raise ValueError("record needs exactly one of 'inet' and 'inet_sparse'")
-    if "inet" in obj:
-        return np.asarray(_array(obj["inet"], "number", "'inet'"), dtype=np.float64)
-    scores = np.zeros(IMAGENET_SIZE)
-    for pair in _array(obj["inet_sparse"], "array", "'inet_sparse'"):
+def _sparse_scores(pairs) -> dict[int, float]:
+    """{index: value} of "inet_sparse" pairs; a repeated index sums its
+    values from +0.0 in line order, as a dense vector would."""
+    scores: dict[int, float] = {}
+    for pair in _array(pairs, "array", "'inet_sparse'"):
         if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) not in _JSON_TYPES["number"]:
             raise ValueError(f"an 'inet_sparse' entry must be an [integer, number] pair, "
                              f"got {json.dumps(pair)}")
         idx, val = pair
         if not 0 <= idx < IMAGENET_SIZE:
             raise ValueError(f"inet_sparse index {idx} outside [0, {IMAGENET_SIZE - 1}]")
-        scores[idx] += float(val)
+        scores[idx] = scores.get(idx, 0.0) + float(val)
     return scores
 
 
@@ -241,35 +375,50 @@ def parse_detection_line(line: str, strict: bool = True) -> tuple[str, str, int,
     for key in ("video", "detector", "frame", "tau", "class", "conf", "box"):
         if key not in obj:
             raise ValueError(f"missing field {key!r}")
-    video, detector = (_json(obj[key], "string", repr(key)) for key in ("video", "detector"))
+    video = _json(obj["video"], "string", "'video'")
+    detector = _json(obj["detector"], "string", "'detector'")
     tau = _json(obj["tau"], "integer", "'tau'")
     fields = (_json(obj["frame"], "integer", "'frame'"), _json(obj["class"], "integer", "'class'"),
               float(_json(obj["conf"], "number", "'conf'")),
-              tuple(float(v) for v in _array(obj["box"], "number", "'box'")), _scores_from_obj(obj))
+              tuple(map(float, _array(obj["box"], "number", "'box'"))))
+    if (sparse := "inet_sparse" in obj) == ("inet" in obj):
+        raise ValueError("record needs exactly one of 'inet' and 'inet_sparse'")
+    scores = (_sparse_scores(obj["inet_sparse"]) if sparse
+              else np.asarray(_array(obj["inet"], "number", "'inet'"), dtype=np.float64))
     check_tau(tau)
-    rec = DetectionRecord(*fields) if strict else DetectionRecord.lenient(*fields, tau)
+    if not strict:   # lenient mode divides by the dense vector's sum
+        rec = DetectionRecord.lenient(*fields, _dense(scores) if sparse else scores, tau)
+    elif sparse:
+        rec = DetectionRecord.from_sparse(*fields, scores)
+    else:
+        rec = DetectionRecord(*fields, scores)
     if not 1 <= rec.frame_index <= tau:   # a lenient record has its frame index clamped
         raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
     return video, detector, tau, rec
 
 
-def read_detections(
-    path, strict: bool = True
-) -> dict[tuple[str, str], tuple[int, list[DetectionRecord]]]:
-    """Read a JSONL file into {(video, detector): (tau, records)}.
+def read_detections(path, strict: bool = True) -> dict[tuple[str, str], tuple[int, Detections]]:
+    """Read a JSONL file into {(video, detector): (tau, detections)}; each
+    group's detections are a view of one table of the file's boxes, in
+    line order within the group.
 
     A malformed line is refused as ``path: line N: ...``; tau must be
     consistent across a video's records.
     """
-    groups: dict[tuple[str, str], tuple[int, list[DetectionRecord]]] = {}
+    builder, groups, group_of = _ColumnBuilder(), {}, array("q")
 
     def record(line: str) -> None:
         video, detector, tau, rec = parse_detection_line(line, strict=strict)
-        prev_tau, recs = groups.setdefault((video, detector), (tau, []))
+        prev_tau, group = groups.setdefault((video, detector), (tau, len(groups)))
         if prev_tau != tau:
             raise ValueError(f"tau {tau} conflicts with earlier {prev_tau} for {(video, detector)}")
-        recs.append(rec)
+        builder.append(rec)
+        group_of.append(group)
 
     with open(path, "rb") as fp:
         read_lines(fp, str(path), record)
-    return groups
+    group_ids = np.frombuffer(group_of, dtype=np.int64)
+    table = builder.columns(np.argsort(group_ids, kind="stable"))
+    ends = np.cumsum(np.bincount(group_ids, minlength=len(groups))).tolist()
+    return {key: (tau, Detections(table, start, end))
+            for (key, (tau, _)), start, end in zip(groups.items(), [0, *ends], ends)}

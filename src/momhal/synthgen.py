@@ -441,8 +441,8 @@ def _encode_targets(
             raise ValueError(f"{path}: no entries for video {video!r} and "
                              f"{'detector' if det else 'source'} {name!r}")
         if det:
-            tau, recs = groups[video, name]
-            return odf_descriptor(recs, tau, odf_cfg).flat()
+            tau, dets = groups[video, name]
+            return odf_descriptor(dets, tau, odf_cfg).flat()
         return sdf_descriptor([read_pgm(p) for p in groups[video, name]], N_DAGGER).flat()
 
     targets = {}

@@ -6,12 +6,16 @@ of einsum, explicit sums instead of vectorized cumulants, one unit and one
 sketched vector at a time instead of the stacked units, pooling level by
 level instead of the flattened coefficients.
 
+The detection reader's oracle builds the dense 1001-vector of every line
+and checks it as a whole, where the library keeps only the nonzero scores.
+
 It also holds the statistics of the kernel and the count sketch that
 criteria 2 and 3 measure: the relative RMS error of a feature map's scaled
 inner product against the RBF kernel, and a Monte-Carlo estimate of the
 sketched inner product's bias and variance.
 """
 
+import json
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +23,7 @@ import numpy as np
 from momhal.fusion import GROUP_DET, GROUP_SAL, GROUP_TOP, HAF_ID, eq9_ratios
 from momhal.kernel import RING_UNIT, FeatureMapConfig, feature_map_batch
 from momhal.moments import FeatureBag
+from momhal.odf import CLASS_SPACE_SIZE, IMAGENET_SIZE, MAX_TAU, SCORE_SUM_TOL
 from momhal.pn import sigme
 from momhal.sketch import project, splitmix64
 
@@ -271,3 +276,124 @@ def unbiasedness_check(d: int, d_prime: int, trials: int, seed: int) -> Unbiased
         empirical_variance=float(est.var(ddof=1)),
         variance_bound=bound,
     )
+
+
+def _json_value(obj, key, kinds, kind):
+    value = obj[key]
+    if type(value) not in kinds:
+        raise ValueError(f"'{key}' must be a JSON {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _json_array(value, kinds, name, kind):
+    if type(value) is not list or any(type(v) not in kinds for v in value):
+        raise ValueError(f"{name} must be a JSON array of {kind}s")
+    return value
+
+
+def _no_repeated_keys(pairs):
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"repeated key {key!r}")
+    return dict(pairs)
+
+
+def _dense_line(line, strict):
+    """(video, detector, tau, (frame, label, conf, box, dense scores)) of one
+    detections line, or ValueError: the JSON types first, then tau's range,
+    then the record (strict: label, confidence, box, scores as one dense
+    vector; lenient: clamp, reorder, divide by the dense total, or the
+    uniform vector when nothing is left), then the frame."""
+    obj = json.JSONDecoder(object_pairs_hook=_no_repeated_keys).decode(line)
+    if type(obj) is not dict:
+        raise ValueError("expected a JSON object")
+    for key in ("video", "detector", "frame", "tau", "class", "conf", "box"):
+        if key not in obj:
+            raise ValueError(f"missing field {key!r}")
+    video = _json_value(obj, "video", {str}, "string")
+    detector = _json_value(obj, "detector", {str}, "string")
+    tau = _json_value(obj, "tau", {int}, "integer")
+    frame = _json_value(obj, "frame", {int}, "integer")
+    label = _json_value(obj, "class", {int}, "integer")
+    conf = float(_json_value(obj, "conf", {int, float}, "number"))
+    box = [float(v) for v in _json_array(obj["box"], {int, float}, "'box'", "number")]
+    if ("inet" in obj) == ("inet_sparse" in obj):
+        raise ValueError("record needs exactly one of 'inet' and 'inet_sparse'")
+    if "inet" in obj:
+        scores = np.array(_json_array(obj["inet"], {int, float}, "'inet'", "number"),
+                          dtype=np.float64)
+    else:
+        scores = np.zeros(IMAGENET_SIZE)
+        for pair in _json_array(obj["inet_sparse"], {list}, "'inet_sparse'", "array"):
+            if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) not in (int, float):
+                raise ValueError(f"an 'inet_sparse' entry must be an [integer, number] pair, "
+                                 f"got {json.dumps(pair)}")
+            if not 0 <= pair[0] < IMAGENET_SIZE:
+                raise ValueError(f"inet_sparse index {pair[0]} outside [0, {IMAGENET_SIZE - 1}]")
+            with np.errstate(over="ignore"):
+                scores[pair[0]] = scores[pair[0]] + float(pair[1])
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+    if tau > MAX_TAU:
+        raise ValueError(f"tau must be <= MAX_TAU = {MAX_TAU}, got {tau}")
+    if not strict:
+        if len(box) != 4:
+            raise ValueError("box must have 4 coordinates")
+        if scores.shape != (IMAGENET_SIZE,):
+            raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
+        if not np.isfinite(box).all():
+            raise ValueError("box holds non-finite values")
+        if not np.isfinite(scores).all():
+            raise ValueError("imagenet_scores holds non-finite values")
+        v = np.clip(np.array(box), 0.0, 1.0)
+        scores = np.clip(scores, 0.0, None)
+        total = float(scores.sum())
+        scores = scores / total if total > 0 else np.full(IMAGENET_SIZE, 1.0 / IMAGENET_SIZE)
+        frame = min(max(frame, 1), tau)
+        conf = float(min(max(conf, 0.0), 1.0))
+        box = [min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3])]
+    elif scores.shape != (IMAGENET_SIZE,):
+        raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
+    box = tuple(float(v) for v in box)
+    if not 1 <= label <= CLASS_SPACE_SIZE:
+        raise ValueError(f"class label {label} outside [1, {CLASS_SPACE_SIZE}]")
+    if not 0.0 <= conf <= 1.0:
+        raise ValueError(f"confidence {conf} outside [0, 1]")
+    if len(box) != 4:
+        raise ValueError("box must have 4 coordinates")
+    if not all(0.0 <= v <= 1.0 for v in box):
+        raise ValueError(f"box coordinates {box} outside [0, 1]")
+    if box[0] > box[2] or box[1] > box[3]:
+        raise ValueError(f"box {box} violates top-left <= bottom-right")
+    if not np.isfinite(scores).all():
+        raise ValueError("imagenet_scores holds non-finite values")
+    if scores.min() < 0.0:
+        raise ValueError("imagenet_scores must be nonnegative")
+    if abs(float(scores.sum()) - 1.0) > SCORE_SUM_TOL:
+        raise ValueError("imagenet_scores must sum to 1")
+    if not 1 <= frame <= tau:
+        raise ValueError(f"frame index {frame} outside [1, {tau}]")
+    return video, detector, tau, (frame, label, conf, box, scores)
+
+
+def dense_detections(path, strict=True):
+    """{(video, detector): (tau, rows)} of a detections file, one row
+    (frame, label, conf, box, dense (1001,) scores) per line in line order;
+    a bad line is refused as ``path: line N: message``."""
+    groups = {}
+    with open(path, "rb") as fp:
+        for lineno, raw in enumerate(fp, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                video, detector, tau, row = _dense_line(line, strict)
+                prev_tau, rows = groups.setdefault((video, detector), (tau, []))
+                if prev_tau != tau:
+                    raise ValueError(f"tau {tau} conflicts with earlier {prev_tau} "
+                                     f"for {(video, detector)}")
+                rows.append(row)
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return groups

@@ -28,7 +28,7 @@ from momhal.odf import OdfConfig, encode_box, odf_descriptor
 from momhal.sdf import SaliencyFrame, encode_frame, sdf_descriptor
 from momhal.synthgen import SynthConfig, generate_dataset, load_dataset
 from oracles import bag_of_frames, dense_multi_moment, kernel_approx_error, unbiasedness_check
-from test_odf import make_record
+from test_odf import make_box
 from videos import as_arrays
 
 # Frozen grid-oracle figures for the RBF linearization (sigma = 0.5,
@@ -44,11 +44,11 @@ def report(criterion, ok, detail):
 class TestCriterion1Dims:
     def test_dimensional_fidelity(self):
         t0 = time.time()
-        rbf = encode_box(make_record(), 3, OdfConfig())
-        raw = encode_box(make_record(), 3, OdfConfig(use_rbf_embedding=False))
+        rbf = encode_box(make_box(), 3, OdfConfig())[0]
+        raw = encode_box(make_box(), 3, OdfConfig(use_rbf_embedding=False))[0]
         rng = np.random.default_rng(0)
         frame_vec = encode_frame(SaliencyFrame(rng.uniform(0, 1, (24, 32))))
-        desc = odf_descriptor([make_record()], 3, OdfConfig(n_prime=3))
+        desc = odf_descriptor(make_box(), 3, OdfConfig(n_prime=3))
         sdesc = sdf_descriptor([SaliencyFrame(rng.uniform(0, 1, (24, 32)))], 3)
         elapsed = time.time() - t0
         ok = (
