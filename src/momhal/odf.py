@@ -36,9 +36,9 @@ AVA_CLASSES = 80
 CLASS_SPACE_SIZE = COCO_CLASSES + AVA_CLASSES  # 171
 IMAGENET_SIZE = 1001
 SCORE_SUM_TOL = 1e-6
-# How far math.fsum of scores in [0, 1] may lie from numpy's pairwise sum of
-# their dense vector: at most 1000 roundings of a total near 1, about
-# 1.1e-13.  A fsum inside the tolerance by more than 1e-12 passes both.
+# How far math.fsum of nonnegative scores summing to about 1 may lie from
+# numpy's pairwise sum of their dense vector: at most 1000 roundings of a
+# total near 1, about 1.1e-13.  A fsum inside the tolerance by more passes both.
 _SUM_MARGIN = 1e-12
 SCALAR_MAP = FeatureMapConfig(7, 0.5, INTERVAL_UNIT)   # map of each of the six box scalars
 # The most frames a clip may have: a bag counts its boxes in a tau-long
@@ -66,34 +66,30 @@ def _check_dense_scores(scores: np.ndarray) -> None:
         raise ValueError("imagenet_scores must sum to 1")
 
 
-def _check_sparse_scores(scores: dict[int, float]) -> None:
-    """``_check_dense_scores`` of the vector that holds ``scores`` at their
-    indices and +0.0 elsewhere.  A clear pass needs no vector: scores in
-    [0, 1] whose ``math.fsum`` lies within the tolerance by more than
-    ``_SUM_MARGIN``; every other case is decided on the dense vector."""
-    values = scores.values()
-    if (all(0.0 <= v <= 1.0 for v in values)
-            and abs(math.fsum(values) - 1.0) < SCORE_SUM_TOL - _SUM_MARGIN):
-        return
-    _check_dense_scores(_dense(scores))
-
-
-def _dense(scores: dict[int, float]) -> np.ndarray:
-    """The (1001,) vector that holds ``scores`` at their indices."""
+def _dense(score_index, score_values) -> np.ndarray:
+    """The (1001,) vector that holds ``score_values`` at ``score_index``."""
     dense = np.zeros(IMAGENET_SIZE)
-    for idx, value in scores.items():
-        dense[idx] = value
+    dense[list(score_index)] = score_values
     return dense
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def _nonzero(scores: np.ndarray) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """(positions, values) of the entries of a (1001,) score vector whose
+    bits are nonzero, so a -0.0 stays."""
+    if scores.shape != (IMAGENET_SIZE,):
+        raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
+    keep = np.flatnonzero(scores.view(np.int64))
+    return tuple(keep.tolist()), tuple(scores[keep].tolist())
+
+
+@dataclass(frozen=True, slots=True)
 class DetectionRecord:
     """One bounding-box detection: what ``parse_detection_line`` makes of a
-    line, and one row of ``Detections``.  Construction checks the fields
-    once, so every record is valid; ``lenient`` repairs raw fields before it
-    constructs one.  It keeps the ImageNet scores sparse, as the entries
-    whose bits are nonzero (so a -0.0 stays), or flags the uniform 1/1001
-    vector of the lenient fallback."""
+    line, and one row of ``Detections``.  Construction checks every field,
+    so every record is valid; ``lenient`` repairs raw fields before it
+    constructs one.  The ImageNet scores are kept sparse, as the entries
+    whose bits are nonzero, or flagged as the uniform 1/1001 vector of the
+    lenient fallback."""
 
     frame_index: int          # t in [1, tau]
     class_label: int          # y in [1, 171]
@@ -101,37 +97,14 @@ class DetectionRecord:
     box: tuple[float, float, float, float]  # (v1, v2, v3, v4) normalized, top-left <= bottom-right
     score_index: tuple[int, ...]     # ascending positions of the nonzero ImageNet scores
     score_values: tuple[float, ...]  # their values; the dense vector is nonnegative and sums to 1
-    uniform: bool             # every score is 1/1001 (and score_index is empty)
+    uniform: bool = False     # every score is 1/1001 (and none is listed)
 
-    def __init__(self, frame_index: int, class_label: int, confidence: float, box,
-                 imagenet_scores: np.ndarray):
-        """A record from a dense (1001,) score vector."""
-        scores = np.asarray(imagenet_scores, dtype=np.float64)
-        if scores.shape != (IMAGENET_SIZE,):
-            raise ValueError(f"imagenet_scores must have length {IMAGENET_SIZE}")
-        keep = np.flatnonzero(scores.view(np.int64))
-        self._fill(frame_index, class_label, confidence, box, keep.tolist(), scores[keep].tolist())
-        _check_dense_scores(scores)
-
-    @classmethod
-    def from_sparse(cls, frame_index: int, class_label: int, confidence: float, box,
-                    scores: dict[int, float]) -> DetectionRecord:
-        """A record from {index: value}, the entries an "inet_sparse" line
-        sets; it is refused exactly when the dense vector would be."""
-        rec = cls.__new__(cls)
-        keep = sorted(i for i, v in scores.items() if v != 0.0)   # a sum from +0.0 is never -0.0
-        rec._fill(frame_index, class_label, confidence, box, keep, [scores[i] for i in keep])
-        _check_sparse_scores(scores)
-        return rec
-
-    def _fill(self, frame_index, class_label, confidence, box, score_index, score_values,
-              uniform=False) -> None:
-        """Check all fields but the scores, then set them."""
-        box = tuple(map(float, box))
-        if not 1 <= class_label <= CLASS_SPACE_SIZE:
-            raise ValueError(f"class label {class_label} outside [1, {CLASS_SPACE_SIZE}]")
-        if not 0.0 <= confidence <= 1.0:
-            raise ValueError(f"confidence {confidence} outside [0, 1]")
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "box", box := tuple(map(float, self.box)))
+        if not 1 <= self.class_label <= CLASS_SPACE_SIZE:
+            raise ValueError(f"class label {self.class_label} outside [1, {CLASS_SPACE_SIZE}]")
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
         if len(box) != 4:
             raise ValueError("box must have 4 coordinates")
         v1, v2, v3, v4 = box
@@ -139,10 +112,14 @@ class DetectionRecord:
             raise ValueError(f"box coordinates {box} outside [0, 1]")
         if v1 > v3 or v2 > v4:
             raise ValueError(f"box {box} violates top-left <= bottom-right")
-        values = (frame_index, class_label, confidence, box, tuple(score_index),
-                  tuple(score_values), uniform)
-        for name, value in zip(self.__dataclass_fields__, values):   # the fields, in order
-            object.__setattr__(self, name, value)
+        values = self.score_values
+        try:   # a clear pass needs no dense vector; every other case is decided on it
+            clear = self.uniform or (abs(math.fsum(values) - 1.0) < SCORE_SUM_TOL - _SUM_MARGIN
+                                     and min(values) >= 0.0)
+        except (OverflowError, ValueError):   # a sum past the float range, or inf - inf
+            clear = False
+        if not clear:
+            _check_dense_scores(_dense(self.score_index, values))
 
     @classmethod
     def lenient(cls, frame_index: int, class_label: int, confidence: float, box, imagenet_scores,
@@ -166,10 +143,8 @@ class DetectionRecord:
                   float(min(max(confidence, 0.0), 1.0)),
                   (min(v[0], v[2]), min(v[1], v[3]), max(v[0], v[2]), max(v[1], v[3])))
         if total > 0:
-            return cls(*fields, scores / total)
-        rec = cls.__new__(cls)
-        rec._fill(*fields, (), (), uniform=True)
-        return rec
+            return cls(*fields, *_nonzero(scores / total))
+        return cls(*fields, (), (), uniform=True)
 
 
 class DetectionColumns(NamedTuple):
@@ -270,9 +245,12 @@ class OdfConfig:
         return CLASS_SPACE_SIZE + IMAGENET_SIZE + 6 * per_scalar
 
 
-def _encode_boxes(cols: DetectionColumns, tau: int, cfg: OdfConfig) -> np.ndarray:
-    """(N, dim) matrix of per-box vectors, one row per box in order."""
+def encode_box(dets: Detections, tau: int, cfg: OdfConfig) -> np.ndarray:
+    """(len(dets), dim) per-box vectors, one row per box in order:
+    [one-hot(label); imagenet; phi(conf); phi(v1..v4); phi(frame position)].
+    For a single-frame video the frame position is 0."""
     check_tau(tau)
+    cols = dets.columns()
     frames = cols.frame
     bad = np.flatnonzero((frames < 1) | (frames > tau))
     if bad.size:
@@ -292,13 +270,6 @@ def _encode_boxes(cols: DetectionColumns, tau: int, cfg: OdfConfig) -> np.ndarra
     return out
 
 
-def encode_box(dets: Detections, tau: int, cfg: OdfConfig) -> np.ndarray:
-    """Per-box vectors, one row per box: [one-hot(label); imagenet;
-    phi(conf); phi(v1..v4); phi(frame position)].  For a single-frame video
-    the frame position is 0."""
-    return _encode_boxes(dets.columns(), tau, cfg)
-
-
 class EmptyDetectorError(ValueError):
     """Raised when a per-detector descriptor is requested with no records."""
 
@@ -309,11 +280,11 @@ def detection_bag(dets: Detections, tau: int, cfg: OdfConfig) -> FeatureBag:
     but still count."""
     if not len(dets):
         raise EmptyDetectorError("no detections for this video/detector")
-    cols = dets.columns()
-    boxes = _encode_boxes(cols, tau, cfg)  # validates frame <= tau
-    if (np.diff(cols.frame) < 0).any():   # rows out of frame order
-        boxes = boxes[np.argsort(cols.frame, kind="stable")]
-    return FeatureBag(boxes, np.bincount(cols.frame - 1, minlength=tau))
+    boxes = encode_box(dets, tau, cfg)  # validates frame <= tau
+    frames = dets.columns().frame
+    if (np.diff(frames) < 0).any():   # rows out of frame order
+        boxes = boxes[np.argsort(frames, kind="stable")]
+    return FeatureBag(boxes, np.bincount(frames - 1, minlength=tau))
 
 
 def odf_descriptor(dets: Detections, tau: int, cfg: OdfConfig) -> MultiMomentDescriptor:
@@ -351,9 +322,9 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 
-def _sparse_scores(pairs) -> dict[int, float]:
-    """{index: value} of "inet_sparse" pairs; a repeated index sums its
-    values from +0.0 in line order, as a dense vector would."""
+def _sparse_scores(pairs) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Ascending (positions, values) of the nonzero scores "inet_sparse" pairs
+    set; a repeated index sums from +0.0 in line order, as a dense vector would."""
     scores: dict[int, float] = {}
     for pair in _array(pairs, "array", "'inet_sparse'"):
         if len(pair) != 2 or type(pair[0]) is not int or type(pair[1]) not in _JSON_TYPES["number"]:
@@ -363,7 +334,8 @@ def _sparse_scores(pairs) -> dict[int, float]:
         if not 0 <= idx < IMAGENET_SIZE:
             raise ValueError(f"inet_sparse index {idx} outside [0, {IMAGENET_SIZE - 1}]")
         scores[idx] = scores.get(idx, 0.0) + float(val)
-    return scores
+    index = tuple(sorted(i for i, v in scores.items() if v != 0.0))   # a sum from +0.0 is never -0.0
+    return index, tuple(scores[i] for i in index)
 
 
 def parse_detection_line(line: str, strict: bool = True) -> tuple[str, str, int, DetectionRecord]:
@@ -387,11 +359,9 @@ def parse_detection_line(line: str, strict: bool = True) -> tuple[str, str, int,
               else np.asarray(_array(obj["inet"], "number", "'inet'"), dtype=np.float64))
     check_tau(tau)
     if not strict:   # lenient mode divides by the dense vector's sum
-        rec = DetectionRecord.lenient(*fields, _dense(scores) if sparse else scores, tau)
-    elif sparse:
-        rec = DetectionRecord.from_sparse(*fields, scores)
+        rec = DetectionRecord.lenient(*fields, _dense(*scores) if sparse else scores, tau)
     else:
-        rec = DetectionRecord(*fields, scores)
+        rec = DetectionRecord(*fields, *(scores if sparse else _nonzero(scores)))
     if not 1 <= rec.frame_index <= tau:   # a lenient record has its frame index clamped
         raise ValueError(f"frame index {rec.frame_index} outside [1, {tau}]")
     return video, detector, tau, rec

@@ -1,6 +1,6 @@
 """Modules use each other's public names only, the package's two halves,
-the encoders and the model, import nothing from each other, and every
-command path runs on arrays."""
+the encoders and the model, import nothing from each other, every
+command path runs on arrays, and every module is Python 3.10 grammar."""
 
 import ast
 import os
@@ -118,3 +118,11 @@ def test_command_paths_run_on_arrays(path):
     function that turns a video list into training arrays."""
     banned = {"video_arrays"} | (set() if path.stem == "halluc" else LIST_FORM)
     assert names_used(path) & banned == set()
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_grammar_of_the_oldest_supported_python(path):
+    """pyproject.toml says ``requires-python = ">=3.10"``: no module uses
+    syntax that came later, such as ``except*`` or ``type`` statements.
+    This checks the grammar only, not the library calls."""
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))

@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momhal import odf
@@ -30,9 +30,11 @@ from test_public_api import traced_names
 
 
 def make_record(frame=1, label=1, conf=0.5, box=(0.1, 0.2, 0.3, 0.4), scores=None):
+    """A record from a dense (1001,) score vector (default uniform), which
+    lists the vector's entries whose bits are nonzero."""
     if scores is None:
         scores = np.full(IMAGENET_SIZE, 1.0 / IMAGENET_SIZE)
-    return DetectionRecord(frame, label, conf, box, scores)
+    return DetectionRecord(frame, label, conf, box, *odf._nonzero(np.asarray(scores, dtype=float)))
 
 
 def make_box(**fields) -> Detections:
@@ -201,9 +203,8 @@ class TestDescriptor:
         for frame in (1, 1, 1, 2, 2):
             scores = rng.dirichlet(np.ones(IMAGENET_SIZE))
             b = np.sort(rng.uniform(0, 1, 4))
-            recs.append(DetectionRecord(frame, int(rng.integers(1, 172)),
-                                        float(rng.uniform()), (b[0], b[1], b[2], b[3]),
-                                        scores))
+            recs.append(make_record(frame, int(rng.integers(1, 172)), float(rng.uniform()),
+                                    (b[0], b[1], b[2], b[3]), scores))
         cfg = OdfConfig(n_prime=2)
         base = odf_descriptor(columns(recs), 2, cfg).flat()
         shuffled = [recs[2], recs[0], recs[1], recs[4], recs[3]]
@@ -216,9 +217,8 @@ class TestDescriptor:
         for frame in (1, 1, 2, 3, 3, 3):
             scores = rng.dirichlet(np.ones(IMAGENET_SIZE))
             b = np.sort(rng.uniform(0, 1, 4))
-            recs.append(DetectionRecord(frame, int(rng.integers(1, 172)),
-                                        float(rng.uniform()), (b[0], b[1], b[2], b[3]),
-                                        scores))
+            recs.append(make_record(frame, int(rng.integers(1, 172)), float(rng.uniform()),
+                                    (b[0], b[1], b[2], b[3]), scores))
         cfg = OdfConfig(n_prime=3)
         got = odf_descriptor(columns(recs), 3, cfg).flat()
         bag = detection_bag(columns(recs), 3, cfg)
@@ -246,9 +246,8 @@ class TestBoxMatrix:
         recs = []
         for frame in frames:
             b = np.sort(rng.uniform(0, 1, 4))
-            recs.append(DetectionRecord(frame, int(rng.integers(1, 172)), float(rng.uniform()),
-                                        (b[0], b[1], b[2], b[3]),
-                                        rng.dirichlet(np.ones(IMAGENET_SIZE))))
+            recs.append(make_record(frame, int(rng.integers(1, 172)), float(rng.uniform()),
+                                    (b[0], b[1], b[2], b[3]), rng.dirichlet(np.ones(IMAGENET_SIZE))))
         return recs
 
     @pytest.mark.parametrize("rbf", [True, False])
@@ -268,8 +267,8 @@ class TestBoxMatrix:
             assert np.array_equal(got, np.array(want).reshape(-1, cfg.dim))
 
     def test_bag_keeps_the_box_matrix(self, monkeypatch):
-        encoded, encode = [], odf._encode_boxes
-        monkeypatch.setattr(odf, "_encode_boxes", lambda *a: encoded.append(encode(*a)) or encoded[0])
+        encoded, encode = [], odf.encode_box
+        monkeypatch.setattr(odf, "encode_box", lambda *a: encoded.append(encode(*a)) or encoded[0])
         bag = detection_bag(columns(self.records((1, 1, 2, 4, 4))), 4, OdfConfig())
         assert np.shares_memory(bag.data, encoded[0])
         assert all(np.shares_memory(f, encoded[0]) for f in bag.frames if f.size)
@@ -331,21 +330,34 @@ class TestJsonl:
         columns checks no record again."""
         path = tmp_path / "d.jsonl"
         path.write_text("".join(self.line(frame=i % 4 + 1) + "\n" for i in range(6)))
-        checked, fill = [], DetectionRecord._fill
-        monkeypatch.setattr(DetectionRecord, "_fill",
-                            lambda rec, *args, **kw: checked.append(rec) or fill(rec, *args, **kw))
+        checked, check = [], DetectionRecord.__post_init__
+        monkeypatch.setattr(DetectionRecord, "__post_init__",
+                            lambda rec: checked.append(rec) or check(rec))
         for strict in (True, False):
             checked.clear()
             ((tau, dets),) = read_detections(path, strict=strict).values()
+            assert len(checked) == 6
             odf_descriptor(dets, tau, OdfConfig(n_prime=1))
             assert len(checked) == 6
+
+    def test_clean_sparse_scores_need_no_dense_vector(self, tmp_path, monkeypatch):
+        """Scores that clearly sum to 1 are checked without their dense
+        vector, in lenient mode too, where the record holds them renormalized."""
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n".join(generated_lines(200)) + "\n")
+        dense_checks, check = [], odf._check_dense_scores
+        monkeypatch.setattr(odf, "_check_dense_scores",
+                            lambda scores: dense_checks.append(scores) or check(scores))
+        for strict in (True, False):
+            assert sum(len(dets) for _, dets in read_detections(path, strict).values()) == 200
+            assert dense_checks == []
 
     def test_record_is_valid_by_construction(self):
         _, _, _, rec = parse_detection_line(self.line())
         with pytest.raises(FrozenInstanceError):
             rec.confidence = 1.5
         with pytest.raises(ValueError, match="confidence 1.5"):
-            DetectionRecord(1, 7, 1.5, rec.box, np.full(IMAGENET_SIZE, 1.0 / IMAGENET_SIZE))
+            DetectionRecord(1, 7, 1.5, rec.box, rec.score_index, rec.score_values)
 
     @pytest.mark.parametrize("field, value, message", [
         ("box", [0.1, 0.1, 0.5], "4 coordinates"),
@@ -526,6 +538,17 @@ def _scores_near_one(draw) -> list[list]:
     return pairs + [[i, -0.0] for i in draw(st.lists(st.integers(0, 20), max_size=2))]
 
 
+@st.composite
+def _full_scores_near_one(draw) -> list[float]:
+    """1001 nonzero scores whose exact sum lies a few ulps from 1 or 1 +- 1e-6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    target = _nudged(draw(st.sampled_from([1.0, 1.0 + 1e-6, 1.0 - 1e-6])), draw(st.integers(-4, 4)))
+    values = rng.uniform(0.5, 1.5, IMAGENET_SIZE)
+    values = (values * (target / math.fsum(values))).tolist()
+    values[-1] += target - math.fsum(values)
+    return values
+
+
 _ANY_SCORE = st.one_of(st.floats(-0.5, 1.0), st.sampled_from([-0.0, math.nan, math.inf, 1e308]))
 
 
@@ -550,9 +573,11 @@ def _detection_line(draw) -> str:
         obj["conf"] = draw(st.sampled_from([-0.5, 1.5, math.nan]))
     elif broken == "box":
         obj["box"] = draw(st.lists(st.floats(-0.2, 1.2), min_size=3, max_size=5))
-    kind = draw(st.sampled_from(["near_one"] * 4 + ["any", "dense"]))
+    kind = draw(st.sampled_from(["near_one"] * 4 + ["any", "dense", "full"]))
     if kind == "near_one":
         obj["inet_sparse"] = draw(_scores_near_one())
+    elif kind == "full":
+        obj["inet"] = draw(_full_scores_near_one())
     elif kind == "any":
         obj["inet_sparse"] = draw(st.lists(st.tuples(st.integers(0, 12), _ANY_SCORE).map(list),
                                            max_size=6))
@@ -581,7 +606,10 @@ class TestDenseOracle:
     dense-vector oracle, in both modes: the same ``file: line N: message``
     refusal, or the same columns bit for bit (a dense -0.0 kept, repeated
     sparse indices summed in line order, sums a few ulps from the
-    tolerance decided as the dense sum decides them)."""
+    tolerance decided as the dense sum decides them, over up to 1001
+    nonzero entries; scores that math.fsum cannot sum, sums to NaN, or
+    sums to 1 with a negative entry, refused as the dense check refuses
+    them)."""
 
     @pytest.fixture(scope="class")
     def tmp_dir(self, tmp_path_factory):
@@ -614,6 +642,14 @@ class TestDenseOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(_detection_line(), min_size=1, max_size=4))
+    @example(lines=[TestJsonl().line(inet_sparse=[[3, 1e308], [900, 1e308]])])
+    @example(lines=[TestJsonl().line(inet_sparse=[[3, math.inf], [900, -math.inf]])])
+    @example(lines=[TestJsonl().line(inet_sparse=[[3, 0.5], [900, 0.5], [901, math.nan]])])
+    @example(lines=[TestJsonl().line(inet_sparse=[[3, 1.5], [900, -0.5]])])
+    @example(lines=[TestJsonl().line(inet_sparse=None, inet=[0.5, 1e308, 1e308] + [0.0] * 998)])
+    @example(lines=[TestJsonl().line(inet_sparse=None, inet=[0.0, math.inf, -math.inf] + [0.0] * 998)])
+    @example(lines=[TestJsonl().line(inet_sparse=None, inet=[0.5, 0.5, math.nan] + [0.0] * 998)])
+    @example(lines=[TestJsonl().line(inet_sparse=None, inet=[1.5, -0.5] + [0.0] * 999)])
     def test_fresh_lines(self, tmp_dir, lines):
         path = tmp_dir / "fresh.jsonl"
         path.write_text("\n".join(lines) + "\n")
