@@ -35,8 +35,7 @@ from .fusion import (
     STREAM_ORDER,
     Bracket,
     FusionSpec,
-    golden_pick,
-    golden_points,
+    golden_step,
     ridge_accuracy,
     spec_from_text,
     spec_to_text,
@@ -185,8 +184,8 @@ class VideoArrays:
 def time_pool(features) -> np.ndarray:
     """Time-pooled (N, b) features of N videos' (b, t) backbone features."""
     feats = np.asarray(features, dtype=np.float64)
-    if feats.ndim != 3:
-        raise ValueError(f"expected (b, t) features, got {feats.shape[1:]}")
+    if feats.ndim != 3 or feats.shape[2] < 1:
+        raise ValueError(f"expected (b, t) features with t >= 1, got {feats.shape[1:]}")
     return feats.mean(axis=2)
 
 
@@ -399,8 +398,8 @@ class _Shared:
     for all N rows of the data: in shared memory when a worker is forked
     (``fork``), so that both processes see them, and private otherwise.  A
     batch of n rows uses the first n slots of ``outs`` and ``sq_norms`` and
-    an epoch's end all N; the beta score reads them only between an epoch's
-    end and the next batch."""
+    an epoch's end all N; the beta score reads ``outs`` only between an
+    epoch's end and the next batch."""
 
     def __init__(self, n_units: int, data: VideoArrays, fork: bool):
         n_streams, n, d = data.targets.shape
@@ -410,7 +409,6 @@ class _Shared:
         self.sq_norms = new((n_streams, n))   # the streams' squared residual norms, by slot
         self.d_pooled = new((n, d))           # d(loss)/d(pooled head input) of a batch
         self.coeffs = new((n_units,))         # the pooling coefficients by unit
-        self.beta = new((4,))                 # the golden-section points c and d, their scores
 
 
 class _Units:
@@ -418,8 +416,7 @@ class _Units:
     code that runs the unit chain, for inference on all S units and for
     either process of ``train``.  In training each step works on the arrays
     of a ``_Shared``: a batch's pass and its backward pass with the SGD
-    step; every row's pass at an epoch's end; and the beta scores of the
-    golden-section points, c when lo = 0 and d when hi = S."""
+    step, and every row's pass at an epoch's end."""
 
     def __init__(self, model: Model, lo: int, hi: int,
                  data: VideoArrays | None = None, shared: _Shared | None = None):
@@ -495,13 +492,6 @@ class _Units:
         for lo, hi in _row_blocks(len(self.data.z)):
             self.write(slice(lo, hi), slice(lo, hi))
 
-    def score(self) -> None:
-        beta, score = self.shared.beta, _beta_score(self.model, self.shared.outs, self.data.labels)
-        if self.units.start == 0:
-            beta[2] = score(float(beta[0]))
-        if self.units.stop == len(self.model.weight):
-            beta[3] = score(float(beta[1]))
-
 
 def _read_byte(fd: int) -> bytes:
     """One byte from the non-blocking pipe end ``fd``, or b"" at end of
@@ -531,7 +521,7 @@ def _serve(units: _Units, commands: int, replies: int, unused: tuple[int, ...]) 
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends the worker
         for fd in unused:
             os.close(fd)
-        run = {b"F": units.forward, b"B": units.step, b"E": units.epoch_end, b"G": units.score}
+        run = {b"F": units.forward, b"B": units.step, b"E": units.epoch_end}
         while command := _read_byte(commands):
             run[command]()
             os.write(replies, b".")
@@ -599,9 +589,9 @@ class _Trainer:
     """A model's unit stack in training, on the arrays of a ``_Shared``.
     With ``fork``, those arrays and the slabs go into shared memory and a
     forked worker runs units [S // 2, S), pass-through included, while this
-    process runs [0, S // 2) and the serial work; otherwise this process
-    runs every unit and maps nothing.  Every step, the golden-section one
-    included, is one ``_run`` and returns when both halves are done
+    process runs [0, S // 2) and the serial work, the beta score included;
+    otherwise this process runs every unit and maps nothing.  Every unit
+    step is one ``_run`` and returns when both halves are done
     (notes/decisions.md, "Two processes do").  Leaving the context ends the
     worker on every path and gives the model private slabs again."""
 
@@ -662,13 +652,6 @@ class _Trainer:
         all N slots of ``shared.outs`` and ``shared.sq_norms``."""
         self._run(b"E", self.units.epoch_end)
 
-    def golden_step(self, bracket: Bracket) -> Bracket:
-        """``fusion.golden_step`` of the beta score on the epoch end's
-        ``shared.outs``; a worker scores the right-hand point."""
-        self.shared.beta[:2] = golden_points(bracket)
-        self._run(b"G", self.units.score)
-        return golden_pick(bracket, *self.shared.beta[2:])
-
 
 @dataclass
 class _Grads:
@@ -719,7 +702,7 @@ def train(data: VideoArrays, cfg: TrainConfig) -> tuple[Model, list[dict]]:
             else:
                 if epoch == 1:   # no epoch has ended yet
                     stack.epoch_end()
-                bracket = stack.golden_step(bracket)
+                bracket = golden_step(_beta_score(model, stack.shared.outs, data.labels), bracket)
                 model.spec = replace(model.spec, beta=bracket.mid)
                 beta_lo, beta_hi = bracket.lo, bracket.hi
 

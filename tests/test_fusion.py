@@ -20,8 +20,6 @@ from momhal.fusion import (
     FusionSpec,
     effective_coefficients,
     eq9_ratios,
-    golden_pick,
-    golden_points,
     golden_section_max,
     golden_step,
     ridge_accuracy,
@@ -283,19 +281,21 @@ class TestBetaSchedule:
             assert bracket.width == pytest.approx(50.0 * INV_PHI**k, rel=1e-12)
 
     @pytest.mark.parametrize("peak", [3.0, 19.1, 30.9, 47.0])
-    def test_points_and_pick_make_the_step(self, peak):
-        # train scores the two points in two processes and picks; search-beta
-        # steps.  Both must walk the same brackets.
-        def f(b):
-            return -abs(b - peak)
-
-        stepped = picked = Bracket(0.0, 50.0)
+    def test_each_step_keeps_the_peak(self, peak):
+        bracket = Bracket(0.0, 50.0)
         for _ in range(12):
-            c, d = golden_points(picked)
-            stepped, picked = golden_step(f, stepped), golden_pick(picked, f(c), f(d))
-            assert (picked.lo, picked.width) == (stepped.lo, stepped.width)
+            bracket = golden_step(lambda b: -abs(b - peak), bracket)
+            assert bracket.lo <= peak <= bracket.hi
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at", ["c", "d"])
+    def test_non_finite_score_at_either_point_is_refused(self, at, bad):
+        # on [0, 50] the points are c = 19.1 and d = 30.9
+        def f(b):
+            return bad if (b < 25.0) == (at == "c") else 0.0
+
         with pytest.raises(ValueError, match="non-finite objective"):
-            golden_pick(picked, 0.0, float("inf"))
+            golden_step(f, Bracket(0.0, 50.0))
 
 
 class TestRidge:

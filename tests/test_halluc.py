@@ -17,12 +17,13 @@ from videos import as_arrays
 
 from momhal import halluc
 from momhal.fusion import (
+    BETA_BRACKET,
     HAF_ID,
     STREAM_ORDER,
     Bracket,
     FusionSpec,
     effective_coefficients,
-    golden_points,
+    golden_step,
 )
 from momhal.halluc import (
     Model,
@@ -338,11 +339,36 @@ class TestTrain:
         for k in range(1, cfg.epochs):
             score = beta_objective(train(data, replace(cfg, epochs=k))[0], data)
             before, after = rows[k - 1], rows[k]
-            fc, fd = map(score, golden_points(
-                Bracket(before["beta_lo"], before["beta_hi"] - before["beta_lo"])))
+            scores = []   # at c, then at d
+
+            def recording(beta):
+                scores.append(score(beta))
+                return scores[-1]
+
+            golden_step(recording, Bracket(before["beta_lo"], before["beta_hi"] - before["beta_lo"]))
+            fc, fd = scores
             assert (fc >= fd) == (after["beta_lo"] == before["beta_lo"]), f"step {k}"
             unequal += fc != fd
         assert unequal
+
+    @pytest.mark.parametrize("worker", [False, True], ids=["in_process", "worker"])
+    def test_beta_search_steps_through_golden_step(self, monkeypatch, worker):
+        # The benchmark's tracer replaces the name halluc.golden_step, so
+        # each search epoch must call it, in this process, on the bracket
+        # that the previous epoch's metrics row reports.
+        if worker and not hasattr(os, "fork"):
+            pytest.skip("the worker process needs fork")
+        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: worker)
+        calls = []
+
+        def recorder(f, bracket):
+            calls.append((bracket.lo, bracket.hi))
+            return golden_step(f, bracket)
+
+        monkeypatch.setattr(halluc, "golden_step", recorder)
+        data, _ = self.make_dataset()
+        rows = train(data, small_cfg(epochs=6, warmup_epochs=2))[1]
+        assert calls == [BETA_BRACKET] + [(row["beta_lo"], row["beta_hi"]) for row in rows[2:5]]
 
     def test_split_without_training_videos(self):
         data, _ = self.make_dataset(n=8)
@@ -438,10 +464,13 @@ class TestInference:
             assert accuracy(model, arrays) == evaluate(model, videos)
         assert evaluate(model, []) == 0.0
 
+    @pytest.mark.filterwarnings("error")
     def test_infer_shape_validation(self):
         model, _ = self.setup_model()
         with pytest.raises(ValueError):
             infer(model, np.zeros((3, 7)))
+        with pytest.raises(ValueError, match=re.escape(f"t >= 1, got ({B}, 0)")):
+            infer(model, np.zeros((B, 0)))
 
     def test_infer_equals_one_video_batch(self):
         # A one-row pass is a GEMV in BLAS, so infer matches a batch of one
