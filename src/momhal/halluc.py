@@ -53,7 +53,7 @@ CHECKPOINT_MAGIC = b"HAL1"
 # v1 header: magic, version, seed, backbone width b, m, d', classes, SigmE eta and
 # epsilon (byte 40), alpha, tot_scale (byte 56), multi-label flag (byte 64), units
 _HEADER = struct.Struct("<4sIQ4I4dBI")
-_POLL_S = 2e-3     # how long a wait on the other training process polls before it sleeps
+_POLL_S = 10e-3    # how long a wait on the other training process polls before it sleeps
 _BLOCK_ROWS = 32   # rows per block of a forward pass that keeps no backward state
 INIT_SCALE = 0.2   # the initial weights' standard deviation times sqrt(fan-in)
 
@@ -496,10 +496,10 @@ class _Units:
 def _read_byte(fd: int) -> bytes:
     """One byte from the non-blocking pipe end ``fd``, or b"" at end of
     file.  Polls for up to _POLL_S before it sleeps in ``poll`` (which,
-    unlike ``select``, takes any descriptor number): most waits on the
-    other process are shorter, and on a 2-core x86_64 VM a round trip to a
-    process that slept took 45-63 us against 9-10 us to one that polled
-    (notes/decisions.md, "Two processes do")."""
+    unlike ``select``, takes any descriptor number): an epoch's longest wait,
+    the worker's through the parent's beta step, is shorter, and on a 2-core
+    x86_64 VM a round trip to a process that slept took 45-63 us against
+    9-10 us to one that polled (notes/decisions.md, "Two processes do")."""
     end = time.perf_counter() + _POLL_S
     while True:
         try:
