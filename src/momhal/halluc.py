@@ -102,8 +102,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.seed >= 1 << 64:   # HAL1 stores it in 8 bytes
             raise ValueError(f"seed must be < 2**64, got {self.seed}")
-        unknown = [s for s in self.streams if s not in STREAM_ORDER]
-        if unknown:
+        if unknown := [s for s in self.streams if s not in STREAM_ORDER]:
             raise ValueError(f"unknown streams {unknown}; valid: {STREAM_ORDER}")
         object.__setattr__(self, "streams", tuple(s for s in STREAM_ORDER if s in self.streams))
 
@@ -327,20 +326,14 @@ def _beta_score(model: Model, outs: np.ndarray, labels: np.ndarray) -> Callable[
 
     def score(beta: float) -> float:
         tot = _pool(replace(model.spec, beta=beta), outs)
-        return ridge_accuracy(
-            tot[train_idx], labels[train_idx], tot[val_idx], labels[val_idx],
-            model.n_classes, cfg.ridge_l2,
-        )
+        return ridge_accuracy(tot[train_idx], labels[train_idx], tot[val_idx], labels[val_idx],
+                              model.n_classes, cfg.ridge_l2)
 
     return score
 
 
-def _initial_weights(
-    model: Model,
-    data: VideoArrays,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
-) -> None:
+def _initial_weights(model: Model, data: VideoArrays, train_idx: np.ndarray,
+                     val_idx: np.ndarray) -> None:
     """Set raw stream weights from the validation accuracy of a linear
     classifier trained on each stream's ground-truth descriptors."""
     if len(train_idx) == 0 or len(val_idx) == 0:
@@ -354,8 +347,7 @@ def _initial_weights(
     gt = {name: data.targets[k] for k, name in enumerate(model.streams)}
     accs = {name: accuracy(x) for name, x in gt.items()}
     for slot, gid in SLOT_GROUPS.items():
-        members = model.spec.groups[gid]
-        if members:
+        if members := model.spec.groups[gid]:
             accs[slot] = accuracy(np.mean([gt[m] for m in members], axis=0))
     model.spec = replace(model.spec, raw_weights=accs)
 
@@ -365,13 +357,14 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fork_pays(n_units: int) -> bool:
-    """Whether ``train`` forks a worker for half of ``n_units`` units: fork
-    exists, the affinity mask holds two CPUs, the process runs one OS thread
-    (a fork copies only the calling thread, so locks that another holds would
-    stay held in the child, and a BLAS thread pool would contend with the
-    worker for the two CPUs), and there are two units to split.  Where the
-    threads cannot be listed, training runs in one process."""
+def fork_pays(n_units: int) -> bool:
+    """Whether to split ``n_units`` units of work across forked processes, as
+    ``train`` does with its worker and ``synthgen.load_dataset`` with its
+    encoders: fork exists, the affinity mask holds two CPUs, the process
+    runs one OS thread (a fork copies only the calling thread, so locks that
+    another holds would stay held in the child, and a BLAS thread pool would
+    contend with the forked processes for the two CPUs), and there are two
+    units to split.  Where the threads cannot be listed, nothing forks."""
     try:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:
@@ -379,7 +372,7 @@ def _fork_pays(n_units: int) -> bool:
     return hasattr(os, "fork") and usable_cpus() >= 2 and threads == 1 and n_units >= 2
 
 
-def _shared_array(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+def shared_array(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """A zeroed array in an anonymous shared mapping: made before a fork,
     parent and child read and write the same memory."""
     count = math.prod(shape)
@@ -403,7 +396,7 @@ class _Shared:
 
     def __init__(self, n_units: int, data: VideoArrays, fork: bool):
         n_streams, n, d = data.targets.shape
-        new = _shared_array if fork else np.zeros
+        new = shared_array if fork else np.zeros
         self.rows = new((1 + n,), np.int64)   # a batch's row count, then its rows
         self.outs = new((n_units, n, d))      # sketched outputs, by slot
         self.sq_norms = new((n_streams, n))   # the streams' squared residual norms, by slot
@@ -511,14 +504,15 @@ def _read_byte(fd: int) -> bytes:
                 sleeper.poll()
 
 
-def _serve(units: _Units, commands: int, replies: int, unused: tuple[int, ...]) -> NoReturn:
-    """The worker process: closes the pipe ends it does not use, then runs
-    each one-byte command on ``units`` and answers it, until end of file.
-    Leaves by ``os._exit`` on every path, so nothing unwinds into the
-    parent's frames that the fork copied."""
+def _serve(units: _Units, commands: int, replies: int, unused: tuple[int, ...], cpu: int) -> NoReturn:
+    """The worker process: moves to ``cpu`` and closes the pipe ends it
+    does not use, then runs each one-byte command on ``units`` and answers
+    it, until end of file.  Leaves by ``os._exit`` on every path, so nothing
+    unwinds into the parent's frames that the fork copied."""
     code = 1
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends the worker
+        os.sched_setaffinity(0, {cpu})
         for fd in unused:
             os.close(fd)
         run = {b"F": units.forward, b"B": units.step, b"E": units.epoch_end}
@@ -534,21 +528,26 @@ def _serve(units: _Units, commands: int, replies: int, unused: tuple[int, ...]) 
 
 class _Worker:
     """A forked process that runs one ``_Units``, and the two pipes that
-    carry its commands and answers."""
+    carry its commands and answers.  Until ``close``, it and this process
+    run on two CPUs of this process's affinity mask: one CPU would stall each
+    side's poll (notes/decisions.md, "Two processes do")."""
 
     def __init__(self, units: _Units):
+        self.mask = os.sched_getaffinity(0)
         commands, self.commands = os.pipe()
         self.replies, replies = os.pipe()
         for fd in (commands, self.replies):   # the ends that _read_byte reads
             os.set_blocking(fd, False)
         try:
+            os.sched_setaffinity(0, {min(self.mask)})
             self.pid: int | None = os.fork()
         except OSError:
+            os.sched_setaffinity(0, self.mask)
             for fd in (commands, self.commands, self.replies, replies):
                 os.close(fd)
             raise
         if self.pid == 0:
-            _serve(units, commands, replies, unused=(self.commands, self.replies))
+            _serve(units, commands, replies, (self.commands, self.replies), max(self.mask))
         os.close(commands)
         os.close(replies)
 
@@ -574,7 +573,8 @@ class _Worker:
         return status
 
     def close(self, kill: bool) -> None:
-        """End of file on the commands, SIGKILL too if ``kill``; then reap."""
+        """End of file on the commands, SIGKILL too if ``kill``; then reap
+        and give this process its affinity mask back."""
         os.close(self.commands)
         try:
             if self.pid is not None:
@@ -583,6 +583,7 @@ class _Worker:
                 self._reap()
         finally:
             os.close(self.replies)
+            os.sched_setaffinity(0, self.mask)
 
 
 class _Trainer:
@@ -601,7 +602,7 @@ class _Trainer:
         n_units = len(model.weight)
         if fork:
             for name in ("weight", "bias"):
-                slab = _shared_array(getattr(model, name).shape)
+                slab = shared_array(getattr(model, name).shape)
                 slab[...] = getattr(model, name)
                 setattr(model, name, slab)
         self.model, self.data = model, data
@@ -672,7 +673,7 @@ def train(data: VideoArrays, cfg: TrainConfig) -> tuple[Model, list[dict]]:
     """Gradient-descent training with the warmup-then-search exponent
     schedule on the targets of ``cfg.streams`` in ``data``, which may hold
     more.  Deterministic for a fixed seed (single-threaded numpy), with or
-    without the worker process (see ``_fork_pays``).
+    without the worker process (see ``fork_pays``).
 
     Returns the trained model and one metrics row per epoch: loss,
     per-stream MSE, classification loss, validation accuracy, and the
@@ -695,7 +696,7 @@ def train(data: VideoArrays, cfg: TrainConfig) -> tuple[Model, list[dict]]:
     metrics: list[dict] = []
     bracket = Bracket(BETA_BRACKET[0], BETA_BRACKET[1] - BETA_BRACKET[0])
     batch = min(cfg.batch_size, len(train_idx))
-    with _Trainer(model, data, cfg.epochs > 0 and _fork_pays(len(model.weight))) as stack:
+    with _Trainer(model, data, cfg.epochs > 0 and fork_pays(len(model.weight))) as stack:
         for epoch in range(1, cfg.epochs + 1):
             if epoch <= cfg.warmup_epochs:   # the spec starts at beta = 0
                 beta_lo = beta_hi = 0.0

@@ -373,15 +373,15 @@ def read_detections(path, strict: bool = True) -> dict[tuple[str, str], tuple[in
     line order within the group.
 
     A malformed line is refused as ``path: line N: ...``; tau must be
-    consistent across a video's records.
+    the same across a video's records, whatever their detector.
     """
-    builder, groups, group_of = _ColumnBuilder(), {}, array("q")
+    builder, groups, group_of, taus = _ColumnBuilder(), {}, array("q"), {}
 
     def record(line: str) -> None:
         video, detector, tau, rec = parse_detection_line(line, strict=strict)
-        prev_tau, group = groups.setdefault((video, detector), (tau, len(groups)))
-        if prev_tau != tau:
-            raise ValueError(f"tau {tau} conflicts with earlier {prev_tau} for {(video, detector)}")
+        if (prev_tau := taus.setdefault(video, tau)) != tau:
+            raise ValueError(f"tau {tau} conflicts with earlier {prev_tau} for video {video!r}")
+        _, group = groups.setdefault((video, detector), (tau, len(groups)))
         builder.append(rec)
         group_of.append(group)
 

@@ -18,12 +18,14 @@ saliency/ PGM frames listed by manifest.txt.
 The target cache.  ``load_dataset`` keeps each stream's sketched targets,
 an (n_videos, sketch_dim) f64 matrix, as cache/<stream>-<32 hex>.npy in the
 dataset directory and runs the encoders only for streams it does not find
-there.  The key is a blake2b digest of the bytes of every input the
-stream's targets read (dataset.cfg, plus aux_<stream>.npy, or
-detections.jsonl, or manifest.txt and every PGM it lists), the stream
-name, sketch_dim, the SigmE slope eta, and the source of the modules that
-compute a target, which holds the fixed encoder settings, so no change to
-an input or to the encoder arithmetic can return stale targets.  Entries
+there: in two forked children where ``halluc.fork_pays`` holds for them
+(``_encode_forked``), else in this process.  The key is a blake2b digest
+of the bytes of every input the stream's targets read (dataset.cfg, plus
+aux_<stream>.npy, or detections.jsonl, or manifest.txt and every PGM it
+lists), the stream name, sketch_dim, the SigmE slope eta, and the source
+of the modules that compute a target, which holds the fixed encoder
+settings, so no change to an input or to the encoder arithmetic can
+return stale targets.  Entries
 are written atomically; an unreadable entry, or one of the wrong shape or
 dtype, is rebuilt.  Writing a stream's entry deletes that stream's other
 entries, so cache/ holds at most one entry per stream.
@@ -36,6 +38,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
+import signal
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -44,7 +48,7 @@ import numpy as np
 
 from .atomic import write_atomic
 from .fusion import AUX_STREAMS, DET_STREAMS, SAL_STREAMS, STREAM_ORDER
-from .halluc import TrainConfig, VideoArrays, time_pool
+from .halluc import TrainConfig, VideoArrays, fork_pays, shared_array, time_pool
 from .keyvalue import config_pairs, config_parsers, format_key_values, read_key_values, read_lines
 from .odf import OdfConfig, check_tau, odf_descriptor, read_detections
 from .pn import ETA, sigme
@@ -57,6 +61,7 @@ AUX_DIM = 96   # width of each raw auxiliary descriptor
 # weights of the class, latent and noise terms of the backbone features
 CLASS_SCALE, LATENT_SCALE, NOISE_SCALE = 3.0, 2.5, 1.0
 CACHE_DIR = "cache"   # the target cache, inside the dataset directory
+_HASH_CHUNK = 1 << 20   # bytes of a cache key's input hashed at a time
 # The modules a target's arithmetic runs through; their source is part of
 # every cache key, so a change to any of them can never return stale targets.
 _TARGET_MODULES = ("kernel", "keyvalue", "moments", "odf", "pn", "sdf", "sketch", "synthgen")
@@ -360,7 +365,11 @@ def _cache_names(
 
     def digest(path: Path) -> bytes:
         if path not in digests:
-            digests[path] = hashlib.blake2b(path.read_bytes(), digest_size=16).digest()
+            h = hashlib.blake2b(digest_size=16)
+            with open(path, "rb") as fp:
+                while chunk := fp.read(_HASH_CHUNK):
+                    h.update(chunk)
+            digests[path] = h.digest()
         return digests[path]
 
     common = [_source_digest(), digest(data_dir / "dataset.cfg")]
@@ -398,18 +407,16 @@ def _stream_targets(
     are encoded and cached."""
     if not wanted:
         return np.zeros((0, meta.n_videos, sketch_dim))
-    sal_groups = (
-        read_saliency_manifest(data_dir / "manifest.txt")
-        if any(s in wanted for s in SAL_STREAMS)
-        else {}
-    )
+    sal_groups = (read_saliency_manifest(data_dir / "manifest.txt")
+                  if any(s in wanted for s in SAL_STREAMS) else {})
     frame_paths = [path for paths in sal_groups.values() for path in paths]
     cache = data_dir / CACHE_DIR
     names = _cache_names(data_dir, wanted, sketch_dim, eta, frame_paths)
     targets = {name: _read_entry(cache / names[name], (meta.n_videos, sketch_dim))
                for name in wanted}
     if missing := [name for name, arr in targets.items() if arr is None]:
-        targets.update(_encode_targets(data_dir, meta, missing, sketch_dim, eta, sal_groups))
+        targets.update(_encode_forked(data_dir, meta, missing, sketch_dim, eta, sal_groups)
+                       or _encode_targets(data_dir, meta, missing, sketch_dim, eta, sal_groups))
         try:
             cache.mkdir(exist_ok=True)
             for name in missing:
@@ -422,6 +429,45 @@ def _stream_targets(
         except OSError:
             pass   # an unwritable data directory still loads; nothing is cached
     return np.array([targets[name] for name in wanted])
+
+
+def _encode_forked(
+    data_dir: Path, meta: SynthConfig, streams: list[str], sketch_dim: int,
+    eta: float, sal_groups: dict[tuple[str, str], list[Path]],
+) -> dict[str, np.ndarray] | None:
+    """``_encode_targets`` in two forked children, split by the input they
+    parse (detections; saliency frames and auxiliary vectors), that write
+    into one shared mapping while this process waits, if ``fork_pays``
+    holds for them.  None if it does not or a child fails; the caller then
+    encodes here, which raises the in-process fill's error."""
+    parts = [part for part in ([s for s in streams if s in DET_STREAMS],
+                               [s for s in streams if s not in DET_STREAMS]) if part]
+    if not fork_pays(len(parts)):
+        return None
+    rows = shared_array((len(streams), meta.n_videos, sketch_dim))
+    pids, codes = [], []
+    try:
+        for part in parts:
+            if not (pid := os.fork()):
+                try:   # silent: the caller's rerun raises a failure's error
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent ends it
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+                    os.dup2(1, 2)
+                    for name, arr in _encode_targets(data_dir, meta, part, sketch_dim, eta,
+                                                     sal_groups).items():
+                        rows[streams.index(name)] = arr
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        while pids:
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pids[0], 0)[1]))
+            pids.pop(0)
+    finally:
+        for pid in pids:   # interrupted: end the children still running
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return dict(zip(streams, rows)) if not any(codes) else None
 
 
 def _encode_targets(

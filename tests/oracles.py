@@ -380,8 +380,9 @@ def _dense_line(line, strict):
 def dense_detections(path, strict=True):
     """{(video, detector): (tau, rows)} of a detections file, one row
     (frame, label, conf, box, dense (1001,) scores) per line in line order;
-    a bad line is refused as ``path: line N: message``."""
-    groups = {}
+    a bad line, or a tau other than its video's earlier one, is refused as
+    ``path: line N: message``."""
+    groups, taus = {}, {}
     with open(path, "rb") as fp:
         for lineno, raw in enumerate(fp, start=1):
             try:
@@ -389,11 +390,11 @@ def dense_detections(path, strict=True):
                 if not line:
                     continue
                 video, detector, tau, row = _dense_line(line, strict)
-                prev_tau, rows = groups.setdefault((video, detector), (tau, []))
+                prev_tau = taus.setdefault(video, tau)
                 if prev_tau != tau:
                     raise ValueError(f"tau {tau} conflicts with earlier {prev_tau} "
-                                     f"for {(video, detector)}")
-                rows.append(row)
+                                     f"for video {video!r}")
+                groups.setdefault((video, detector), (tau, []))[1].append(row)
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return groups

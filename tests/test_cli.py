@@ -231,7 +231,7 @@ class TestThreads:
     def test_encode_odf(self, tmp_path, capsys, lenient):
         rng = np.random.default_rng(0)
         lines = []
-        for video, det, tau, n in (("v1", "d1", 3, 2), ("v2", "d1", 20, 90), ("v2", "d2", 5, 14),
+        for video, det, tau, n in (("v1", "d1", 3, 2), ("v2", "d1", 20, 90), ("v5", "d2", 5, 14),
                                    ("v3", "d1", 9, 40), ("v4", "d2", 2, 40)):
             for _ in range(n):
                 frame = int(rng.integers(1, tau + (3 if lenient else 1)))
@@ -529,7 +529,7 @@ class TestSynthTrainEval:
                            "pre_sketch_dim = 12\nsketch_dim = 8\nbatch_size = 5\n")
         files = {}
         for name, pays in (("worker", True), ("in_process", False)):
-            monkeypatch.setattr(halluc, "_fork_pays", lambda n_units, pays=pays: pays)
+            monkeypatch.setattr(halluc, "fork_pays", lambda n_units, pays=pays: pays)
             code, _, err = run(capsys, "train", "--config", str(cfgfile),
                                "--out", str(tmp_path / name))
             assert code == 0, err

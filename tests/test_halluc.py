@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import re
@@ -331,7 +332,7 @@ class TestTrain:
         # before the first batch: it scores the k-epoch model.
         if worker and not hasattr(os, "fork"):
             pytest.skip("the worker process needs fork")
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: worker)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: worker)
         cfg = small_cfg(epochs=6, warmup_epochs=0, batch_size=8, val_fraction=0.5)
         data = as_arrays(make_batch(np.random.default_rng(2), cfg, n=64, n_classes=4), cfg)
         rows = train(data, cfg)[1]
@@ -358,7 +359,7 @@ class TestTrain:
         # that the previous epoch's metrics row reports.
         if worker and not hasattr(os, "fork"):
             pytest.skip("the worker process needs fork")
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: worker)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: worker)
         calls = []
 
         def recorder(f, bracket):
@@ -851,9 +852,9 @@ class TestWorker:
             return fork()
 
         monkeypatch.setattr(os, "fork", counted_fork)
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: n_units >= 2)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: n_units >= 2)
         split = train(data, cfg)
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: False)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: False)
         return split, train(data, cfg), len(forks)
 
     @pytest.mark.parametrize("kw", [
@@ -885,7 +886,7 @@ class TestWorker:
     def test_divergence_leaves_no_process(self, monkeypatch):
         data, _ = self.setup_data()
         data.targets[data.streams.index("det1")] = 1e200
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: True)
         with np.errstate(over="ignore"), pytest.raises(TrainingDivergedError):
             train(data, small_cfg(epochs=2, alpha=1e8))
         assert_no_child_process()
@@ -905,7 +906,7 @@ class TestWorker:
             raise TimeoutError("train waits on a dead worker")
 
         monkeypatch.setattr(halluc._Units, "step", dying_step)
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: True)
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
@@ -919,7 +920,7 @@ class TestWorker:
 
     def test_second_thread_keeps_training_in_process(self, monkeypatch):
         data, cfg = self.setup_data()
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: False)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: False)
         want = train(data, cfg)
         monkeypatch.undo()
 
@@ -931,7 +932,7 @@ class TestWorker:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert not halluc._fork_pays(len(cfg.streams) + 1)
+            assert not halluc.fork_pays(len(cfg.streams) + 1)
             got = train(data, cfg)
         finally:
             stop.set()
@@ -941,12 +942,12 @@ class TestWorker:
 
     @staticmethod
     def fork_pays_in_a_new_process(threads, patch=""):
-        """``_fork_pays`` for two units in a new interpreter whose BLAS thread
+        """``fork_pays`` for two units in a new interpreter whose BLAS thread
         variables all read ``threads``, after running ``patch``."""
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(halluc.__file__).parents[1]),
                **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
                                threads)}
-        code = f"import os\nfrom momhal import halluc\n{patch}\nprint(halluc._fork_pays(2))"
+        code = f"import os\nfrom momhal import halluc\n{patch}\nprint(halluc.fork_pays(2))"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
         return {"True\n": True, "False\n": False}[out]
@@ -963,22 +964,72 @@ class TestWorker:
         patch = "def no_listing(path):\n    raise PermissionError(path)\nos.listdir = no_listing"
         assert self.fork_pays_in_a_new_process("1", patch) is False
 
+    @pytest.mark.skipif(not hasattr(os, "fork")
+                        or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                        reason="the worker process needs fork and two CPUs")
+    def test_cpus_are_pinned_then_given_back(self, tmp_path):
+        """In a new interpreter with one BLAS thread, where the worker forks:
+        while training, this process and the worker each run on one CPU of
+        the caller's mask, and the whole mask comes back after a normal and
+        after a diverging ``train``."""
+        code = (
+            "import json, os, sys\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from momhal import halluc\n"
+            "from momhal.halluc import TrainConfig, TrainingDivergedError, VideoArrays, train\n"
+            "cfg = TrainConfig(seed=1, pre_sketch_dim=7, sketch_dim=4, streams=('fv1', 'det1'),\n"
+            "                  eta=4.0, epochs=3, warmup_epochs=1, batch_size=4)\n"
+            "rng = np.random.default_rng(0)\n"
+            "data = VideoArrays(rng.normal(size=(24, 5)), rng.normal(size=(2, 24, 4)),\n"
+            "                   np.arange(24) % 3, cfg.streams)\n"
+            "parent, step, seen = os.getpid(), halluc._Units.step, {}\n"
+            "def recording(units):\n"
+            "    cpus = sorted(os.sched_getaffinity(0))\n"
+            "    if os.getpid() == parent:\n"
+            "        seen['parent'] = cpus\n"
+            "    else:\n"
+            "        open(sys.argv[1], 'w').write(json.dumps(cpus))\n"
+            "    step(units)\n"
+            "halluc._Units.step = recording\n"
+            "seen['before'], seen['pays'] = sorted(os.sched_getaffinity(0)), halluc.fork_pays(3)\n"
+            "train(data, cfg)\n"
+            "seen['after'] = sorted(os.sched_getaffinity(0))\n"
+            "data.targets[1] = 1e200\n"
+            "with np.errstate(over='ignore'):\n"
+            "    try:\n"
+            "        train(data, replace(cfg, alpha=1e8))\n"
+            "    except TrainingDivergedError:\n"
+            "        seen['diverged'] = sorted(os.sched_getaffinity(0))\n"
+            "print(json.dumps(seen))\n")
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(halluc.__file__).parents[1]),
+               **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                               "1")}
+        worker = tmp_path / "worker.json"
+        out = subprocess.run([sys.executable, "-c", code, str(worker)], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        seen = json.loads(out)
+        mask = seen["before"]
+        assert seen["pays"] and len(mask) >= 2
+        assert seen["parent"] == [mask[0]] and json.loads(worker.read_text()) == [mask[-1]]
+        assert seen["after"] == seen["diverged"] == mask
+
     def test_shared_memory_only_with_a_worker(self, monkeypatch):
         data, cfg = self.setup_data()
-        shared_array, maps = halluc._shared_array, []
+        shared_array, maps = halluc.shared_array, []
 
         def no_map(*args):
             raise AssertionError("mapped shared memory with no worker")
 
-        monkeypatch.setattr(halluc, "_shared_array", no_map)
+        monkeypatch.setattr(halluc, "shared_array", no_map)
         model = init_model(cfg, 3, B)
         objective(model, data)
         _loss_and_grads(model, data)
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: False)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: False)
         train(data, cfg)
-        monkeypatch.setattr(halluc, "_shared_array",
+        monkeypatch.setattr(halluc, "shared_array",
                             lambda *args: maps.append(args) or shared_array(*args))
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: True)
         train(data, cfg)
         assert maps
 
@@ -989,7 +1040,7 @@ class TestWorker:
             raise AssertionError("forked a worker with no epoch to split")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(halluc, "_fork_pays", lambda n_units: True)
+        monkeypatch.setattr(halluc, "fork_pays", lambda n_units: True)
         model, metrics = train(data, cfg)
         ref = init_model(cfg, 3, B)
         assert metrics == []

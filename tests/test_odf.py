@@ -443,6 +443,19 @@ class TestJsonl:
         with pytest.raises(ValueError, match="tau"):
             read_detections(path)
 
+    def test_tau_conflict_across_detectors(self, tmp_path):
+        # one tau per video, whatever the detector
+        path = tmp_path / "d.jsonl"
+        path.write_text(self.line(tau=3, frame=1) + "\n"
+                        + self.line(detector="det2", tau=9, frame=1) + "\n")
+        for strict in (True, False):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: line 2: tau 9 conflicts with earlier 3 for video 'v1'")):
+                read_detections(path, strict=strict)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: line 2: tau 9 conflicts with earlier 3 for video 'v1'")):
+                dense_detections(path, strict=strict)
+
 
 def generated_lines(n: int, seed: int = 0, scores: str = "sparse") -> list[str]:
     """``n`` detection lines of 20 videos and two detectors, interleaved,

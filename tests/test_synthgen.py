@@ -1,7 +1,10 @@
 import hashlib
+import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -290,10 +293,30 @@ class TestTargetCache:
         assert loaded.targets.shape == (2, SMALL.n_videos, 16)
         assert not any((data / CACHE_DIR).iterdir())   # no entries, no temporary files
 
+    def test_names_hash_inputs_in_chunks(self, data, monkeypatch):
+        # an input longer than one chunk is keyed as its one-shot digest keys it
+        monkeypatch.setattr(synthgen, "_HASH_CHUNK", 4096)
+        det = data / "detections.jsonl"
+        assert det.stat().st_size > 3 * synthgen._HASH_CHUNK
+
+        def one_shot(path):
+            return hashlib.blake2b(path.read_bytes(), digest_size=16).digest()
+
+        h = hashlib.blake2b(repr(("det2", 16, 2.0)).encode() + b"\0", digest_size=16)
+        for part in (synthgen._source_digest(), one_shot(data / "dataset.cfg"), one_shot(det)):
+            h.update(part)
+        assert synthgen._cache_names(data, ("det2",), 16, 2.0, []) == \
+            {"det2": f"det2-{h.hexdigest()}.npy"}
+
     def test_no_streams_creates_no_cache(self, data):
         loaded, _ = load_dataset(data, sketch_dim=16, streams=())
         assert loaded.streams == () and loaded.targets.shape == (0, SMALL.n_videos, 16)
         assert not (data / CACHE_DIR).exists()
+
+
+def drop_lines(path, *needles):
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(s for s in lines if not all(n in s for n in needles)))
 
 
 class TestLoadErrors:
@@ -302,18 +325,14 @@ class TestLoadErrors:
         generate_dataset(tmp_path / "d", SMALL)
         return tmp_path / "d"
 
-    def drop_lines(self, path, *needles):
-        lines = path.read_text().splitlines(keepends=True)
-        path.write_text("".join(s for s in lines if not all(n in s for n in needles)))
-
     def test_missing_detection_group(self, data):
-        self.drop_lines(data / "detections.jsonl", '"v0002"', '"det3"')
+        drop_lines(data / "detections.jsonl", '"v0002"', '"det3"')
         with pytest.raises(ValueError, match=r"detections\.jsonl: no entries for video "
                                              r"'v0002' and detector 'det3'"):
             load_dataset(data, sketch_dim=16, streams=("det3",))
 
     def test_missing_saliency_group(self, data):
-        self.drop_lines(data / "manifest.txt", "v0001 sal2 ")
+        drop_lines(data / "manifest.txt", "v0001 sal2 ")
         with pytest.raises(ValueError, match=r"manifest\.txt: no entries for video "
                                              r"'v0001' and source 'sal2'"):
             load_dataset(data, sketch_dim=16, streams=("sal2",))
@@ -367,7 +386,7 @@ class TestLoadErrors:
             load_dataset(data, sketch_dim=16, streams=())
 
     def test_video_missing_from_labels(self, data):
-        self.drop_lines(data / "labels.csv", "v0005,")
+        drop_lines(data / "labels.csv", "v0005,")
         with pytest.raises(ValueError, match=r"labels\.csv: no label for video 'v0005'"):
             load_dataset(data, sketch_dim=16, streams=())
 
@@ -394,3 +413,125 @@ class TestLoadErrors:
         np.save(data / name, np.load(data / name)[cut])
         with pytest.raises(ValueError, match=rf"{name}: rows of shape {given}"):
             load_dataset(data, sketch_dim=16, streams=streams)
+
+
+# Loads a dataset cold, then trains on a cold copy of it through the command
+# line, in a new interpreter with one BLAS thread; argv: dataset, cold copy,
+# run directory, "1" to narrow the affinity mask to one CPU first.  With the
+# whole mask the encoders must run only in forked children.
+FILL_SCRIPT = """
+import hashlib, json, os, sys
+from pathlib import Path
+data, cold, run, one_cpu = sys.argv[1:]
+if one_cpu == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from momhal import synthgen
+from momhal.cli import main
+parent = os.getpid()
+
+def in_children_only(encoder):
+    def wrapped(*args, **kwargs):
+        if os.getpid() == parent:
+            raise AssertionError("an encoder ran in the parent")
+        return encoder(*args, **kwargs)
+    return wrapped
+
+if one_cpu != "1":
+    synthgen.odf_descriptor = in_children_only(synthgen.odf_descriptor)
+    synthgen.sdf_descriptor = in_children_only(synthgen.sdf_descriptor)
+loaded, _ = synthgen.load_dataset(data, 16)
+assert main(["train", "--data", cold, "--out", run, "--epochs", "4", "--seed", "3"]) == 0
+files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+         for d in (Path(data) / "cache", Path(cold) / "cache", Path(run)) for p in d.iterdir()}
+print(json.dumps({"forks": synthgen.fork_pays(2), "streams": loaded.streams,
+                  "targets": hashlib.sha256(loaded.targets.tobytes()).hexdigest(), **files}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork")
+                    or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="the forked fill needs fork and two CPUs")
+class TestForkedFill:
+    """Where ``halluc.fork_pays`` holds, a cold load runs the encoders in
+    two forked children and gives the bytes of the in-process fill."""
+
+    def test_same_bytes_as_the_in_process_fill(self, tmp_path):
+        generate_dataset(tmp_path / "d", SMALL)
+        env = {**os.environ, "PYTHONPATH": str(Path(synthgen.__file__).parents[1]),
+               **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"),
+                               "1")}
+        got = {}
+        for side, one_cpu in (("forked", "0"), ("in_process", "1")):
+            for name in ("data", "cold"):
+                shutil.copytree(tmp_path / "d", tmp_path / side / name)
+            out = subprocess.run([sys.executable, "-c", FILL_SCRIPT, "data", "cold", "run", one_cpu],
+                                 cwd=tmp_path / side, env=env, capture_output=True, text=True,
+                                 check=True).stdout
+            got[side] = json.loads(out.splitlines()[-1])
+        assert got["forked"].pop("forks") and not got["in_process"].pop("forks")
+        assert got["forked"] == got["in_process"]
+        assert {"checkpoint.hal", "metrics.csv"} < set(got["forked"])
+        assert sum(name.endswith(".npy") for name in got["forked"]) == 2 * len(ALL_STREAMS)
+
+    def test_leaves_no_child_on_an_interrupt(self, tmp_path, monkeypatch):
+        generate_dataset(tmp_path / "d", SMALL)
+        monkeypatch.setattr(synthgen, "fork_pays", lambda n: n >= 2)
+        waitpid = os.waitpid
+
+        def interrupted(pid, options):
+            if not options:   # the first wait on a child
+                monkeypatch.setattr(os, "waitpid", waitpid)
+                raise KeyboardInterrupt
+            return waitpid(pid, options)
+
+        monkeypatch.setattr(os, "waitpid", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            load_dataset(tmp_path / "d", sketch_dim=16)
+        assert not (tmp_path / "d" / CACHE_DIR).exists()
+
+
+def break_line(path, index):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[index] = lines[index].replace('"conf": ', '"conf": "')
+    path.write_text("".join(lines))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the forked fill needs fork")
+@pytest.mark.parametrize("damage, message", [
+    (lambda d: drop_lines(d / "detections.jsonl", '"v0002"', '"det3"'),
+     r"detections\.jsonl: no entries for video 'v0002' and detector 'det3'"),
+    (lambda d: drop_lines(d / "manifest.txt", "v0001 sal2 "),
+     r"manifest\.txt: no entries for video 'v0001' and source 'sal2'"),
+    (lambda d: np.save(d / "aux_off.npy", np.load(d / "aux_off.npy")[:-1]),
+     r"aux_off\.npy: 11 rows, but dataset\.cfg has n_videos = 12"),
+    (lambda d: np.save(d / "aux_off.npy", np.load(d / "aux_off.npy")[:, :50]),
+     r"aux_off\.npy: rows of shape \(50,\), but synth writes rows of width AUX_DIM = 96"),
+    (lambda d: (d / "aux_fv2.npy").write_bytes((d / "aux_fv2.npy").read_bytes()[:100]),
+     r"aux_fv2\.npy: "),
+    (lambda d: break_line(d / "detections.jsonl", 6), r"detections\.jsonl: line 7: "),
+    (lambda d: (break_line(d / "detections.jsonl", 6),
+                (d / "aux_fv2.npy").write_bytes((d / "aux_fv2.npy").read_bytes()[:100])),
+     r"detections\.jsonl: line 7: "),
+], ids=["detection_group", "saliency_group", "aux_rows", "aux_width", "damaged_aux",
+        "detection_line", "detection_line_and_damaged_aux"])
+def test_forked_fill_refuses_as_the_in_process_fill(tmp_path, monkeypatch, damage, message):
+    """A refusal of a target input is the in-process fill's, message and
+    order: a failing child makes this process encode again, and the
+    detections are parsed before any stream is encoded."""
+    generate_dataset(tmp_path / "d", SMALL)
+    damage(tmp_path / "d")
+    errors, forks, fork = {}, [], os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for side, pays in (("in_process", False), ("forked", True)):
+        monkeypatch.setattr(synthgen, "fork_pays", lambda n, pays=pays: pays and n >= 2)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_dataset(tmp_path / "d", sketch_dim=16)
+        errors[side] = str(exc.value)
+    assert len(forks) == 2
+    assert errors["forked"] == errors["in_process"]
+    assert not (tmp_path / "d" / CACHE_DIR).exists()
